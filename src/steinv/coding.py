@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .elements import MINUS, PLUS, CutPoint, PLMap, make_plmap, to_prefix_pairs
 from .errors import (
+    BoundExceeded,
     EmptyWord,
     ForbiddenFactor,
     NotInGamma,
@@ -322,7 +323,7 @@ def _greedy_beta(v: FieldElement):
         d = 1 if (p - 1).sign() >= 0 else 0
         digits.append(str(d))
         r = p - d
-    raise RuntimeError("greedy expansion did not cycle")
+    raise BoundExceeded("greedy expansion did not cycle")
 
 
 def beta_expand(value, side: str) -> EventuallyPeriodicWord:
@@ -397,15 +398,5 @@ def embed_v2_element(f: PLMap) -> PLMap:
         b_v = beta_word_value(tv)
         slope = beta ** (_beta_depth(tu) - _beta_depth(tv))
         pieces.append((b_u, slope, b_v - slope * b_u))
-    pieces.sort(key=_piece_key)
+    pieces.sort(key=lambda p: p[0])
     return make_plmap(target, pieces)
-
-
-class _piece_key:
-    __slots__ = ("start",)
-
-    def __init__(self, piece):
-        self.start = piece[0]
-
-    def __lt__(self, other):
-        return (self.start - other.start).sign() < 0

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
 from .errors import (
+    BoundExceeded,
     BreakpointNotInGamma,
     ContextMismatch,
     EmptyLibrary,
@@ -145,7 +147,7 @@ class PLMap:
 
     @classmethod
     def _trusted(cls, triple, raw_pieces) -> "PLMap":
-        pieces = sorted(raw_pieces, key=_start_key(triple))
+        pieces = sorted(raw_pieces, key=lambda p: p.start)
         return cls(triple, _merge(pieces))
 
     def __eq__(self, other):
@@ -203,27 +205,29 @@ class PLMap:
     # -- group structure ----------------------------------------------------
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """self after other: (self.compose(other))(t) = self(other(t))."""
+        """self after other: (self.compose(other))(t) = self(other(t)).
+
+        Walks other's pieces in domain order: a binary search finds the
+        piece of self at each image's left end, and self's starts below
+        its right end are pulled back, so breakpoints come out sorted.
+        """
         if self.triple is not other.triple and self.triple != other.triple:
             raise ContextMismatch("elements come from different triples")
-        cuts = {p.start for p in other.pieces}
-        images = _image_intervals(other)
-        for piece in self.pieces:
-            b = piece.start
-            if b.is_zero():
-                continue
-            for gp, (gl, gr) in zip(other.pieces, images):
-                if (b - gl).sign() >= 0 and (b - gr).sign() < 0:
-                    cuts.add((b - gp.offset) / gp.slope)
-                    break
+        starts = [p.start for p in self.pieces]
+        ends = [p.start for p in other.pieces[1:]] + [self.triple.endpoint]
         new_pieces = []
-        for u in sorted(cuts):
-            gp = other._piece_at(u)
-            fp = self._piece_at(gp.image_of(u))
-            new_pieces.append(
-                Piece(u, fp.slope * gp.slope, fp.slope * gp.offset + fp.offset)
-            )
-        return PLMap._trusted(self.triple, new_pieces)
+        for gp, end in zip(other.pieces, ends):
+            k = bisect_right(starts, gp.image_of(gp.start)) - 1
+            right = gp.image_of(end)
+            u = gp.start
+            while True:
+                fp = self.pieces[k]
+                new_pieces.append(Piece(u, fp.slope * gp.slope, fp.image_of(gp.offset)))
+                k += 1
+                if k == len(starts) or not starts[k] < right:
+                    break
+                u = (starts[k] - gp.offset) / gp.slope
+        return PLMap(self.triple, _merge(new_pieces))
 
     def inverse(self) -> "PLMap":
         new_pieces = [
@@ -249,8 +253,13 @@ class PLMap:
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         acc = PLMap.identity(self.triple)
-        for _ in range(abs(n)):
-            acc = acc * base
+        n = abs(n)
+        while n:
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            if n:
+                base = base * base
         return acc
 
     # -- analysis -----------------------------------------------------------
@@ -279,7 +288,7 @@ class PLMap:
                 _add_fixed(seen, CutPoint(t_star, MINUS), lam)
             if above_lo > 0 and below_hi > 0 and not triple.module.contains(t_star):
                 non_cut.append(t_star)
-        points = sorted(seen.values(), key=_fixed_sort_key)
+        points = sorted(seen.values(), key=lambda fp: fp.point)
         return FixedPointReport(tuple(points), tuple(non_cut))
 
 
@@ -287,33 +296,6 @@ def _add_fixed(seen, point: CutPoint, slope: FieldElement) -> None:
     key = (tuple(point.value.coords), point.side)
     if key not in seen:
         seen[key] = FixedPoint(point, slope, (slope - 1).sign() < 0)
-
-
-def _fixed_sort_key(fp: FixedPoint):
-    return _CutKey(fp.point)
-
-
-class _CutKey:
-    __slots__ = ("point",)
-
-    def __init__(self, point):
-        self.point = point
-
-    def __lt__(self, other):
-        return self.point < other.point
-
-
-def _start_key(triple):
-    class Key:
-        __slots__ = ("p",)
-
-        def __init__(self, p):
-            self.p = p
-
-        def __lt__(self, other):
-            return (self.p.start - other.p.start).sign() < 0
-
-    return Key
 
 
 def _merge(pieces) -> Tuple[Piece, ...]:
@@ -368,8 +350,7 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
         if piece.slope.sign() <= 0 or not triple.slopes.contains(piece.slope):
             raise SlopeNotInLambda(f"slope {piece.slope} is outside the slope group")
     images = sorted(
-        _image_intervals(PLMap(triple, tuple(built))),
-        key=lambda iv: _ValueKey(iv[0]),
+        _image_intervals(PLMap(triple, tuple(built))), key=lambda iv: iv[0]
     )
     cursor = field.zero()
     for lo, hi in images:
@@ -379,16 +360,6 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
     if (cursor - endpoint).sign() != 0:
         raise NotBijective("images do not end at the endpoint")
     return PLMap(triple, _merge(built))
-
-
-class _ValueKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return (self.v - other.v).sign() < 0
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +393,7 @@ def _candidate_lengths(triple: SteinTriple, count: int = 6):
         for p in module.inverted_primes:
             push(mag / p)
             push(mag / (p * p))
-    values.sort(key=_ValueKey)
+    values.sort()
     return values[:count]
 
 
@@ -591,7 +562,7 @@ def to_prefix_pairs(f: PLMap):
     while stack:
         num, depth = stack.pop()
         if depth > _MAX_CYLINDER_DEPTH:
-            raise RuntimeError("cylinder refinement runaway")
+            raise BoundExceeded("cylinder refinement runaway")
         width = Fraction(1, n**depth)
         left = num * width
         right = left + width

@@ -3,9 +3,12 @@
 A field is described by an integer polynomial together with a rational
 interval isolating exactly one real root, written `a` below.  Elements
 are rational coordinate vectors over the power basis 1, a, ..., a^(d-1),
-and every decision is exact: zero tests are symbolic, and sign tests
-refine the isolating interval by bisection with Sturm-sequence root
-counts steering each step.  No floating point is used anywhere.
+and every decision is exact.  Degree-two signs come from a closed form
+for the root by comparing squares of integers.  Higher degrees bound the
+value over the isolating interval, test for a symbolic zero by a gcd
+only when that bound straddles zero, and then bisect the interval with
+Sturm-sequence root counts until the bound excludes zero.  No floating
+point is used anywhere.
 
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
@@ -23,6 +26,7 @@ from math import gcd
 from typing import Sequence, Union
 
 from .errors import (
+    BoundExceeded,
     DivisionByZero,
     FieldMismatch,
     MultipleRootsInInterval,
@@ -34,7 +38,8 @@ from .errors import (
 Rational = Union[int, Fraction]
 
 # Safety valve for the bisection loops; convergence is geometric, so this
-# is never reached on meaningful input.
+# is reached only by values that 4096 halvings of the interval cannot
+# separate from zero.
 _MAX_REFINEMENTS = 4096
 
 
@@ -172,6 +177,20 @@ def _sign_fraction(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _quadratic_sign(quadratic, x: Fraction, y: Fraction) -> int:
+    """Sign of x + y*a for the root a = (-c1 + e*sqrt(D)) / (2*c2)."""
+    c1, c2, e, disc = quadratic
+    # 2*c2*(x + y*a) = u + v*sqrt(D); scale both by the positive denominators
+    u = 2 * c2 * x.numerator * y.denominator - c1 * y.numerator * x.denominator
+    v = e * y.numerator * x.denominator
+    su = (u > 0) - (u < 0)
+    sv = (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    d = u * u - v * v * disc  # zero only when D is a square
+    return su if d > 0 else -su if d < 0 else 0
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -253,6 +272,7 @@ class RealAlgebraicField:
         "_hi0",
         "_sturm",
         "_exact_root",
+        "_quadratic",
         "_compat_true",
         "_compat_false",
     )
@@ -281,6 +301,15 @@ class RealAlgebraicField:
                 raise NoRootInInterval("no root inside the interval")
             if n > 1:
                 raise MultipleRootsInInterval(f"{n} roots inside the interval")
+        self._quadratic = None
+        if self.degree == 2:
+            # the root is (-c1 + e*sqrt(D)) / (2*c2), e = -1 below the vertex
+            c0, c1, c2 = minpoly.coefficients
+            vertex = Fraction(-c1, 2 * c2)
+            below = hi <= vertex or (
+                lo < vertex and _count_roots_open(self._sturm, lo, vertex) == 1
+            )
+            self._quadratic = (c1, c2, -1 if below else 1, c1 * c1 - 4 * c0 * c2)
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
         self._compat_true = []
@@ -532,19 +561,15 @@ class FieldElement:
         return self.coords[0]
 
     def sign(self) -> int:
+        f = self.field
+        if f._quadratic is not None:
+            return _quadratic_sign(f._quadratic, *self.coords)
         poly = _trim(self.coords)
         if not poly:
             return 0
         if len(poly) == 1:
             return _sign_fraction(poly[0])
-        f = self.field
-        if f._exact_root is not None:
-            return _sign_fraction(_peval(poly, f._exact_root))
-        # Symbolic zero at the chosen root: only possible when the defining
-        # polynomial is reducible and the element hits a factor of it.
-        g = _pgcd(poly, f.minpoly.fractions())
-        if len(g) > 1 and _count_roots_open(_sturm_chain(g), f._lo, f._hi) >= 1:
-            return 0
+        zero_checked = False
         for _ in range(_MAX_REFINEMENTS):
             if f._exact_root is not None:
                 return _sign_fraction(_peval(poly, f._exact_root))
@@ -553,8 +578,16 @@ class FieldElement:
                 return 1
             if v_hi < 0:
                 return -1
+            if not zero_checked:
+                # The bound straddles zero.  A symbolic zero at the chosen
+                # root is possible only when the defining polynomial is
+                # reducible and the element hits a factor of it.
+                zero_checked = True
+                g = _pgcd(poly, f.minpoly.fractions())
+                if len(g) > 1 and _count_roots_open(_sturm_chain(g), f._lo, f._hi) >= 1:
+                    return 0
             f.refine_root()
-        raise RuntimeError("sign determination did not converge")
+        raise BoundExceeded("sign determination did not converge")
 
     # -- order and equality -------------------------------------------------
 
@@ -656,4 +689,4 @@ def approx(a: FieldElement, eps: Rational):
             hi = mid
         else:
             lo = mid
-    raise RuntimeError("approximation did not converge")
+    raise BoundExceeded("approximation did not converge")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from steinv import parse_spec
+from steinv import coding, parse_spec
 from steinv.cli import main
 
 DYADIC_DOC = {
@@ -240,6 +240,14 @@ def test_expand_beta(docs, capsys):
     assert out == "01(0)\n"
     code, out, _ = run(capsys, "expand", "beta", "1", "minus")
     assert out == "(10)\n"
+
+
+def test_exhausted_bound_exits_2(docs, capsys, monkeypatch):
+    monkeypatch.setattr(coding, "_MAX_GREEDY_STEPS", 1)
+    code, out, err = run(capsys, "expand", "beta", "2,-1", "+")
+    assert code == 2
+    assert out == ""
+    assert err == "error: greedy expansion did not cycle\n"
 
 
 def test_expand_json(docs, capsys):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from steinv import coding
 from steinv import (
+    BoundExceeded,
     CutPoint,
     EmptyWord,
     EventuallyPeriodicWord,
@@ -205,6 +207,13 @@ def test_beta_expand_domain_errors():
         beta_expand(GOLDEN.field.zero(), "-")
     with pytest.raises(OutOfDomain):
         beta_expand(2 - BETA + 1, "+")  # 3 - b > 1
+
+
+def test_beta_expand_step_bound(monkeypatch):
+    monkeypatch.setattr(coding, "_MAX_GREEDY_STEPS", 3)
+    assert str(beta_expand(BETA - 1, "+")) == "1(0)"  # cycles on the third step
+    with pytest.raises(BoundExceeded):
+        beta_expand(2 - BETA, "+")  # 01(0) needs a fourth
 
 
 def test_beta_cut_point_sides():

@@ -1,13 +1,18 @@
 """Piecewise linear right continuous bijections of [0, endpoint)."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from steinv import elements
+from steinv.elements import Piece
 from steinv import (
+    BoundExceeded,
     BreakpointNotInGamma,
     ContextMismatch,
+    FieldElement,
     NotAntichain,
     NotBijective,
     NotComplete,
@@ -20,6 +25,7 @@ from steinv import (
     WrongContext,
     compose,
     cut_point,
+    embed_v2_element,
     from_prefix_pairs,
     generator_library,
     golden_triple,
@@ -167,6 +173,8 @@ def test_powers():
     assert X0 ** -1 == X0.inverse()
     assert X0 ** -3 == (X0.inverse()) ** 3
     assert (X0 ** 3) * (X0 ** -3) == PLMap.identity(DYADIC)
+    assert X0 ** 37 == X0 ** 32 * X0 ** 5
+    assert X0 ** -37 == (X0 ** 37).inverse()
 
 
 def test_context_mismatch():
@@ -334,6 +342,12 @@ def test_prefix_pairs_round_trip():
         assert from_prefix_pairs(DYADIC, pairs) == f
 
 
+def test_prefix_pairs_depth_bound(monkeypatch):
+    monkeypatch.setattr(elements, "_MAX_CYLINDER_DEPTH", 1)
+    with pytest.raises(BoundExceeded):
+        to_prefix_pairs(X0)  # needs the depth-2 cylinder "00"
+
+
 def test_from_prefix_pairs_swap():
     f = from_prefix_pairs(DYADIC, [("0", "1"), ("1", "0")])
     assert as_tuples(f) == [("0", "1", "1/2"), ("1/2", "1", "-1/2")]
@@ -397,3 +411,87 @@ def test_golden_random_maps_close():
         assert GOLDEN.module.contains(p.start)
         assert GOLDEN.module.contains(p.offset)
         assert GOLDEN.slopes.contains(p.slope)
+
+
+# -- composition against the scan-and-sort reference ------------------------
+
+TWO_THREE = stein_triple([1], [2, 3], [2, 3], endpoint=1)
+
+
+def reference_compose(f, g):
+    """f after g the slow way: collect g's starts and the preimages of f's
+    breakpoints in a set, sort it, and look both pieces up at every cut."""
+    starts = [p.start for p in g.pieces] + [g.triple.endpoint]
+    images = [
+        (p.image_of(lo), p.image_of(hi)) for p, lo, hi in zip(g.pieces, starts, starts[1:])
+    ]
+    cuts = {p.start for p in g.pieces}
+    for piece in f.pieces:
+        b = piece.start
+        if b.is_zero():
+            continue
+        for gp, (gl, gr) in zip(g.pieces, images):
+            if (b - gl).sign() >= 0 and (b - gr).sign() < 0:
+                cuts.add((b - gp.offset) / gp.slope)
+                break
+    new_pieces = []
+    for u in sorted(cuts):
+        gp = g._piece_at(u)
+        fp = f._piece_at(gp.image_of(u))
+        new_pieces.append(
+            Piece(u, fp.slope * gp.slope, fp.slope * gp.offset + fp.offset)
+        )
+    return PLMap._trusted(f.triple, new_pieces)
+
+
+def random_prefix_code(rng, k):
+    """A complete binary prefix code of k words, none much deeper than needed."""
+    cap = math.ceil(math.log2(k)) + 2
+    words = [""]
+    while len(words) < k:
+        shallow = [i for i, w in enumerate(words) if len(w) < cap]
+        w = words.pop(rng.choice(shallow))
+        words += [w + "0", w + "1"]
+    return words
+
+
+def random_element(triple, rng, k):
+    """A seeded element of about k pieces."""
+    if triple is TWO_THREE:
+        return random_word(triple, k, seed=rng.randrange(10 ** 6))
+    image = random_prefix_code(rng, k)
+    rng.shuffle(image)
+    f = from_prefix_pairs(DYADIC, list(zip(random_prefix_code(rng, k), image)))
+    return f if triple is DYADIC else embed_v2_element(f)
+
+
+def exact_pieces(f):
+    return [repr((p.start.coords, p.slope.coords, p.offset.coords)) for p in f.pieces]
+
+
+@pytest.mark.parametrize(
+    "triple", [DYADIC, GOLDEN, TWO_THREE], ids=["dyadic", "golden", "two-three"]
+)
+def test_compose_matches_reference(triple):
+    rng = random.Random(211)
+    sizes = set()
+    for k_f, k_g in [(4, 4), (4, 16), (16, 4), (8, 8), (16, 16), (32, 8), (8, 32), (32, 32)]:
+        f = random_element(triple, rng, k_f)
+        g = random_element(triple, rng, k_g)
+        sizes.update((len(f.pieces), len(g.pieces)))
+        for a, b in [(f, g), (g, f), (f, f.inverse())]:
+            assert exact_pieces(a * b) == exact_pieces(reference_compose(a, b))
+    assert min(sizes) <= 4 and max(sizes) >= 24
+
+
+@pytest.mark.parametrize("k_f, k_g", [(4, 4), (16, 16), (32, 32), (32, 4), (4, 32)])
+def test_compose_sign_calls_are_near_linear(monkeypatch, k_f, k_g):
+    rng = random.Random(223 + k_f + k_g)
+    f = random_element(GOLDEN, rng, k_f)
+    g = random_element(GOLDEN, rng, k_g)
+    calls = []
+    real_sign = FieldElement.sign
+    monkeypatch.setattr(FieldElement, "sign", lambda x: calls.append(1) or real_sign(x))
+    f * g
+    p_f, p_g = len(f.pieces), len(g.pieces)
+    assert len(calls) <= (p_f + p_g) * (math.ceil(math.log2(p_f)) + 2)

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from steinv import numbers
 from steinv import (
+    BoundExceeded,
     DivisionByZero,
     FieldMismatch,
     MinimalPolynomial,
     MultipleRootsInInterval,
     NoRootInInterval,
     NotSquarefree,
+    SteinError,
     ZeroLeadingCoefficient,
     approx,
     make_field,
@@ -225,3 +228,106 @@ def test_compatible_fields_share_elements():
     assert GOLDEN.compatible(other)
     assert GOLDEN.generator() == other.generator()
     assert GOLDEN.generator() + other.generator() == 2 * GOLDEN.generator()
+
+
+# -- closed-form quadratic signs and the deferred zero test -----------------
+
+
+def bracket_sign(x):
+    """Sign read off approx brackets of shrinking width, None if all straddle 0."""
+    for k in range(120, -1000, -40):
+        lo, hi = approx(x, Fraction(2) ** k)
+        if lo > 0 or hi < 0 or lo == hi:
+            return (lo > 0) - (hi < 0)
+    return None
+
+
+@pytest.mark.parametrize("field", [GOLDEN, SQRT2M1])
+def test_quadratic_sign_large_coefficients_match_approx(field):
+    rng = random.Random(109)
+    root = field.generator()
+    for _ in range(40):
+        x = field.element(
+            [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12))
+             for _ in range(2)]
+        )
+        assert x.sign() == bracket_sign(x)
+        # the root less a rational just off one of its brackets: a small value
+        lo, hi = approx(root, Fraction(1, rng.randint(10 ** 6, 10 ** 20)))
+        y = root - Fraction(lo.numerator * 7 + 3, lo.denominator * 7)
+        assert y.sign() == bracket_sign(y)
+
+
+def test_quadratic_sign_on_the_lower_root():
+    # the root of x^2 - x - 1 in (-1, 0) is (1 - sqrt 5)/2 = -0.6180...
+    psi = make_field([-1, -1, 1], (-1, 0)).generator()
+    assert psi.sign() == -1
+    assert (psi + 1).sign() == 1
+    assert (psi + Fraction(618, 1000)).sign() == -1
+    assert (psi + Fraction(619, 1000)).sign() == 1
+    assert (psi * psi - psi - 1).sign() == 0
+    assert psi * (psi - 1) == 1
+    assert (2 * psi - 1) * (2 * psi - 1) == 5
+    for x in [psi, psi - 1, 3 * psi + 2, 21 * psi + 13, 34 * psi + 21]:
+        assert x.sign() == bracket_sign(x)
+
+
+@pytest.mark.parametrize("n", [150, 600, 6500])
+def test_quadratic_sign_near_zero_without_bisection(n):
+    # phi*F_n - F_(n+1) = -psi^n, of sign (-1)^(n+1) and size phi^-n
+    fib = [0, 1]
+    while len(fib) < n + 2:
+        fib.append(fib[-1] + fib[-2])
+    field = make_field([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
+    x = field.generator() * fib[n] - fib[n + 1]
+    assert x.sign() == (-1) ** (n + 1)
+    assert field.root_interval() == field.initial_interval()
+
+
+def test_quadratic_sign_zero_on_a_reducible_polynomial():
+    # x^2 - x = x(x - 1); the interval straddles the vertex 1/2 and holds 1
+    f = make_field([0, -1, 1], (Fraction(1, 3), Fraction(3, 2)))
+    a = f.generator()
+    assert (a - 1).sign() == 0
+    assert a.sign() == 1
+    assert (a - 2).sign() == -1
+    assert (a - Fraction(99, 100)).sign() == 1
+
+
+def test_cubic_zero_is_found_by_the_deferred_gcd(monkeypatch):
+    # (x - 1)(x^2 - 2), with only the root 1 inside (9/10, 6/5)
+    f = make_field([2, -2, -1, 1], (Fraction(9, 10), Fraction(6, 5)))
+    a = f.generator()
+    calls = []
+    real_pgcd = numbers._pgcd
+    monkeypatch.setattr(numbers, "_pgcd", lambda *p: calls.append(p) or real_pgcd(*p))
+    assert (a * a - 2).sign() == -1
+    assert calls == []  # the interval alone decided it
+    assert (a - 1).sign() == 0
+    assert len(calls) == 1
+    assert f.root_interval() == f.initial_interval()
+
+
+def test_cubic_sign_skips_the_gcd_when_the_interval_decides(monkeypatch):
+    f = make_field([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))  # 2^(1/3)
+    a = f.generator()
+    calls = []
+    real_pgcd = numbers._pgcd
+    monkeypatch.setattr(numbers, "_pgcd", lambda *p: calls.append(p) or real_pgcd(*p))
+    assert (a - 1).sign() == 1
+    assert (a - 2).sign() == -1
+    assert calls == []
+    assert (a - Fraction(126, 100)).sign() == -1  # needs refinement
+    assert len(calls) == 1
+    assert a * a * a == 2
+
+
+def test_bounded_loops_raise_bound_exceeded(monkeypatch):
+    monkeypatch.setattr(numbers, "_MAX_REFINEMENTS", 2)
+    f = make_field([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    x = f.generator() - Fraction(126, 100)
+    with pytest.raises(BoundExceeded):
+        x.sign()
+    with pytest.raises(BoundExceeded):
+        approx(x, Fraction(1, 10 ** 9))
+    assert issubclass(BoundExceeded, SteinError)
