@@ -31,10 +31,9 @@ from .modules import (
     BreakpointModule,
     SlopeGroup,
     SteinTriple,
-    _factor_positive,
-    _is_unit_ratio,
-    _solve_unique,
+    _eliminate,
     scale_equivalence,
+    thompson_base,
 )
 from .numbers import FieldElement, RealAlgebraicField
 
@@ -112,9 +111,7 @@ def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvaria
         columns = [[Fraction(0)] * n]
     int_columns = []
     for col in columns:
-        den = 1
-        for x in col:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in col))
         int_columns.append([int(x * den) for x in col])
     entries = [[c[i] for c in int_columns] for i in range(n)]
     inv = cokernel_invariants(IntMatrix(entries))
@@ -237,7 +234,7 @@ def order_embedding_exists(
     c = Fraction(1)
     for row in l1.basis_vectors():
         w = lift(l1, row)
-        x = _solve_unique(target_cols, w)
+        x = _eliminate(target_cols, w)[2]
         if x is None:
             missing = next(
                 (p for p, e in zip(l1.primes, row) if e and p not in l2.primes),
@@ -248,12 +245,8 @@ def order_embedding_exists(
             return EmbeddingAnswer(
                 "No", obstruction="exponent lattices span different subspaces"
             )
-        den = 1
-        for q in x:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-        g = 0
-        for q in x:
-            g = math.gcd(g, q.numerator * (den // q.denominator))
+        den = math.lcm(*(q.denominator for q in x))
+        g = math.gcd(*(q.numerator * (den // q.denominator) for q in x))
         q_min = Fraction(den, g)  # least positive q with q*x integral
         c = Fraction(
             math.lcm(c.numerator, q_min.numerator),
@@ -266,13 +259,10 @@ def order_embedding_exists(
 # verdict pipelines
 
 
-def _coinvariant_obstruction(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
+def _coinvariants_differ(
+    inv1: AbelianInvariants, inv2: AbelianInvariants
+) -> Optional[Verdict]:
     """NotIsomorphic verdict when the coinvariant groups disagree."""
-    try:
-        inv1 = coinvariants(a.module, a.slopes)
-        inv2 = coinvariants(b.module, b.slopes)
-    except UnsupportedGamma:
-        return None
     if inv1.same_group(inv2):
         return None
     return Verdict(
@@ -281,6 +271,17 @@ def _coinvariant_obstruction(a: SteinTriple, b: SteinTriple) -> Optional[Verdict
             f"coinvariants differ ({inv1.describe()} vs {inv2.describe()})"
         ),
     )
+
+
+def _coinvariant_obstruction(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
+    """As _coinvariants_differ, and None when either side has no
+    computable coinvariants."""
+    try:
+        inv1 = coinvariants(a.module, a.slopes)
+        inv2 = coinvariants(b.module, b.slopes)
+    except UnsupportedGamma:
+        return None
+    return _coinvariants_differ(inv1, inv2)
 
 
 def classify_pair(
@@ -305,14 +306,9 @@ def classify_pair(
     if not same_slopes:
         return Verdict("NotIsomorphic", obstruction="slope groups differ")
     inv1 = coinvariants(a.module, a.slopes)
-    inv2 = coinvariants(b.module, b.slopes)
-    if not inv1.same_group(inv2):
-        return Verdict(
-            "NotIsomorphic",
-            obstruction=(
-                f"coinvariants differ ({inv1.describe()} vs {inv2.describe()})"
-            ),
-        )
+    blocked = _coinvariants_differ(inv1, coinvariants(b.module, b.slopes))
+    if blocked is not None:
+        return blocked
     sr = scale_equivalence(a.module, b.module, search_bound)
     if sr.outcome == "distinct":
         return Verdict(
@@ -367,28 +363,6 @@ def _exact_conjugacy(
     return None
 
 
-def _thompson_base(triple: SteinTriple) -> Optional[int]:
-    """The base n when the triple is exactly (Z[1/n], <n>, ...)."""
-    module = triple.module
-    if module.field.degree != 1 or module.rank() != 1:
-        return None
-    slopes = triple.slopes
-    if slopes.kind != "rational" or slopes.rank() != 1:
-        return None
-    value = slopes.generator_values()[0]
-    if value < 1:
-        value = 1 / value
-    if value.denominator != 1 or value < 2:
-        return None
-    n = int(value)
-    support = tuple(sorted(_factor_positive(n)))
-    if module.inverted_primes != support:
-        return None
-    if not _is_unit_ratio(abs(module.basis[0].as_fraction()), support):
-        return None
-    return n
-
-
 def _endpoint_residue_gcd(n: int, r: Fraction) -> int:
     # the class of r in Z[1/n]/(n-1) only sees gcd(n-1, r mod n-1)
     if n == 2:
@@ -436,8 +410,8 @@ def rank_one_report(
                 f"({backward.obstruction})"
             ),
         )
-    n1 = _thompson_base(a)
-    n2 = _thompson_base(b)
+    n1 = thompson_base(a)
+    n2 = thompson_base(b)
     if n1 is not None and n2 is not None:
         if n1 != n2:
             return Verdict(

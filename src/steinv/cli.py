@@ -31,7 +31,7 @@ from .document import (
     verdict_to_json,
 )
 from .elements import CutPoint, PLMap, random_word, to_prefix_pairs
-from .errors import ParseError, SteinError, UsageError, ValidationError
+from .errors import ParseError, SteinError, UsageError
 from .modules import DEFAULT_SEARCH_BOUND, SteinTriple, golden_field
 from .numbers import rational_field
 
@@ -300,9 +300,6 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except SteinError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

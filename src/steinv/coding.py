@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedInput,
     WrongContext,
 )
+from .intlinalg import _strip_primes, factor
 from .modules import SteinTriple, golden_field, golden_triple
 from .numbers import FieldElement, rational_field
 
@@ -104,28 +105,6 @@ def _require_base(n: int) -> None:
         raise WrongContext(f"base {n} is outside the supported range 2..10")
 
 
-def _n_supported(q: Fraction, n: int) -> bool:
-    rem = q.denominator
-    for p in _small_primes(n):
-        while rem % p == 0:
-            rem //= p
-    return rem == 1
-
-
-def _small_primes(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     """Digit stream of a cut of (Z[1/n], <n>, 1): plus cuts get the
     expansion ending in 0s, minus cuts the one ending in (n-1)s."""
@@ -133,7 +112,7 @@ def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     if not x.value.is_rational:
         raise WrongContext("n-adic coding needs a rational cut point")
     t = x.value.as_fraction()
-    if not _n_supported(t, n):
+    if _strip_primes(t.denominator, factor(n)) != 1:
         raise WrongContext(f"{t} is not an n-adic rational for base {n}")
     if x.side == PLUS:
         if t < 0 or t >= 1:
@@ -204,7 +183,7 @@ def _horner_beta(w: str, binv: FieldElement) -> FieldElement:
 def beta_word_value(word) -> FieldElement:
     """Exact value sum w_i beta^-i of a finite word or periodic stream."""
     field = golden_field()
-    binv = field.generator().inverse()
+    binv = _golden_inverse()
     if isinstance(word, EventuallyPeriodicWord):
         _check_beta_word(word.preperiod + word.period + word.period)
         k = len(word.preperiod)
@@ -229,10 +208,8 @@ def beta_cylinder_interval(w: str):
     if not w:
         raise EmptyWord("the cylinder word must be nonempty")
     _check_beta_word(w)
-    field = golden_field()
-    binv = field.generator().inverse()
     b = beta_word_value(w)
-    upper = b + binv ** _beta_depth(w)
+    upper = b + _golden_inverse() ** _beta_depth(w)
     return CutPoint(b, PLUS), CutPoint(upper, MINUS)
 
 
@@ -375,6 +352,12 @@ def beta_cut_point(word) -> CutPoint:
 @lru_cache(maxsize=1)
 def _golden_context() -> SteinTriple:
     return golden_triple(1)
+
+
+@lru_cache(maxsize=1)
+def _golden_inverse() -> FieldElement:
+    """1/beta in the shared golden field."""
+    return golden_field().generator().inverse()
 
 
 def embed_v2_cut(x: CutPoint) -> CutPoint:

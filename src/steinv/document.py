@@ -1,4 +1,4 @@
-"""JSON documents describing a triple, named elements, and tasks.
+"""JSON documents describing a triple and named elements.
 
 The surface format keeps everything exact: rationals are integers or
 "p/q" strings (floats are rejected), field elements are arrays of
@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .classify import Verdict
 from .elements import FixedPointReport, PLMap, from_prefix_pairs, make_plmap
@@ -20,7 +20,7 @@ from .errors import ParseError
 from .modules import BreakpointModule, SlopeGroup, SteinTriple
 from .numbers import FieldElement, RealAlgebraicField, rational_field
 
-_TOP_KEYS = {"field", "gamma", "lambda", "ell", "elements", "tasks"}
+_TOP_KEYS = {"field", "gamma", "lambda", "ell", "elements"}
 _FIELD_KEYS = {"minpoly", "root_interval"}
 _GAMMA_KEYS = {"basis", "inverted_primes"}
 _LAMBDA_KEYS = {"generators"}
@@ -31,7 +31,6 @@ _ELEMENT_KEYS = {"pieces", "pairs"}
 class SpecDocument:
     triple: SteinTriple
     elements: dict
-    tasks: Tuple[str, ...] = ()
 
     @property
     def field(self) -> RealAlgebraicField:
@@ -202,25 +201,18 @@ def parse_spec(source) -> SpecDocument:
         if not isinstance(name, str) or not name:
             raise ParseError("element names must be nonempty strings")
         elements[name] = _parse_element(name, raw_elements[name], triple)
-    tasks = data.get("tasks", [])
-    if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
-        raise ParseError("tasks must be an array of strings")
-    return SpecDocument(triple, elements, tuple(tasks))
+    return SpecDocument(triple, elements)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def value_to_json(v: FieldElement):
     """Inverse of parse_value: "p/q" in degree one, else a coordinate list."""
     if v.field.degree == 1:
-        return format_rational(v.as_fraction())
-    return [format_rational(c) for c in v.coords]
+        return str(v.as_fraction())
+    return [str(c) for c in v.coords]
 
 
 def plmap_to_json(f: PLMap) -> dict:
@@ -244,7 +236,7 @@ def triple_to_json(triple: SteinTriple, elements: Optional[dict] = None) -> dict
         lo, hi = field.initial_interval()
         out["field"] = {
             "minpoly": list(field.minpoly.coefficients),
-            "root_interval": [format_rational(lo), format_rational(hi)],
+            "root_interval": [str(lo), str(hi)],
         }
     out["gamma"] = {
         "basis": [value_to_json(b) for b in triple.module.basis],
@@ -255,7 +247,7 @@ def triple_to_json(triple: SteinTriple, elements: Optional[dict] = None) -> dict
         if isinstance(mu, FieldElement):
             generators.append(value_to_json(mu))
         else:
-            generators.append(format_rational(mu))
+            generators.append(str(mu))
     out["lambda"] = {"generators": generators}
     if triple.endpoint is not None:
         out["ell"] = value_to_json(triple.endpoint)

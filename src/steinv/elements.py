@@ -20,7 +20,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .errors import (
     BoundExceeded,
@@ -37,7 +37,7 @@ from .errors import (
     UnparsableWord,
     WrongContext,
 )
-from .modules import SteinTriple
+from .modules import SteinTriple, thompson_base
 from .numbers import FieldElement
 
 PLUS = "+"
@@ -471,56 +471,14 @@ def random_word(triple: SteinTriple, length: int, seed: int) -> PLMap:
 
 def v2_base(triple: SteinTriple) -> int:
     """The base n of a (Z[1/n], <n>, 1) triple; WrongContext otherwise."""
-    module = triple.module
-    if module.field.degree != 1:
-        raise WrongContext("words need a rational breakpoint module")
-    slopes = triple.slopes
-    if slopes.kind != "rational" or slopes.rank() != 1:
-        raise WrongContext("words need a cyclic integer slope group")
-    value = slopes.generator_values()[0]
-    if value < 1:
-        value = 1 / value
-    if value.denominator != 1 or value < 2:
-        raise WrongContext("the slope generator must be an integer base")
-    n = int(value)
+    n = thompson_base(triple)
+    if n is None:
+        raise WrongContext("words need the triple (Z[1/n], <n>, 1)")
     if n > 10:
         raise WrongContext("digit words support bases up to 10 only")
-    support = tuple(sorted(_prime_support(n)))
-    if module.inverted_primes != support:
-        raise WrongContext("the module must be exactly Z[1/n]")
-    if module.rank() != 1:
-        raise WrongContext("the module must be exactly Z[1/n]")
-    b = module.basis[0].as_fraction()
-    if not _is_power_unit(abs(b), support):
-        raise WrongContext("the module must be exactly Z[1/n]")
-    endpoint = triple.require_endpoint()
-    if endpoint != 1:
+    if triple.require_endpoint() != 1:
         raise WrongContext("prefix words need endpoint 1")
     return n
-
-
-def _prime_support(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_power_unit(q: Fraction, primes) -> bool:
-    n, d = q.numerator, q.denominator
-    for p in primes:
-        while n % p == 0:
-            n //= p
-        while d % p == 0:
-            d //= p
-    return n == 1 and d == 1
 
 
 def _power_exponent(q: Fraction, n: int) -> int:
@@ -583,30 +541,6 @@ def to_prefix_pairs(f: PLMap):
             for d in reversed(range(n)):
                 stack.append((num * n + d, depth + 1))
     return pairs
-
-
-def compose(f: PLMap, g: PLMap) -> PLMap:
-    """f after g."""
-    return f.compose(g)
-
-
-def invert(f: PLMap) -> PLMap:
-    return f.inverse()
-
-
-def prefix_exchange_convert(value, direction: str, triple: Optional[SteinTriple] = None):
-    """Convert between an element and its prefix exchange pairs.
-
-    direction "to_pairs" takes a PLMap; "from_pairs" takes word pairs and
-    needs the target triple.
-    """
-    if direction == "to_pairs":
-        return to_prefix_pairs(value)
-    if direction == "from_pairs":
-        if triple is None:
-            raise WrongContext("from_pairs needs the target triple")
-        return from_prefix_pairs(triple, value)
-    raise WrongContext(f"unknown direction {direction!r}")
 
 
 def _check_complete_antichain(words, n: int) -> None:

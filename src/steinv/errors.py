@@ -67,7 +67,8 @@ class UnsupportedComparison(SteinError):
 
 
 class BoundExceeded(SteinError):
-    """A bounded search ran out of budget; callers surface this as Unknown."""
+    """A bounded search ran out of budget, or a number lies beyond the
+    range where primality is certified; the command line exits 2."""
 
 
 class InvalidEndpoint(ValidationError):

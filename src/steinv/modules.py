@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSlopeGroup,
     ValidationError,
 )
-from .intlinalg import IntMatrix, hermite_normal_form
+from .intlinalg import IntMatrix, _strip_primes, factor, hermite_normal_form, is_prime
 from .numbers import FieldElement, RealAlgebraicField, Rational, rational_field
 
 DEFAULT_SEARCH_BOUND = 16
@@ -39,142 +39,61 @@ _EXPONENT_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Q
+# small exact arithmetic over Q
 
 
-def _solve_unique(columns, target):
-    """Solve sum x_j * columns[j] = target for rational x, or None.
+def _eliminate(columns, target=None):
+    """Gauss-Jordan elimination over Q of the matrix with the given
+    columns, augmented by the column target when one is given.
 
-    The columns are assumed linearly independent, so a solution is
-    unique when it exists.
+    Returns (rank, det, solution): the rank of the columns, their
+    determinant (for a square matrix), and the unique rational x with
+    sum x_j * columns[j] = target, or None when there is no such x or
+    it is not unique.
     """
     n = len(columns)
-    rows = [
-        [Fraction(col[i]) for col in columns] + [Fraction(target[i])]
-        for i in range(len(target))
-    ]
-    pivots = []
+    augmented = list(columns) + ([target] if target is not None else [])
+    rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
+    det = Fraction(1)
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
+            det = Fraction(0)
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        p = rows[r][c]
+        det *= p
+        rows[r] = [x / p for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None
-    if len(pivots) < n:
-        return None  # underdetermined; cannot happen with independent columns
-    out = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        out[c] = rows[i][n]
-    return tuple(out)
-
-
-def _rational_rank(columns) -> int:
-    rows = [[Fraction(col[i]) for col in columns] for i in range(len(columns[0]))]
-    rank = 0
-    for c in range(len(columns)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / rows[rank][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _det_rational(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-# ---------------------------------------------------------------------------
-# prime support of rationals
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _factor_positive(n: int) -> dict:
-    out = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    solution = None
+    if target is not None and r == n and not any(row[n] for row in rows[r:]):
+        solution = tuple(row[n] for row in rows[:n])
+    return r, det, solution
 
 
 def _factor_fraction(q: Fraction) -> dict:
     if q <= 0:
         raise ValidationError("only positive rationals have a prime support")
-    out = _factor_positive(q.numerator)
-    for p, e in _factor_positive(q.denominator).items():
+    out = factor(q.numerator)
+    for p, e in factor(q.denominator).items():
         out[p] = out.get(p, 0) - e
     return {p: e for p, e in out.items() if e}
 
 
-def _denominator_supported(q: Fraction, primes) -> bool:
-    d = q.denominator
-    for p in primes:
-        while d % p == 0:
-            d //= p
-    return d == 1
-
-
-def _is_unit_ratio(q: Fraction, primes) -> bool:
-    """True when the positive rational factors over the given primes."""
-    if q <= 0:
-        return False
-    n, d = q.numerator, q.denominator
-    for p in primes:
-        while n % p == 0:
-            n //= p
-        while d % p == 0:
-            d //= p
-    return n == 1 and d == 1
+def _is_unit(q: Fraction, primes) -> bool:
+    """True when the positive rational q is a product of powers of primes."""
+    return (
+        q > 0
+        and _strip_primes(q.numerator, primes) == 1
+        and _strip_primes(q.denominator, primes) == 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +155,10 @@ class SlopeGroup:
         self.kind = "rational"
         self.generator = None
         self.field = field
-        support = sorted({p for q in rationals for p in _factor_fraction(q)})
-        if rationals and support:
-            vectors = [
-                [_factor_fraction(q).get(p, 0) for p in support] for q in rationals
-            ]
+        factored = [_factor_fraction(q) for q in rationals]
+        support = sorted({p for f in factored for p in f})
+        if support:
+            vectors = [[f.get(p, 0) for p in support] for f in factored]
             h, _ = hermite_normal_form(IntMatrix(vectors))
             basis = [row for row in h.entries if any(row)]
             self.lattice = IntMatrix(basis) if basis else None
@@ -305,12 +223,17 @@ class SlopeGroup:
             q = mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
             if q <= 0:
                 return False
-            factors = _factor_fraction(q)
-            if any(p not in self.primes for p in factors):
-                return False
-            return self._lattice_contains(
-                [factors.get(p, 0) for p in self.primes]
-            )
+            num, den = q.numerator, q.denominator
+            vector = []
+            for p in self.primes:
+                e = 0
+                while num % p == 0:
+                    num, e = num // p, e + 1
+                while den % p == 0:
+                    den, e = den // p, e - 1
+                vector.append(e)
+            # a cofactor left over is a prime outside the group's support
+            return num == den == 1 and self._lattice_contains(vector)
         else:
             value = self.generator.field.from_rational(
                 mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
@@ -384,7 +307,7 @@ class BreakpointModule:
     def __init__(self, field: RealAlgebraicField, basis, inverted_primes=()):
         primes = sorted(set(int(p) for p in inverted_primes))
         for p in primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValidationError(f"{p} is not prime")
         elems = []
         for b in basis:
@@ -397,7 +320,7 @@ class BreakpointModule:
         if not elems:
             raise ValidationError("basis must be nonempty")
         columns = [tuple(b.coords) for b in elems]
-        if _rational_rank(columns) < len(columns):
+        if _eliminate(columns)[0] < len(columns):
             raise DependentBasis("basis is linearly dependent over Q")
         if len(elems) == 1 and not primes:
             raise NonDense(
@@ -420,14 +343,16 @@ class BreakpointModule:
             target = tuple(self.field.element(t.coords).coords)
         else:
             target = tuple(self.field.from_rational(t).coords)
-        return _solve_unique(self._columns, target)
+        return _eliminate(self._columns, target)[2]
 
     def contains(self, t) -> bool:
-        coords = self.coordinates(t)
-        if coords is None:
-            return False
-        return all(
-            _denominator_supported(x, self.inverted_primes) for x in coords
+        return self._in_module(self.coordinates(t))
+
+    def _in_module(self, coords) -> bool:
+        # rational coordinates name a module point when their denominators
+        # are products of inverted primes
+        return coords is not None and all(
+            _strip_primes(x.denominator, self.inverted_primes) == 1 for x in coords
         )
 
     def multiplication_matrix(self, mu) -> tuple:
@@ -441,9 +366,7 @@ class BreakpointModule:
         cols = []
         for b in self.basis:
             coords = self.coordinates(mu * b)
-            if coords is None or not all(
-                _denominator_supported(x, self.inverted_primes) for x in coords
-            ):
+            if not self._in_module(coords):
                 raise NotInvariant(
                     f"multiplication by {mu} does not preserve the module"
                 )
@@ -470,8 +393,7 @@ class BreakpointModule:
         for _ in range(d):
             cols.append((s * power).coords)
             power = power * self.field.generator()
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-        return _det_rational(rows)
+        return _eliminate(cols)[1]
 
     def __eq__(self, other):
         if not isinstance(other, BreakpointModule):
@@ -545,9 +467,7 @@ def scale_equivalence(
     d = field.degree
     ratio = None
     if n == d:
-        det1 = _det_rational([[col[i] for col in g1._columns] for i in range(d)])
-        det2 = _det_rational([[col[i] for col in g2._columns] for i in range(d)])
-        ratio = abs(det1 / det2)
+        ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
     g = g2.basis[0]
     seen = set()
     vectors = sorted(
@@ -572,7 +492,7 @@ def scale_equivalence(
             continue
         if ratio is not None:
             norm_ratio = abs(g1.norm(s))
-            if not _is_unit_ratio(norm_ratio / ratio, g1.inverted_primes):
+            if not _is_unit(norm_ratio / ratio, g1.inverted_primes):
                 continue
         if all(g1.contains(s * b) for b in g2.basis) and all(
             g2.contains(b / s) for b in g1.basis
@@ -672,8 +592,27 @@ def thompson_triple(n: int, endpoint: Rational = 1) -> SteinTriple:
     """(Z[1/n], <n>, endpoint): the Higman-Thompson family for n >= 2."""
     if n < 2:
         raise ValidationError("the base must be at least 2")
-    primes = sorted(_factor_positive(n))
-    return stein_triple([1], primes, [n], endpoint)
+    return stein_triple([1], list(factor(n)), [n], endpoint)
+
+
+def thompson_base(triple: SteinTriple) -> Optional[int]:
+    """The base n when the triple is (Z[1/n], <n>) at any endpoint, else None.
+
+    The prime support comes from the slope group, so nothing is factored.
+    """
+    module, slopes = triple.module, triple.slopes
+    if module.field.degree != 1 or module.rank() != 1:
+        return None
+    if slopes.kind != "rational" or slopes.rank() != 1:
+        return None
+    value = slopes.generator_values()[0]
+    if value < 1:
+        value = 1 / value
+    if value.denominator != 1 or module.inverted_primes != slopes.primes:
+        return None
+    if not _is_unit(abs(module.basis[0].as_fraction()), slopes.primes):
+        return None
+    return int(value)
 
 
 _GOLDEN_FIELD = None

@@ -406,11 +406,6 @@ class RealAlgebraicField:
         )
 
 
-def make_field(minpoly, root_interval) -> RealAlgebraicField:
-    """Construct Q(a) from integer coefficients and an isolating interval."""
-    return RealAlgebraicField(minpoly, root_interval)
-
-
 _RATIONAL_FIELD = None
 
 
@@ -651,11 +646,6 @@ class FieldElement:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
-
-
-def sign_of(a: FieldElement) -> int:
-    """Exact sign of a field element: -1, 0, or +1."""
-    return a.sign()
 
 
 def approx(a: FieldElement, eps: Rational):

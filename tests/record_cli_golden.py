@@ -1,0 +1,118 @@
+"""Record the CLI outputs that tests/test_cli_golden.py compares against.
+
+    PYTHONPATH=src python tests/record_cli_golden.py
+
+runs every command below on the tests/test_cli.py documents and writes
+the documents, the command lines, stdout and the exit code to
+tests/cli_golden.json.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from steinv.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# "@name" stands for the path of document `name`
+COMMANDS = [
+    ["classify", "@dyadic", "@dyadic", "--json"],
+    ["classify", "@golden", "@golden_ell_b", "--json"],
+    ["classify", "@two_three", "@two_five", "--json"],
+    ["classify", "@two_three", "@two_five"],
+    ["classify", "@two_three", "@two_nine", "--json"],
+    ["classify", "@base5", "@base5_ell2", "--json"],
+    ["classify-groupoid", "@base5", "@base5_ell2", "--json"],
+    ["classify-groupoid", "@golden", "@golden_ell_b", "--json"],
+    ["coinvariants", "@base5", "--json"],
+    ["coinvariants", "@golden", "--json"],
+    ["coinvariants", "@two_three", "--json"],
+    ["obstruct", "@two_three", "@two_nine", "--json"],
+    ["obstruct", "@base5", "@base5_ell2", "--json"],
+    ["element", "compose", "@dyadic", "x0", "swap", "--json"],
+    ["element", "invert", "@dyadic", "x0", "--json"],
+    ["element", "invert", "@dyadic", "x0"],
+    ["element", "fixed-points", "@dyadic", "x0", "--json"],
+    ["element", "to-pairs", "@dyadic", "x0", "--json"],
+    ["element", "random", "@dyadic", "6", "--seed", "3", "--json"],
+    ["expand", "2", "3/4", "-", "--json"],
+    ["expand", "beta", "2,-1", "+", "--json"],
+    ["embed-v2", "@dyadic", "x0", "--json"],
+    ["embed-v2", "@dyadic", "swap", "--json"],
+    ["element", "invert", "@dyadic", "nope", "--json"],
+    ["coinvariants", "@not_closed", "--json"],
+    # coinvariants that cannot be computed: exit 2 when slopes are equal,
+    # no obstruction in the rank-one battery
+    ["classify", "@golden_localized_trivial", "@golden_localized_trivial", "--json"],
+    ["classify", "@dyadic_trivial", "@triadic_trivial", "--json"],
+]
+
+
+def write_documents(directory: Path, documents: dict) -> dict:
+    paths = {}
+    for name, doc in documents.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(argv, paths):
+    """(exit code, stdout) of one in-process CLI run."""
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def record() -> None:
+    import test_cli
+
+    documents = {
+        "dyadic": test_cli.DYADIC_DOC,
+        "base5": test_cli.BASE5_DOC,
+        "base5_ell2": test_cli.BASE5_ELL2_DOC,
+        "two_three": test_cli.TWO_THREE_DOC,
+        "two_nine": test_cli.TWO_NINE_DOC,
+        "two_five": test_cli.TWO_FIVE_DOC,
+        "golden": test_cli.GOLDEN_DOC,
+        "golden_ell_b": test_cli.GOLDEN_ELL_B_DOC,
+        "not_closed": {
+            "gamma": {"basis": ["1"], "inverted_primes": [2]},
+            "lambda": {"generators": ["3"]},
+            "ell": "1",
+        },
+        "golden_localized_trivial": dict(
+            test_cli.GOLDEN_DOC,
+            gamma={"basis": [["1"], ["0", "1"]], "inverted_primes": [2]},
+            **{"lambda": {"generators": []}},
+        ),
+        "dyadic_trivial": {
+            "gamma": {"basis": ["1"], "inverted_primes": [2]},
+            "lambda": {"generators": []},
+            "ell": "1",
+        },
+        "triadic_trivial": {
+            "gamma": {"basis": ["1"], "inverted_primes": [3]},
+            "lambda": {"generators": []},
+            "ell": "1",
+        },
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_documents(Path(tmp), documents)
+        cases = []
+        for argv in COMMANDS:
+            code, out = run_case(argv, paths)
+            cases.append({"argv": argv, "exit": code, "stdout": out})
+    GOLDEN.write_text(
+        json.dumps({"documents": documents, "cases": cases}, indent=1) + "\n",
+        encoding="utf-8",
+    )
+
+
+if __name__ == "__main__":
+    record()

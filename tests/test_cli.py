@@ -339,3 +339,69 @@ def test_console_script_subprocess(docs):
     )
     assert proc.returncode == 0
     assert proc.stdout == "Z/4\n"
+
+
+# -- inputs with 19-digit primes finish at once -----------------------------
+
+P = 1000000000000000003
+Q = P * 1000000000000000009  # composite, with no factor rho finds in budget
+
+
+def run_module(tmp_path, *argv):
+    """Exit code and output of `python -m steinv`, which must finish in 2 s."""
+    args = []
+    for a in argv:
+        if isinstance(a, dict):
+            path = tmp_path / f"doc{len(args)}.json"
+            path.write_text(json.dumps(a))
+            a = str(path)
+        args.append(a)
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinv", *args],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def big_prime_doc(inverted, generator):
+    return {
+        "gamma": {"basis": ["1"], "inverted_primes": [inverted]},
+        "lambda": {"generators": [str(generator)]},
+        "ell": "1",
+    }
+
+
+def test_big_prime_slope_on_dyadic_module_exits_2(tmp_path):
+    code, out, err = run_module(tmp_path, "coinvariants", big_prime_doc(2, P))
+    assert (code, out) == (2, "")
+    assert "not closed under multiplication" in err
+
+
+def test_big_inverted_prime_coinvariants(tmp_path):
+    code, out, _ = run_module(tmp_path, "coinvariants", big_prime_doc(P, P))
+    assert (code, out) == (0, "Z/1000000000000000002\n")
+
+
+def test_big_prime_slope_in_element_exits_2(tmp_path):
+    doc = dict(DYADIC_DOC, elements={"f": {"pieces": [["0", str(P), "0"]]}})
+    code, out, err = run_module(tmp_path, "element", "invert", doc, "f")
+    assert (code, out) == (2, "")
+    assert "outside the slope group" in err
+
+
+def test_thompson_triple_of_a_big_prime_returns():
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import steinv; steinv.thompson_triple({P})"],
+        timeout=2,
+    )
+    assert proc.returncode == 0
+
+
+def test_unfactorable_inputs_exit_2(tmp_path):
+    code, out, err = run_module(tmp_path, "coinvariants", big_prime_doc(Q, 2))
+    assert (code, out, err) == (2, "", f"error: {Q} is not prime\n")
+    code, out, err = run_module(tmp_path, "coinvariants", big_prime_doc(2, Q))
+    assert (code, out) == (2, "")
+    assert f"cannot factor {Q}" in err

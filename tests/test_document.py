@@ -8,7 +8,6 @@ import pytest
 from steinv import ParseError, SpecDocument, parse_spec, thompson_triple
 from steinv.document import (
     dump_json,
-    format_rational,
     parse_rational,
     plmap_to_json,
     triple_to_json,
@@ -27,7 +26,6 @@ DYADIC_DOC = {
         },
         "swap": {"pairs": [["0", "1"], ["1", "0"]]},
     },
-    "tasks": ["classify"],
 }
 
 GOLDEN_DOC = {
@@ -43,7 +41,8 @@ def test_parse_from_dict():
     assert isinstance(doc, SpecDocument)
     assert doc.triple == thompson_triple(2)
     assert set(doc.elements) == {"x0", "swap"}
-    assert doc.tasks == ("classify",)
+    with pytest.raises(ParseError, match="unknown key 'tasks'"):
+        parse_spec(dict(DYADIC_DOC, tasks=["classify"]))
 
 
 def test_parse_from_text_and_file(tmp_path):
@@ -120,9 +119,7 @@ def test_malformed_json_reports_position():
     assert "column" in str(e.value)
 
 
-def test_format_rational_and_values():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(Fraction(5)) == "5"
+def test_value_to_json():
     doc = parse_spec(GOLDEN_DOC)
     b = doc.field.generator()
     assert value_to_json(b) == ["0", "1"]

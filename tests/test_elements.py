@@ -23,15 +23,12 @@ from steinv import (
     UnorderedBreakpoints,
     UnparsableWord,
     WrongContext,
-    compose,
     cut_point,
     embed_v2_element,
     from_prefix_pairs,
     generator_library,
     golden_triple,
-    invert,
     make_plmap,
-    prefix_exchange_convert,
     random_word,
     stein_triple,
     thompson_triple,
@@ -150,8 +147,6 @@ def test_compose_and_inverse():
     ]
     assert X0 * inv == PLMap.identity(DYADIC)
     assert inv * X0 == PLMap.identity(DYADIC)
-    assert compose(X0, inv) == PLMap.identity(DYADIC)
-    assert invert(X0) == inv
     assert ~X0 == inv
 
 
@@ -332,7 +327,9 @@ def test_group_axioms_random(triple):
 
 
 def test_x0_prefix_pairs():
-    assert to_prefix_pairs(X0) == [("00", "0"), ("01", "10"), ("1", "11")]
+    pairs = to_prefix_pairs(X0)
+    assert pairs == [("00", "0"), ("01", "10"), ("1", "11")]
+    assert from_prefix_pairs(DYADIC, pairs) == X0
 
 
 def test_prefix_pairs_round_trip():
@@ -382,15 +379,6 @@ def test_prefix_pairs_wrong_context():
     with pytest.raises(WrongContext):
         # slope group <2,3> is not cyclic, so no tree pair normal form
         to_prefix_pairs(PLMap.identity(t))
-
-
-def test_prefix_exchange_convert_wrappers():
-    pairs = prefix_exchange_convert(X0, "to_pairs")
-    assert pairs == [("00", "0"), ("01", "10"), ("1", "11")]
-    f = prefix_exchange_convert(pairs, "from_pairs", triple=DYADIC)
-    assert f == X0
-    with pytest.raises(Exception):
-        prefix_exchange_convert(X0, "sideways")
 
 
 def test_random_maps_preserve_module_points():

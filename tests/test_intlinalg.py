@@ -10,8 +10,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinv import (
+    BoundExceeded,
     IntMatrix,
     ValidationError,
     cokernel_invariants,
@@ -19,6 +21,7 @@ from steinv import (
     localize_factors,
     smith_normal_form,
 )
+from steinv.intlinalg import factor, is_prime
 
 
 def laplace_det(rows):
@@ -250,3 +253,56 @@ def test_localize_strips_inverted_primes():
     loc = localize_factors(inv, [2])
     assert loc.invariant_factors == ()
     assert loc.free_rank == 1
+
+
+# -- primes -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@given(st.integers(min_value=-5, max_value=10**5))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_division_is_prime(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 1, 2, 4 and 9 prime bases
+    for n in (2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+
+
+def test_is_prime_certifies_only_below_the_deterministic_bound():
+    assert is_prime(1000000000000000003)
+    assert not is_prime(1000000000000000003 * 1000000000000000009)
+    with pytest.raises(BoundExceeded):
+        is_prime(2**89 - 1)  # a Mersenne prime above 3.3e24
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**15),
+        st.lists(st.sampled_from([2, 3, 43, 1009, 65537, 999983]), max_size=12).map(
+            math.prod
+        ),
+    )
+)
+def test_factor_matches_sympy(sympy, n):
+    factors = factor(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert all(is_prime(p) and sympy.isprime(p) for p in factors)
+    assert factors == sympy.factorint(n)
+
+
+def test_factor_rejects_what_it_cannot_split():
+    with pytest.raises(BoundExceeded):
+        factor(1000000000000000003 * 1000000000000000009)
+    with pytest.raises(ValidationError):
+        factor(0)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from steinv import (
     BoundExceeded,
@@ -13,6 +14,7 @@ from steinv import (
     InvalidEndpoint,
     NonDense,
     NotInvariant,
+    RealAlgebraicField,
     SlopeGroup,
     SteinTriple,
     UnsupportedComparison,
@@ -20,12 +22,12 @@ from steinv import (
     algebraic_triple,
     golden_field,
     golden_triple,
-    make_field,
     rational_field,
     scale_equivalence,
     stein_triple,
     thompson_triple,
 )
+from steinv.modules import _eliminate, thompson_base
 
 
 # -- slope groups -----------------------------------------------------------
@@ -93,7 +95,7 @@ def test_algebraic_slope_group_canonical_generator():
 
 def test_algebraic_slope_groups_incomparable_across_fields():
     b = golden_field().generator()
-    a = make_field([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2))).generator()
+    a = RealAlgebraicField([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2))).generator()
     with pytest.raises(UnsupportedComparison):
         SlopeGroup([b]).equals(SlopeGroup([a + 1]))
     # mixed kinds compare cleanly as unequal
@@ -309,3 +311,63 @@ def test_random_module_membership_is_linear():
     # an uninverted prime in the denominator is fatal
     assert not m.contains(f.one() / 5)
     assert not m.contains(b / 3)
+
+
+# -- the rational elimination against sympy --------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+@st.composite
+def systems(draw):
+    """Columns of a small rational matrix, often square, with zeros and
+    repeated columns so that row swaps and singular matrices occur, and
+    a right-hand side."""
+    rows = draw(st.integers(1, 4))
+    count = draw(st.one_of(st.just(rows), st.integers(1, 4)))
+    pool = st.lists(_entries, min_size=rows, max_size=rows)
+    columns = draw(st.lists(pool, min_size=count, max_size=count))
+    if count > 1 and draw(st.booleans()):
+        columns[-1] = list(draw(st.sampled_from(columns[:-1])))
+    return columns, draw(pool)
+
+
+@given(systems())
+def test_eliminate_matches_sympy(sympy, system):
+    columns, target = system
+    a = sympy.Matrix(len(target), len(columns), lambda i, j: columns[j][i])
+    rank, det, solution = _eliminate(columns, target)
+    assert rank == a.rank()
+    if a.is_square:
+        assert det == a.det()
+    try:
+        x, free = a.gauss_jordan_solve(sympy.Matrix(target))
+    except ValueError:  # no solution
+        assert solution is None
+        return
+    if free.shape[0]:
+        assert solution is None
+    else:
+        assert list(solution) == list(x)
+
+
+# -- Thompson-base detection -------------------------------------------------
+
+
+def test_thompson_base_detection():
+    assert thompson_base(thompson_triple(6)) == 6
+    assert thompson_base(stein_triple([Fraction(3, 2)], [2, 3], [Fraction(1, 6)])) == 6
+    assert thompson_base(thompson_triple(1000000000000000003)) == 1000000000000000003
+    assert thompson_base(stein_triple([5], [2, 3], [6])) is None  # 5 is no unit
+    assert thompson_base(stein_triple([1], [2, 3], [2, 3])) is None  # rank two
+    assert thompson_base(stein_triple([1], [2, 3], [2])) is None  # Z[1/6], <2>
+    assert thompson_base(stein_triple([1], [2, 3], [Fraction(3, 2)])) is None
+    assert thompson_base(golden_triple()) is None

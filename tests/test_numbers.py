@@ -14,16 +14,15 @@ from steinv import (
     MultipleRootsInInterval,
     NoRootInInterval,
     NotSquarefree,
+    RealAlgebraicField,
     SteinError,
     ZeroLeadingCoefficient,
     approx,
-    make_field,
     rational_field,
-    sign_of,
 )
 
-GOLDEN = make_field([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
-SQRT2M1 = make_field([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
+GOLDEN = RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
+SQRT2M1 = RealAlgebraicField([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
 
 
 def test_minpoly_normalization():
@@ -46,13 +45,13 @@ def test_minpoly_rejections():
 
 def test_root_isolation_errors():
     with pytest.raises(NoRootInInterval):
-        make_field([-2, 0, 1], (2, 3))
+        RealAlgebraicField([-2, 0, 1], (2, 3))
     with pytest.raises(MultipleRootsInInterval):
-        make_field([-2, 0, 1], (-2, 2))  # both square roots of 2
+        RealAlgebraicField([-2, 0, 1], (-2, 2))  # both square roots of 2
 
 
 def test_interval_refinement_keeps_initial():
-    f = make_field([-2, 0, 1], (1, 2))
+    f = RealAlgebraicField([-2, 0, 1], (1, 2))
     first = f.initial_interval()
     lo0, hi0 = f.root_interval()
     f.refine_root()
@@ -128,9 +127,9 @@ def test_division():
 
 def test_sign_and_ordering():
     b = GOLDEN.generator()
-    assert sign_of(b - 1) == 1
-    assert sign_of(1 - b) == -1
-    assert sign_of(b * b - b - 1) == 0
+    assert (b - 1).sign() == 1
+    assert (1 - b).sign() == -1
+    assert (b * b - b - 1).sign() == 0
     assert Fraction(8, 5) < b < Fraction(13, 8)  # Fibonacci convergents
     assert b <= b
     vals = sorted([b, GOLDEN.one(), b - 1, GOLDEN.zero(), b + 1])
@@ -224,7 +223,7 @@ def test_pow_edge_cases():
 
 
 def test_compatible_fields_share_elements():
-    other = make_field([-1, -1, 1], (Fraction(8, 5), Fraction(17, 10)))
+    other = RealAlgebraicField([-1, -1, 1], (Fraction(8, 5), Fraction(17, 10)))
     assert GOLDEN.compatible(other)
     assert GOLDEN.generator() == other.generator()
     assert GOLDEN.generator() + other.generator() == 2 * GOLDEN.generator()
@@ -260,7 +259,7 @@ def test_quadratic_sign_large_coefficients_match_approx(field):
 
 def test_quadratic_sign_on_the_lower_root():
     # the root of x^2 - x - 1 in (-1, 0) is (1 - sqrt 5)/2 = -0.6180...
-    psi = make_field([-1, -1, 1], (-1, 0)).generator()
+    psi = RealAlgebraicField([-1, -1, 1], (-1, 0)).generator()
     assert psi.sign() == -1
     assert (psi + 1).sign() == 1
     assert (psi + Fraction(618, 1000)).sign() == -1
@@ -278,7 +277,7 @@ def test_quadratic_sign_near_zero_without_bisection(n):
     fib = [0, 1]
     while len(fib) < n + 2:
         fib.append(fib[-1] + fib[-2])
-    field = make_field([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
+    field = RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
     x = field.generator() * fib[n] - fib[n + 1]
     assert x.sign() == (-1) ** (n + 1)
     assert field.root_interval() == field.initial_interval()
@@ -286,7 +285,7 @@ def test_quadratic_sign_near_zero_without_bisection(n):
 
 def test_quadratic_sign_zero_on_a_reducible_polynomial():
     # x^2 - x = x(x - 1); the interval straddles the vertex 1/2 and holds 1
-    f = make_field([0, -1, 1], (Fraction(1, 3), Fraction(3, 2)))
+    f = RealAlgebraicField([0, -1, 1], (Fraction(1, 3), Fraction(3, 2)))
     a = f.generator()
     assert (a - 1).sign() == 0
     assert a.sign() == 1
@@ -296,7 +295,7 @@ def test_quadratic_sign_zero_on_a_reducible_polynomial():
 
 def test_cubic_zero_is_found_by_the_deferred_gcd(monkeypatch):
     # (x - 1)(x^2 - 2), with only the root 1 inside (9/10, 6/5)
-    f = make_field([2, -2, -1, 1], (Fraction(9, 10), Fraction(6, 5)))
+    f = RealAlgebraicField([2, -2, -1, 1], (Fraction(9, 10), Fraction(6, 5)))
     a = f.generator()
     calls = []
     real_pgcd = numbers._pgcd
@@ -309,7 +308,7 @@ def test_cubic_zero_is_found_by_the_deferred_gcd(monkeypatch):
 
 
 def test_cubic_sign_skips_the_gcd_when_the_interval_decides(monkeypatch):
-    f = make_field([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))  # 2^(1/3)
+    f = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))  # 2^(1/3)
     a = f.generator()
     calls = []
     real_pgcd = numbers._pgcd
@@ -324,7 +323,7 @@ def test_cubic_sign_skips_the_gcd_when_the_interval_decides(monkeypatch):
 
 def test_bounded_loops_raise_bound_exceeded(monkeypatch):
     monkeypatch.setattr(numbers, "_MAX_REFINEMENTS", 2)
-    f = make_field([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    f = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
     x = f.generator() - Fraction(126, 100)
     with pytest.raises(BoundExceeded):
         x.sign()
