@@ -21,6 +21,9 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 COMMANDS = [
     ["classify", "@dyadic", "@dyadic", "--json"],
     ["classify", "@golden", "@golden_ell_b", "--json"],
+    ["classify", "@golden", "@golden_ell_b3", "--json"],
+    ["classify", "@sqrt2", "@sqrt2_ell_a", "--json"],
+    ["classify", "@sqrt2", "@sqrt2_ell_2", "--json"],
     ["classify", "@two_three", "@two_five", "--json"],
     ["classify", "@two_three", "@two_five"],
     ["classify", "@two_three", "@two_nine", "--json"],
@@ -81,6 +84,10 @@ def record() -> None:
         "two_five": test_cli.TWO_FIVE_DOC,
         "golden": test_cli.GOLDEN_DOC,
         "golden_ell_b": test_cli.GOLDEN_ELL_B_DOC,
+        "golden_ell_b3": test_cli.GOLDEN_ELL_B3_DOC,
+        "sqrt2": test_cli.SQRT2_DOC,
+        "sqrt2_ell_a": test_cli.SQRT2_ELL_A_DOC,
+        "sqrt2_ell_2": test_cli.SQRT2_ELL_2_DOC,
         "not_closed": {
             "gamma": {"basis": ["1"], "inverted_primes": [2]},
             "lambda": {"generators": ["3"]},

@@ -52,6 +52,20 @@ GOLDEN_DOC = {
 
 GOLDEN_ELL_B_DOC = dict(GOLDEN_DOC, ell=["0", "1"])
 
+GOLDEN_ELL_B3_DOC = dict(GOLDEN_DOC, ell=["1", "2"])
+
+# a = sqrt(2) - 1; the coinvariants are Z/2 and c0 + c1*a lands on c0 - c1 mod 2
+SQRT2_DOC = {
+    "field": {"minpoly": [-1, 2, 1], "root_interval": ["2/5", "1/2"]},
+    "gamma": {"basis": [["1", "0"], ["0", "1"]]},
+    "lambda": {"generators": [["0", "1"]]},
+    "ell": "1",
+}
+
+SQRT2_ELL_A_DOC = dict(SQRT2_DOC, ell=["0", "1"])
+
+SQRT2_ELL_2_DOC = dict(SQRT2_DOC, ell="2")
+
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
