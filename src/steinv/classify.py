@@ -7,7 +7,9 @@ fall outside that criterion; they run an obstruction battery instead
 (exact conjugacy witness, slope-group rank, order-preserving embeddings
 both ways, and the base-n closed form) and otherwise report Unknown.
 All searches are bounded, so a positive or negative verdict is always
-backed by an exact certificate while exhaustion yields Unknown.
+backed by an exact certificate while exhaustion yields Unknown.  The
+quadratic unit in the endpoint test is exact, from a continued fraction
+under a step budget, and is not searched for.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .modules import (
 )
 from .numbers import FieldElement, RealAlgebraicField
 
-_UNIT_BOX = 50
+# Partial quotients allowed in one period: no D below 2*10^5 needs more
+# than 951, and longer periods (documents of a few dozen bytes) take seconds.
+_UNIT_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -132,34 +136,38 @@ def class_of(t, inv: AbelianInvariants, module: BreakpointModule) -> tuple:
 
 
 def _fundamental_unit(field: RealAlgebraicField) -> Optional[FieldElement]:
-    """Smallest unit above 1 of Z[g] in a quadratic field, by bounded
-    coordinate search on |a|, |b| <= 50; None for other degrees."""
-    if field.degree != 2:
+    """Fundamental unit of Z[c2*a], the multiplier ring of Z + Z*a, exactly:
+    the continued fraction of w = (D mod 2 + sqrt D)/2 returns to
+    denominator 2 after one period, and its last convergent p/q gives the
+    unit p - q*conj(w) (Cohen, GTM 138, 5.7).  None for degree != 2, for
+    square D, and for a period longer than _UNIT_STEPS."""
+    if field._quadratic is None:
         return None
-    c0, c1, c2 = field.minpoly.fractions()
-    one = field.one()
-    best = None
-    for a in range(-_UNIT_BOX, _UNIT_BOX + 1):
-        for b in range(-_UNIT_BOX, _UNIT_BOX + 1):
-            if b == 0:
-                continue
-            norm = a * a - Fraction(a * b) * c1 / c2 + Fraction(b * b) * c0 / c2
-            if norm != 1 and norm != -1:
-                continue
-            u = field.element((Fraction(a), Fraction(b)))
-            if (u - one).sign() <= 0:
-                continue
-            if best is None or (u - best).sign() < 0:
-                best = u
-    return best
+    c1, c2, e, disc = field._quadratic
+    s = math.isqrt(disc)
+    if s * s == disc:
+        return None
+    sigma = disc % 2
+    P, Q = sigma, 2  # the complete quotient is (P + sqrt D) / Q
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for _ in range(_UNIT_STEPS):
+        t = (P + s) // Q
+        p, p_prev = t * p + p_prev, p
+        q, q_prev = t * q + q_prev, q
+        P = t * Q - P
+        Q = (disc - P * P) // Q
+        if Q == 2:  # p - q*conj(w), with sqrt D = e*(2*c2*a + c1)
+            x = Fraction(2 * p - q * sigma + q * e * c1, 2)
+            return field.element((x, q * e * c2))
+    return None
 
 
 def _stabilizer_candidates(module: BreakpointModule, search_bound: int):
     """Positive scalars u with u * module = module, smallest first.
 
     Products of inverted primes always stabilize; in quadratic fields the
-    powers of the fundamental unit are included when the unit itself
-    stabilizes the module.
+    powers of the fundamental unit, exact under a step budget and not
+    searched, are included when the unit itself stabilizes the module.
     """
     field = module.field
     primes = module.inverted_primes
@@ -194,14 +202,12 @@ def _stabilizer_candidates(module: BreakpointModule, search_bound: int):
 
 @dataclass(frozen=True)
 class EmbeddingAnswer:
-    answer: str  # "Yes" | "No" | "Unknown"
+    answer: str  # "Yes" | "No"
     scale: Optional[Fraction] = None
     obstruction: Optional[str] = None
 
 
-def order_embedding_exists(
-    l1: SlopeGroup, l2: SlopeGroup, bound: int = DEFAULT_SEARCH_BOUND
-) -> EmbeddingAnswer:
+def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
     """Decide whether a monotone homomorphism embeds l1 into l2.
 
     A monotone map on a dense subgroup of the reals under log is forced
@@ -392,7 +398,7 @@ def rank_one_report(
     blocked = _coinvariant_obstruction(a, b)
     if blocked is not None:
         return blocked
-    forward = order_embedding_exists(a.slopes, b.slopes, search_bound)
+    forward = order_embedding_exists(a.slopes, b.slopes)
     if forward.answer == "No":
         return Verdict(
             "NotIsomorphic",
@@ -401,7 +407,7 @@ def rank_one_report(
                 f"({forward.obstruction})"
             ),
         )
-    backward = order_embedding_exists(b.slopes, a.slopes, search_bound)
+    backward = order_embedding_exists(b.slopes, a.slopes)
     if backward.answer == "No":
         return Verdict(
             "NotIsomorphic",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
@@ -173,16 +173,16 @@ class PLMap:
     # -- evaluation ---------------------------------------------------------
 
     def _piece_at(self, t: FieldElement) -> Piece:
-        for piece in reversed(self.pieces):
-            if (t - piece.start).sign() >= 0:
-                return piece
-        raise OutOfDomain(f"{t} is below 0")
+        k = bisect_right(self.pieces, t, key=lambda p: p.start) - 1
+        if k < 0:
+            raise OutOfDomain(f"{t} is below 0")
+        return self.pieces[k]
 
     def _piece_left_of(self, t: FieldElement) -> Piece:
-        for piece in reversed(self.pieces):
-            if (t - piece.start).sign() > 0:
-                return piece
-        raise OutOfDomain(f"{t} has nothing to its left")
+        k = bisect_left(self.pieces, t, key=lambda p: p.start) - 1
+        if k < 0:
+            raise OutOfDomain(f"{t} has nothing to its left")
+        return self.pieces[k]
 
     def __call__(self, t) -> FieldElement:
         if not isinstance(t, FieldElement):
@@ -514,7 +514,8 @@ def to_prefix_pairs(f: PLMap):
         (p.start.as_fraction(), p.slope.as_fraction(), p.offset.as_fraction())
         for p in f.pieces
     ]
-    ends = [start for start, _, _ in pieces[1:]] + [Fraction(1)]
+    starts = [start for start, _, _ in pieces]
+    ends = starts[1:] + [Fraction(1)]
     pairs = []
     stack = [(0, 0)]
     while stack:
@@ -524,7 +525,7 @@ def to_prefix_pairs(f: PLMap):
         width = Fraction(1, n**depth)
         left = num * width
         right = left + width
-        idx = max(i for i, (start, _, _) in enumerate(pieces) if start <= left)
+        idx = bisect_right(starts, left) - 1
         start, slope, offset = pieces[idx]
         aligned = False
         if right <= ends[idx]:

@@ -208,12 +208,12 @@ class SlopeGroup:
             v = [x - q * y for x, y in zip(v, row)]
         return not any(v)
 
-    def contains(self, mu, bound: Optional[int] = None) -> bool:
+    def contains(self, mu) -> bool:
         """Exact membership of a positive number in the group.
 
         For the cyclic algebraic kind the exponent search is monotone and
-        therefore complete; `bound` only caps the exponent magnitude as a
-        safety valve (BoundExceeded beyond it).
+        therefore complete; `_EXPONENT_CAP` only caps the exponent
+        magnitude as a safety valve (BoundExceeded beyond it).
         """
         if isinstance(mu, FieldElement) and not mu.is_rational:
             if self.kind == "rational":
@@ -249,18 +249,17 @@ class SlopeGroup:
             return True
         if (value - 1).sign() < 0:
             value = value.inverse()
-        cap = bound if bound is not None else _EXPONENT_CAP
         power = g.field.one()
-        for k in range(1, cap + 1):
+        for _ in range(_EXPONENT_CAP):
             power = power * g
             c = (power - value).sign()
             if c == 0:
                 return True
             if c > 0:
                 return False
-        raise BoundExceeded(f"exponent search exceeded {cap}")
+        raise BoundExceeded(f"exponent search exceeded {_EXPONENT_CAP}")
 
-    def equals(self, other: "SlopeGroup", bound: Optional[int] = None) -> bool:
+    def equals(self, other: "SlopeGroup") -> bool:
         if self.kind == "rational" and other.kind == "rational":
             return self.primes == other.primes and self.lattice == other.lattice
         if self.kind == "algebraic" and other.kind == "algebraic":

@@ -239,9 +239,6 @@ class MinimalPolynomial:
     def evaluate(self, x: Rational) -> Fraction:
         return _peval(self._fractions, Fraction(x))
 
-    def derivative(self):
-        return _pderiv(self._fractions)
-
     def __eq__(self, other):
         return (
             isinstance(other, MinimalPolynomial)
@@ -433,9 +430,7 @@ class FieldElement:
             if other.field is self.field:
                 return other
             if self.field.compatible(other.field):
-                if len(other.coords) == len(self.coords):
-                    return FieldElement(self.field, other.coords)
-                return self.field.element(other.coords)
+                return FieldElement(self.field, other.coords)
             raise FieldMismatch("operands belong to different fields")
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
@@ -671,12 +666,5 @@ def approx(a: FieldElement, eps: Rational):
         v_lo, v_hi = _interval_eval(poly, lo, hi)
         if v_hi - v_lo < eps:
             return v_lo, v_hi
-        mid = (lo + hi) / 2
-        if f.minpoly.evaluate(mid) == 0:
-            v = _peval(poly, mid)
-            return v, v
-        if _count_roots_open(f._sturm, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = f._bisect(lo, hi)  # a root hit gives lo == hi, width 0
     raise BoundExceeded("approximation did not converge")

@@ -1,9 +1,11 @@
 """Coinvariant computations and the isomorphism decision procedure."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from steinv import (
     BreakpointModule,
@@ -23,6 +25,8 @@ from steinv import (
     stein_triple,
     thompson_triple,
 )
+from steinv.classify import _fundamental_unit
+from steinv.numbers import RealAlgebraicField
 
 
 def triple_invariants(t):
@@ -321,3 +325,90 @@ def test_verdict_shapes():
     w = classify_pair(thompson_triple(3, 1), thompson_triple(3, 3))
     assert w.describe().startswith("Isomorphic")
     assert w.witness is not None
+
+
+# -- the fundamental unit ---------------------------------------------------
+
+
+def reference_unit_box(field, radius=30):
+    """The least unit above 1 of rational norm +-1 among a + b*g with
+    |a|, |b| <= radius: the coordinate search the continued fraction
+    replaced (at radius 50)."""
+    c0, c1, c2 = field.minpoly.fractions()
+    one = field.one()
+    best = None
+    for a in range(-radius, radius + 1):
+        for b in range(-radius, radius + 1):
+            if b == 0:
+                continue
+            norm = a * a - Fraction(a * b) * c1 / c2 + Fraction(b * b) * c0 / c2
+            if norm != 1 and norm != -1:
+                continue
+            u = field.element((Fraction(a), Fraction(b)))
+            if (u - one).sign() <= 0:
+                continue
+            if best is None or (u - best).sign() < 0:
+                best = u
+    return best
+
+
+@st.composite
+def real_quadratic_fields(draw):
+    """A primitive c2*x^2 + c1*x + c0 with D > 0 not a square, and an
+    interval from isqrt(D) around one of its two roots."""
+    c2 = draw(st.integers(1, 6))
+    c1 = draw(st.integers(-12, 12))
+    c0 = draw(st.integers(-12, 12))
+    disc = c1 * c1 - 4 * c0 * c2
+    assume(disc > 0 and math.gcd(c0, c1, c2) == 1)
+    s = math.isqrt(disc)
+    assume(s * s != disc)
+    # the root (-c1 + e*sqrt(D)) / (2*c2) with s < sqrt(D) < s + 1
+    if draw(st.booleans()):
+        interval = (Fraction(-c1 + s, 2 * c2), Fraction(-c1 + s + 1, 2 * c2))
+    else:
+        interval = (Fraction(-c1 - s - 1, 2 * c2), Fraction(-c1 - s, 2 * c2))
+    return RealAlgebraicField([c0, c1, c2], interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_quadratic_fields())
+def test_fundamental_unit_is_a_unit_of_the_multiplier_ring(field):
+    u = _fundamental_unit(field)
+    assert u is not None and u > 1
+    c0, c1, c2 = field.minpoly.fractions()
+    x, y = u.coords
+    assert x * x - x * y * c1 / c2 + y * y * c0 / c2 in (1, -1)
+    assert (2 * x - y * c1 / c2).denominator == 1
+    module = BreakpointModule(field, [field.one(), field.generator()])
+    assert module.scaled(u).same_module(module)
+    box = reference_unit_box(field)
+    if box is not None and module.scaled(box).same_module(module):
+        assert box == u
+
+
+def test_fundamental_unit_exact_cases():
+    f94 = RealAlgebraicField([-94, 0, 1], (9, 10))
+    assert _fundamental_unit(f94) == f94.element((2143295, 221064))
+    # the box's 13 + 7a has norm -1 but is not an algebraic integer
+    f = RealAlgebraicField([-5, 1, 2], (1, 2))
+    assert _fundamental_unit(f) == f.element((37, 20))
+    assert _fundamental_unit(golden_field()) == golden_field().generator()
+    assert _fundamental_unit(rational_field()) is None
+
+
+def test_fundamental_unit_gives_up_on_a_long_period():
+    f = RealAlgebraicField([-1000000000007, 0, 1], (1000000, 1000001))
+    start = time.perf_counter()
+    assert _fundamental_unit(f) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_unit_beyond_the_old_box_matches_the_endpoint():
+    f = RealAlgebraicField([-94, 0, 1], (9, 10))
+    unit = f.element((2143295, 221064))
+    module = [f.one(), f.generator()]
+    a = stein_triple(module, [], [unit * unit], endpoint=1, field=f)
+    b = stein_triple(module, [], [unit * unit], endpoint=unit, field=f)
+    v = classify_pair(a, b)
+    assert v.describe() == "Isomorphic (s=2143295 - 221064*a)"

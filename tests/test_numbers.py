@@ -291,6 +291,9 @@ def test_quadratic_sign_zero_on_a_reducible_polynomial():
     assert a.sign() == 1
     assert (a - 2).sign() == -1
     assert (a - Fraction(99, 100)).sign() == 1
+    # the first bisection midpoint of (1/2, 3/2) is the root itself
+    g = RealAlgebraicField([0, -1, 1], (Fraction(1, 2), Fraction(3, 2)))
+    assert approx(g.generator() + 1, Fraction(1, 10)) == (2, 2)
 
 
 def test_cubic_zero_is_found_by_the_deferred_gcd(monkeypatch):
