@@ -51,7 +51,33 @@ COMMANDS = [
     # no obstruction in the rank-one battery
     ["classify", "@golden_localized_trivial", "@golden_localized_trivial", "--json"],
     ["classify", "@dyadic_trivial", "@triadic_trivial", "--json"],
+    # products and inverses of irrational elements, in degrees 2 and 3
+    ["element", "random", "@cubic", "5", "--seed", "3", "--json"],
+    ["element", "random", "@golden", "6", "--seed", "3", "--json"],
+    ["element", "invert", "@golden_pieces", "g", "--json"],
+    ["element", "compose", "@golden_pieces", "g", "g", "--json"],
+    ["coinvariants", "@cubic", "--json"],
+    ["classify", "@cubic", "@cubic_3a2", "--search-bound", "1", "--json"],
 ]
+
+# Q(a), a = 2^(1/3): Z[1/2]<1, a, a^2> and Z[1/2]<1, a, 3a^2>, slopes <2>
+CUBIC_DOC = {
+    "field": {"minpoly": [-2, 0, 0, 1], "root_interval": ["5/4", "4/3"]},
+    "gamma": {
+        "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "inverted_primes": [2],
+    },
+    "lambda": {"generators": ["2"]},
+    "ell": "1",
+}
+
+CUBIC_3A2_DOC = dict(
+    CUBIC_DOC,
+    gamma={
+        "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "3"]],
+        "inverted_primes": [2],
+    },
+)
 
 
 def write_documents(directory: Path, documents: dict) -> dict:
@@ -88,6 +114,20 @@ def record() -> None:
         "sqrt2": test_cli.SQRT2_DOC,
         "sqrt2_ell_a": test_cli.SQRT2_ELL_A_DOC,
         "sqrt2_ell_2": test_cli.SQRT2_ELL_2_DOC,
+        "cubic": CUBIC_DOC,
+        "cubic_3a2": CUBIC_3A2_DOC,
+        # slope b on [0, 2 - b), then slope 1/b = b - 1
+        "golden_pieces": dict(
+            test_cli.GOLDEN_DOC,
+            elements={
+                "g": {
+                    "pieces": [
+                        [["0", "0"], ["0", "1"], ["0", "0"]],
+                        [["2", "-1"], ["-1", "1"], ["2", "-1"]],
+                    ]
+                }
+            },
+        ),
         "not_closed": {
             "gamma": {"basis": ["1"], "inverted_primes": [2]},
             "lambda": {"generators": ["3"]},
