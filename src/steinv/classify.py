@@ -14,7 +14,6 @@ under a step budget, and is not searched for.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,11 +32,11 @@ from .modules import (
     BreakpointModule,
     SlopeGroup,
     SteinTriple,
-    _eliminate,
+    _box_vectors,
     scale_equivalence,
     thompson_base,
 )
-from .numbers import FieldElement, RealAlgebraicField
+from .numbers import FieldElement, RealAlgebraicField, _eliminate
 
 # Partial quotients allowed in one period: no D below 2*10^5 needs more
 # than 951, and longer periods (documents of a few dozen bytes) take seconds.
@@ -99,8 +98,7 @@ def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvaria
         for mu in values:
             m = module.multiplication_matrix(mu)
             # the group contains 1/mu as well, so demand a two-sided action
-            inv = mu.inverse() if isinstance(mu, FieldElement) else 1 / Fraction(mu)
-            module.multiplication_matrix(inv)
+            module.multiplication_matrix(1 / mu)
             for j in range(n):
                 columns.append(
                     [(1 if i == j else 0) - m[i][j] for i in range(n)]
@@ -172,26 +170,17 @@ def _stabilizer_candidates(module: BreakpointModule, search_bound: int):
     field = module.field
     primes = module.inverted_primes
     e_bound = search_bound if len(primes) <= 1 else min(search_bound, 5)
-    vectors = sorted(
-        itertools.product(range(-e_bound, e_bound + 1), repeat=len(primes)),
-        key=lambda v: (max((abs(e) for e in v), default=0), v),
-    )
     values = []
-    for vec in vectors:
+    for vec in _box_vectors(e_bound, len(primes)):
         q = Fraction(1)
         for p, e in zip(primes, vec):
             q *= Fraction(p) ** e
         values.append(field.from_rational(q))
-    unit = _fundamental_unit(field)
-    if unit is not None and not module.scaled(unit).same_module(module):
-        unit = None
-    exponents = (
-        sorted(range(-search_bound, search_bound + 1), key=lambda k: (abs(k), k))
-        if unit is not None
-        else [0]
-    )
-    for k in exponents:
-        uk = unit**k if unit is not None else field.one()
+    unit, k_bound = _fundamental_unit(field), search_bound
+    if unit is None or not module.scaled(unit).same_module(module):
+        unit, k_bound = field.one(), 0
+    for (k,) in _box_vectors(k_bound, 1):
+        uk = unit**k
         for q in values:
             yield uk * q
 
@@ -398,24 +387,16 @@ def rank_one_report(
     blocked = _coinvariant_obstruction(a, b)
     if blocked is not None:
         return blocked
-    forward = order_embedding_exists(a.slopes, b.slopes)
-    if forward.answer == "No":
-        return Verdict(
-            "NotIsomorphic",
-            obstruction=(
-                "no order-preserving embedding of slope groups "
-                f"({forward.obstruction})"
-            ),
-        )
-    backward = order_embedding_exists(b.slopes, a.slopes)
-    if backward.answer == "No":
-        return Verdict(
-            "NotIsomorphic",
-            obstruction=(
-                "no reverse order-preserving embedding of slope groups "
-                f"({backward.obstruction})"
-            ),
-        )
+    for x, y, way in ((a, b, ""), (b, a, "reverse ")):
+        embedding = order_embedding_exists(x.slopes, y.slopes)
+        if embedding.answer == "No":
+            return Verdict(
+                "NotIsomorphic",
+                obstruction=(
+                    f"no {way}order-preserving embedding of slope groups "
+                    f"({embedding.obstruction})"
+                ),
+            )
     n1 = thompson_base(a)
     n2 = thompson_base(b)
     if n1 is not None and n2 is not None:

@@ -19,6 +19,7 @@ from .elements import MINUS, PLUS, CutPoint, PLMap, make_plmap, to_prefix_pairs
 from .errors import (
     BoundExceeded,
     EmptyWord,
+    FieldMismatch,
     ForbiddenFactor,
     NotInGamma,
     OutOfDomain,
@@ -309,8 +310,10 @@ def beta_expand(value, side: str) -> EventuallyPeriodicWord:
     field = golden_field()
     if not isinstance(value, FieldElement):
         value = field.from_rational(value)
-    elif value.field is not field:
-        value = field.element(value.coords)
+    elif value.is_rational:
+        value = field.from_rational(value.as_fraction())
+    elif not field.compatible(value.field):
+        raise FieldMismatch(f"{value} is not an element of the golden field")
     s = value.sign()
     if side == PLUS:
         if s < 0 or (value - 1).sign() >= 0:

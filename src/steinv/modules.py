@@ -29,7 +29,14 @@ from .errors import (
     ValidationError,
 )
 from .intlinalg import IntMatrix, _strip_primes, factor, hermite_normal_form, is_prime
-from .numbers import FieldElement, RealAlgebraicField, Rational, rational_field
+from .numbers import (
+    FieldElement,
+    RealAlgebraicField,
+    Rational,
+    _eliminate,
+    _multiplication_columns,
+    rational_field,
+)
 
 DEFAULT_SEARCH_BOUND = 16
 
@@ -42,42 +49,6 @@ _EXPONENT_CAP = 10_000
 # small exact arithmetic over Q
 
 
-def _eliminate(columns, target=None):
-    """Gauss-Jordan elimination over Q of the matrix with the given
-    columns, augmented by the column target when one is given.
-
-    Returns (rank, det, solution): the rank of the columns, their
-    determinant (for a square matrix), and the unique rational x with
-    sum x_j * columns[j] = target, or None when there is no such x or
-    it is not unique.
-    """
-    n = len(columns)
-    augmented = list(columns) + ([target] if target is not None else [])
-    rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
-    det = Fraction(1)
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        p = rows[r][c]
-        det *= p
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    solution = None
-    if target is not None and r == n and not any(row[n] for row in rows[r:]):
-        solution = tuple(row[n] for row in rows[:n])
-    return r, det, solution
-
-
 def _factor_fraction(q: Fraction) -> dict:
     if q <= 0:
         raise ValidationError("only positive rationals have a prime support")
@@ -85,6 +56,14 @@ def _factor_fraction(q: Fraction) -> dict:
     for p, e in factor(q.denominator).items():
         out[p] = out.get(p, 0) - e
     return {p: e for p, e in out.items() if e}
+
+
+def _box_vectors(bound: int, n: int) -> list:
+    """Integer vectors of [-bound, bound]^n by max-norm, then lexicographically."""
+    return sorted(
+        itertools.product(range(-bound, bound + 1), repeat=n),
+        key=lambda v: (max(map(abs, v), default=0), v),
+    )
 
 
 def _is_unit(q: Fraction, primes) -> bool:
@@ -367,7 +346,7 @@ class BreakpointModule:
             coords = self.coordinates(mu * b)
             if not self._in_module(coords):
                 raise NotInvariant(
-                    f"multiplication by {mu} does not preserve the module"
+                    f"module is not closed under multiplication by {mu}"
                 )
             cols.append(coords)
         n = len(cols)
@@ -384,15 +363,7 @@ class BreakpointModule:
         """Field norm of s: determinant of multiplication on the power basis."""
         if not isinstance(s, FieldElement):
             s = self.field.from_rational(s)
-        d = self.field.degree
-        if d == 1:
-            return s.as_fraction()
-        power = self.field.one()
-        cols = []
-        for _ in range(d):
-            cols.append((s * power).coords)
-            power = power * self.field.generator()
-        return _eliminate(cols)[1]
+        return _eliminate(_multiplication_columns(s))[1]
 
     def __eq__(self, other):
         if not isinstance(other, BreakpointModule):
@@ -469,11 +440,7 @@ def scale_equivalence(
         ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
     g = g2.basis[0]
     seen = set()
-    vectors = sorted(
-        itertools.product(range(-search_bound, search_bound + 1), repeat=n),
-        key=lambda v: (max(abs(c) for c in v), v),
-    )
-    for coeffs in vectors:
+    for coeffs in _box_vectors(search_bound, n):
         if not any(coeffs):
             continue
         h = field.zero()
@@ -519,17 +486,8 @@ class SteinTriple:
         if slopes.kind == "algebraic" and not module.field.compatible(slopes.field):
             raise FieldMismatch("slope group lives in a different field")
         for mu in slopes.generator_values():
-            value = (
-                mu
-                if isinstance(mu, FieldElement)
-                else module.field.from_rational(mu)
-            )
-            for factor in (value, value.inverse()):
-                for b in module.basis:
-                    if not module.contains(factor * b):
-                        raise NotInvariant(
-                            f"module is not closed under multiplication by {factor}"
-                        )
+            module.multiplication_matrix(mu)
+            module.multiplication_matrix(1 / mu)
         if endpoint is not None:
             if not isinstance(endpoint, FieldElement):
                 endpoint = module.field.from_rational(endpoint)

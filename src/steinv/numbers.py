@@ -10,6 +10,14 @@ only when that bound straddles zero, and then bisect the interval with
 Sturm-sequence root counts until the bound excludes zero.  No floating
 point is used anywhere.
 
+A product convolves the two coordinate vectors and folds the terms of
+degree d to 2d-2 back in with the coordinates of a^d, ..., a^(2d-2),
+which the field computes once, so no polynomial division runs per
+product.  Multiplication by x is the d x d rational matrix whose columns
+are x*a^j (j < d).  The inverse of x solves that matrix against 1 and
+the field norm is its determinant (Cohen, GTM 138, 4.2); both go through
+`_eliminate`, the package's only rational elimination.
+
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
 quotient ring that is only a product of fields; division then fails with
@@ -54,54 +62,19 @@ def _trim(coeffs) -> tuple:
     return tuple(cs)
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _pscale(a, c):
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _prem(a, b):
+    """Remainder of the polynomial a on division by the nonzero b."""
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     inv = Fraction(1, 1) / b[-1]
     while len(a) >= len(b):
         c = a[-1] * inv
         k = len(a) - len(b)
-        q[k] = c
         for i, y in enumerate(b):
             a[k + i] -= c * y
         a.pop()
         while a and a[-1] == 0:
             a.pop()
-    return _trim(q), _trim(a)
+    return _trim(a)
 
 
 def _pderiv(a):
@@ -131,7 +104,7 @@ def _pgcd(a, b):
     # Euclid over Q; the result is normalized monic (or a constant 1).
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
+        a, b = b, _prem(a, b)
     if not a:
         return ()
     if len(a) == 1:
@@ -143,7 +116,7 @@ def _pgcd(a, b):
 def _sturm_chain(f):
     chain = [_trim(f), _pderiv(f)]
     while chain[-1]:
-        rem = _pdivmod(chain[-2], chain[-1])[1]
+        rem = _prem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(tuple(-c for c in rem))
@@ -189,6 +162,53 @@ def _quadratic_sign(quadratic, x: Fraction, y: Fraction) -> int:
         return su or sv
     d = u * u - v * v * disc  # zero only when D is a square
     return su if d > 0 else -su if d < 0 else 0
+
+
+def _eliminate(columns, target=None):
+    """Gauss-Jordan elimination over Q of the matrix with the given
+    columns, augmented by the column target when one is given.
+
+    Returns (rank, det, solution): the rank of the columns, their
+    determinant (for a square matrix), and the unique rational x with
+    sum x_j * columns[j] = target, or None when there is no such x or
+    it is not unique.
+    """
+    n = len(columns)
+    augmented = list(columns) + ([target] if target is not None else [])
+    rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
+    det = Fraction(1)
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        p = rows[r][c]
+        det *= p
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    solution = None
+    if target is not None and r == n and not any(row[n] for row in rows[r:]):
+        solution = tuple(row[n] for row in rows[:n])
+    return r, det, solution
+
+
+def _multiplication_columns(x: "FieldElement"):
+    """Coordinates of x*a^j for j < d: the columns of the matrix of
+    multiplication by x on the power basis."""
+    a = x.field.generator()
+    columns = [x.coords]
+    for _ in range(x.field.degree - 1):
+        x = a * x
+        columns.append(x.coords)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +290,7 @@ class RealAlgebraicField:
         "_sturm",
         "_exact_root",
         "_quadratic",
+        "_powers",
         "_compat_true",
         "_compat_false",
     )
@@ -307,6 +328,17 @@ class RealAlgebraicField:
                 lo < vertex and _count_roots_open(self._sturm, lo, vertex) == 1
             )
             self._quadratic = (c1, c2, -1 if below else 1, c1 * c1 - 4 * c0 * c2)
+        # coordinates of a^d, ..., a^(2d-2), the high terms of a product
+        *low, lead = minpoly.coefficients
+        power = tuple(Fraction(-c, lead) for c in low)  # a^d
+        powers = []
+        for _ in range(self.degree - 1):
+            powers.append(power)
+            # a * power: shift up one place, fold the top coordinate back in
+            power = tuple(
+                x + power[-1] * t for x, t in zip((0,) + power[:-1], powers[0])
+            )
+        self._powers = tuple(powers)
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
         self._compat_true = []
@@ -469,20 +501,22 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
+        f = self.field
+        d = f.degree
         if d == 1:
-            return FieldElement(self.field, (self.coords[0] * o.coords[0],))
-        prod = _pmul(_trim(self.coords), _trim(o.coords))
-        return FieldElement(self.field, self._reduced(prod))
+            return FieldElement(f, (self.coords[0] * o.coords[0],))
+        conv = [Fraction(0)] * (2 * d - 1)
+        for i, x in enumerate(self.coords):
+            if x:
+                for j, y in enumerate(o.coords):
+                    conv[i + j] += x * y
+        out = conv[:d]
+        for c, power in zip(conv[d:], f._powers):
+            if c:
+                out = [x + c * t for x, t in zip(out, power)]
+        return FieldElement(f, tuple(out))
 
     __rmul__ = __mul__
-
-    def _reduced(self, poly):
-        d = self.field.degree
-        if len(poly) > d:
-            poly = _pdivmod(poly, self.field.minpoly.fractions())[1]
-        out = list(poly) + [Fraction(0)] * (d - len(poly))
-        return tuple(Fraction(c) for c in out)
 
     def inverse(self) -> "FieldElement":
         d = self.field.degree
@@ -490,24 +524,16 @@ class FieldElement:
             if self.coords[0] == 0:
                 raise DivisionByZero("division by zero")
             return FieldElement(self.field, (1 / self.coords[0],))
-        a = _trim(self.coords)
-        if not a:
+        if self.is_zero():
             raise DivisionByZero("division by zero")
-        # extended Euclid: u*a + v*minpoly = g
-        m = self.field.minpoly.fractions()
-        r0, r1 = a, m
-        u0, u1 = (Fraction(1),), ()
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _psub(u0, _pmul(q, u1))
-        if len(r0) != 1:
+        one = (1,) + (0,) * (d - 1)
+        solution = _eliminate(_multiplication_columns(self), one)[2]
+        if solution is None:
             raise DivisionByZero(
                 "zero divisor: the element shares a factor with the "
                 "defining polynomial"
             )
-        inv = _pscale(u0, 1 / r0[0])
-        return FieldElement(self.field, self._reduced(inv))
+        return FieldElement(self.field, solution)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -11,10 +11,12 @@ from steinv import (
     CutPoint,
     EmptyWord,
     EventuallyPeriodicWord,
+    FieldMismatch,
     ForbiddenFactor,
     NotInGamma,
     OutOfDomain,
     PLMap,
+    RealAlgebraicField,
     UnparsableWord,
     UnsupportedInput,
     WrongContext,
@@ -30,6 +32,7 @@ from steinv import (
     n_adic_expand,
     n_adic_value,
     random_word,
+    rational_field,
     thompson_triple,
 )
 
@@ -207,6 +210,21 @@ def test_beta_expand_domain_errors():
         beta_expand(GOLDEN.field.zero(), "-")
     with pytest.raises(OutOfDomain):
         beta_expand(2 - BETA + 1, "+")  # 3 - b > 1
+
+
+def test_beta_expand_field_of_the_value():
+    s2 = RealAlgebraicField([-2, 0, 1], (1, 2))
+    for coords in ([-1, 1], [1, 1]):  # sqrt 2 - 1 is not phi - 1; sqrt 2 + 1
+        for side in "+-":
+            with pytest.raises(FieldMismatch):
+                beta_expand(s2.element(coords), side)
+    cubic = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    for field in (s2, cubic, rational_field()):
+        assert str(beta_expand(field.from_rational(Fraction(1, 2)), "+")) == str(
+            beta_expand(Fraction(1, 2), "+")
+        )
+    twin = RealAlgebraicField([-1, -1, 1], (1, 2))  # another golden handle
+    assert str(beta_expand(twin.element([-1, 1]), "+")) == "1(0)"
 
 
 def test_beta_expand_step_bound(monkeypatch):

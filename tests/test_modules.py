@@ -28,7 +28,8 @@ from steinv import (
     thompson_triple,
 )
 from steinv import modules
-from steinv.modules import _eliminate, thompson_base
+from steinv.modules import thompson_base
+from steinv.numbers import _eliminate
 
 
 # -- slope groups -----------------------------------------------------------

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from steinv import numbers
 from steinv import (
     BoundExceeded,
+    BreakpointModule,
     DivisionByZero,
     FieldMismatch,
     MinimalPolynomial,
@@ -23,6 +25,9 @@ from steinv import (
 
 GOLDEN = RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
 SQRT2M1 = RealAlgebraicField([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
+CUBE_ROOT2 = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+# (x - 1)(x^2 - 2) at sqrt 2: a quotient ring with zero divisors
+REDUCIBLE = RealAlgebraicField([2, -2, -1, 1], (Fraction(7, 5), Fraction(3, 2)))
 
 
 def test_minpoly_normalization():
@@ -121,7 +126,7 @@ def test_division():
     assert ((b + 1) / b) == b  # b^2 / b
     with pytest.raises(DivisionByZero):
         b / GOLDEN.zero()
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match="^division by zero$"):
         GOLDEN.zero().inverse()
 
 
@@ -168,7 +173,17 @@ def random_element(rng, field):
     )
 
 
-@pytest.mark.parametrize("field", [GOLDEN, SQRT2M1, rational_field()])
+def is_zero_divisor(field, y):
+    """y shares a factor with the defining polynomial (y = 0 included)."""
+    if field is not REDUCIBLE:
+        return y.is_zero()
+    c0, c1, c2 = y.coords  # y(1) = 0, or x^2 - 2 divides y
+    return c0 + c1 + c2 == 0 or (c0 + 2 * c2 == 0 and c1 == 0)
+
+
+@pytest.mark.parametrize(
+    "field", [GOLDEN, SQRT2M1, rational_field(), CUBE_ROOT2, REDUCIBLE]
+)
 def test_ring_axioms_random(field):
     rng = random.Random(101)
     for _ in range(60):
@@ -181,9 +196,23 @@ def test_ring_axioms_random(field):
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert x - x == 0
-        if not y.is_zero():
+        if is_zero_divisor(field, y):
+            with pytest.raises(DivisionByZero):
+                y.inverse()
+        else:
             assert (x / y) * y == x
             assert y * y.inverse() == 1
+
+
+def test_zero_divisors_of_a_reducible_field_have_no_inverse():
+    a = REDUCIBLE.generator()
+    for y in (a - 1, a * a - 2, 3 * (a - 1) * (a + 5), REDUCIBLE.zero()):
+        assert is_zero_divisor(REDUCIBLE, y)
+        with pytest.raises(DivisionByZero):
+            y.inverse()
+    with pytest.raises(DivisionByZero, match="zero divisor"):
+        (a - 1).inverse()
+    assert (a + 1).inverse() * (a + 1) == 1
 
 
 @pytest.mark.parametrize("field", [GOLDEN, SQRT2M1])
@@ -333,3 +362,73 @@ def test_bounded_loops_raise_bound_exceeded(monkeypatch):
     with pytest.raises(BoundExceeded):
         approx(x, Fraction(1, 10 ** 9))
     assert issubclass(BoundExceeded, SteinError)
+
+
+# -- products, inverses and norms against sympy ------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+_coords = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def fields_and_pairs(draw):
+    """Coefficients (constant first) of a degree 2..4 polynomial with a
+    positive real root, since its value at 0 is negative and its leading
+    coefficient positive, two coordinate vectors, and whether to make the
+    first a zero divisor when the polynomial is reducible."""
+    d = draw(st.integers(2, 4))
+    coeffs = (
+        [draw(st.integers(-6, -1))]
+        + draw(st.lists(st.integers(-6, 6), min_size=d - 1, max_size=d - 1))
+        + [draw(st.integers(1, 3))]
+    )
+    vector = st.lists(_coords, min_size=d, max_size=d)
+    return coeffs, draw(vector), draw(vector), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_and_pairs())
+def test_products_inverses_and_norms_match_sympy(sympy, case):
+    coeffs, xs, ys, divisor = case
+    t = sympy.Symbol("t")
+
+    def poly(cs):
+        return sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)],
+            t,
+            domain="QQ",
+        )
+
+    m = poly([Fraction(c) for c in coeffs])
+    assume(m.is_sqf)
+    intervals = [iv for iv, _ in m.intervals() if iv[0] != iv[1]]
+    assume(intervals)  # an irrational real root, isolated by sympy
+    lo, hi = (Fraction(int(e.p), int(e.q)) for e in intervals[0])
+    field = RealAlgebraicField(coeffs, (lo, hi))
+    d = len(coeffs) - 1
+
+    def coords(p):
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.rem(m).all_coeffs())]
+        return tuple(cs + [Fraction(0)] * (d - len(cs)))
+
+    factors = [f for f, _ in m.factor_list()[1] if f.degree() < d]
+    if divisor and factors:
+        xs = coords(factors[0] * poly(xs))
+    x, y = field.element(xs), field.element(ys)
+    assert (x * y).coords == coords(poly(xs) * poly(ys))
+    try:
+        inverse = poly(xs).invert(m)
+    except sympy.polys.polyerrors.NotInvertible:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+    else:
+        assert x.inverse().coords == coords(inverse)
+    columns = [coords(poly(xs) * sympy.Poly(t**j, t, domain="QQ")) for j in range(d)]
+    matrix = sympy.Matrix(d, d, lambda i, j: columns[j][i])
+    power_basis = BreakpointModule(field, [field.element([0] * j + [1]) for j in range(d)])
+    assert power_basis.norm(x) == matrix.det()
