@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/record_cli_golden.py
 
-runs every command below on the tests/test_cli.py documents and writes
-the documents, the command lines, stdout and the exit code to
+runs every command below on the documents named in `record` (some
+taken from tests/test_cli.py, others defined here) and writes the
+documents, the command lines, stdout and the exit code to
 tests/cli_golden.json.
 """
 
@@ -58,6 +59,12 @@ COMMANDS = [
     ["element", "compose", "@golden_pieces", "g", "g", "--json"],
     ["coinvariants", "@cubic", "--json"],
     ["classify", "@cubic", "@cubic_3a2", "--search-bound", "1", "--json"],
+    # a two-factor quotient, and endpoint classes read through its transform
+    ["coinvariants", "@sqrt2_unit2", "--json"],
+    ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_1a", "--json"],
+    ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_a", "--json"],
+    ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_5", "--json"],
+    ["obstruct", "@two_three", "@two_three_ell_3_2", "--json"],
 ]
 
 # Q(a), a = 2^(1/3): Z[1/2]<1, a, a^2> and Z[1/2]<1, a, 3a^2>, slopes <2>
@@ -78,6 +85,14 @@ CUBIC_3A2_DOC = dict(
         "inverted_primes": [2],
     },
 )
+
+# Q(a), a = sqrt 2: Z + Z*a with slopes <3 + 2a>, coinvariants Z/2 x Z/2
+SQRT2_UNIT2_DOC = {
+    "field": {"minpoly": [-2, 0, 1], "root_interval": ["1", "2"]},
+    "gamma": {"basis": [["1", "0"], ["0", "1"]]},
+    "lambda": {"generators": [["3", "2"]]},
+    "ell": "1",
+}
 
 
 def write_documents(directory: Path, documents: dict) -> dict:
@@ -116,6 +131,11 @@ def record() -> None:
         "sqrt2_ell_2": test_cli.SQRT2_ELL_2_DOC,
         "cubic": CUBIC_DOC,
         "cubic_3a2": CUBIC_3A2_DOC,
+        "sqrt2_unit2": SQRT2_UNIT2_DOC,
+        "sqrt2_unit2_ell_1a": dict(SQRT2_UNIT2_DOC, ell=["1", "1"]),
+        "sqrt2_unit2_ell_a": dict(SQRT2_UNIT2_DOC, ell=["0", "1"]),
+        "sqrt2_unit2_ell_5": dict(SQRT2_UNIT2_DOC, ell="5"),
+        "two_three_ell_3_2": dict(test_cli.TWO_THREE_DOC, ell="3/2"),
         # slope b on [0, 2 - b), then slope 1/b = b - 1
         "golden_pieces": dict(
             test_cli.GOLDEN_DOC,
