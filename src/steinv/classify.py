@@ -4,8 +4,9 @@ The rank-two-and-up pipeline compares slope groups, compares coinvariant
 quotients, searches for a module scale factor, and finally tests the
 endpoint difference inside the coinvariant quotient.  Rank-one modules
 fall outside that criterion; they run an obstruction battery instead
-(exact conjugacy witness, slope-group rank, order-preserving embeddings
-both ways, and the base-n closed form) and otherwise report Unknown.
+(an exact conjugacy witness, whose scalar the endpoints force, slope-group
+rank, an order-preserving embedding, and the base-n closed form) and
+otherwise report Unknown.
 All searches are bounded, so a positive or negative verdict is always
 backed by an exact certificate while exhaustion yields Unknown.  The
 quadratic unit in the endpoint test is exact, from a continued fraction
@@ -338,23 +339,26 @@ def _exact_conjugacy(
 
     Sound at any rank: equal slope groups, a scalar identifying the
     modules, and an exact endpoint match give a conjugating bijection.
+    With both endpoints the scalar is forced to be their ratio, so only
+    that one is tested; without them the scale search looks for one.
     """
     try:
         if not a.slopes.equals(b.slopes):
             return None
     except UnsupportedComparison:
         return None
-    sr = scale_equivalence(a.module, b.module, search_bound)
-    if not sr.found:
-        return None
     if a.endpoint is None and b.endpoint is None:
+        sr = scale_equivalence(a.module, b.module, search_bound)
+        if not sr.found:
+            return None
         return Verdict("Isomorphic", witness={"s": str(sr.scalar)})
     if a.endpoint is None or b.endpoint is None:
         return None
-    for u in _stabilizer_candidates(b.module, search_bound):
-        s = sr.scalar * u
-        if s * b.endpoint == a.endpoint:
-            return Verdict("Isomorphic", witness={"s": str(s)})
+    if not a.module.field.compatible(b.module.field):
+        return None
+    s = a.endpoint / b.endpoint
+    if b.module.scaled(s).same_module(a.module):
+        return Verdict("Isomorphic", witness={"s": str(s)})
     return None
 
 
@@ -387,16 +391,16 @@ def rank_one_report(
     blocked = _coinvariant_obstruction(a, b)
     if blocked is not None:
         return blocked
-    for x, y, way in ((a, b, ""), (b, a, "reverse ")):
-        embedding = order_embedding_exists(x.slopes, y.slopes)
-        if embedding.answer == "No":
-            return Verdict(
-                "NotIsomorphic",
-                obstruction=(
-                    f"no {way}order-preserving embedding of slope groups "
-                    f"({embedding.obstruction})"
-                ),
-            )
+    # with equal ranks, an embedding one way gives one the other way too
+    embedding = order_embedding_exists(a.slopes, b.slopes)
+    if embedding.answer == "No":
+        return Verdict(
+            "NotIsomorphic",
+            obstruction=(
+                "no order-preserving embedding of slope groups "
+                f"({embedding.obstruction})"
+            ),
+        )
     n1 = thompson_base(a)
     n2 = thompson_base(b)
     if n1 is not None and n2 is not None:

@@ -1,9 +1,12 @@
 """Exact integer matrices, Hermite and Smith normal forms, finitely
 generated abelian groups presented by them, and the primes of integers.
 
-Entries are arbitrary precision Python ints.  Pivots are always chosen
-as the smallest nonzero absolute value, ties broken by the lowest
-(row, column) position, which makes both normal forms deterministic.
+Entries are arbitrary precision Python ints.  The Hermite normal form
+is the one integer elimination: its pivot is the entry of smallest
+nonzero absolute value in the column, ties broken by the lowest row,
+which makes it deterministic.  The Smith normal form is built from
+Hermite forms of the matrix and of its transpose, and determinants go
+through the package's rational elimination.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import BoundExceeded, ValidationError
+from .numbers import _eliminate
 
 
 class IntMatrix:
@@ -36,10 +40,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -68,30 +68,14 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant, through the package's rational elimination."""
         if self.rows != self.cols:
             raise ValidationError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return int(_eliminate(self.entries)[1])
 
 
 # ---------------------------------------------------------------------------
-# shared row/column primitives on mutable list-of-list workspaces
+# row primitives on mutable list-of-list workspaces
 
 
 def _identity_ws(n):
@@ -116,38 +100,10 @@ def _row_sub(m, u, i, k, q):
     u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
 
-def _row_add(m, u, i, k):
-    m[i] = [x + y for x, y in zip(m[i], m[k])]
-    u[i] = [x + y for x, y in zip(u[i], u[k])]
-
-
-def _swap_cols(m, v, a, b):
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-    for row in v:
-        row[a], row[b] = row[b], row[a]
-
-
-def _col_sub(m, v, j, k, q):
-    # column j -= q * column k
-    if q == 0:
-        return
-    for row in m:
-        row[j] -= q * row[k]
-    for row in v:
-        row[j] -= q * row[k]
-
-
-def hermite_normal_form(A: IntMatrix):
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with H = U @ A, U unimodular, H in row echelon form
-    with positive pivots and the entries above each pivot reduced into
-    [0, pivot).
-    """
-    rows, cols = A.rows, A.cols
-    m = [list(r) for r in A.entries]
-    u = _identity_ws(rows)
+def _hermite(m, u):
+    """Bring the workspace m to row Hermite normal form in place, applying
+    every row operation to the companion workspace u as well."""
+    rows, cols = len(m), len(m[0])
     r = 0
     for c in range(cols):
         if r == rows:
@@ -173,6 +129,18 @@ def hermite_normal_form(A: IntMatrix):
             for i in range(r):
                 _row_sub(m, u, i, r, m[i][c] // m[r][c])
             r += 1
+
+
+def hermite_normal_form(A: IntMatrix):
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U @ A, U unimodular, H in row echelon form
+    with positive pivots and the entries above each pivot reduced into
+    [0, pivot).
+    """
+    m = [list(r) for r in A.entries]
+    u = _identity_ws(A.rows)
+    _hermite(m, u)
     return IntMatrix(m), IntMatrix(u)
 
 
@@ -181,67 +149,35 @@ def smith_normal_form(A: IntMatrix):
 
     Returns (D, U, V) with D = U @ A @ V, U and V unimodular, D diagonal
     with nonnegative entries forming a divisibility chain d1 | d2 | ...
+
+    Hermite forms of the matrix and of its transpose alternate until the
+    matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8 (1979)).
+    When a diagonal entry does not divide a later one, the later column
+    is added to its column and the alternation resumes; adding the row
+    instead would be undone by the next row pass.  The loop stops because
+    the first diagonal entry that is not yet final only ever moves to a
+    proper divisor of itself: a pass replaces it by the gcd of its column
+    or row, and a column addition by its gcd with the later entry.
     """
-    rows, cols = A.rows, A.cols
+    limit = min(A.rows, A.cols)
     m = [list(r) for r in A.entries]
-    u = _identity_ws(rows)
-    v = _identity_ws(cols)
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(m[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            _swap_rows(m, u, t, i)
-        if j != t:
-            _swap_cols(m, v, t, j)
-        if m[t][t] < 0:
-            _negate_row(m, u, t)
-        while True:
-            while any(m[i][t] for i in range(t + 1, rows)):
-                for i in range(t + 1, rows):
-                    if m[i][t]:
-                        _row_sub(m, u, i, t, m[i][t] // m[t][t])
-                        if m[i][t]:
-                            _swap_rows(m, u, t, i)
-                            if m[t][t] < 0:
-                                _negate_row(m, u, t)
-            while any(m[t][j] for j in range(t + 1, cols)):
-                for j in range(t + 1, cols):
-                    if m[t][j]:
-                        _col_sub(m, v, j, t, m[t][j] // m[t][t])
-                        if m[t][j]:
-                            _swap_cols(m, v, t, j)
-                            if m[t][t] < 0:
-                                _negate_row(m, u, t)
-            if not any(m[i][t] for i in range(t + 1, rows)) and not any(
-                m[t][j] for j in range(t + 1, cols)
-            ):
-                break
-        # the pivot must divide everything that remains
-        p = m[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            if any(x % p for x in m[i][t + 1 :]):
-                offender = i
-                break
-        if offender is not None:
-            _row_add(m, u, t, offender)
+    u = _identity_ws(A.rows)
+    vt = _identity_ws(A.cols)  # column operations on m are row operations on V^T
+    while True:
+        _hermite(m, u)
+        mt = [list(c) for c in zip(*m)]
+        _hermite(mt, vt)
+        m = [list(r) for r in zip(*mt)]
+        if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
             continue
-        t += 1
-    for k in range(limit):
-        if m[k][k] < 0:
-            _negate_row(m, u, k)
-    return IntMatrix(m), IntMatrix(u), IntMatrix(v)
+        d = [m[k][k] for k in range(limit)]
+        pairs = ((i, j) for i in range(limit) for j in range(i + 1, limit))
+        split = next(((i, j) for i, j in pairs if d[i] and d[j] % d[i]), None)
+        if split is None:
+            return IntMatrix(m), IntMatrix(u), IntMatrix(list(zip(*vt)))
+        i, j = split
+        m[j][i] = d[j]  # add column j to column i
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,39 @@ def test_rank_one_report_direct():
     assert v.is_isomorphic  # gcd(4,1) = gcd(4,3) = 1
 
 
+def test_rank_one_scalar_is_forced_by_the_endpoints():
+    # s * 2^20 = 1 leaves one candidate, far outside any search box
+    a = stein_triple([1], [2, 3], [2, 3], endpoint=1)
+    b = stein_triple([1], [2, 3], [2, 3], endpoint=2**20)
+    assert rank_one_report(a, b).describe() == "Isomorphic (s=1/1048576)"
+
+
+@st.composite
+def rank_one_pairs(draw):
+    """Two base-n or two Z[1/6] <2, 3> triples at random module endpoints."""
+    k = st.integers(1, 40)
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        e = st.integers(-4, 4)
+        return tuple(
+            thompson_triple(n, draw(k) * Fraction(n) ** draw(e)) for _ in "ab"
+        )
+    e = st.integers(-8, 8)
+    return tuple(
+        stein_triple(
+            [1], [2, 3], [2, 3], draw(k) * Fraction(2) ** draw(e) * Fraction(3) ** draw(e)
+        )
+        for _ in "ab"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_one_pairs())
+def test_rank_one_outcome_does_not_depend_on_the_search_bound(pair):
+    outcomes = {rank_one_report(*pair, bound).outcome for bound in (0, 1, 2, 3, 4, 16)}
+    assert not {"Isomorphic", "NotIsomorphic"} <= outcomes
+
+
 def test_base_two_all_endpoints_agree():
     # gcd(1, r) = 1 always: every V(2, r) is the same group
     for r in (1, 2, 3, 7):

@@ -5,9 +5,11 @@ invariant factors come from gcds of k-by-k minors.  Both are slow but
 obviously correct, which is the point.
 """
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,9 +129,26 @@ def test_hnf_random():
         check_hnf(random_matrix(rng))
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Turn a loop that does not stop into a failure instead of a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def check_snf(rows):
     a = IntMatrix(rows)
-    d, u, v = smith_normal_form(a)
+    with time_limit(5):
+        d, u, v = smith_normal_form(a)
     assert u.det() in (1, -1)
     assert v.det() in (1, -1)
     assert u @ a @ v == d
@@ -154,6 +173,12 @@ def test_snf_known_example():
     got = check_snf(rows)
     assert got == (2, 6, 12)
     assert got == minor_gcd_factors(rows)
+    # a diagonal that is not a divisibility chain, and inputs on which
+    # adding a row instead of a column to repair the chain cycles forever
+    assert check_snf([[2, 0], [0, 3]]) == (1, 6)
+    assert check_snf([[2, 0], [0, 1]]) == (1, 2)
+    rows = [[2, 4], [-2, 3], [-6, -2]]
+    assert check_snf(rows) == minor_gcd_factors(rows) == (1, 2)
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -165,8 +190,31 @@ def test_snf_matches_minor_gcd_oracle():
 
 def test_snf_handles_wide_tall_and_zero():
     assert check_snf([[0, 0], [0, 0]]) == ()
+    assert check_snf([[0]]) == ()
+    assert check_snf([[0, 0, 0], [0, 0, 0]]) == ()
     assert check_snf([[3, 6, 9]]) == (3,)
+    assert check_snf([[0, -4, 0, 6]]) == (2,)
     assert check_snf([[4], [6]]) == (2,)
+    assert check_snf([[0], [-9], [0], [15]]) == (3,)
+
+
+@st.composite
+def sparse_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-1000, 1000))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=5000)
+@given(sparse_matrices())
+def test_snf_matches_minor_gcd_oracle_on_large_entries(rows):
+    assert check_snf(rows) == minor_gcd_factors(rows)
 
 
 def test_cokernel_known_groups():
