@@ -65,6 +65,12 @@ COMMANDS = [
     ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_a", "--json"],
     ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_5", "--json"],
     ["obstruct", "@two_three", "@two_three_ell_3_2", "--json"],
+    # endpoint tests: Z + Z*phi in Q(sqrt 5), a module over Z[1/22], and
+    # a free quotient (no slopes) on Z + Z*sqrt 2
+    ["classify", "@sqrt5_phi", "@sqrt5_phi_ell_phi", "--json"],
+    ["classify", "@sqrt2_22", "@sqrt2_22_ell_a", "--json"],
+    ["classify", "@sqrt2_free", "@sqrt2_free_ell_2", "--json"],
+    ["classify", "@sqrt2_free", "@sqrt2_free_ell_1a", "--json"],
 ]
 
 # Q(a), a = 2^(1/3): Z[1/2]<1, a, a^2> and Z[1/2]<1, a, 3a^2>, slopes <2>
@@ -93,6 +99,25 @@ SQRT2_UNIT2_DOC = {
     "lambda": {"generators": [["3", "2"]]},
     "ell": "1",
 }
+
+# Q(a), a = sqrt 5: Z + Z*phi, phi = (1 + a)/2, slopes <phi^3 = 2 + a>
+SQRT5_PHI_DOC = {
+    "field": {"minpoly": [-5, 0, 1], "root_interval": ["2", "3"]},
+    "gamma": {"basis": [["1", "0"], ["1/2", "1/2"]]},
+    "lambda": {"generators": [["2", "1"]]},
+    "ell": "1",
+}
+
+# Q(a), a = sqrt 2: Z[1/2, 1/11]<1, a>, slopes <11>, coinvariants Z/5 x Z/5
+SQRT2_22_DOC = {
+    "field": {"minpoly": [-2, 0, 1], "root_interval": ["1", "2"]},
+    "gamma": {"basis": [["1", "0"], ["0", "1"]], "inverted_primes": [2, 11]},
+    "lambda": {"generators": ["11"]},
+    "ell": "1",
+}
+
+# Q(a), a = sqrt 2: Z + Z*a with no slopes, so the quotient is Z^2
+SQRT2_FREE_DOC = dict(SQRT2_UNIT2_DOC, **{"lambda": {"generators": []}})
 
 
 def write_documents(directory: Path, documents: dict) -> dict:
@@ -136,6 +161,13 @@ def record() -> None:
         "sqrt2_unit2_ell_a": dict(SQRT2_UNIT2_DOC, ell=["0", "1"]),
         "sqrt2_unit2_ell_5": dict(SQRT2_UNIT2_DOC, ell="5"),
         "two_three_ell_3_2": dict(test_cli.TWO_THREE_DOC, ell="3/2"),
+        "sqrt5_phi": SQRT5_PHI_DOC,
+        "sqrt5_phi_ell_phi": dict(SQRT5_PHI_DOC, ell=["1/2", "1/2"]),
+        "sqrt2_22": SQRT2_22_DOC,
+        "sqrt2_22_ell_a": dict(SQRT2_22_DOC, ell=["0", "1"]),
+        "sqrt2_free": SQRT2_FREE_DOC,
+        "sqrt2_free_ell_2": dict(SQRT2_FREE_DOC, ell="2"),
+        "sqrt2_free_ell_1a": dict(SQRT2_FREE_DOC, ell=["1", "1"]),
         # slope b on [0, 2 - b), then slope 1/b = b - 1
         "golden_pieces": dict(
             test_cli.GOLDEN_DOC,

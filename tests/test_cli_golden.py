@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from record_cli_golden import GOLDEN, run_case, write_documents
+from record_cli_golden import COMMANDS, GOLDEN, run_case, write_documents
 
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -23,3 +23,8 @@ def paths(tmp_path_factory):
 @pytest.mark.parametrize("case", DATA["cases"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_output_matches_recording(case, paths):
     assert run_case(case["argv"], paths) == (case["exit"], case["stdout"])
+
+
+def test_every_command_is_recorded():
+    # a command added to the recorder but never recorded fails here
+    assert COMMANDS == [case["argv"] for case in DATA["cases"]]
