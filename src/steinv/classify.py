@@ -1,20 +1,21 @@
 """Isomorphism invariants and three-valued verdicts for triples.
 
 The rank-two-and-up pipeline compares slope groups, compares coinvariant
-quotients, searches for a module scale factor, and finally tests the
-endpoint difference inside the coinvariant quotient.  Rank-one modules
-fall outside that criterion; they run an obstruction battery instead
-(an exact conjugacy witness, whose scalar the endpoints force, slope-group
-rank, an order-preserving embedding, and the base-n closed form) and
-otherwise report Unknown.
-All searches are bounded, so a positive or negative verdict is always
-backed by an exact certificate while exhaustion yields Unknown.  The
-quadratic unit in the endpoint test is exact, from a continued fraction
-under a step budget, and is not searched for.
+quotients, searches for a module scale factor, and finally walks the
+endpoint class through its stabilizer orbit in the coinvariant quotient.
+Rank-one modules fall outside that criterion; they run an obstruction
+battery instead (an exact conjugacy witness, whose scalar the endpoints
+force, slope-group rank, an order-preserving embedding, and the base-n
+closed form) and otherwise report Unknown.  Every search and walk is
+bounded, and a decided verdict carries an exact certificate.  The walk
+steps by the exact unit of the module's multiplier ring and by the
+inverted primes; only in degree two without inverted primes do these
+span the stabilizer, and only there does a closed orbit give NotIsomorphic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,15 +34,18 @@ from .modules import (
     BreakpointModule,
     SlopeGroup,
     SteinTriple,
-    _box_vectors,
     scale_equivalence,
     thompson_base,
 )
-from .numbers import FieldElement, RealAlgebraicField, _eliminate
+from .numbers import FieldElement, _eliminate, _multiplication_columns
 
 # Partial quotients allowed in one period: no D below 2*10^5 needs more
 # than 951, and longer periods (documents of a few dozen bytes) take seconds.
 _UNIT_STEPS = 1000
+
+# Coinvariant classes one endpoint walk may visit; spending them all takes
+# about 0.4 s in CPython 3.11 with two inverted primes (six generators).
+_ORBIT_STATES = 500
 
 
 @dataclass(frozen=True)
@@ -124,66 +128,87 @@ def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvaria
 def class_of(t, inv: AbelianInvariants, module: BreakpointModule) -> tuple:
     """Residue vector of a module point in the coinvariant quotient:
     torsion residues followed by free coordinates."""
-    if not module.contains(t):
+    coords = module.coordinates(t)
+    if not module._in_module(coords):
         raise NotInGamma(f"{t} is not a module point")
-    torsion, free = inv.reduce(module.coordinates(t))
+    torsion, free = inv.reduce(coords)
     return tuple(torsion) + tuple(free)
 
 
 # ---------------------------------------------------------------------------
-# stabilizer scalars for the endpoint test
+# the stabilizer orbit for the endpoint test
 
 
-def _fundamental_unit(field: RealAlgebraicField) -> Optional[FieldElement]:
-    """Fundamental unit of Z[c2*a], the multiplier ring of Z + Z*a, exactly:
-    the continued fraction of w = (D mod 2 + sqrt D)/2 returns to
-    denominator 2 after one period, and its last convergent p/q gives the
-    unit p - q*conj(w) (Cohen, GTM 138, 5.7).  None for degree != 2, for
-    square D, and for a period longer than _UNIT_STEPS."""
-    if field._quadratic is None:
+def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
+    """Fundamental unit of the multiplier ring Z[c2*t] of a rank-two module
+    b1*(Z + Z*t) in a real quadratic field, exactly, where t = b2/b1 is a
+    root of the primitive c2*x^2 + c1*x + c0, of discriminant D.  The
+    continued fraction of w = (D mod 2 + sqrt D)/2 returns to denominator 2
+    after one period, and its last convergent p/q gives the unit
+    p - q*conj(w) (Cohen, GTM 138, 5.7).  None in other degrees and ranks,
+    for square D, and for a period longer than _UNIT_STEPS."""
+    if module.field.degree != 2 or module.rank() != 2:
         return None
-    c1, c2, e, disc = field._quadratic
+    t = module.basis[1] / module.basis[0]
+    columns = _multiplication_columns(t)
+    trace, norm = columns[0][0] + columns[1][1], _eliminate(columns)[1]
+    c2 = math.lcm(trace.denominator, norm.denominator)  # c1 = -c2*trace, c0 = c2*norm
+    disc = int(c2 * c2 * (trace * trace - 4 * norm))
     s = math.isqrt(disc)
     if s * s == disc:
         return None
+    root = c2 * (2 * t - trace)  # +-sqrt D
+    root = root if root.sign() > 0 else -root
     sigma = disc % 2
     P, Q = sigma, 2  # the complete quotient is (P + sqrt D) / Q
     p, p_prev, q, q_prev = 1, 0, 0, 1
     for _ in range(_UNIT_STEPS):
-        t = (P + s) // Q
-        p, p_prev = t * p + p_prev, p
-        q, q_prev = t * q + q_prev, q
-        P = t * Q - P
+        a = (P + s) // Q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        P = a * Q - P
         Q = (disc - P * P) // Q
-        if Q == 2:  # p - q*conj(w), with sqrt D = e*(2*c2*a + c1)
-            x = Fraction(2 * p - q * sigma + q * e * c1, 2)
-            return field.element((x, q * e * c2))
+        if Q == 2:  # p - q*conj(w)
+            return (q * root + 2 * p - q * sigma) / 2
     return None
 
 
-def _stabilizer_candidates(module: BreakpointModule, search_bound: int):
-    """Positive scalars u with u * module = module, smallest first.
-
-    Products of inverted primes always stabilize; in quadratic fields the
-    powers of the fundamental unit, exact under a step budget and not
-    searched, are included when the unit itself stabilizes the module.
-    """
-    field = module.field
-    primes = module.inverted_primes
-    e_bound = search_bound if len(primes) <= 1 else min(search_bound, 5)
-    values = []
-    for vec in _box_vectors(e_bound, len(primes)):
-        q = Fraction(1)
-        for p, e in zip(primes, vec):
-            q *= Fraction(p) ** e
-        values.append(field.from_rational(q))
-    unit, k_bound = _fundamental_unit(field), search_bound
-    if unit is None or not module.scaled(unit).same_module(module):
-        unit, k_bound = field.one(), 0
-    for (k,) in _box_vectors(k_bound, 1):
-        uk = unit**k
-        for q in values:
-            yield uk * q
+def _endpoint_orbit(
+    a: SteinTriple, b: SteinTriple, s0: FieldElement, inv: AbelianInvariants
+) -> Verdict:
+    """Walk the classes of x = s*ell_b in Gamma/I*Gamma breadth first from
+    s = s0, stepping by unit^-1, unit, then 1/p, p per inverted prime, until
+    one is class(ell_a), the orbit closes, or _ORBIT_STATES are spent."""
+    unit = _fundamental_unit(b.module)
+    steps = [] if unit is None else [1 / unit, unit]
+    for p in b.module.inverted_primes:
+        steps += [Fraction(1, p), p]
+    target = class_of(a.endpoint, inv, a.module)
+    seen, frontier = set(), []
+    # breadth first: the generator reads frontier while the loop appends to it
+    neighbors = (y * g for y in frontier for g in steps)
+    for x in itertools.chain([s0 * b.endpoint], neighbors):
+        key = class_of(x, inv, a.module)
+        if key == target:
+            witness = {"s": str(x / b.endpoint), "coinvariants": inv.describe()}
+            return Verdict("Isomorphic", witness=witness)
+        if key not in seen:
+            if len(seen) == _ORBIT_STATES:
+                reason = f"stabilizer orbit walk stopped at {_ORBIT_STATES} states"
+                return Verdict("Unknown", reason=reason)
+            seen.add(key)
+            frontier.append(x)
+    if b.field.degree > 2:
+        gap = "units in degree 3 and up"
+    elif unit is None:
+        gap = "the fundamental unit (period past the step budget)"
+    elif b.module.inverted_primes:
+        gap = "S-units that are not rational"
+    else:  # the steps span the stabilizer
+        orbits = "endpoint classes lie in different stabilizer orbits"
+        return Verdict("NotIsomorphic", obstruction=f"{orbits} (orbit size {len(seen)})")
+    reason = f"no match in a stabilizer orbit of size {len(seen)}; the walk lacks {gap}"
+    return Verdict("Unknown", reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +315,7 @@ def classify_pair(
             "cannot compare endpoint-level with endpoint-free data"
         )
     if a.module.rank() < 2 or b.module.rank() < 2:
-        return rank_one_report(a, b, search_bound)
+        return rank_one_report(a, b)
     try:
         same_slopes = a.slopes.equals(b.slopes)
     except UnsupportedComparison as e:
@@ -305,6 +330,14 @@ def classify_pair(
     blocked = _coinvariants_differ(inv1, coinvariants(b.module, b.slopes))
     if blocked is not None:
         return blocked
+    if a.endpoint is not None and a.slopes.is_trivial() and a.field.compatible(b.field):
+        # I*Gamma = 0, so the classes are the endpoints and s is forced
+        s = a.endpoint / b.endpoint
+        witness = {"s": str(s), "coinvariants": inv1.describe()}
+        if b.module.scaled(s).same_module(a.module):
+            return Verdict("Isomorphic", witness=witness)
+        forced = f"the endpoints force s = {s}, which does not carry Gamma_b to Gamma_a"
+        return Verdict("NotIsomorphic", obstruction=forced)
     sr = scale_equivalence(a.module, b.module, search_bound)
     if sr.outcome == "distinct":
         return Verdict(
@@ -318,29 +351,16 @@ def classify_pair(
             "Isomorphic",
             witness={"s": str(sr.scalar), "coinvariants": inv1.describe()},
         )
-    for u in _stabilizer_candidates(b.module, search_bound):
-        s = sr.scalar * u
-        residues = class_of(a.endpoint - s * b.endpoint, inv1, a.module)
-        if all(x == 0 for x in residues):
-            return Verdict(
-                "Isomorphic",
-                witness={"s": str(s), "coinvariants": inv1.describe()},
-            )
-    return Verdict(
-        "Unknown",
-        reason="no admissible scalar matched the endpoint class within the bound",
-    )
+    return _endpoint_orbit(a, b, sr.scalar, inv1)
 
 
-def _exact_conjugacy(
-    a: SteinTriple, b: SteinTriple, search_bound: int
-) -> Optional[Verdict]:
+def _exact_conjugacy(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
     """Isomorphic verdict backed by an explicit rescaling map, or None.
 
     Sound at any rank: equal slope groups, a scalar identifying the
     modules, and an exact endpoint match give a conjugating bijection.
     With both endpoints the scalar is forced to be their ratio, so only
-    that one is tested; without them the scale search looks for one.
+    that one is tested; without them the rank-one scale is |b1/b2|.
     """
     try:
         if not a.slopes.equals(b.slopes):
@@ -348,7 +368,7 @@ def _exact_conjugacy(
     except UnsupportedComparison:
         return None
     if a.endpoint is None and b.endpoint is None:
-        sr = scale_equivalence(a.module, b.module, search_bound)
+        sr = scale_equivalence(a.module, b.module)
         if not sr.found:
             return None
         return Verdict("Isomorphic", witness={"s": str(sr.scalar)})
@@ -371,15 +391,13 @@ def _endpoint_residue_gcd(n: int, r: Fraction) -> int:
     return math.gcd(m, (r.numerator * inv) % m)
 
 
-def rank_one_report(
-    a: SteinTriple, b: SteinTriple, search_bound: int = DEFAULT_SEARCH_BOUND
-) -> Verdict:
+def rank_one_report(a: SteinTriple, b: SteinTriple) -> Verdict:
     """Obstruction battery for triples with rank-one modules.
 
     Never claims Isomorphic without a certificate: either an explicit
     conjugacy witness or the base-n closed form.
     """
-    exact = _exact_conjugacy(a, b, search_bound)
+    exact = _exact_conjugacy(a, b)
     if exact is not None:
         return exact
     r1, r2 = a.slopes.rank(), b.slopes.rank()

@@ -4,7 +4,7 @@ Commands:
   classify A B            isomorphism verdict for two documents
   classify-groupoid A B   the same comparison ignoring interval endpoints
   coinvariants SPEC       invariant factors of the slope action on the module
-  obstruct A B            rank-one obstruction battery
+  obstruct A B            rank-one obstruction battery (takes no --search-bound)
   element OP SPEC ...     compose | invert | fixed-points | to-pairs | random
   expand BASE VALUE SIDE  digit stream of a cut point (BASE 2..10 or "beta")
   embed-v2 SPEC NAME      image of a dyadic element in the golden-base group
@@ -51,7 +51,7 @@ def _add_bound(p) -> None:
         type=int,
         default=DEFAULT_SEARCH_BOUND,
         metavar="N",
-        help=f"search radius for scalar and exponent hunts (default {DEFAULT_SEARCH_BOUND})",
+        help=f"radius of the module scale search (default {DEFAULT_SEARCH_BOUND})",
     )
 
 
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruct", help="rank-one obstruction battery")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
-    _add_bound(p)
     _add_json(p)
     p.set_defaults(handler=_cmd_obstruct)
 
@@ -201,7 +200,7 @@ def _cmd_coinvariants(args) -> int:
 def _cmd_obstruct(args) -> int:
     a = parse_spec(args.spec_a).triple
     b = parse_spec(args.spec_b).triple
-    verdict = rank_one_report(a, b, args.search_bound)
+    verdict = rank_one_report(a, b)
     _emit(args, verdict.describe(), verdict_to_json(verdict))
     return 1 if verdict.is_unknown else 0
 

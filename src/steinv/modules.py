@@ -58,14 +58,6 @@ def _factor_fraction(q: Fraction) -> dict:
     return {p: e for p, e in out.items() if e}
 
 
-def _box_vectors(bound: int, n: int) -> list:
-    """Integer vectors of [-bound, bound]^n by max-norm, then lexicographically."""
-    return sorted(
-        itertools.product(range(-bound, bound + 1), repeat=n),
-        key=lambda v: (max(map(abs, v), default=0), v),
-    )
-
-
 def _is_unit(q: Fraction, primes) -> bool:
     """True when the positive rational q is a product of powers of primes."""
     return (
@@ -418,12 +410,15 @@ def scale_equivalence(
 ) -> ScaleResult:
     """Search for a positive s with s * G2 = G1.
 
-    Candidates are ratios h / g of a module element h of G1 (integer
-    basis coefficients bounded by search_bound) against the first basis
-    element of G2, filtered by the field-norm/covolume identity and then
-    verified by exact two-sided membership.  Complete up to the bound:
-    "unknown" only means no candidate inside the box worked.
+    Rank one is closed form: s = |b1 / b2|.  Otherwise candidates are
+    ratios h / g of a module element h of G1 (integer basis coefficients
+    bounded by search_bound) against the first basis element of G2,
+    filtered by the field-norm/covolume identity and then verified by
+    exact two-sided membership.  Complete up to the bound: "unknown" only
+    means no candidate inside the box worked.
     """
+    if search_bound < 0:
+        raise ValidationError(f"the search bound {search_bound} is negative")
     if not g1.field.compatible(g2.field):
         return ScaleResult("unknown", obstruction="different fields")
     if g1.rank() != g2.rank():
@@ -434,26 +429,20 @@ def scale_equivalence(
         return ScaleResult("found", scalar=g1.field.one())
     field = g1.field
     n = g1.rank()
+    if n == 1:
+        s = g1.basis[0] / g2.basis[0]
+        return ScaleResult("found", scalar=s if s.sign() > 0 else -s)
     d = field.degree
     ratio = None
     if n == d:
         ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
     g = g2.basis[0]
-    seen = set()
-    for coeffs in _box_vectors(search_bound, n):
-        if not any(coeffs):
-            continue
-        h = field.zero()
-        for c, b in zip(coeffs, g1.basis):
-            if c:
-                h = h + c * b
-        if h.is_zero():
-            continue
+    box = itertools.product(range(-search_bound, search_bound + 1), repeat=n)
+    # by max-norm, then lexicographically, after the zero vector; the basis
+    # is independent, so each vector gives a new nonzero h and a new s
+    for coeffs in sorted(box, key=lambda v: (max(map(abs, v)), v))[1:]:
+        h = sum((c * b for c, b in zip(coeffs, g1.basis) if c), field.zero())
         s = h / g
-        key = tuple(s.coords)
-        if key in seen:
-            continue
-        seen.add(key)
         if s.sign() <= 0:
             continue
         if ratio is not None:

@@ -1,5 +1,6 @@
 """Coinvariant computations and the isomorphism decision procedure."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from steinv import (
     BreakpointModule,
     NotInGamma,
     SlopeGroup,
+    SteinTriple,
     UnsupportedGamma,
     UnsupportedInput,
     algebraic_triple,
@@ -22,9 +24,11 @@ from steinv import (
     order_embedding_exists,
     rank_one_report,
     rational_field,
+    scale_equivalence,
     stein_triple,
     thompson_triple,
 )
+from steinv import classify
 from steinv.classify import _fundamental_unit
 from steinv.numbers import RealAlgebraicField
 
@@ -279,8 +283,18 @@ def rank_one_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(rank_one_pairs())
 def test_rank_one_outcome_does_not_depend_on_the_search_bound(pair):
-    outcomes = {rank_one_report(*pair, bound).outcome for bound in (0, 1, 2, 3, 4, 16)}
+    outcomes = {
+        classify_pair(*pair, search_bound=bound).outcome
+        for bound in (0, 1, 2, 3, 4, 16)
+    }
     assert not {"Isomorphic", "NotIsomorphic"} <= outcomes
+
+
+def test_rank_one_scale_is_closed_form():
+    # Z[1/2] against (1/3)*Z[1/2]: s = 3 without any search box
+    a = stein_triple([1], [2], [2])
+    b = stein_triple([Fraction(1, 3)], [2], [2])
+    assert classify_pair(a, b, search_bound=0).describe() == "Isomorphic (s=3)"
 
 
 def test_base_two_all_endpoints_agree():
@@ -404,36 +418,66 @@ def real_quadratic_fields(draw):
     return RealAlgebraicField([c0, c1, c2], interval)
 
 
+def power_module(field):
+    return BreakpointModule(field, [field.one(), field.generator()])
+
+
 @settings(max_examples=60, deadline=None)
 @given(real_quadratic_fields())
 def test_fundamental_unit_is_a_unit_of_the_multiplier_ring(field):
-    u = _fundamental_unit(field)
+    module = power_module(field)
+    u = _fundamental_unit(module)
     assert u is not None and u > 1
     c0, c1, c2 = field.minpoly.fractions()
     x, y = u.coords
     assert x * x - x * y * c1 / c2 + y * y * c0 / c2 in (1, -1)
     assert (2 * x - y * c1 / c2).denominator == 1
-    module = BreakpointModule(field, [field.one(), field.generator()])
     assert module.scaled(u).same_module(module)
     box = reference_unit_box(field)
     if box is not None and module.scaled(box).same_module(module):
         assert box == u
 
 
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_quadratic_fields(), st.lists(small_fractions, min_size=4, max_size=4))
+def test_fundamental_unit_stabilizes_any_module(field, entries):
+    # Gamma = Z*b1 + Z*b2 for a random rational basis b1, b2
+    b1, b2 = field.element(entries[:2]), field.element(entries[2:])
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    module = BreakpointModule(field, [b1, b2])
+    u = _fundamental_unit(module)
+    assume(u is not None)  # None when the period passes the step budget
+    assert u > 1
+    assert module.norm(u) in (1, -1)
+    assert module.scaled(u).same_module(module)
+
+
 def test_fundamental_unit_exact_cases():
     f94 = RealAlgebraicField([-94, 0, 1], (9, 10))
-    assert _fundamental_unit(f94) == f94.element((2143295, 221064))
+    assert _fundamental_unit(power_module(f94)) == f94.element((2143295, 221064))
     # the box's 13 + 7a has norm -1 but is not an algebraic integer
     f = RealAlgebraicField([-5, 1, 2], (1, 2))
-    assert _fundamental_unit(f) == f.element((37, 20))
-    assert _fundamental_unit(golden_field()) == golden_field().generator()
-    assert _fundamental_unit(rational_field()) is None
+    assert _fundamental_unit(power_module(f)) == f.element((37, 20))
+    golden = golden_field()
+    assert _fundamental_unit(power_module(golden)) == golden.generator()
+    # Z + Z*phi in Q(sqrt 5) is an order larger than Z[sqrt 5]: its unit
+    # is phi, not phi^3 = 2 + sqrt 5
+    f5 = RealAlgebraicField([-5, 0, 1], (2, 3))
+    phi = f5.element((Fraction(1, 2), Fraction(1, 2)))
+    assert _fundamental_unit(BreakpointModule(f5, [f5.one(), phi])) == phi
+    # and the basis order does not matter
+    assert _fundamental_unit(BreakpointModule(f5, [phi, f5.one()])) == phi
+    cubic = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    assert _fundamental_unit(BreakpointModule(cubic, [1, cubic.generator()])) is None
 
 
 def test_fundamental_unit_gives_up_on_a_long_period():
     f = RealAlgebraicField([-1000000000007, 0, 1], (1000000, 1000001))
     start = time.perf_counter()
-    assert _fundamental_unit(f) is None
+    assert _fundamental_unit(power_module(f)) is None
     assert time.perf_counter() - start < 1
 
 
@@ -445,3 +489,208 @@ def test_unit_beyond_the_old_box_matches_the_endpoint():
     b = stein_triple(module, [], [unit * unit], endpoint=unit, field=f)
     v = classify_pair(a, b)
     assert v.describe() == "Isomorphic (s=2143295 - 221064*a)"
+
+
+# -- the endpoint orbit walk ------------------------------------------------
+
+SQRT2_MINUS_1 = RealAlgebraicField([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
+
+
+def sqrt2_parity(c0, c1):
+    """Class of c0 + c1*a in Z[a]/(1 - a) = Z/2, a = sqrt 2 - 1.
+
+    c0 + c1*a = (c0 - c1) + c1*sqrt 2 and 1 - a = sqrt 2 * a, so the class
+    is the parity of c0 - c1.  Positive units of Z[sqrt 2] are odd, so they
+    act trivially: the class decides the group.
+    """
+    return (c0 - c1) % 2
+
+
+def sqrt2_triple(c0, c1):
+    f = SQRT2_MINUS_1
+    a = f.generator()
+    return stein_triple([f.one(), a], [], [a], endpoint=c0 + c1 * a, field=f)
+
+
+positive_coords = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any)
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_coords, positive_coords)
+def test_sqrt2_endpoint_verdicts_match_the_parity_oracle(e1, e2):
+    v = classify_pair(sqrt2_triple(*e1), sqrt2_triple(*e2))
+    assert not v.is_unknown, v
+    assert v.is_isomorphic == (sqrt2_parity(*e1) == sqrt2_parity(*e2)), v
+
+
+def test_other_class_names_the_orbit():
+    v = classify_pair(sqrt2_triple(1, 0), sqrt2_triple(2, 0))
+    assert v.describe() == (
+        "NotIsomorphic: endpoint classes lie in different stabilizer orbits"
+        " (orbit size 1)"
+    )
+
+
+SQRT5 = RealAlgebraicField([-5, 0, 1], (2, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(positive_coords, positive_coords)
+def test_sqrt5_and_golden_presentations_agree(e1, e2):
+    # Z + Z*phi with slopes <phi^3>, written over sqrt 5 and over phi
+    phi = SQRT5.element((Fraction(1, 2), Fraction(1, 2)))
+    b = golden_field().generator()
+
+    def over_sqrt5(c0, c1):
+        basis = [SQRT5.one(), phi]
+        return stein_triple(basis, [], [phi**3], endpoint=c0 + c1 * phi, field=SQRT5)
+
+    def over_golden(c0, c1):
+        basis = [golden_field().one(), b]
+        return stein_triple(basis, [], [b**3], endpoint=c0 + c1 * b, field=golden_field())
+
+    v5 = classify_pair(over_sqrt5(*e1), over_sqrt5(*e2))
+    vg = classify_pair(over_golden(*e1), over_golden(*e2))
+    assert not vg.is_unknown
+    assert v5.outcome == vg.outcome, (v5, vg)
+
+
+def test_sqrt5_phi_endpoint():
+    phi = SQRT5.element((Fraction(1, 2), Fraction(1, 2)))
+    a, b = (
+        stein_triple([SQRT5.one(), phi], [], [phi**3], endpoint=e, field=SQRT5)
+        for e in (1, phi)
+    )
+    assert classify_pair(a, b).describe() == "Isomorphic (s=-1/2 + 1/2*a)"
+
+
+def test_non_rational_s_unit_leaves_unknown():
+    # Z[1/22]<1, sqrt 2> with slopes <11>: sqrt 2 / 2 carries sqrt 2 to 1
+    # and stabilizes the module, so the truth is Isomorphic, but no product
+    # of 1 + sqrt 2, 2 and 11 has norm -1/2
+    f = RealAlgebraicField([-2, 0, 1], (1, 2))
+    r = f.generator()
+    a = stein_triple([f.one(), r], [2, 11], [11], endpoint=1, field=f)
+    b = stein_triple([f.one(), r], [2, 11], [11], endpoint=r, field=f)
+    v = classify_pair(a, b)
+    assert v.is_unknown
+    assert "S-units that are not rational" in v.reason
+    s = r / 2
+    assert b.module.scaled(s).same_module(a.module) and s * b.endpoint == a.endpoint
+
+
+def test_exhausted_orbit_walk_is_unknown_and_quick():
+    # coinvariants (Z/5003)^2, acted on by 1 + sqrt 2, 2 and 10007
+    f = RealAlgebraicField([-2, 0, 1], (1, 2))
+    r = f.generator()
+    a = stein_triple([f.one(), r], [2, 10007], [10007], endpoint=1, field=f)
+    b = stein_triple([f.one(), r], [2, 10007], [10007], endpoint=r, field=f)
+    start = time.perf_counter()
+    v = classify_pair(a, b)
+    assert time.perf_counter() - start < 1
+    assert v.reason == "stabilizer orbit walk stopped at 500 states"
+
+
+def test_free_quotient_is_decided_without_walking(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the orbit walk ran")
+
+    monkeypatch.setattr(classify, "_endpoint_orbit", no_walk)
+    f = RealAlgebraicField([-2, 0, 1], (1, 2))
+    r = f.generator()
+
+    def free(basis, ell):
+        return stein_triple(basis, [], [], endpoint=ell, field=f)
+
+    one = free([f.one(), r], 1)
+    v = classify_pair(one, free([f.one(), r], 2))
+    assert v.is_not_isomorphic
+    assert "force s = 1/2" in v.obstruction
+    v = classify_pair(one, free([f.one(), r], 1 + r))
+    assert v.describe() == "Isomorphic (s=-1 + a)"
+    assert v.witness["coinvariants"] == "Z^2"
+    # 2*(Z + Z*r) at endpoint 2 is the same group as Z + Z*r at 1
+    assert classify_pair(one, free([2, 2 * r], 2)).describe() == "Isomorphic (s=1/2)"
+
+
+def reference_endpoint_box(a, b, search_bound):
+    """The scalar of the endpoint test the orbit walk replaced, or None:
+    products of inverted prime powers (exponents up to the bound, or 5
+    with two primes and more) times the powers u^k, |k| <= bound, of the
+    unit of Z[c2*a], where that unit stabilizes the module."""
+    inv = coinvariants(a.module, a.slopes)
+    sr = scale_equivalence(a.module, b.module, search_bound)
+    if not sr.found:
+        return None
+
+    def box(bound, n):
+        vectors = itertools.product(range(-bound, bound + 1), repeat=n)
+        return sorted(vectors, key=lambda v: (max(map(abs, v), default=0), v))
+
+    module, field = b.module, b.module.field
+    primes = module.inverted_primes
+    e_bound = search_bound if len(primes) <= 1 else min(search_bound, 5)
+    values = [math.prod(Fraction(p) ** e for p, e in zip(primes, vec))
+              for vec in box(e_bound, len(primes))]
+    unit, k_bound = _fundamental_unit(power_module(field)), search_bound
+    if unit is None or not module.scaled(unit).same_module(module):
+        unit, k_bound = field.one(), 0
+    for (k,) in box(k_bound, 1):
+        for q in values:
+            s = sr.scalar * unit**k * q
+            if not any(class_of(a.endpoint - s * b.endpoint, inv, a.module)):
+                return s
+    return None
+
+
+def quadratic_value(text, field):
+    """The element of a degree-two field that str() printed as text."""
+    x = y = Fraction(0)
+    for term in text.replace(" - ", " + -").split(" + "):
+        if term.endswith("a"):
+            coef = term[:-1].rstrip("*")
+            y = Fraction({"": "1", "-": "-1"}.get(coef, coef))
+        else:
+            x = Fraction(term)
+    return field.element((x, y))
+
+
+@st.composite
+def quadratic_endpoint_pairs(draw):
+    """Two endpoint triples on Gamma and c*Gamma in a real quadratic field,
+    Gamma = Z[1/p]<1, m*a>, with slopes <p> or the unit of Gamma's ring."""
+    field = draw(real_quadratic_fields())
+    a = field.generator()
+    primes = draw(st.sampled_from([(), (), (3,), (5,)]))
+    module = BreakpointModule(field, [field.one(), draw(st.integers(1, 3)) * a], primes)
+    slope = Fraction(primes[0]) if primes else _fundamental_unit(module)
+    assume(slope is not None)
+    slopes = SlopeGroup([slope], field=field)
+    c = field.element((draw(st.integers(1, 3)), draw(st.integers(-1, 1))))
+    c = c if c.sign() > 0 else -c
+
+    def endpoint(scale):
+        x, y = draw(positive_coords)
+        ell = scale * (x * module.basis[0] + y * module.basis[1])
+        return ell if ell.sign() > 0 else -ell
+
+    return (
+        SteinTriple(module, slopes, endpoint(1)),
+        SteinTriple(module.scaled(c), slopes, endpoint(c)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(quadratic_endpoint_pairs(), st.integers(1, 16))
+def test_walk_keeps_every_box_verdict(pair, bound):
+    a, b = pair
+    v = classify_pair(a, b, bound)
+    if reference_endpoint_box(a, b, bound) is not None:
+        assert v.is_isomorphic, v
+    if v.is_isomorphic:
+        s = quadratic_value(v.witness["s"], a.field)
+        assert b.module.scaled(s).same_module(a.module)
+        inv = coinvariants(a.module, a.slopes)
+        assert not any(class_of(a.endpoint - s * b.endpoint, inv, a.module))
+    outcomes = {classify_pair(a, b, k).outcome for k in range(1, 17)}
+    assert not {"Isomorphic", "NotIsomorphic"} <= outcomes

@@ -150,6 +150,19 @@ def test_obstruct_command(docs, capsys):
     code, out, _ = run(capsys, "obstruct", docs["base5"], docs["base5_ell2"])
     assert code == 0
     assert out.startswith("NotIsomorphic")
+    # the battery searches nothing, so it takes no bound
+    with pytest.raises(SystemExit) as e:
+        main(["obstruct", docs["base5"], docs["base5_ell2"], "--search-bound", "3"])
+    assert e.value.code == 64
+
+
+def test_negative_search_bound_exits_2(docs, capsys):
+    code, out, err = run(
+        capsys, "classify", docs["golden"], docs["golden"], "--search-bound", "-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the search bound -3 is negative\n"
 
 
 # -- coinvariants -----------------------------------------------------------
