@@ -140,13 +140,16 @@ def class_of(t, inv: AbelianInvariants, module: BreakpointModule) -> tuple:
 
 
 def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
-    """Fundamental unit of the multiplier ring Z[c2*t] of a rank-two module
-    b1*(Z + Z*t) in a real quadratic field, exactly, where t = b2/b1 is a
-    root of the primitive c2*x^2 + c1*x + c0, of discriminant D.  The
-    continued fraction of w = (D mod 2 + sqrt D)/2 returns to denominator 2
-    after one period, and its last convergent p/q gives the unit
-    p - q*conj(w) (Cohen, GTM 138, 5.7).  None in other degrees and ranks,
-    for square D, and for a period longer than _UNIT_STEPS."""
+    """Fundamental unit of the multiplier ring of a rank-two module
+    Z[1/S]*b1*(Z + Z*t) in a real quadratic field, exactly, where t = b2/b1
+    is a root of the primitive c2*x^2 + c1*x + c0, of discriminant D, and S
+    are the inverted primes.  That ring is Z[1/S] times the order of
+    discriminant D' = D/f^2, f the largest product of primes in S with D/f^2
+    still a discriminant (0 or 1 mod 4).  The continued fraction of
+    w = (D' mod 2 + sqrt D')/2 returns to denominator 2 after one period, and
+    its last convergent p/q gives the unit p - q*conj(w) (Cohen, GTM 138,
+    5.7).  None in other degrees and ranks, for square D, and for a period
+    longer than _UNIT_STEPS."""
     if module.field.degree != 2 or module.rank() != 2:
         return None
     t = module.basis[1] / module.basis[0]
@@ -154,13 +157,16 @@ def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
     trace, norm = columns[0][0] + columns[1][1], _eliminate(columns)[1]
     c2 = math.lcm(trace.denominator, norm.denominator)  # c1 = -c2*trace, c0 = c2*norm
     disc = int(c2 * c2 * (trace * trace - 4 * norm))
+    root = c2 * (2 * t - trace)  # +-sqrt D
+    root = root if root.sign() > 0 else -root
+    for prime in module.inverted_primes:  # D -> D'
+        while disc % prime**2 == 0 and (disc // prime**2) % 4 in (0, 1):
+            disc, root = disc // prime**2, root / prime
     s = math.isqrt(disc)
     if s * s == disc:
         return None
-    root = c2 * (2 * t - trace)  # +-sqrt D
-    root = root if root.sign() > 0 else -root
     sigma = disc % 2
-    P, Q = sigma, 2  # the complete quotient is (P + sqrt D) / Q
+    P, Q = sigma, 2  # the complete quotient is (P + sqrt D') / Q
     p, p_prev, q, q_prev = 1, 0, 0, 1
     for _ in range(_UNIT_STEPS):
         a = (P + s) // Q

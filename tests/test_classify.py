@@ -474,6 +474,22 @@ def test_fundamental_unit_exact_cases():
     assert _fundamental_unit(BreakpointModule(cubic, [1, cubic.generator()])) is None
 
 
+def test_fundamental_unit_of_a_localized_module():
+    # Z + Z*3a has D = 189 = 3^2 * 21; inverting 3 gives the ring of D = 21
+    f = RealAlgebraicField([3, 9, 5], (Fraction(-7, 5), Fraction(-13, 10)))
+    a = f.generator()
+    assert _fundamental_unit(BreakpointModule(f, [f.one(), 3 * a])) == -53 - 120 * a
+    assert _fundamental_unit(BreakpointModule(f, [f.one(), 3 * a], [3])) == -2 - 5 * a
+    # Z[1/2][sqrt 5] = Z[1/2][phi]: D = 20 -> 5
+    f5 = RealAlgebraicField([-5, 0, 1], (2, 3))
+    phi = f5.element((Fraction(1, 2), Fraction(1, 2)))
+    assert _fundamental_unit(BreakpointModule(f5, [f5.one(), f5.generator()], [2])) == phi
+    # D = 12 stays: 12/4 = 3 is not a discriminant, and Z[sqrt 3] is maximal
+    f3 = RealAlgebraicField([-3, 0, 1], (1, 2))
+    unit = _fundamental_unit(BreakpointModule(f3, [f3.one(), f3.generator()], [2]))
+    assert unit == f3.element((2, 1))
+
+
 def test_fundamental_unit_gives_up_on_a_long_period():
     f = RealAlgebraicField([-1000000000007, 0, 1], (1000000, 1000001))
     start = time.perf_counter()
@@ -489,6 +505,16 @@ def test_unit_beyond_the_old_box_matches_the_endpoint():
     b = stein_triple(module, [], [unit * unit], endpoint=unit, field=f)
     v = classify_pair(a, b)
     assert v.describe() == "Isomorphic (s=2143295 - 221064*a)"
+
+
+def test_walk_steps_by_the_unit_of_the_localized_ring():
+    # the unit of Z[15a] is (-2 - 5a)^3; the endpoints need -2 - 5a itself
+    f = RealAlgebraicField([3, 9, 5], (Fraction(-7, 5), Fraction(-13, 10)))
+    a = f.generator()
+    module = BreakpointModule(f, [f.one(), 3 * a], [3])
+    slopes = SlopeGroup([Fraction(3)], field=f)
+    v = classify_pair(SteinTriple(module, slopes, -3 * a), SteinTriple(module, slopes, f.one()), 1)
+    assert v.describe() == "Isomorphic (s=-2 - 5*a)"
 
 
 # -- the endpoint orbit walk ------------------------------------------------
