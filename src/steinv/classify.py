@@ -22,13 +22,20 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    BoundExceeded,
     NotInGamma,
     NotInvariant,
     UnsupportedComparison,
     UnsupportedGamma,
     UnsupportedInput,
 )
-from .intlinalg import AbelianInvariants, IntMatrix, cokernel_invariants, localize_factors
+from .intlinalg import (
+    AbelianInvariants,
+    IntMatrix,
+    cokernel_invariants,
+    factor,
+    localize_factors,
+)
 from .modules import (
     DEFAULT_SEARCH_BOUND,
     BreakpointModule,
@@ -42,6 +49,12 @@ from .numbers import FieldElement, _eliminate, _multiplication_columns
 # Partial quotients allowed in one period: no D below 2*10^5 needs more
 # than 951, and longer periods (documents of a few dozen bytes) take seconds.
 _UNIT_STEPS = 1000
+
+# Powers of a larger order's unit tried for the unit of its suborder of
+# conductor g; the least power that lies in the suborder is at most
+# g*prod(1 + 1/p) over the primes p | g, and each try costs a few
+# operations on integers below g.
+_UNIT_POWERS = 10_000
 
 # Coinvariant classes one endpoint walk may visit; spending them all takes
 # about 0.4 s in CPython 3.11 with two inverted primes (six generators).
@@ -145,11 +158,12 @@ def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
     is a root of the primitive c2*x^2 + c1*x + c0, of discriminant D, and S
     are the inverted primes.  That ring is Z[1/S] times the order of
     discriminant D' = D/f^2, f the largest product of primes in S with D/f^2
-    still a discriminant (0 or 1 mod 4).  The continued fraction of
-    w = (D' mod 2 + sqrt D')/2 returns to denominator 2 after one period, and
-    its last convergent p/q gives the unit p - q*conj(w) (Cohen, GTM 138,
-    5.7).  None in other degrees and ranks, for square D, and for a period
-    longer than _UNIT_STEPS."""
+    still a discriminant (0 or 1 mod 4).  When the period of D' passes
+    _UNIT_STEPS, the factorization of D' gives the largest g with D'/g^2
+    still a discriminant, and the unit is the least power of the unit of
+    the order of D'/g^2 that lies in the order of D'.  None in other
+    degrees and ranks, for square D, and when the period, the
+    factorization or _UNIT_POWERS runs out."""
     if module.field.degree != 2 or module.rank() != 2:
         return None
     t = module.basis[1] / module.basis[0]
@@ -159,14 +173,42 @@ def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
     disc = int(c2 * c2 * (trace * trace - 4 * norm))
     root = c2 * (2 * t - trace)  # +-sqrt D
     root = root if root.sign() > 0 else -root
-    for prime in module.inverted_primes:  # D -> D'
-        while disc % prime**2 == 0 and (disc // prime**2) % 4 in (0, 1):
-            disc, root = disc // prime**2, root / prime
-    s = math.isqrt(disc)
-    if s * s == disc:
+    disc, f = _divide_squares(disc, module.inverted_primes)  # D -> D'
+    if math.isqrt(disc) ** 2 == disc:
         return None
+    unit, g, k = _order_unit(disc), 1, 1
+    if unit is None:
+        try:
+            disc, g = _divide_squares(disc, factor(disc))
+        except BoundExceeded:
+            return None
+        unit = _order_unit(disc) if g > 1 else None
+        k = None if unit is None else _suborder_exponent(unit, disc, g)
+        if k is None:
+            return None
+    x, y = unit
+    return (x + y * (disc % 2 + root / (f * g)) / 2) ** k
+
+
+def _divide_squares(disc: int, primes) -> tuple:
+    """(disc/f^2, f) for the largest product f of the given primes with
+    disc/f^2 still a discriminant (0 or 1 mod 4)."""
+    f = 1
+    for p in primes:
+        while disc % (f * p) ** 2 == 0 and disc // (f * p) ** 2 % 4 in (0, 1):
+            f *= p
+    return disc // (f * f), f
+
+
+def _order_unit(disc: int) -> Optional[tuple]:
+    """(x, y) with x + y*w the fundamental unit of the order of the nonsquare
+    discriminant disc, w = (disc mod 2 + sqrt disc)/2.  The continued
+    fraction of w returns to denominator 2 after one period, and its last
+    convergent p/q gives the unit p - q*conj(w) (Cohen, GTM 138, 5.7).
+    None for a period longer than _UNIT_STEPS."""
+    s = math.isqrt(disc)
     sigma = disc % 2
-    P, Q = sigma, 2  # the complete quotient is (P + sqrt D') / Q
+    P, Q = sigma, 2  # the complete quotient is (P + sqrt disc) / Q
     p, p_prev, q, q_prev = 1, 0, 0, 1
     for _ in range(_UNIT_STEPS):
         a = (P + s) // Q
@@ -174,8 +216,24 @@ def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
         q, q_prev = a * q + q_prev, q
         P = a * Q - P
         Q = (disc - P * P) // Q
-        if Q == 2:  # p - q*conj(w)
-            return (q * root + 2 * p - q * sigma) / 2
+        if Q == 2:
+            return p - q * sigma, q
+    return None
+
+
+def _suborder_exponent(unit: tuple, disc: int, g: int) -> Optional[int]:
+    """The least k with unit^k in the order Z + g*O of discriminant disc*g^2,
+    O the order of disc and unit = x + y*w in O: the w-coordinate of unit^k
+    must be divisible by g.  Walks the powers modulo g, using
+    w^2 = sigma*w + (disc - sigma)/4; None past _UNIT_POWERS."""
+    x0, y0 = unit
+    sigma = disc % 2
+    n = (disc - sigma) // 4
+    x, y = x0 % g, y0 % g
+    for k in range(1, _UNIT_POWERS + 1):
+        if y == 0:
+            return k
+        x, y = (x * x0 + n * y * y0) % g, (x * y0 + y * x0 + sigma * y * y0) % g
     return None
 
 

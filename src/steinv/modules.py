@@ -310,10 +310,9 @@ class BreakpointModule:
         if isinstance(t, FieldElement):
             if not self.field.compatible(t.field):
                 raise FieldMismatch("point from a different field")
-            target = tuple(self.field.element(t.coords).coords)
         else:
-            target = tuple(self.field.from_rational(t).coords)
-        return _eliminate(self._columns, target)[2]
+            t = self.field.from_rational(t)
+        return _eliminate(self._columns, t.coords)[2]
 
     def contains(self, t) -> bool:
         return self._in_module(self.coordinates(t))

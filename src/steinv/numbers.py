@@ -1,22 +1,27 @@
 """Exact arithmetic in Q and in real algebraic number fields Q(a).
 
 A field is described by an integer polynomial together with a rational
-interval isolating exactly one real root, written `a` below.  Elements
-are rational coordinate vectors over the power basis 1, a, ..., a^(d-1),
-and every decision is exact.  Degree-two signs come from a closed form
-for the root by comparing squares of integers.  Higher degrees bound the
-value over the isolating interval, test for a symbolic zero by a gcd
-only when that bound straddles zero, and then bisect the interval with
-Sturm-sequence root counts until the bound excludes zero.  No floating
-point is used anywhere.
+interval isolating exactly one real root, written `a` below.  An element
+is a vector of integer numerators over one positive common denominator,
+in the power basis 1, a, ..., a^(d-1), kept canonical (the numerators and
+the denominator have gcd 1, and zero is 0/1) so that equality and
+hashing compare integers (Cohen, GTM 138, 4.2).  Every decision is exact.
+Since the denominator is positive, a sign is the sign of the numerator
+polynomial at a.  Degree-two signs come from a closed form for the root
+by comparing squares of integers.  Higher degrees bound the value over
+the isolating interval, test for a symbolic zero by a gcd only when that
+bound straddles zero, and then bisect the interval with Sturm-sequence
+root counts until the bound excludes zero.  No floating point is used
+anywhere.
 
-A product convolves the two coordinate vectors and folds the terms of
+A product convolves the two numerator vectors and folds the terms of
 degree d to 2d-2 back in with the coordinates of a^d, ..., a^(2d-2),
-which the field computes once, so no polynomial division runs per
-product.  Multiplication by x is the d x d rational matrix whose columns
-are x*a^j (j < d).  The inverse of x solves that matrix against 1 and
-the field norm is its determinant (Cohen, GTM 138, 4.2); both go through
-`_eliminate`, the package's only rational elimination.
+which the field computes once as integers over one denominator, so no
+polynomial division and no Fraction runs per product.  Multiplication by
+x is the d x d rational matrix whose columns are x*a^j (j < d).  The
+inverse of x solves that matrix against 1 and the field norm is its
+determinant (Cohen, GTM 138, 4.2); both go through `_eliminate`, the
+package's only rational elimination.
 
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
@@ -24,13 +29,13 @@ quotient ring that is only a product of fields; division then fails with
 DivisionByZero whenever the divisor shares a factor with the polynomial.
 This is a documented limitation, not an error in the caller's data.
 
-Degree one collapses to plain rational arithmetic on Fractions.
+Degree one uses the same representation, with a single numerator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import (
@@ -146,16 +151,16 @@ def _count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
     return n
 
 
-def _sign_fraction(x: Fraction) -> int:
+def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-def _quadratic_sign(quadratic, x: Fraction, y: Fraction) -> int:
-    """Sign of x + y*a for the root a = (-c1 + e*sqrt(D)) / (2*c2)."""
+def _quadratic_sign(quadratic, x: int, y: int) -> int:
+    """Sign of x + y*a for integers x, y and the root
+    a = (-c1 + e*sqrt(D)) / (2*c2)."""
     c1, c2, e, disc = quadratic
-    # 2*c2*(x + y*a) = u + v*sqrt(D); scale both by the positive denominators
-    u = 2 * c2 * x.numerator * y.denominator - c1 * y.numerator * x.denominator
-    v = e * y.numerator * x.denominator
+    u = 2 * c2 * x - c1 * y  # 2*c2*(x + y*a) = u + v*sqrt(D)
+    v = e * y
     su = (u > 0) - (u < 0)
     sv = (v > 0) - (v < 0)
     if su * sv >= 0:
@@ -291,6 +296,7 @@ class RealAlgebraicField:
         "_exact_root",
         "_quadratic",
         "_powers",
+        "_power_den",
         "_compat_true",
         "_compat_false",
     )
@@ -328,17 +334,22 @@ class RealAlgebraicField:
                 lo < vertex and _count_roots_open(self._sturm, lo, vertex) == 1
             )
             self._quadratic = (c1, c2, -1 if below else 1, c1 * c1 - 4 * c0 * c2)
-        # coordinates of a^d, ..., a^(2d-2), the high terms of a product
+        # numerators of a^d, ..., a^(2d-2), the high terms of a product,
+        # over the one denominator lead^(d-1); a^(d+k) needs lead^(k+1)
         *low, lead = minpoly.coefficients
-        power = tuple(Fraction(-c, lead) for c in low)  # a^d
+        power = tuple(-c for c in low)  # lead * a^d
         powers = []
         for _ in range(self.degree - 1):
             powers.append(power)
-            # a * power: shift up one place, fold the top coordinate back in
+            # lead * a * power: shift up one place, fold the top coordinate in
             power = tuple(
-                x + power[-1] * t for x, t in zip((0,) + power[:-1], powers[0])
+                lead * x + power[-1] * t for x, t in zip((0,) + power[:-1], powers[0])
             )
-        self._powers = tuple(powers)
+        n = len(powers)
+        self._powers = tuple(
+            tuple(x * lead ** (n - 1 - k) for x in p) for k, p in enumerate(powers)
+        )
+        self._power_den = lead**n
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
         self._compat_true = []
@@ -381,11 +392,14 @@ class RealAlgebraicField:
             raise FieldMismatch(
                 f"coordinate vector longer than degree {self.degree}"
             )
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        return _normalized(self, tuple(num) + (0,) * (self.degree - len(cs)), den)
 
     def from_rational(self, value: Rational) -> "FieldElement":
-        return self.element([Fraction(value)])
+        q = Fraction(value)
+        zeros = (0,) * (self.degree - 1)
+        return FieldElement(self, (q.numerator,) + zeros, q.denominator)
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -446,14 +460,66 @@ def rational_field() -> RealAlgebraicField:
     return _RATIONAL_FIELD
 
 
+def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
+    """Sign of sum(num[i] * a^i): the sign of every element with these
+    integer numerators."""
+    if f._quadratic is not None:
+        return _quadratic_sign(f._quadratic, *num)
+    poly = _trim(num)
+    if not poly:
+        return 0
+    if len(poly) == 1:
+        return _sign(poly[0])
+    zero_checked = False
+    for _ in range(_MAX_REFINEMENTS):
+        if f._exact_root is not None:
+            return _sign(_peval(poly, f._exact_root))
+        v_lo, v_hi = _interval_eval(poly, f._lo, f._hi)
+        if v_lo > 0:
+            return 1
+        if v_hi < 0:
+            return -1
+        if not zero_checked:
+            # The bound straddles zero.  A symbolic zero at the chosen
+            # root is possible only when the defining polynomial is
+            # reducible and the element hits a factor of it.
+            zero_checked = True
+            g = _pgcd(poly, f.minpoly.fractions())
+            if len(g) > 1 and _count_roots_open(_sturm_chain(g), f._lo, f._hi) >= 1:
+                return 0
+        f.refine_root()
+    raise BoundExceeded("sign determination did not converge")
+
+
+def _normalized(field: RealAlgebraicField, num: tuple, den: int) -> "FieldElement":
+    """The element num/den for a positive den, in canonical form."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    return FieldElement(field, num, den)
+
+
 class FieldElement:
-    """An element of a RealAlgebraicField, exact and totally ordered."""
+    """An element of a RealAlgebraicField, exact and totally ordered.
 
-    __slots__ = ("field", "coords")
+    The value is sum(num[i] * a^i) / den with integer numerators and a
+    positive integer denominator of gcd 1 with them; `field.element`
+    builds one from rational coordinates.
+    """
 
-    def __init__(self, field: RealAlgebraicField, coords):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: RealAlgebraicField, num: tuple, den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The rational coordinates over the power basis."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- coercion -----------------------------------------------------------
 
@@ -462,7 +528,7 @@ class FieldElement:
             if other.field is self.field:
                 return other
             if self.field.compatible(other.field):
-                return FieldElement(self.field, other.coords)
+                return FieldElement(self.field, other.num, other.den)
             raise FieldMismatch("operands belong to different fields")
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
@@ -474,9 +540,9 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, o.coords))
-        )
+        dx, dy = self.den, o.den
+        num = tuple(x * dy + y * dx for x, y in zip(self.num, o.num))
+        return _normalized(self.field, num, dx * dy)
 
     __radd__ = __add__
 
@@ -484,9 +550,9 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, o.coords))
-        )
+        dx, dy = self.den, o.den
+        num = tuple(x * dy - y * dx for x, y in zip(self.num, o.num))
+        return _normalized(self.field, num, dx * dy)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -495,7 +561,7 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -503,37 +569,39 @@ class FieldElement:
             return NotImplemented
         f = self.field
         d = f.degree
-        if d == 1:
-            return FieldElement(f, (self.coords[0] * o.coords[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(self.coords):
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(self.num):
             if x:
-                for j, y in enumerate(o.coords):
-                    conv[i + j] += x * y
-        out = conv[:d]
-        for c, power in zip(conv[d:], f._powers):
-            if c:
-                out = [x + c * t for x, t in zip(out, power)]
-        return FieldElement(f, tuple(out))
+                for j, y in enumerate(o.num, i):
+                    conv[j] += x * y
+        out, high = conv[:d], conv[d:]
+        den = self.den * o.den
+        if any(high):
+            if f._power_den != 1:
+                out = [f._power_den * x for x in out]
+                den *= f._power_den
+            for c, power in zip(high, f._powers):
+                if c:
+                    out = [x + c * t for x, t in zip(out, power)]
+        return _normalized(f, tuple(out), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        d = self.field.degree
-        if d == 1:
-            if self.coords[0] == 0:
-                raise DivisionByZero("division by zero")
-            return FieldElement(self.field, (1 / self.coords[0],))
         if self.is_zero():
             raise DivisionByZero("division by zero")
-        one = (1,) + (0,) * (d - 1)
+        f = self.field
+        if f.degree == 1:
+            x = self.num[0]
+            return FieldElement(f, (self.den if x > 0 else -self.den,), abs(x))
+        one = (1,) + (0,) * (f.degree - 1)
         solution = _eliminate(_multiplication_columns(self), one)[2]
         if solution is None:
             raise DivisionByZero(
                 "zero divisor: the element shares a factor with the "
                 "defining polynomial"
             )
-        return FieldElement(self.field, solution)
+        return f.element(solution)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -565,68 +633,47 @@ class FieldElement:
     # -- decisions ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return self.field.degree == 1 or all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is irrational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def sign(self) -> int:
-        f = self.field
-        if f._quadratic is not None:
-            return _quadratic_sign(f._quadratic, *self.coords)
-        poly = _trim(self.coords)
-        if not poly:
-            return 0
-        if len(poly) == 1:
-            return _sign_fraction(poly[0])
-        zero_checked = False
-        for _ in range(_MAX_REFINEMENTS):
-            if f._exact_root is not None:
-                return _sign_fraction(_peval(poly, f._exact_root))
-            v_lo, v_hi = _interval_eval(poly, f._lo, f._hi)
-            if v_lo > 0:
-                return 1
-            if v_hi < 0:
-                return -1
-            if not zero_checked:
-                # The bound straddles zero.  A symbolic zero at the chosen
-                # root is possible only when the defining polynomial is
-                # reducible and the element hits a factor of it.
-                zero_checked = True
-                g = _pgcd(poly, f.minpoly.fractions())
-                if len(g) > 1 and _count_roots_open(_sturm_chain(g), f._lo, f._hi) >= 1:
-                    return 0
-            f.refine_root()
-        raise BoundExceeded("sign determination did not converge")
+        return _numerator_sign(self.field, self.num)
 
     # -- order and equality -------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+            q = Fraction(other)
+            return (
+                self.den == q.denominator
+                and self.num[0] == q.numerator
+                and self.is_rational
+            )
         if not isinstance(other, FieldElement):
             return NotImplemented
         if other.field is not self.field and not self.field.compatible(other.field):
             return False
-        return _trim(self.coords) == _trim(other.coords)
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        key = _trim(self.coords)
-        if len(key) <= 1:
-            return hash(key)
-        return hash((key, self.field.minpoly.coefficients))
+        return hash((self.num, self.den))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare FieldElement with {type(other)}")
-        return (self - o).sign()
+        dx, dy = self.den, o.den  # the sign of the difference's numerator
+        return _numerator_sign(
+            self.field, tuple(x * dy - y * dx for x, y in zip(self.num, o.num))
+        )
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -647,7 +694,7 @@ class FieldElement:
 
     def __str__(self):
         if self.is_rational:
-            return str(self.coords[0] if self.coords else Fraction(0))
+            return str(self.as_fraction())
         terms = []
         for i, c in enumerate(self.coords):
             if c == 0:
@@ -672,25 +719,43 @@ class FieldElement:
 def approx(a: FieldElement, eps: Rational):
     """A rational interval of width < eps containing the element's value.
 
-    The interval is computed from the field's construction-time isolating
-    interval, so the result depends only on the inputs, never on how much
-    refinement earlier comparisons happened to trigger.
+    In degree two the interval comes from the closed form of the root and
+    an integer square root; in higher degrees from bisecting the field's
+    construction-time isolating interval.  Either way the result depends
+    only on the inputs, never on how much refinement earlier comparisons
+    happened to trigger.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if a.is_rational:
-        v = a.coords[0] if a.coords else Fraction(0)
+        v = a.as_fraction()
         return v, v
     f = a.field
+    if f._quadratic is not None:
+        return _quadratic_approx(f._quadratic, *a.num, a.den, eps)
+    poly = _trim(a.num)  # the value is poly(a) / den
     if f._exact_root is not None:
-        v = _peval(_trim(a.coords), f._exact_root)
+        v = _peval(poly, f._exact_root) / a.den
         return v, v
-    poly = _trim(a.coords)
     lo, hi = f.initial_interval()
     for _ in range(_MAX_REFINEMENTS):
         v_lo, v_hi = _interval_eval(poly, lo, hi)
-        if v_hi - v_lo < eps:
-            return v_lo, v_hi
+        if v_hi - v_lo < eps * a.den:
+            return v_lo / a.den, v_hi / a.den
         lo, hi = f._bisect(lo, hi)  # a root hit gives lo == hi, width 0
     raise BoundExceeded("approximation did not converge")
+
+
+def _quadratic_approx(quadratic, x: int, y: int, den: int, eps: Fraction):
+    """approx for (x + y*a) / den, y != 0, and the root
+    a = (-c1 + e*sqrt(D)) / (2*c2): the value is (u + v*sqrt(D)) / w."""
+    c1, c2, e, disc = quadratic
+    u, v, w = 2 * c2 * x - c1 * y, e * y, 2 * c2 * den
+    # sqrt(D) lies in [s, s + 1] / 2^k for s = isqrt(D * 4^k), which gives
+    # the value to within |v| / (w * 2^k) < eps
+    k = (abs(v) * eps.denominator // (w * eps.numerator)).bit_length()
+    s = isqrt(disc << 2 * k)
+    high = s if s * s == disc << 2 * k else s + 1  # a square D is exact
+    ends = [Fraction((u << k) + v * r, w << k) for r in (s, high)]
+    return min(ends), max(ends)

@@ -472,6 +472,19 @@ def test_fundamental_unit_exact_cases():
     assert _fundamental_unit(BreakpointModule(f5, [phi, f5.one()])) == phi
     cubic = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
     assert _fundamental_unit(BreakpointModule(cubic, [1, cubic.generator()])) is None
+    # Z[c2*t] has D = 12*3969^2, whose period passes the step budget: the
+    # unit is the least power of 2 + sqrt 3 (a = -sqrt 3) in that order
+    f3 = RealAlgebraicField([-3, 0, 1], (-2, Fraction(-3, 2)))
+    a = f3.generator()
+    basis = [Fraction(1, 3) + Fraction(21, 4) * a, Fraction(21, 4)]
+    module = BreakpointModule(f3, basis)
+    u = _fundamental_unit(module)
+    assert u is not None and u > 1
+    assert module.norm(u) in (1, -1)
+    assert module.scaled(u).same_module(module)
+    assert u == (2 - a) ** 2268
+    for r in (2, 3, 7):  # the prime factors of 2268: no smaller power stabilizes
+        assert not module.scaled((2 - a) ** (2268 // r)).same_module(module)
 
 
 def test_fundamental_unit_of_a_localized_module():

@@ -1,0 +1,36 @@
+"""The package promises exact arithmetic: no floating point in its source."""
+
+import ast
+from pathlib import Path
+
+import steinv
+
+SOURCES = sorted(Path(steinv.__file__).parent.glob("*.py"))
+
+
+def float_uses(tree):
+    """(line, what) for every float literal and every call of float()."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, f"float literal {node.value!r}"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            yield node.lineno, "call of float()"
+
+
+def test_sources_use_no_floating_point():
+    assert SOURCES
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in float_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_literals_and_calls_but_not_type_checks():
+    code = "x = 0.5\ny = float(x)\nz = isinstance(x, float)\nw = 1e3\n"
+    assert sorted(line for line, _ in float_uses(ast.parse(code))) == [1, 2, 4]

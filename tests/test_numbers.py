@@ -1,5 +1,6 @@
 """Exact arithmetic in real algebraic number fields."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -286,6 +287,36 @@ def test_quadratic_sign_large_coefficients_match_approx(field):
         assert y.sign() == bracket_sign(y)
 
 
+@pytest.mark.parametrize(
+    "coeffs, interval",
+    [
+        ([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3))),
+        ([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2))),
+        ([-1, -1, 1], (-1, 0)),  # the lower root of x^2 - x - 1
+        ([3, 9, 5], (Fraction(-7, 5), Fraction(-13, 10))),
+    ],
+)
+def test_quadratic_approx_is_closed_form(coeffs, interval, monkeypatch):
+    field = RealAlgebraicField(coeffs, interval)
+
+    def no_root_counts(*args):
+        raise AssertionError("approx bisected in a quadratic field")
+
+    monkeypatch.setattr(numbers, "_count_roots_open", no_root_counts)
+    rng = random.Random(113)
+    for k in (0, 20, 200, 2000):
+        eps = Fraction(1, 2**k)
+        for _ in range(30):
+            x = field.element(
+                [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12))
+                 for _ in range(2)]
+            )
+            lo, hi = approx(x, eps)
+            assert 0 < hi - lo < eps
+            assert lo < x < hi
+    assert field.root_interval() == field.initial_interval()
+
+
 def test_quadratic_sign_on_the_lower_root():
     # the root of x^2 - x - 1 in (-1, 0) is (1 - sqrt 5)/2 = -0.6180...
     psi = RealAlgebraicField([-1, -1, 1], (-1, 0)).generator()
@@ -376,12 +407,12 @@ _coords = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
-def fields_and_pairs(draw):
-    """Coefficients (constant first) of a degree 2..4 polynomial with a
-    positive real root, since its value at 0 is negative and its leading
-    coefficient positive, two coordinate vectors, and whether to make the
-    first a zero divisor when the polynomial is reducible."""
-    d = draw(st.integers(2, 4))
+def fields_and_pairs(draw, min_degree=2):
+    """Coefficients (constant first) of a degree min_degree..4 polynomial
+    with a positive real root, since its value at 0 is negative and its
+    leading coefficient positive, two coordinate vectors, and whether to
+    make the first a zero divisor when the polynomial is reducible."""
+    d = draw(st.integers(min_degree, 4))
     coeffs = (
         [draw(st.integers(-6, -1))]
         + draw(st.lists(st.integers(-6, 6), min_size=d - 1, max_size=d - 1))
@@ -432,3 +463,57 @@ def test_products_inverses_and_norms_match_sympy(sympy, case):
     matrix = sympy.Matrix(d, d, lambda i, j: columns[j][i])
     power_basis = BreakpointModule(field, [field.element([0] * j + [1]) for j in range(d)])
     assert power_basis.norm(x) == matrix.det()
+
+
+# -- the stored form: integer numerators over one positive denominator -------
+
+
+def positive_root_interval(coeffs):
+    """An interval isolating a positive root of the polynomial, found by
+    bisecting the Cauchy interval with the field constructor itself; None
+    when the polynomial is not squarefree or every split point hits a root."""
+    bound = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), coeffs[-1])
+    stack = [(Fraction(0), bound)]
+    while stack:
+        lo, hi = stack.pop()
+        try:
+            RealAlgebraicField(coeffs, (lo, hi))
+            return lo, hi
+        except NotSquarefree:
+            return None
+        except MultipleRootsInInterval:
+            stack += [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+        except NoRootInInterval:
+            pass
+    return None
+
+
+def assert_canonical(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields_and_pairs(min_degree=1))
+def test_elements_are_stored_canonical_over_one_denominator(case):
+    coeffs, xs, ys, _ = case
+    interval = positive_root_interval(coeffs)
+    assume(interval is not None)
+    field = RealAlgebraicField(coeffs, interval)
+    x, y = field.element(xs), field.element(ys)
+    for z in (x, y, x + y, x - y, -x, x * y, x * 3, x - Fraction(1, 6)):
+        assert_canonical(z)
+    assert (x + y).coords == tuple(a + b for a, b in zip(xs, ys))
+    assert (x - y).coords == tuple(a - b for a, b in zip(xs, ys))
+    assert (-x).coords == tuple(-a for a in xs)
+    assert x.coords == tuple(xs)
+    assert (x - x).num == (0,) * field.degree and (x - x).den == 1
+    rebuilt = field.element(x.coords)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    # a second handle on the same field: equal elements, equal hashes
+    twin = RealAlgebraicField(coeffs, interval)
+    copy = twin.element(xs)
+    assert twin is not field and x == copy and hash(x) == hash(copy)
+    assert (x + copy).field is field and x + copy == 2 * x
