@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BoundExceeded,
@@ -44,7 +43,7 @@ from .modules import (
     scale_equivalence,
     thompson_base,
 )
-from .numbers import FieldElement, _eliminate, _multiplication_columns
+from .numbers import FieldElement, _eliminate
 
 # Partial quotients allowed in one period: no D below 2*10^5 needs more
 # than 951, and longer periods (documents of a few dozen bytes) take seconds.
@@ -61,8 +60,7 @@ _UNIT_POWERS = 10_000
 _ORBIT_STATES = 500
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Three-valued answer with evidence.
 
     Isomorphic carries a witness dict (always the scalar under "s" when
@@ -167,8 +165,8 @@ def _fundamental_unit(module: BreakpointModule) -> Optional[FieldElement]:
     if module.field.degree != 2 or module.rank() != 2:
         return None
     t = module.basis[1] / module.basis[0]
-    columns = _multiplication_columns(t)
-    trace, norm = columns[0][0] + columns[1][1], _eliminate(columns)[1]
+    norm = t.norm()
+    trace = (t + 1).norm() - norm - 1  # N(t + 1) = N(t) + Tr(t) + 1
     c2 = math.lcm(trace.denominator, norm.denominator)  # c1 = -c2*trace, c0 = c2*norm
     disc = int(c2 * c2 * (trace * trace - 4 * norm))
     root = c2 * (2 * t - trace)  # +-sqrt D
@@ -279,8 +277,7 @@ def _endpoint_orbit(
 # order-preserving embeddings of slope groups
 
 
-@dataclass(frozen=True)
-class EmbeddingAnswer:
+class EmbeddingAnswer(NamedTuple):
     answer: str  # "Yes" | "No"
     scale: Optional[Fraction] = None
     obstruction: Optional[str] = None

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import Verdict
 from .elements import FixedPointReport, PLMap, from_prefix_pairs, make_plmap
@@ -27,8 +26,7 @@ _LAMBDA_KEYS = {"generators"}
 _ELEMENT_KEYS = {"pieces", "pairs"}
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(NamedTuple):
     triple: SteinTriple
     elements: dict
 

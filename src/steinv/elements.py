@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .errors import (
     BoundExceeded,
@@ -46,16 +45,15 @@ MINUS = "-"
 _MAX_CYLINDER_DEPTH = 512
 
 
-@dataclass(frozen=True)
-class CutPoint:
+class CutPoint(NamedTuple("CutPoint", [("value", FieldElement), ("side", str)])):
     """A module point together with the side from which it is approached."""
 
-    value: FieldElement
-    side: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in (PLUS, MINUS):
-            raise OutOfDomain(f"side must be '+' or '-', not {self.side!r}")
+    def __new__(cls, value: FieldElement, side: str):
+        if side not in (PLUS, MINUS):
+            raise OutOfDomain(f"side must be '+' or '-', not {side!r}")
+        return super().__new__(cls, value, side)
 
     def _key_cmp(self, other: "CutPoint") -> int:
         c = (self.value - other.value).sign()
@@ -102,8 +100,7 @@ def cut_point(triple: SteinTriple, value, side: str) -> CutPoint:
     return point
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     start: FieldElement
     slope: FieldElement
     offset: FieldElement
@@ -112,15 +109,13 @@ class Piece:
         return self.slope * t + self.offset
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     point: CutPoint
     slope: FieldElement
     attracting: bool
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """Fixed cut points plus, separately, fixed real values that are not
     module points and therefore not cut points of the model."""
 

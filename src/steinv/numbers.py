@@ -18,10 +18,14 @@ A product convolves the two numerator vectors and folds the terms of
 degree d to 2d-2 back in with the coordinates of a^d, ..., a^(2d-2),
 which the field computes once as integers over one denominator, so no
 polynomial division and no Fraction runs per product.  Multiplication by
-x is the d x d rational matrix whose columns are x*a^j (j < d).  The
-inverse of x solves that matrix against 1 and the field norm is its
-determinant (Cohen, GTM 138, 4.2); both go through `_eliminate`, the
-package's only rational elimination.
+x is the d x d rational matrix whose columns are x*a^j (j < d); the field
+norm is its determinant and the inverse of x solves it against 1 (Cohen,
+GTM 138, 4.2).  In degree two both come from the norm form in integers:
+(x + y*a)^-1 = (c2*x - c1*y - c2*y*a) / (c2*x^2 - c1*x*y + c0*y^2) for the
+root a of c2*t^2 + c1*t + c0.  Degree three and up go through
+`_eliminate`, the package's only rational elimination, which also reduces
+a module basis B, once, to the transform E with E*B = [I_r; 0] that gives
+its coordinates.
 
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
@@ -176,7 +180,8 @@ def _eliminate(columns, target=None):
     Returns (rank, det, solution): the rank of the columns, their
     determinant (for a square matrix), and the unique rational x with
     sum x_j * columns[j] = target, or None when there is no such x or
-    it is not unique.
+    it is not unique.  Without a target the third value is the reduced
+    row echelon form, as a list of rows.
     """
     n = len(columns)
     augmented = list(columns) + ([target] if target is not None else [])
@@ -193,14 +198,16 @@ def _eliminate(columns, target=None):
             det = -det
         p = rows[r][c]
         det *= p
-        rows[r] = [x / p for x in rows[r]]
+        rows[r] = [x / p if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         r += 1
+    if target is None:
+        return r, det, rows
     solution = None
-    if target is not None and r == n and not any(row[n] for row in rows[r:]):
+    if r == n and not any(row[n] for row in rows[r:]):
         solution = tuple(row[n] for row in rows[:n])
     return r, det, solution
 
@@ -491,6 +498,13 @@ def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
     raise BoundExceeded("sign determination did not converge")
 
 
+def _norm_form(field: RealAlgebraicField, x: int, y: int) -> int:
+    """c2*x^2 - c1*x*y + c0*y^2, which is c2 times the norm of x + y*a in a
+    quadratic field with defining polynomial c2*t^2 + c1*t + c0."""
+    c0, c1, c2 = field.minpoly.coefficients
+    return c2 * x * x - c1 * x * y + c0 * y * y
+
+
 def _normalized(field: RealAlgebraicField, num: tuple, den: int) -> "FieldElement":
     """The element num/den for a positive den, in canonical form."""
     g = gcd(den, *num)
@@ -594,14 +608,30 @@ class FieldElement:
         if f.degree == 1:
             x = self.num[0]
             return FieldElement(f, (self.den if x > 0 else -self.den,), abs(x))
-        one = (1,) + (0,) * (f.degree - 1)
-        solution = _eliminate(_multiplication_columns(self), one)[2]
-        if solution is None:
-            raise DivisionByZero(
-                "zero divisor: the element shares a factor with the "
-                "defining polynomial"
-            )
-        return f.element(solution)
+        if f.degree == 2:
+            # den / (x + y*a) = den*c2*(x + y*a') / n, a' = -c1/c2 - a the conjugate
+            (x, y), (_, c1, c2) = self.num, f.minpoly.coefficients
+            n = _norm_form(f, x, y)
+            if n:
+                s = self.den if n > 0 else -self.den
+                return _normalized(f, (s * (c2 * x - c1 * y), -s * c2 * y), abs(n))
+        else:
+            one = (1,) + (0,) * (f.degree - 1)
+            solution = _eliminate(_multiplication_columns(self), one)[2]
+            if solution is not None:
+                return f.element(solution)
+        raise DivisionByZero(
+            "zero divisor: the element shares a factor with the defining polynomial"
+        )
+
+    def norm(self) -> Fraction:
+        """The field norm: the determinant of multiplication by the element."""
+        f = self.field
+        if f.degree == 1:
+            return Fraction(self.num[0], self.den)
+        if f.degree == 2:
+            return Fraction(_norm_form(f, *self.num), f.minpoly.coefficients[2] * self.den**2)
+        return _eliminate(_multiplication_columns(self))[1]
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -77,6 +77,8 @@ def test_cut_point_validation():
         cut_point(DYADIC, 2, "-")
     cut_point(DYADIC, 1, "-")
     cut_point(DYADIC, 0, "+")
+    with pytest.raises(OutOfDomain, match="side"):
+        cut_point(DYADIC, Fraction(1, 2), "*")
 
 
 # -- construction and validation -------------------------------------------

@@ -1,6 +1,9 @@
 """The package promises exact arithmetic: no floating point in its source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import steinv
@@ -34,3 +37,18 @@ def test_sources_use_no_floating_point():
 def test_the_guard_sees_literals_and_calls_but_not_type_checks():
     code = "x = 0.5\ny = float(x)\nz = isinstance(x, float)\nw = 1e3\n"
     assert sorted(line for line, _ in float_uses(ast.parse(code))) == [1, 2, 4]
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # both cost import time and resident memory on every CLI run
+    code = (
+        "import sys, steinv, steinv.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = str(Path(steinv.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

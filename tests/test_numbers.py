@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from steinv import numbers
+from steinv import modules, numbers
 from steinv import (
     BoundExceeded,
     BreakpointModule,
@@ -214,6 +214,60 @@ def test_zero_divisors_of_a_reducible_field_have_no_inverse():
     with pytest.raises(DivisionByZero, match="zero divisor"):
         (a - 1).inverse()
     assert (a + 1).inverse() * (a + 1) == 1
+
+
+def test_zero_divisors_of_a_reducible_quadratic_have_no_inverse():
+    field = RealAlgebraicField([-1, 0, 1], (0, 2))  # x^2 - 1 at the root 1
+    a = field.generator()
+    for y in (a - 1, a + 1):
+        assert y.norm() == 0
+        with pytest.raises(DivisionByZero, match="zero divisor"):
+            y.inverse()
+    assert (a + 2).inverse() == (2 - a) / 3
+    assert (a + 2) * (a + 2).inverse() == 1
+
+
+# 2x^2 + x - 5: a non-monic quadratic
+NON_MONIC = RealAlgebraicField([-5, 1, 2], (1, 2))
+
+
+def test_quadratic_inverse_norm_and_module_coordinates_never_eliminate(monkeypatch):
+    built = [
+        (BreakpointModule(GOLDEN, [1, GOLDEN.generator()]), (3, -2)),
+        (BreakpointModule(SQRT2M1, [SQRT2M1.generator()], [2]), (Fraction(1, 4), 0)),
+        (BreakpointModule(NON_MONIC, [Fraction(1, 3), NON_MONIC.generator()]), (3, 5)),
+        (BreakpointModule(CUBE_ROOT2, [1, CUBE_ROOT2.generator()]), (1, -3)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a fast path ran the rational elimination")
+
+    monkeypatch.setattr(numbers, "_eliminate", refuse)
+    monkeypatch.setattr(modules, "_eliminate", refuse)
+    for field in (GOLDEN, SQRT2M1, NON_MONIC):
+        a = field.generator()
+        c0, _, c2 = field.minpoly.coefficients
+        assert a.norm() == Fraction(c0, c2)
+        assert field.from_rational(Fraction(-2, 3)).norm() == Fraction(4, 9)
+        xs = [a, a - 3, Fraction(2, 3) * a + Fraction(1, 5), 7 - Fraction(5, 2) * a]
+        for x in xs:
+            y = x.inverse()
+            assert x * y == 1 and 1 / x == y
+            assert (a / x) * x == a
+            assert x.norm() * y.norm() == 1
+            for z in xs:
+                assert (x * z).norm() == x.norm() * z.norm()
+    for module, (u, v) in built:
+        b = module.basis
+        point = u * b[0] + v * b[-1] if len(b) > 1 else u * b[0]
+        expected = (u, v) if len(b) > 1 else (u,)
+        assert module.coordinates(point) == expected
+        assert module.contains(point)
+    assert not built[0][0].contains(GOLDEN.generator() / 3)
+    # outside the rational span of a module of lower rank than the degree
+    assert built[1][0].coordinates(1) is None
+    assert built[3][0].coordinates(CUBE_ROOT2.generator() ** 2) is None
+    assert not built[3][0].contains(CUBE_ROOT2.generator() ** 2)
 
 
 @pytest.mark.parametrize("field", [GOLDEN, SQRT2M1])
@@ -461,8 +515,7 @@ def test_products_inverses_and_norms_match_sympy(sympy, case):
         assert x.inverse().coords == coords(inverse)
     columns = [coords(poly(xs) * sympy.Poly(t**j, t, domain="QQ")) for j in range(d)]
     matrix = sympy.Matrix(d, d, lambda i, j: columns[j][i])
-    power_basis = BreakpointModule(field, [field.element([0] * j + [1]) for j in range(d)])
-    assert power_basis.norm(x) == matrix.det()
+    assert x.norm() == matrix.det()
 
 
 # -- the stored form: integer numerators over one positive denominator -------
@@ -486,6 +539,27 @@ def positive_root_interval(coeffs):
         except NoRootInInterval:
             pass
     return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields_and_pairs(min_degree=1), st.data())
+def test_module_coordinates_match_the_elimination(case, data):
+    coeffs, xs, ys, inside = case
+    interval = positive_root_interval(coeffs)
+    assume(interval is not None)
+    field = RealAlgebraicField(coeffs, interval)
+    d = field.degree
+    rank = data.draw(st.integers(1, d))
+    vector = st.lists(_coords, min_size=d, max_size=d)
+    more = data.draw(st.lists(vector, min_size=rank - 1, max_size=rank - 1))
+    columns = [tuple(xs)] + [tuple(v) for v in more]
+    assume(numbers._eliminate(columns)[0] == rank)
+    module = BreakpointModule(field, [field.element(c) for c in columns], [2])
+    t = field.element(ys)
+    if inside:  # a point of the rational span
+        weights = data.draw(st.lists(_coords, min_size=rank, max_size=rank))
+        t = sum((w * b for w, b in zip(weights, module.basis)), field.zero())
+    assert module.coordinates(t) == numbers._eliminate(columns, t.coords)[2]
 
 
 def assert_canonical(x):
