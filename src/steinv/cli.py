@@ -12,6 +12,9 @@ Commands:
 Exit codes: 0 success, 1 Unknown verdict, 2 invalid input, 64 usage error.
 Output is deterministic; --json switches to a machine-readable form that
 round-trips through the document parser where applicable.
+
+Each command is declared once in `build_parser`, which runs once, at
+import, to make `PARSER`; `main` only parses its argv and dispatches.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .coding import beta_expand, embed_v2_element, n_adic_expand
 from .document import (
     dump_json,
     fixed_points_to_json,
+    parse_rational,
     parse_spec,
     triple_to_json,
     value_to_json,
@@ -34,109 +38,6 @@ from .elements import CutPoint, PLMap, random_word, to_prefix_pairs
 from .errors import ParseError, SteinError, UsageError
 from .modules import DEFAULT_SEARCH_BOUND, SteinTriple, golden_field
 from .numbers import rational_field
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-def _add_json(p) -> None:
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-
-def _add_bound(p) -> None:
-    p.add_argument(
-        "--search-bound",
-        type=int,
-        default=DEFAULT_SEARCH_BOUND,
-        metavar="N",
-        help=f"radius of the module scale search (default {DEFAULT_SEARCH_BOUND})",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="steinv", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("classify", help="isomorphism verdict for two documents")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-    _add_bound(p)
-    _add_json(p)
-    p.set_defaults(handler=_cmd_classify, groupoid=False)
-
-    p = sub.add_parser(
-        "classify-groupoid", help="verdict ignoring the interval endpoints"
-    )
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-    _add_bound(p)
-    _add_json(p)
-    p.set_defaults(handler=_cmd_classify, groupoid=True)
-
-    p = sub.add_parser("coinvariants", help="invariant factors of the slope action")
-    p.add_argument("spec")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_coinvariants)
-
-    p = sub.add_parser("obstruct", help="rank-one obstruction battery")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_obstruct)
-
-    p = sub.add_parser("element", help="operate on named elements of a document")
-    ops = p.add_subparsers(dest="operation", required=True, metavar="OP")
-
-    q = ops.add_parser("compose", help="compose two named elements (first after second)")
-    q.add_argument("spec")
-    q.add_argument("name_f")
-    q.add_argument("name_g")
-    _add_json(q)
-    q.set_defaults(handler=_cmd_compose)
-
-    q = ops.add_parser("invert", help="invert a named element")
-    q.add_argument("spec")
-    q.add_argument("name")
-    _add_json(q)
-    q.set_defaults(handler=_cmd_invert)
-
-    q = ops.add_parser("fixed-points", help="fixed cut points with slopes")
-    q.add_argument("spec")
-    q.add_argument("name")
-    _add_json(q)
-    q.set_defaults(handler=_cmd_fixed_points)
-
-    q = ops.add_parser("to-pairs", help="prefix exchange form of an element")
-    q.add_argument("spec")
-    q.add_argument("name")
-    _add_json(q)
-    q.set_defaults(handler=_cmd_to_pairs)
-
-    q = ops.add_parser("random", help="seeded random product of library generators")
-    q.add_argument("spec")
-    q.add_argument("length", type=int)
-    q.add_argument("--seed", type=int, default=0, metavar="N")
-    _add_json(q)
-    q.set_defaults(handler=_cmd_random)
-
-    p = sub.add_parser("expand", help="digit stream of a cut point")
-    p.add_argument("base", help='2..10 or "beta"')
-    p.add_argument("value", help='rational "p/q", or coordinates "a,b" for beta')
-    p.add_argument("side", choices=["+", "-", "plus", "minus"])
-    _add_json(p)
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser(
-        "embed-v2", help="image of a dyadic element in the golden-base group"
-    )
-    p.add_argument("spec")
-    p.add_argument("name")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_embed)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +67,19 @@ def _get_element(doc, name: str) -> PLMap:
     return doc.elements[name]
 
 
-def _element_result(args, f: PLMap) -> None:
-    _emit(args, _describe_plmap(f), triple_to_json(f.triple, {"result": f}))
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
 
-def _cmd_classify(args) -> int:
-    a = parse_spec(args.spec_a).triple
-    b = parse_spec(args.spec_b).triple
-    if args.groupoid:
-        a = SteinTriple(a.module, a.slopes, None)
-        b = SteinTriple(b.module, b.slopes, None)
-    verdict = classify_pair(a, b, args.search_bound)
+def _cmd_verdict(args) -> int:
+    """classify, classify-groupoid and obstruct: exit 1 on Unknown."""
+    a, b = (parse_spec(spec).triple for spec in (args.spec_a, args.spec_b))
+    if args.command == "obstruct":
+        verdict = rank_one_report(a, b)
+    else:
+        if args.command == "classify-groupoid":
+            a, b = (SteinTriple(t.module, t.slopes, None) for t in (a, b))
+        verdict = classify_pair(a, b, args.search_bound)
     _emit(args, verdict.describe(), verdict_to_json(verdict))
     return 1 if verdict.is_unknown else 0
 
@@ -197,31 +96,16 @@ def _cmd_coinvariants(args) -> int:
     return 0
 
 
-def _cmd_obstruct(args) -> int:
-    a = parse_spec(args.spec_a).triple
-    b = parse_spec(args.spec_b).triple
-    verdict = rank_one_report(a, b)
-    _emit(args, verdict.describe(), verdict_to_json(verdict))
-    return 1 if verdict.is_unknown else 0
-
-
-def _cmd_compose(args) -> int:
+def _cmd_element(args) -> int:
+    """compose, invert, random and embed-v2: print the element `args.make` builds."""
     doc = parse_spec(args.spec)
-    f = _get_element(doc, args.name_f)
-    g = _get_element(doc, args.name_g)
-    _element_result(args, f.compose(g))
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    doc = parse_spec(args.spec)
-    _element_result(args, _get_element(doc, args.name).inverse())
+    f = args.make(doc, args)
+    _emit(args, _describe_plmap(f), triple_to_json(f.triple, {"result": f}))
     return 0
 
 
 def _cmd_fixed_points(args) -> int:
-    doc = parse_spec(args.spec)
-    report = _get_element(doc, args.name).fixed_point_report()
+    report = _get_element(parse_spec(args.spec), args.name).fixed_point_report()
     lines = []
     for fp in report.points:
         if fp.attracting:
@@ -239,61 +123,113 @@ def _cmd_fixed_points(args) -> int:
 
 
 def _cmd_to_pairs(args) -> int:
-    doc = parse_spec(args.spec)
-    pairs = to_prefix_pairs(_get_element(doc, args.name))
+    pairs = to_prefix_pairs(_get_element(parse_spec(args.spec), args.name))
     human = "\n".join(f"{u or '(empty)'} -> {v or '(empty)'}" for u, v in pairs)
     _emit(args, human, {"pairs": [[u, v] for u, v in pairs]})
     return 0
 
 
-def _cmd_random(args) -> int:
-    doc = parse_spec(args.spec)
-    _element_result(args, random_word(doc.triple, args.length, args.seed))
-    return 0
-
-
-def _parse_side(side: str) -> str:
-    return {"plus": "+", "minus": "-"}.get(side, side)
+def _rational_argument(text: str) -> Fraction:
+    """A rational in the document grammar; a usage error otherwise."""
+    try:
+        return parse_rational(text, "value")
+    except ParseError:
+        raise UsageError(f"{text!r} is not a rational") from None
 
 
 def _cmd_expand(args) -> int:
-    side = _parse_side(args.side)
+    side = {"plus": "+", "minus": "-"}.get(args.side, args.side)
     if args.base == "beta":
-        field = golden_field()
-        try:
-            coords = [Fraction(part) for part in args.value.split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"{args.value!r} is not a value") from None
-        value = field.element(coords)
+        coords = [_rational_argument(part) for part in args.value.split(",")]
+        value = golden_field().element(coords)
         word = beta_expand(value, side)
         shown = value_to_json(value)
     else:
         try:
             n = int(args.base)
         except ValueError:
-            raise UsageError(f'base must be an integer or "beta"') from None
-        try:
-            value = Fraction(args.value)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"{args.value!r} is not a rational") from None
-        cut = CutPoint(rational_field().from_rational(value), side)
-        word = n_adic_expand(cut, n)
+            raise UsageError('base must be an integer or "beta"') from None
+        value = _rational_argument(args.value)
+        word = n_adic_expand(CutPoint(rational_field().from_rational(value), side), n)
         shown = str(value)
     obj = {"base": args.base, "value": shown, "side": side, "word": str(word)}
     _emit(args, str(word), obj)
     return 0
 
 
-def _cmd_embed(args) -> int:
-    doc = parse_spec(args.spec)
-    image = embed_v2_element(_get_element(doc, args.name))
-    _element_result(args, image)
-    return 0
+# ---------------------------------------------------------------------------
+# the parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    bound = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    bound.add_argument(
+        "--search-bound",
+        type=int,
+        default=DEFAULT_SEARCH_BOUND,
+        metavar="N",
+        help=f"radius of the module scale search (default {DEFAULT_SEARCH_BOUND})",
+    )
+
+    def command(group, name, help, handler, *positionals, parent=json_flag, **defaults):
+        p = group.add_parser(name, help=help, parents=[parent])
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(handler=handler, **defaults)
+        return p
+
+    parser = _Parser(prog="steinv", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    command(sub, "classify", "isomorphism verdict for two documents",
+            _cmd_verdict, "spec_a", "spec_b", parent=bound)
+    command(sub, "classify-groupoid", "verdict ignoring the interval endpoints",
+            _cmd_verdict, "spec_a", "spec_b", parent=bound)
+    command(sub, "coinvariants", "invariant factors of the slope action",
+            _cmd_coinvariants, "spec")
+    command(sub, "obstruct", "rank-one obstruction battery",
+            _cmd_verdict, "spec_a", "spec_b")
+
+    ops = sub.add_parser("element", help="operate on named elements of a document")
+    ops = ops.add_subparsers(dest="operation", required=True, metavar="OP")
+    command(ops, "compose", "compose two named elements (first after second)",
+            _cmd_element, "spec", "name_f", "name_g",
+            make=lambda doc, a: _get_element(doc, a.name_f).compose(
+                _get_element(doc, a.name_g)))
+    command(ops, "invert", "invert a named element", _cmd_element, "spec", "name",
+            make=lambda doc, a: _get_element(doc, a.name).inverse())
+    command(ops, "fixed-points", "fixed cut points with slopes",
+            _cmd_fixed_points, "spec", "name")
+    command(ops, "to-pairs", "prefix exchange form of an element",
+            _cmd_to_pairs, "spec", "name")
+    p = command(ops, "random", "seeded random product of library generators",
+                _cmd_element, "spec",
+                make=lambda doc, a: random_word(doc.triple, a.length, a.seed))
+    p.add_argument("length", type=int)
+    p.add_argument("--seed", type=int, default=0, metavar="N")
+
+    p = command(sub, "expand", "digit stream of a cut point", _cmd_expand)
+    p.add_argument("base", help='2..10 or "beta"')
+    p.add_argument("value", help='rational "p/q", or coordinates "a,b" for beta')
+    p.add_argument("side", choices=["+", "-", "plus", "minus"])
+
+    command(sub, "embed-v2", "image of a dyadic element in the golden-base group",
+            _cmd_element, "spec", "name",
+            make=lambda doc, a: embed_v2_element(_get_element(doc, a.name)))
+    return parser
+
+
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except UsageError as e:

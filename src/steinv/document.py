@@ -1,15 +1,18 @@
 """JSON documents describing a triple and named elements.
 
 The surface format keeps everything exact: rationals are integers or
-"p/q" strings (floats are rejected), field elements are arrays of
-rationals in power-basis coordinates.  Parsing is strict: unknown keys
-raise ParseError so typos cannot silently change a computation.
+strings of an optional sign, digits and an optional "/digits" (floats,
+decimals, exponents, underscores and spaces are rejected), field
+elements are arrays of rationals in power-basis coordinates.  Parsing is
+strict: unknown keys raise ParseError so typos cannot silently change a
+computation.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -24,6 +27,8 @@ _FIELD_KEYS = {"minpoly", "root_interval"}
 _GAMMA_KEYS = {"basis", "inverted_primes"}
 _LAMBDA_KEYS = {"generators"}
 _ELEMENT_KEYS = {"pieces", "pairs"}
+# the only rational strings: no decimal, exponent, underscore or space
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class SpecDocument(NamedTuple):
@@ -55,10 +60,13 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError(f'{where}: floats are inexact, write "p/q" instead')
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: {value!r} is not a rational p/q") from None
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            try:
+                return Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+                pass
+        raise ParseError(f"{where}: {value!r} is not a rational p/q")
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -181,6 +189,8 @@ def parse_spec(source) -> SpecDocument:
             raise ParseError(
                 f"line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
+        except ValueError as e:  # an integer literal longer than int() converts
+            raise ParseError(f"not valid JSON: {e}") from None
     data = _require_dict(data, "document")
     _check_keys(data, _TOP_KEYS, "document")
     if "gamma" not in data or "lambda" not in data:

@@ -208,8 +208,6 @@ class SlopeGroup:
             value = self.generator.field.from_rational(
                 mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
             )
-        if self.kind != "algebraic":
-            return False
         g = self.generator
         if not g.field.compatible(value.field):
             return False

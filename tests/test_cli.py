@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -292,6 +293,25 @@ def test_expand_errors(docs, capsys):
     assert code == 64
     code, _, err = run(capsys, "expand", "12", "1/2", "+")
     assert code == 2  # base out of range
+
+
+def test_malformed_numbers_exit_without_traceback(capsys):
+    def doc(ell):
+        return json.dumps(dict(BASE5_DOC, ell=ell))
+
+    long_integer = '{"gamma": {"basis": [1' + "0" * 5000 + ']}, "lambda": {"generators": [5]}}'
+    cases = [
+        (2, ["element", "random", doc("1e5000"), "1", "--json"]),
+        (64, ["expand", "2", "1e3000000", "+"]),
+        (2, ["classify", doc("1e40000000"), doc("1")]),
+        (2, ["coinvariants", long_integer]),
+    ]
+    for expected, argv in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (expected, "")
+        assert "error:" in err and "Traceback" not in err
 
 
 # -- embedding --------------------------------------------------------------

@@ -6,13 +6,16 @@ tests/record_cli_golden.py).  A change that keeps the behaviour of the
 command line keeps every recorded output.
 """
 
+import argparse
 import json
 
 import pytest
 
 from record_cli_golden import COMMANDS, GOLDEN, run_case, write_documents
+from steinv.cli import main
 
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
+RECORDED = {tuple(case["argv"]): (case["exit"], case["stdout"]) for case in DATA["cases"]}
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +31,44 @@ def test_cli_output_matches_recording(case, paths):
 def test_every_command_is_recorded():
     # a command added to the recorder but never recorded fails here
     assert COMMANDS == [case["argv"] for case in DATA["cases"]]
+
+
+def test_main_builds_no_parser(paths, monkeypatch):
+    # the parser is built once, at import; a run only parses and dispatches
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argument parser was built after import")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv, recorded in RECORDED.items():
+        assert run_case(list(argv), paths) == recorded
+
+
+def test_no_state_carries_between_calls(paths):
+    groupoid = ("classify-groupoid", "@base5", "@base5_ell2", "--json")
+    classify = ("classify", "@base5", "@base5_ell2", "--json")
+    assert RECORDED[groupoid] != RECORDED[classify]
+    for argv in [groupoid, classify, groupoid]:
+        assert run_case(list(argv), paths) == RECORDED[argv]
+
+    seeded = ("element", "random", "@dyadic", "6", "--seed", "3", "--json")
+    assert run_case(list(seeded), paths) == RECORDED[seeded]
+    unseeded = run_case(list(seeded[:4]) + ["--json"], paths)
+    assert unseeded == run_case(list(seeded[:4]) + ["--seed", "0", "--json"], paths)
+    assert unseeded != RECORDED[seeded]
+
+    with pytest.raises(SystemExit) as e:
+        run_case(["classify", "@base5"], paths)
+    assert e.value.code == 64
+    assert run_case(list(classify), paths) == RECORDED[classify]
+
+
+@pytest.mark.parametrize(
+    "command",
+    sorted({tuple(argv[: 2 if argv[0] == "element" else 1]) for argv in COMMANDS}),
+    ids=" ".join,
+)
+def test_help_of_every_command_lists_json(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([*command, "--help"])
+    assert e.value.code == 0
+    assert "--json" in capsys.readouterr().out

@@ -84,6 +84,12 @@ def test_rational_forms():
         parse_rational("a/b", "x")
     with pytest.raises(ParseError):
         parse_rational(None, "x")
+    # only a sign, digits and "/digits": Fraction's other forms are refused
+    # (and integers longer than int() converts)
+    for text in ["1e5000", "0.5", "1_000", " 1/2", "1/0", "1/-2", "", "1" + "0" * 5000]:
+        with pytest.raises(ParseError):
+            parse_rational(text, "x")
+    assert parse_rational("+3/6", "x") == Fraction(1, 2)
 
 
 def test_unknown_keys_rejected():
