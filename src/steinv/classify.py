@@ -1,16 +1,20 @@
 """Isomorphism invariants and three-valued verdicts for triples.
 
 The rank-two-and-up pipeline compares slope groups, compares coinvariant
-quotients, searches for a module scale factor, and finally walks the
+quotients, finds a module scale factor (forced by the endpoints when the
+slope group is trivial, searched for otherwise), and finally walks the
 endpoint class through its stabilizer orbit in the coinvariant quotient.
 Rank-one modules fall outside that criterion; they run an obstruction
-battery instead (an exact conjugacy witness, whose scalar the endpoints
-force, slope-group rank, an order-preserving embedding, and the base-n
-closed form) and otherwise report Unknown.  Every search and walk is
-bounded, and a decided verdict carries an exact certificate.  The walk
-steps by the exact unit of the module's multiplier ring and by the
-inverted primes; only in degree two without inverted primes do these
-span the stabilizer, and only there does a closed orbit give NotIsomorphic.
+battery instead (a rescaling, whose scalar the endpoints force,
+slope-group rank, coinvariants, an order-preserving embedding, and the
+base-n closed form) and otherwise report Unknown.  Both pipelines share
+one coinvariant comparison and one test of the forced scalar, and
+`modules._carries` alone decides whether a scalar carries one module
+onto the other.  Every search and walk is bounded, and a decided verdict
+carries an exact certificate.  The walk steps by the exact unit of the
+module's multiplier ring and by the inverted primes; only in degree two
+without inverted primes do these span the stabilizer, and only there
+does a closed orbit give NotIsomorphic.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .modules import (
     BreakpointModule,
     SlopeGroup,
     SteinTriple,
+    _carries,
     scale_equivalence,
     thompson_base,
 )
@@ -341,29 +346,31 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
 # verdict pipelines
 
 
-def _coinvariants_differ(
-    inv1: AbelianInvariants, inv2: AbelianInvariants
-) -> Optional[Verdict]:
-    """NotIsomorphic verdict when the coinvariant groups disagree."""
-    if inv1.same_group(inv2):
-        return None
-    return Verdict(
-        "NotIsomorphic",
-        obstruction=(
-            f"coinvariants differ ({inv1.describe()} vs {inv2.describe()})"
-        ),
-    )
+def _compare_coinvariants(a: SteinTriple, b: SteinTriple) -> tuple:
+    """(obstruction, inv_a): a NotIsomorphic verdict when the coinvariant
+    groups disagree, else None, and Gamma_a's invariants.  Raises
+    UnsupportedGamma when either side has no computable coinvariants."""
+    inv_a = coinvariants(a.module, a.slopes)
+    inv_b = coinvariants(b.module, b.slopes)
+    if inv_a.same_group(inv_b):
+        return None, inv_a
+    differ = f"coinvariants differ ({inv_a.describe()} vs {inv_b.describe()})"
+    return Verdict("NotIsomorphic", obstruction=differ), inv_a
 
 
-def _coinvariant_obstruction(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
-    """As _coinvariants_differ, and None when either side has no
-    computable coinvariants."""
-    try:
-        inv1 = coinvariants(a.module, a.slopes)
-        inv2 = coinvariants(b.module, b.slopes)
-    except UnsupportedGamma:
+def _forced_scalar(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
+    """Test the one rescaling both endpoints allow, s = ell_a / ell_b:
+    Isomorphic when s*Gamma_b = Gamma_a, else NotIsomorphic.  None without
+    both endpoints in one field.  A rescaling with equal slope groups is
+    a conjugacy, so Isomorphic is sound at any rank; NotIsomorphic only
+    rules out rescalings."""
+    if a.endpoint is None or b.endpoint is None or not a.field.compatible(b.field):
         return None
-    return _coinvariants_differ(inv1, inv2)
+    s = a.endpoint / b.endpoint
+    if _carries(s, b.module, a.module):
+        return Verdict("Isomorphic", witness={"s": str(s)})
+    forced = f"the endpoints force s = {s}, which does not carry Gamma_b to Gamma_a"
+    return Verdict("NotIsomorphic", obstruction=forced)
 
 
 def classify_pair(
@@ -381,24 +388,24 @@ def classify_pair(
         same_slopes = a.slopes.equals(b.slopes)
     except UnsupportedComparison as e:
         # incomparable slope groups: the coinvariants may still separate
-        blocked = _coinvariant_obstruction(a, b)
+        try:
+            blocked = _compare_coinvariants(a, b)[0]
+        except UnsupportedGamma:
+            blocked = None
         if blocked is not None:
             return blocked
         return Verdict("Unknown", reason=f"slope groups are not comparable: {e}")
     if not same_slopes:
         return Verdict("NotIsomorphic", obstruction="slope groups differ")
-    inv1 = coinvariants(a.module, a.slopes)
-    blocked = _coinvariants_differ(inv1, coinvariants(b.module, b.slopes))
+    blocked, inv = _compare_coinvariants(a, b)
     if blocked is not None:
         return blocked
-    if a.endpoint is not None and a.slopes.is_trivial() and a.field.compatible(b.field):
-        # I*Gamma = 0, so the classes are the endpoints and s is forced
-        s = a.endpoint / b.endpoint
-        witness = {"s": str(s), "coinvariants": inv1.describe()}
-        if b.module.scaled(s).same_module(a.module):
-            return Verdict("Isomorphic", witness=witness)
-        forced = f"the endpoints force s = {s}, which does not carry Gamma_b to Gamma_a"
-        return Verdict("NotIsomorphic", obstruction=forced)
+    # trivial slopes: I*Gamma = 0, the classes are the endpoints, and s is forced
+    forced = _forced_scalar(a, b) if a.slopes.is_trivial() else None
+    if forced is not None:
+        if forced.is_isomorphic:
+            forced.witness["coinvariants"] = inv.describe()
+        return forced
     sr = scale_equivalence(a.module, b.module, search_bound)
     if sr.outcome == "distinct":
         return Verdict(
@@ -410,37 +417,9 @@ def classify_pair(
     if a.endpoint is None:
         return Verdict(
             "Isomorphic",
-            witness={"s": str(sr.scalar), "coinvariants": inv1.describe()},
+            witness={"s": str(sr.scalar), "coinvariants": inv.describe()},
         )
-    return _endpoint_orbit(a, b, sr.scalar, inv1)
-
-
-def _exact_conjugacy(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
-    """Isomorphic verdict backed by an explicit rescaling map, or None.
-
-    Sound at any rank: equal slope groups, a scalar identifying the
-    modules, and an exact endpoint match give a conjugating bijection.
-    With both endpoints the scalar is forced to be their ratio, so only
-    that one is tested; without them the rank-one scale is |b1/b2|.
-    """
-    try:
-        if not a.slopes.equals(b.slopes):
-            return None
-    except UnsupportedComparison:
-        return None
-    if a.endpoint is None and b.endpoint is None:
-        sr = scale_equivalence(a.module, b.module)
-        if not sr.found:
-            return None
-        return Verdict("Isomorphic", witness={"s": str(sr.scalar)})
-    if a.endpoint is None or b.endpoint is None:
-        return None
-    if not a.module.field.compatible(b.module.field):
-        return None
-    s = a.endpoint / b.endpoint
-    if b.module.scaled(s).same_module(a.module):
-        return Verdict("Isomorphic", witness={"s": str(s)})
-    return None
+    return _endpoint_orbit(a, b, sr.scalar, inv)
 
 
 def _endpoint_residue_gcd(n: int, r: Fraction) -> int:
@@ -456,18 +435,31 @@ def rank_one_report(a: SteinTriple, b: SteinTriple) -> Verdict:
     """Obstruction battery for triples with rank-one modules.
 
     Never claims Isomorphic without a certificate: either an explicit
-    conjugacy witness or the base-n closed form.
+    rescaling (the scalar the endpoints force, or without endpoints the
+    closed-form scale |b1/b2|) or the base-n closed form.
     """
-    exact = _exact_conjugacy(a, b)
-    if exact is not None:
-        return exact
+    try:
+        same_slopes = a.slopes.equals(b.slopes)
+    except UnsupportedComparison:
+        same_slopes = False
+    if same_slopes and a.endpoint is None and b.endpoint is None:
+        sr = scale_equivalence(a.module, b.module)
+        if sr.found:
+            return Verdict("Isomorphic", witness={"s": str(sr.scalar)})
+    elif same_slopes:
+        forced = _forced_scalar(a, b)
+        if forced is not None and forced.is_isomorphic:
+            return forced
     r1, r2 = a.slopes.rank(), b.slopes.rank()
     if r1 != r2:
         return Verdict(
             "NotIsomorphic",
             obstruction=f"slope-group ranks differ ({r1} vs {r2})",
         )
-    blocked = _coinvariant_obstruction(a, b)
+    try:
+        blocked = _compare_coinvariants(a, b)[0]
+    except UnsupportedGamma:
+        blocked = None
     if blocked is not None:
         return blocked
     # with equal ranks, an embedding one way gives one the other way too
@@ -480,25 +472,18 @@ def rank_one_report(a: SteinTriple, b: SteinTriple) -> Verdict:
                 f"({embedding.obstruction})"
             ),
         )
-    n1 = thompson_base(a)
-    n2 = thompson_base(b)
-    if n1 is not None and n2 is not None:
-        if n1 != n2:
-            return Verdict(
-                "NotIsomorphic", obstruction=f"slope bases differ ({n1} vs {n2})"
-            )
-        if a.endpoint is not None and b.endpoint is not None:
-            g1 = _endpoint_residue_gcd(n1, a.endpoint.as_fraction())
-            g2 = _endpoint_residue_gcd(n2, b.endpoint.as_fraction())
-            if g1 == g2:
-                return Verdict(
-                    "Isomorphic",
-                    witness={"base": n1, "endpoint_gcd": g1},
-                )
-            return Verdict(
-                "NotIsomorphic",
-                obstruction=f"endpoint residue classes differ (gcd {g1} vs {g2})",
-            )
+    # distinct bases n never get here: their coinvariants Z/(n-1) differ
+    n = thompson_base(a)
+    both_ends = a.endpoint is not None and b.endpoint is not None
+    if n is not None and n == thompson_base(b) and both_ends:
+        g1 = _endpoint_residue_gcd(n, a.endpoint.as_fraction())
+        g2 = _endpoint_residue_gcd(n, b.endpoint.as_fraction())
+        if g1 == g2:
+            return Verdict("Isomorphic", witness={"base": n, "endpoint_gcd": g1})
+        return Verdict(
+            "NotIsomorphic",
+            obstruction=f"endpoint residue classes differ (gcd {g1} vs {g2})",
+        )
     return Verdict(
         "Unknown",
         reason="no implemented invariant separates these rank-one triples",

@@ -374,14 +374,8 @@ class BreakpointModule:
         return hash((self.inverted_primes, tuple(self._columns)))
 
     def same_module(self, other: "BreakpointModule") -> bool:
-        """Semantic equality: mutual containment of the bases."""
-        if not self.field.compatible(other.field):
-            return False
-        if self.inverted_primes != other.inverted_primes:
-            return False
-        return all(self.contains(b) for b in other.basis) and all(
-            other.contains(b) for b in self.basis
-        )
+        """Semantic equality: the s = 1 case of `_carries`."""
+        return _carries(1, other, self)
 
     def __repr__(self):
         basis = ", ".join(str(b) for b in self.basis)
@@ -408,6 +402,17 @@ class ScaleResult(NamedTuple):
         return self.outcome == "found"
 
 
+def _carries(s, g2: BreakpointModule, g1: BreakpointModule) -> bool:
+    """True when s * G2 = G1: equal inverted primes, then two-sided
+    membership of the bases.  Membership alone would call Z[1/10] and
+    Z[1/30] equal, since each contains the other's basis."""
+    if not g1.field.compatible(g2.field) or g1.inverted_primes != g2.inverted_primes:
+        return False
+    return all(g1.contains(s * b) for b in g2.basis) and all(
+        g2.contains(b / s) for b in g1.basis
+    )
+
+
 def scale_equivalence(
     g1: BreakpointModule, g2: BreakpointModule, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> ScaleResult:
@@ -417,8 +422,8 @@ def scale_equivalence(
     ratios h / g of a module element h of G1 (integer basis coefficients
     bounded by search_bound) against the first basis element of G2,
     filtered by the field-norm/covolume identity and then verified by
-    exact two-sided membership.  Complete up to the bound: "unknown" only
-    means no candidate inside the box worked.
+    `_carries`.  Complete up to the bound: "unknown" only means no
+    candidate inside the box worked.
     """
     if search_bound < 0:
         raise ValidationError(f"the search bound {search_bound} is negative")
@@ -452,9 +457,7 @@ def scale_equivalence(
             norm_ratio = abs(g1.norm(s))
             if not _is_unit(norm_ratio / ratio, g1.inverted_primes):
                 continue
-        if all(g1.contains(s * b) for b in g2.basis) and all(
-            g2.contains(b / s) for b in g1.basis
-        ):
+        if _carries(s, g2, g1):
             return ScaleResult("found", scalar=s)
     return ScaleResult("unknown", obstruction="no scalar within the search box")
 
