@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedComparison,
     UnsupportedGamma,
     UnsupportedInput,
+    ValidationError,
 )
 from .intlinalg import (
     AbelianInvariants,
@@ -378,6 +379,8 @@ def classify_pair(
 ) -> Verdict:
     """Full isomorphism verdict for two triples of module rank >= 2;
     rank-one inputs are delegated to rank_one_report."""
+    if search_bound < 0:
+        raise ValidationError(f"the search bound {search_bound} is negative")
     if (a.endpoint is None) != (b.endpoint is None):
         raise UnsupportedInput(
             "cannot compare endpoint-level with endpoint-free data"

@@ -67,6 +67,16 @@ SQRT2_ELL_A_DOC = dict(SQRT2_DOC, ell=["0", "1"])
 
 SQRT2_ELL_2_DOC = dict(SQRT2_DOC, ell="2")
 
+# Z + Z*sqrt(2) with no slopes: the endpoints alone force s
+SQRT2_FREE_DOC = {
+    "field": {"minpoly": [-2, 0, 1], "root_interval": ["1", "2"]},
+    "gamma": {"basis": [["1", "0"], ["0", "1"]]},
+    "lambda": {"generators": []},
+    "ell": "1",
+}
+
+SQRT2_FREE_ELL_2_DOC = dict(SQRT2_FREE_DOC, ell="2")
+
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
@@ -81,6 +91,8 @@ def docs(tmp_path_factory):
         ("two_five", TWO_FIVE_DOC),
         ("golden", GOLDEN_DOC),
         ("golden_ell_b", GOLDEN_ELL_B_DOC),
+        ("sqrt2_free", SQRT2_FREE_DOC),
+        ("sqrt2_free_ell_2", SQRT2_FREE_ELL_2_DOC),
     ]:
         p = base / f"{name}.json"
         p.write_text(json.dumps(payload))
@@ -158,12 +170,18 @@ def test_obstruct_command(docs, capsys):
 
 
 def test_negative_search_bound_exits_2(docs, capsys):
-    code, out, err = run(
-        capsys, "classify", docs["golden"], docs["golden"], "--search-bound", "-3"
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "error: the search bound -3 is negative\n"
+    # rank one and trivial slopes never reach the scale search
+    cases = [
+        ("golden", "golden", "-3"),
+        ("base5", "base5", "-1"),
+        ("sqrt2_free", "sqrt2_free_ell_2", "-5"),
+    ]
+    for command in ("classify", "classify-groupoid"):
+        for a, b, bound in cases:
+            argv = [command, docs[a], docs[b], "--search-bound", bound]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: the search bound {bound} is negative\n"
 
 
 # -- coinvariants -----------------------------------------------------------
