@@ -44,6 +44,11 @@ MINUS = "-"
 
 _MAX_CYLINDER_DEPTH = 512
 
+# Letters in one random word: composing costs about quadratic time in the
+# length, and 500 letters take 0.4 s on the dyadic triple and 4 s on
+# (Z[1/30], <2, 3, 5>, 1) in CPython 3.11.
+_MAX_LETTERS = 500
+
 
 class CutPoint(NamedTuple("CutPoint", [("value", FieldElement), ("side", str)])):
     """A module point together with the side from which it is approached."""
@@ -448,7 +453,10 @@ def generator_library(triple: SteinTriple):
 
 
 def random_word(triple: SteinTriple, length: int, seed: int) -> PLMap:
-    """Seeded random product of library generators and their inverses."""
+    """Seeded random product of library generators and their inverses;
+    BoundExceeded past _MAX_LETTERS letters."""
+    if length > _MAX_LETTERS:
+        raise BoundExceeded(f"a random word is capped at {_MAX_LETTERS} letters")
     rng = random.Random(seed)
     library = generator_library(triple)
     acc = PLMap.identity(triple)

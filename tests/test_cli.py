@@ -470,3 +470,13 @@ def test_unfactorable_inputs_exit_2(tmp_path):
     code, out, err = run_module(tmp_path, "coinvariants", big_prime_doc(2, Q))
     assert (code, out) == (2, "")
     assert f"cannot factor {Q}" in err
+
+
+# -- arguments that once made a small input hang ----------------------------
+
+
+def test_overlong_random_word_exits_2_at_once(tmp_path):
+    doc = {key: DYADIC_DOC[key] for key in ("gamma", "lambda", "ell")}
+    code, out, err = run_module(tmp_path, "element", "random", doc, "1000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: a random word is capped at 500 letters\n"

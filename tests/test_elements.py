@@ -308,6 +308,18 @@ def test_random_word_deterministic():
     assert a != c or a.is_identity()  # different seed, almost surely different
 
 
+def test_random_word_length_is_capped(monkeypatch):
+    monkeypatch.setattr(elements, "_MAX_LETTERS", 12)
+    assert random_word(DYADIC, 12, seed=42) == random_word(DYADIC, 12, seed=42)
+
+    def refuse(*args):
+        raise AssertionError("the library was built for an over-long word")
+
+    monkeypatch.setattr(elements, "generator_library", refuse)
+    with pytest.raises(BoundExceeded, match="capped at 12 letters"):
+        random_word(DYADIC, 13, seed=42)
+
+
 @pytest.mark.parametrize(
     "triple",
     [DYADIC, GOLDEN, stein_triple([1], [2, 3], [2, 3], endpoint=1)],
