@@ -39,6 +39,11 @@ from .numbers import (
 
 DEFAULT_SEARCH_BOUND = 16
 
+# Candidates one scale search may try: the default box at rank 3 holds
+# 33^3 - 1, so no search at the default bound and rank 3 or below stops
+# early.
+_SCALE_CANDIDATES = 35_936
+
 # Safety valve for the exact exponent searches in cyclic slope groups;
 # the searches are monotone, so this only guards pathological inputs.
 _EXPONENT_CAP = 10_000
@@ -413,6 +418,16 @@ def _carries(s, g2: BreakpointModule, g1: BreakpointModule) -> bool:
     )
 
 
+def _shell(n: int, r: int):
+    """The integer vectors of length n and max-norm r >= 1, in
+    lexicographic order."""
+    for x in range(-r, r + 1):
+        if abs(x) == r:
+            yield from ((x, *t) for t in itertools.product(range(-r, r + 1), repeat=n - 1))
+        elif n > 1:
+            yield from ((x, *t) for t in _shell(n - 1, r))
+
+
 def scale_equivalence(
     g1: BreakpointModule, g2: BreakpointModule, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> ScaleResult:
@@ -422,8 +437,9 @@ def scale_equivalence(
     ratios h / g of a module element h of G1 (integer basis coefficients
     bounded by search_bound) against the first basis element of G2,
     filtered by the field-norm/covolume identity and then verified by
-    `_carries`.  Complete up to the bound: "unknown" only means no
-    candidate inside the box worked.
+    `_carries`.  The box is walked lazily, shell by shell, and the walk
+    stops after _SCALE_CANDIDATES candidates.  Complete up to the bound
+    and the budget: "unknown" only means no candidate tried worked.
     """
     if search_bound < 0:
         raise ValidationError(f"the search bound {search_bound} is negative")
@@ -445,10 +461,13 @@ def scale_equivalence(
     if n == d:
         ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
     g = g2.basis[0]
-    box = itertools.product(range(-search_bound, search_bound + 1), repeat=n)
     # by max-norm, then lexicographically, after the zero vector; the basis
     # is independent, so each vector gives a new nonzero h and a new s
-    for coeffs in sorted(box, key=lambda v: (max(map(abs, v)), v))[1:]:
+    box = itertools.chain.from_iterable(_shell(n, r) for r in range(1, search_bound + 1))
+    for tried, coeffs in enumerate(box):
+        if tried == _SCALE_CANDIDATES:
+            spent = f"search budget spent at radius {max(map(abs, coeffs))}"
+            return ScaleResult("unknown", obstruction=spent)
         h = sum((c * b for c, b in zip(coeffs, g1.basis) if c), field.zero())
         s = h / g
         if s.sign() <= 0:

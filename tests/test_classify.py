@@ -28,8 +28,9 @@ from steinv import (
     stein_triple,
     thompson_triple,
 )
-from steinv import classify
+from steinv import classify, modules
 from steinv.classify import _fundamental_unit
+from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
 
 
@@ -650,6 +651,66 @@ def test_free_quotient_is_decided_without_walking(monkeypatch):
     assert v.witness["coinvariants"] == "Z^2"
     # 2*(Z + Z*r) at endpoint 2 is the same group as Z + Z*r at 1
     assert classify_pair(one, free([2, 2 * r], 2)).describe() == "Isomorphic (s=1/2)"
+
+
+def test_degree_three_walk_lacks_units():
+    # u = 1 + a + a^2 is a unit of Z[a], a = 2^(1/3), but the walk has no
+    # unit steps in degree 3: the one-class orbit of 2 leaves Unknown
+    f = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    a = f.generator()
+    a1, a2 = (
+        stein_triple([f.one(), a, a * a], [], [1 + a + a * a], endpoint=e, field=f)
+        for e in (1, 2)
+    )
+    v = classify_pair(a1, a2)
+    assert v.reason == (
+        "no match in a stabilizer orbit of size 1; the walk lacks units in degree 3 and up"
+    )
+
+
+def test_unit_past_the_step_budget_leaves_unknown(monkeypatch):
+    # D = 8 is fundamental, so no suborder rescues a unit the period misses
+    monkeypatch.setattr(classify, "_UNIT_STEPS", 0)
+    a, b = sqrt2_triple(1, 0), sqrt2_triple(2, 0)
+    assert _fundamental_unit(b.module) is None
+    v = classify_pair(a, b)
+    assert v.reason == (
+        "no match in a stabilizer orbit of size 1; "
+        "the walk lacks the fundamental unit (period past the step budget)"
+    )
+
+
+def test_spent_scale_budget_names_its_radius(monkeypatch):
+    # the cubic pair: 26 candidates at radius 1, then radius 2
+    f = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    a = f.generator()
+    one, three = (
+        stein_triple([f.one(), a, c * a * a], [2], [2], endpoint=1, field=f)
+        for c in (1, 3)
+    )
+    monkeypatch.setattr(modules, "_SCALE_CANDIDATES", 50)
+    v = classify_pair(one, three, search_bound=100_000)
+    assert v.reason == "module scale search failed: search budget spent at radius 2"
+    v = classify_pair(one, three, search_bound=1)
+    assert v.reason == "module scale search failed: no scalar within the search box"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 15), min_size=2, max_size=2, unique=True),
+    st.lists(st.integers(1, 40), min_size=2, max_size=2),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+)
+def test_distinct_bases_differ_in_their_coinvariants(bases, ks, es):
+    # Z[1/n]/(n-1)Z[1/n] = Z/(n-1), since gcd(n-1, n) = 1: no verdict
+    # needs to compare the bases themselves
+    a, b = (
+        thompson_triple(n, k * Fraction(n) ** e) for n, k, e in zip(bases, ks, es)
+    )
+    assert [thompson_base(a), thompson_base(b)] == bases
+    for v in (classify_pair(a, b), rank_one_report(a, b)):
+        assert v.is_not_isomorphic
+        assert v.obstruction.startswith("coinvariants differ")
 
 
 def reference_endpoint_box(a, b, search_bound):

@@ -412,8 +412,9 @@ P = 1000000000000000003
 Q = P * 1000000000000000009  # composite, with no factor rho finds in budget
 
 
-def run_module(tmp_path, *argv):
-    """Exit code and output of `python -m steinv`, which must finish in 2 s."""
+def run_module(tmp_path, *argv, timeout=2):
+    """Exit code and output of `python -m steinv`, which must finish in
+    `timeout` seconds."""
     args = []
     for a in argv:
         if isinstance(a, dict):
@@ -425,7 +426,7 @@ def run_module(tmp_path, *argv):
         [sys.executable, "-m", "steinv", *args],
         capture_output=True,
         text=True,
-        timeout=2,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -480,3 +481,18 @@ def test_overlong_random_word_exits_2_at_once(tmp_path):
     code, out, err = run_module(tmp_path, "element", "random", doc, "1000000000")
     assert (code, out) == (2, "")
     assert err == "error: a random word is capped at 500 letters\n"
+
+
+def test_huge_search_bound_spends_the_budget(tmp_path):
+    # Z + Z*phi against Z + 2Z*phi: no scalar, so the search walks its
+    # shells until the candidate budget runs out
+    a, b = (
+        {"field": GOLDEN_DOC["field"], "gamma": {"basis": [["1"], ["0", c]]},
+         "lambda": {"generators": []}}
+        for c in ("1", "2")
+    )
+    code, out, _ = run_module(tmp_path, "classify", a, b, "--search-bound", "100000",
+                              timeout=20)
+    assert (code, out) == (
+        1, "Unknown: module scale search failed: search budget spent at radius 95\n"
+    )

@@ -1,5 +1,6 @@
 """Breakpoint modules, slope groups, and scale equivalence."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -229,6 +230,33 @@ def test_scale_golden_conjugate_modules():
     res = scale_equivalence(m1, m2)
     assert res.found
     assert m2.scaled(res.scalar).same_module(m1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scale_shells_keep_the_sorted_box_order(n):
+    # the order the box was once built and sorted in, so witnesses stay put
+    for bound in range(5):
+        box = itertools.product(range(-bound, bound + 1), repeat=n)
+        ordered = sorted(box, key=lambda v: (max(map(abs, v)), v))[1:]
+        assert [v for r in range(1, bound + 1) for v in modules._shell(n, r)] == ordered
+
+
+def cube_root_two_module(rank):
+    field = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
+    a = field.generator()
+    return BreakpointModule(field, [field.one(), a, a * a][:rank])
+
+
+def test_scale_different_fields_is_unknown():
+    f = golden_field()
+    phi_module = BreakpointModule(f, [f.one(), f.generator()])
+    res = scale_equivalence(cube_root_two_module(3), phi_module)
+    assert (res.outcome, res.obstruction) == ("unknown", "different fields")
+
+
+def test_scale_module_ranks_differ():
+    res = scale_equivalence(cube_root_two_module(3), cube_root_two_module(2))
+    assert (res.outcome, res.obstruction) == ("distinct", "module ranks differ")
 
 
 # -- triples ----------------------------------------------------------------
