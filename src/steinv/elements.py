@@ -46,7 +46,7 @@ _MAX_CYLINDER_DEPTH = 512
 
 # Letters in one random word: composing costs about quadratic time in the
 # length, and 500 letters take 0.4 s on the dyadic triple and 4 s on
-# (Z[1/30], <2, 3, 5>, 1) in CPython 3.11.
+# (Z[1/30], <2, 3, 5>, 1) in CPython 3.11 on a 2-vCPU x86-64 host.
 _MAX_LETTERS = 500
 
 

@@ -413,6 +413,8 @@ def _carries(s, g2: BreakpointModule, g1: BreakpointModule) -> bool:
     Z[1/30] equal, since each contains the other's basis."""
     if not g1.field.compatible(g2.field) or g1.inverted_primes != g2.inverted_primes:
         return False
+    if s == 1:  # same_module: the bases themselves, without field arithmetic
+        return all(map(g1.contains, g2.basis)) and all(map(g2.contains, g1.basis))
     return all(g1.contains(s * b) for b in g2.basis) and all(
         g2.contains(b / s) for b in g1.basis
     )
@@ -461,8 +463,8 @@ def scale_equivalence(
     if n == d:
         ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
     g = g2.basis[0]
-    # by max-norm, then lexicographically, after the zero vector; the basis
-    # is independent, so each vector gives a new nonzero h and a new s
+    # by max-norm from 1 up, then lexicographically; the basis is
+    # independent, so each vector gives a new nonzero h and a new s
     box = itertools.chain.from_iterable(_shell(n, r) for r in range(1, search_bound + 1))
     for tried, coeffs in enumerate(box):
         if tried == _SCALE_CANDIDATES:
