@@ -309,23 +309,24 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
         )
     if r1 == 1:
         return EmbeddingAnswer("Yes")
-    primes = sorted(set(l1.primes) | set(l2.primes))
+    # rank two or more: both groups are rational, their atoms are primes
+    primes = sorted(set(l1.atoms) | set(l2.atoms))
     index = {p: i for i, p in enumerate(primes)}
 
     def lift(group, row):
         v = [0] * len(primes)
-        for p, e in zip(group.primes, row):
+        for p, e in zip(group.atoms, row):
             v[index[p]] = e
         return v
 
-    target_cols = [lift(l2, row) for row in l2.basis_vectors()]
+    target_cols = [lift(l2, row) for row in l2.lattice]
     c = Fraction(1)
-    for row in l1.basis_vectors():
+    for row in l1.lattice:
         w = lift(l1, row)
         x = _eliminate(target_cols, w)[2]
         if x is None:
             missing = next(
-                (p for p, e in zip(l1.primes, row) if e and p not in l2.primes),
+                (p for p, e in zip(l1.atoms, row) if e and p not in l2.atoms),
                 None,
             )
             if missing is not None:

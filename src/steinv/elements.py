@@ -484,19 +484,6 @@ def v2_base(triple: SteinTriple) -> int:
     return n
 
 
-def _power_exponent(q: Fraction, n: int) -> int:
-    e = 0
-    while q > 1:
-        q /= n
-        e += 1
-    while q < 1:
-        q *= n
-        e -= 1
-    if q != 1:
-        raise WrongContext(f"slope is not a power of {n}")
-    return e
-
-
 def _word_of(num: int, depth: int, n: int) -> str:
     digits = []
     for _ in range(depth):
@@ -532,7 +519,9 @@ def to_prefix_pairs(f: PLMap):
         start, slope, offset = pieces[idx]
         aligned = False
         if right <= ends[idx]:
-            e = _power_exponent(slope, n)
+            # the slopes are <n> with Hermite generator n, and make_plmap
+            # has checked that every slope is in the group
+            e = f.triple.slopes.coordinates(slope)[0]
             if e <= depth:
                 img_depth = depth - e
                 scaled = (slope * left + offset) * n**img_depth

@@ -5,16 +5,18 @@ A breakpoint module is a finitely generated dense subgroup of the reals,
 stored as a Q-linearly independent basis inside a real algebraic field
 together with a set of inverted primes: the module is the span of the
 basis over Z[1/m], m the product of those primes.  A slope group is a
-finitely generated multiplicative subgroup of the positive reals, either
-generated by positive rationals (stored as an exponent lattice over its
-prime support) or by a single irrational algebraic number.
+finitely generated multiplicative subgroup of the positive reals, so a
+free abelian group: it is stored as an exponent lattice over atoms, the
+prime support of rational generators or one irrational generator, and
+`SlopeGroup.coordinates` reads a number's integer coordinates over its
+Hermite generators.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -53,38 +55,44 @@ _EXPONENT_CAP = 10_000
 # small exact arithmetic over Q
 
 
-def _factor_fraction(q: Fraction) -> dict:
+def _valuations(mu, primes) -> Optional[list]:
+    """The exponents of mu at the primes, or None when mu is not a
+    product of their powers."""
+    if isinstance(mu, FieldElement):
+        if not mu.is_rational:
+            return None
+        mu = mu.as_fraction()
+    q = Fraction(mu)
     if q <= 0:
-        raise ValidationError("only positive rationals have a prime support")
-    out = factor(q.numerator)
-    for p, e in factor(q.denominator).items():
-        out[p] = out.get(p, 0) - e
-    return {p: e for p, e in out.items() if e}
-
-
-def _is_unit(q: Fraction, primes) -> bool:
-    """True when the positive rational q is a product of powers of primes."""
-    return (
-        q > 0
-        and _strip_primes(q.numerator, primes) == 1
-        and _strip_primes(q.denominator, primes) == 1
-    )
+        return None
+    num, den = q.numerator, q.denominator
+    vector = []
+    for p in primes:
+        e = 0
+        while num % p == 0:
+            num, e = num // p, e + 1
+        while den % p == 0:
+            den, e = den // p, e - 1
+        vector.append(e)
+    # a cofactor left over is a prime outside the support
+    return vector if num == den == 1 else None
 
 
 # ---------------------------------------------------------------------------
 
 
 class SlopeGroup:
-    """Finitely generated subgroup of the multiplicative positive reals.
+    """Finitely generated subgroup of the multiplicative positive reals,
+    stored as an exponent lattice over atoms.
 
-    kind "rational": generated by positive rationals; canonically stored
-    as the Hermite basis of the exponent lattice over the sorted prime
-    support.  kind "algebraic": a single irrational algebraic generator,
-    canonicalized to be greater than 1.  Mixed or higher rank irrational
-    generator sets are rejected.
+    `atoms` is the sorted prime support of rational generators, or the
+    single irrational generator g, canonicalized to be greater than 1.
+    `lattice` is the tuple of nonzero Hermite rows of the generators'
+    exponent vectors over the atoms: ((1,),) for g, () for the trivial
+    group.  Mixed or higher rank irrational generator sets are rejected.
     """
 
-    __slots__ = ("kind", "primes", "lattice", "generator", "field")
+    __slots__ = ("atoms", "lattice")
 
     def __init__(self, generators: Sequence[Union[Rational, FieldElement]],
                  field: Optional[RealAlgebraicField] = None):
@@ -120,140 +128,71 @@ class SlopeGroup:
             if g.sign() <= 0:
                 raise UnsupportedSlopeGroup("slope generators must be positive")
             if (g - 1).sign() < 0:
-                g = g.inverse()  # canonical generator > 1
-            self.kind = "algebraic"
-            self.generator = g
-            self.field = g.field
-            self.primes = ()
-            self.lattice = None
+                g = g.inverse()
+            self.atoms, self.lattice = (g,), ((1,),)
             return
-        self.kind = "rational"
-        self.generator = None
-        self.field = field
-        factored = [_factor_fraction(q) for q in rationals]
-        support = sorted({p for f in factored for p in f})
-        if support:
-            vectors = [[f.get(p, 0) for p in support] for f in factored]
-            h, _ = hermite_normal_form(IntMatrix(vectors))
-            basis = [row for row in h.entries if any(row)]
-            self.lattice = IntMatrix(basis) if basis else None
-        else:
-            self.lattice = None
-        self.primes = tuple(support)
-
-    # -- basic data ---------------------------------------------------------
+        self.atoms = tuple(sorted(
+            {p for q in rationals for n in (q.numerator, q.denominator) for p in factor(n)}
+        ))
+        self.lattice = ()
+        if self.atoms:
+            h, _ = hermite_normal_form(IntMatrix([_valuations(q, self.atoms) for q in rationals]))
+            self.lattice = tuple(row for row in h.entries if any(row))
 
     def rank(self) -> int:
-        if self.kind == "algebraic":
-            return 1
-        return self.lattice.rows if self.lattice is not None else 0
+        return len(self.lattice)
 
     def is_trivial(self) -> bool:
-        return self.rank() == 0
-
-    def basis_vectors(self):
-        """Rows of the canonical exponent lattice basis (rational kind)."""
-        if self.kind != "rational":
-            raise UnsupportedComparison("no exponent lattice for this kind")
-        return self.lattice.entries if self.lattice is not None else ()
+        return not self.lattice
 
     def generator_values(self):
-        """A canonical generating set as numbers (Fractions or elements)."""
-        if self.kind == "algebraic":
-            return (self.generator,)
+        """The Hermite generators as numbers (Fractions or elements)."""
         out = []
-        for row in self.basis_vectors():
+        for row in self.lattice:
             value = Fraction(1)
-            for p, e in zip(self.primes, row):
-                value *= Fraction(p) ** e
+            for a, e in zip(self.atoms, row):
+                value = value * a**e if e >= 0 else value / a**-e
             out.append(value)
         return tuple(out)
 
-    # -- membership and equality --------------------------------------------
+    def coordinates(self, mu) -> Optional[tuple]:
+        """Integer coordinates of mu over `generator_values()`, or None
+        when mu is outside the group.
 
-    def _lattice_contains(self, vector) -> bool:
-        if self.lattice is None:
-            return not any(vector)
-        v = list(vector)
-        for row in self.lattice.entries:
+        Only the exponent read per atom depends on the atoms: primes are
+        stripped from mu; for an irrational g the search over its powers
+        is monotone and therefore complete, and `_EXPONENT_CAP` only caps
+        the exponent magnitude as a safety valve (BoundExceeded beyond it).
+        """
+        atoms = self.atoms
+        if atoms and isinstance(atoms[0], FieldElement):
+            e = _search_exponent(atoms[0], mu)
+            vector = None if e is None else [e]
+        else:
+            vector = _valuations(mu, atoms)
+        if vector is None:
+            return None
+        coords = []
+        for row in self.lattice:
             col = next(i for i, x in enumerate(row) if x)
-            if v[col] % row[col]:
-                return False
-            q = v[col] // row[col]
-            v = [x - q * y for x, y in zip(v, row)]
-        return not any(v)
+            c, r = divmod(vector[col], row[col])
+            if r:
+                return None
+            coords.append(c)
+            vector = [x - c * y for x, y in zip(vector, row)]
+        return None if any(vector) else tuple(coords)
 
     def contains(self, mu) -> bool:
-        """Exact membership of a positive number in the group.
-
-        For the cyclic algebraic kind the exponent search is monotone and
-        therefore complete; `_EXPONENT_CAP` only caps the exponent
-        magnitude as a safety valve (BoundExceeded beyond it).
-        """
-        if isinstance(mu, FieldElement) and not mu.is_rational:
-            if self.kind == "rational":
-                return False
-            value = mu
-        elif self.kind == "rational":
-            q = mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
-            if q <= 0:
-                return False
-            num, den = q.numerator, q.denominator
-            vector = []
-            for p in self.primes:
-                e = 0
-                while num % p == 0:
-                    num, e = num // p, e + 1
-                while den % p == 0:
-                    den, e = den // p, e - 1
-                vector.append(e)
-            # a cofactor left over is a prime outside the group's support
-            return num == den == 1 and self._lattice_contains(vector)
-        else:
-            value = self.generator.field.from_rational(
-                mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
-            )
-        g = self.generator
-        if not g.field.compatible(value.field):
-            return False
-        if value.sign() <= 0:
-            return False
-        if value == 1:
-            return True
-        if (value - 1).sign() < 0:
-            value = value.inverse()
-        power = g.field.one()
-        for _ in range(_EXPONENT_CAP):
-            power = power * g
-            c = (power - value).sign()
-            if c == 0:
-                return True
-            if c > 0:
-                return False
-        raise BoundExceeded(f"exponent search exceeded {_EXPONENT_CAP}")
+        """Exact membership of a positive number in the group."""
+        return self.coordinates(mu) is not None
 
     def equals(self, other: "SlopeGroup") -> bool:
-        if self.kind == "rational" and other.kind == "rational":
-            return self.primes == other.primes and self.lattice == other.lattice
-        if self.kind == "algebraic" and other.kind == "algebraic":
-            if not self.field.compatible(other.field):
-                raise UnsupportedComparison(
-                    "slope groups live in different fields"
-                )
-            return self.generator == other.generator
-        # Mixed kinds can never be equal: an algebraic-kind group always
-        # has an irrational generator, a rational-kind group has none.
-        return False
-
-    def canonical_key(self):
-        if self.kind == "rational":
-            entries = self.lattice.entries if self.lattice is not None else ()
-            return ("rational", self.primes, entries)
-        return (
-            "algebraic",
-            self.generator.field.minpoly.coefficients,
-            tuple(self.generator.coords),
-        )
+        fields = [a.field for a in self.atoms + other.atoms if isinstance(a, FieldElement)]
+        if len(fields) == 2 and not fields[0].compatible(fields[1]):
+            raise UnsupportedComparison("slope groups live in different fields")
+        # an irrational atom never equals a prime, so a rational group is
+        # never equal to an irrational one
+        return self.atoms == other.atoms and self.lattice == other.lattice
 
     def __eq__(self, other):
         if not isinstance(other, SlopeGroup):
@@ -264,11 +203,38 @@ class SlopeGroup:
             return False
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash((self.atoms, self.lattice))
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generator_values())
         return f"SlopeGroup(<{gens}>)"
+
+
+def _search_exponent(g: FieldElement, mu) -> Optional[int]:
+    """The k with g**k == mu for g > 1, or None: a monotone search over
+    the powers of g, BoundExceeded past _EXPONENT_CAP."""
+    if not isinstance(mu, FieldElement) or mu.is_rational:
+        mu = g.field.from_rational(
+            mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
+        )
+    elif not g.field.compatible(mu.field):
+        return None
+    if mu.sign() <= 0:
+        return None
+    if mu == 1:
+        return 0
+    sign = 1
+    if (mu - 1).sign() < 0:
+        mu, sign = mu.inverse(), -1
+    power = g.field.one()
+    for k in range(1, _EXPONENT_CAP + 1):
+        power = power * g
+        c = (power - mu).sign()
+        if c == 0:
+            return sign * k
+        if c > 0:
+            return None
+    raise BoundExceeded(f"exponent search exceeded {_EXPONENT_CAP}")
 
 
 class BreakpointModule:
@@ -476,7 +442,7 @@ def scale_equivalence(
             continue
         if ratio is not None:
             norm_ratio = abs(g1.norm(s))
-            if not _is_unit(norm_ratio / ratio, g1.inverted_primes):
+            if _valuations(norm_ratio / ratio, g1.inverted_primes) is None:
                 continue
         if _carries(s, g2, g1):
             return ScaleResult("found", scalar=s)
@@ -499,8 +465,9 @@ class SteinTriple:
     __slots__ = ("module", "slopes", "endpoint")
 
     def __init__(self, module: BreakpointModule, slopes: SlopeGroup, endpoint=None):
-        if slopes.kind == "algebraic" and not module.field.compatible(slopes.field):
-            raise FieldMismatch("slope group lives in a different field")
+        for g in slopes.atoms:
+            if isinstance(g, FieldElement) and not module.field.compatible(g.field):
+                raise FieldMismatch("slope group lives in a different field")
         for mu in slopes.generator_values():
             module.multiplication_matrix(mu)
             module.multiplication_matrix(1 / mu)
@@ -574,18 +541,16 @@ def thompson_base(triple: SteinTriple) -> Optional[int]:
     The prime support comes from the slope group, so nothing is factored.
     """
     module, slopes = triple.module, triple.slopes
-    if module.field.degree != 1 or module.rank() != 1:
+    if module.field.degree != 1 or module.rank() != 1 or slopes.rank() != 1:
         return None
-    if slopes.kind != "rational" or slopes.rank() != 1:
+    # every atom is in the support, so the one Hermite row has no zero;
+    # n is an integer exactly when the row is positive
+    (row,) = slopes.lattice
+    if module.inverted_primes != slopes.atoms or min(row) < 0:
         return None
-    value = slopes.generator_values()[0]
-    if value < 1:
-        value = 1 / value
-    if value.denominator != 1 or module.inverted_primes != slopes.primes:
+    if _valuations(abs(module.basis[0].as_fraction()), slopes.atoms) is None:
         return None
-    if not _is_unit(abs(module.basis[0].as_fraction()), slopes.primes):
-        return None
-    return int(value)
+    return prod(p**e for p, e in zip(slopes.atoms, row))
 
 
 _GOLDEN_FIELD = None
