@@ -175,9 +175,8 @@ class SlopeGroup:
         coords = []
         for row in self.lattice:
             col = next(i for i, x in enumerate(row) if x)
-            c, r = divmod(vector[col], row[col])
-            if r:
-                return None
+            # a remainder stays at col: the later pivots lie to its right
+            c = vector[col] // row[col]
             coords.append(c)
             vector = [x - c * y for x, y in zip(vector, row)]
         return None if any(vector) else tuple(coords)

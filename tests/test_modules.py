@@ -1,6 +1,7 @@
 """Breakpoint modules, slope groups, and scale equivalence."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +115,52 @@ def test_contains_bound_exceeded(monkeypatch):
         g.contains(b ** 60)
     assert g.contains(b ** 8)
     assert SlopeGroup([2]).contains(2 ** 12000)  # factored, no search
+
+
+SUPPORT = (2, 3, 5, 7)
+
+
+def value_of(exponents):
+    """The rational with these exponents over SUPPORT, by Fraction powers."""
+    value = Fraction(1)
+    for p, e in zip(SUPPORT, exponents):
+        value *= Fraction(p) ** e
+    return value
+
+
+exponent_rows = st.lists(
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any), min_size=1, max_size=3
+)
+
+
+@given(exponent_rows, st.integers(1, 3), st.data())
+def test_slope_coordinates_rebuild_the_number(rows, m, data):
+    # the group of the m-th powers of the rows: its exponent lattice is m*L
+    group = SlopeGroup([value_of([m * e for e in row]) for row in rows])
+    gens = group.generator_values()
+    for row in rows:  # each generator is rebuilt from its coordinates
+        g = value_of([m * e for e in row])
+        coords = group.coordinates(g)
+        assert math.prod(h ** c for h, c in zip(gens, coords)) == g
+    c = data.draw(st.lists(st.integers(-4, 4), min_size=len(gens), max_size=len(gens)))
+    mu = math.prod((h ** k for h, k in zip(gens, c)), start=Fraction(1))
+    assert group.coordinates(mu) == tuple(c)
+    assert group.coordinates(mu * 11) is None  # 11 is outside the support
+    support = [p for j, p in enumerate(SUPPORT) if any(row[j] for row in rows)]
+    if len(rows) < len(support):  # some prime of the support is outside the span
+        assert any(group.coordinates(mu * p) is None for p in support)
+    for row in rows:
+        # a primitive row r is not in m*L for m >= 2, since r/m is not integral
+        if m > 1 and math.gcd(*row) == 1:
+            assert group.coordinates(mu * value_of(row)) is None
+
+
+def test_slope_coordinates_in_the_golden_group():
+    b = golden_field().generator()
+    for group in (SlopeGroup([b]), SlopeGroup([b - 1])):  # b - 1 = 1/b
+        for k in range(-30, 31):
+            assert group.coordinates(b ** k) == (k,)
+        assert group.coordinates(2 * b) is None
 
 
 # -- breakpoint modules -----------------------------------------------------
