@@ -181,8 +181,13 @@ def parse_spec(source) -> SpecDocument:
             # anything that is not inline JSON is taken as a path
             if not os.path.exists(text):
                 raise ParseError(f"no such file: {text}")
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            try:
+                with open(text, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as e:  # a directory, or a file we may not read
+                raise ParseError(f"cannot read {text}: {e.strerror}") from None
+            except UnicodeDecodeError:
+                raise ParseError(f"{text} is not UTF-8 text") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
@@ -191,6 +196,8 @@ def parse_spec(source) -> SpecDocument:
             ) from None
         except ValueError as e:  # an integer literal longer than int() converts
             raise ParseError(f"not valid JSON: {e}") from None
+        except RecursionError:
+            raise ParseError("the document nests too deeply") from None
     data = _require_dict(data, "document")
     _check_keys(data, _TOP_KEYS, "document")
     if "gamma" not in data or "lambda" not in data:

@@ -34,6 +34,7 @@ from .errors import (
     SlopeNotInLambda,
     UnorderedBreakpoints,
     UnparsableWord,
+    ValidationError,
     WrongContext,
 )
 from .modules import SteinTriple, thompson_base
@@ -455,6 +456,8 @@ def generator_library(triple: SteinTriple):
 def random_word(triple: SteinTriple, length: int, seed: int) -> PLMap:
     """Seeded random product of library generators and their inverses;
     BoundExceeded past _MAX_LETTERS letters."""
+    if length < 0:
+        raise ValidationError(f"the word length {length} is negative")
     if length > _MAX_LETTERS:
         raise BoundExceeded(f"a random word is capped at {_MAX_LETTERS} letters")
     rng = random.Random(seed)

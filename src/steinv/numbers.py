@@ -59,6 +59,12 @@ Rational = Union[int, Fraction]
 # separate from zero.
 _MAX_REFINEMENTS = 4096
 
+# Degree of a defining polynomial: the squarefree gcd and the Sturm chain
+# are Euclid over Fractions, and with coefficients in [-9, 9] a field
+# takes 0.1 s to build at degree 32, 0.3 s at 40, 0.8 s at 48, 5 s at
+# 64 and 19 s at 80, in CPython 3.11 on a 2-vCPU x86-64 host.
+_MAX_DEGREE = 32
+
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Q: coefficient tuples, constant term first
@@ -249,6 +255,8 @@ class MinimalPolynomial:
             raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
         if len(cs) < 2:
             raise ZeroLeadingCoefficient("degree must be at least 1")
+        if len(cs) - 1 > _MAX_DEGREE:
+            raise BoundExceeded(f"a defining polynomial is capped at degree {_MAX_DEGREE}")
         g = 0
         for c in cs:
             g = gcd(g, abs(c))

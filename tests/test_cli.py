@@ -1,6 +1,7 @@
 """Command line behavior: output text, JSON mode, and exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from steinv import coding, parse_spec
+from steinv.numbers import MinimalPolynomial
 from steinv.cli import main
 
 DYADIC_DOC = {
@@ -361,6 +363,28 @@ def test_missing_file(docs, capsys):
     assert "no such file" in err
 
 
+def test_directory_path_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "coinvariants", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff" + json.dumps(BASE5_DOC).encode())
+    code, out, err = run(capsys, "coinvariants", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not UTF-8 text\n"
+
+
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"gamma": ' + "[" * 3000 + "]" * 3000 + "}")
+    code, out, err = run(capsys, "coinvariants", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the document nests too deeply\n"
+
+
 def test_invalid_document(docs, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -478,9 +502,28 @@ def test_unfactorable_inputs_exit_2(tmp_path):
 
 def test_overlong_random_word_exits_2_at_once(tmp_path):
     doc = {key: DYADIC_DOC[key] for key in ("gamma", "lambda", "ell")}
-    code, out, err = run_module(tmp_path, "element", "random", doc, "1000000000")
+    for length, message in [
+        ("1000000000", "a random word is capped at 500 letters"),
+        ("-3", "the word length -3 is negative"),
+    ]:
+        code, out, err = run_module(tmp_path, "element", "random", doc, length)
+        assert (code, out) == (2, ""), length
+        assert err == f"error: {message}\n"
+
+
+def test_high_degree_field_exits_2_at_once(tmp_path):
+    # a dense degree-90 polynomial, 449 bytes of document, once took 38 s
+    rng = random.Random(90)
+    minpoly = [rng.randint(-9, 9) for _ in range(90)] + [rng.choice(range(1, 10))]
+    doc = {
+        "field": {"minpoly": minpoly, "root_interval": ["0", "1"]},
+        "gamma": {"basis": ["1"], "inverted_primes": [2]},
+        "lambda": {"generators": ["2"]},
+    }
+    code, out, err = run_module(tmp_path, "coinvariants", doc)
     assert (code, out) == (2, "")
-    assert err == "error: a random word is capped at 500 letters\n"
+    assert err == "error: a defining polynomial is capped at degree 32\n"
+    assert MinimalPolynomial([1] + [0] * 31 + [1]).degree == 32
 
 
 def test_huge_search_bound_spends_the_budget(tmp_path):
