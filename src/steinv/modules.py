@@ -56,16 +56,16 @@ _EXPONENT_CAP = 10_000
 
 
 def _valuations(mu, primes) -> Optional[list]:
-    """The exponents of mu at the primes, or None when mu is not a
-    product of their powers."""
+    """The exponents of mu (an int, a Fraction or an element) at the
+    primes, or None when mu is not a product of their powers."""
     if isinstance(mu, FieldElement):
         if not mu.is_rational:
             return None
-        mu = mu.as_fraction()
-    q = Fraction(mu)
-    if q <= 0:
+        num, den = mu.num[0], mu.den
+    else:
+        num, den = mu.numerator, mu.denominator
+    if num <= 0:
         return None
-    num, den = q.numerator, q.denominator
     vector = []
     for p in primes:
         e = 0
