@@ -92,7 +92,7 @@ class SlopeGroup:
     group.  Mixed or higher rank irrational generator sets are rejected.
     """
 
-    __slots__ = ("atoms", "lattice")
+    __slots__ = ("atoms", "lattice", "_values")
 
     def __init__(self, generators: Sequence[Union[Rational, FieldElement]],
                  field: Optional[RealAlgebraicField] = None):
@@ -129,7 +129,7 @@ class SlopeGroup:
                 raise UnsupportedSlopeGroup("slope generators must be positive")
             if (g - 1).sign() < 0:
                 g = g.inverse()
-            self.atoms, self.lattice = (g,), ((1,),)
+            self.atoms, self.lattice, self._values = (g,), ((1,),), (g,)
             return
         self.atoms = tuple(sorted(
             {p for q in rationals for n in (q.numerator, q.denominator) for p in factor(n)}
@@ -138,6 +138,9 @@ class SlopeGroup:
         if self.atoms:
             h, _ = hermite_normal_form(IntMatrix([_valuations(q, self.atoms) for q in rationals]))
             self.lattice = tuple(row for row in h.entries if any(row))
+        self._values = tuple(
+            prod(Fraction(p) ** e for p, e in zip(self.atoms, row)) for row in self.lattice
+        )
 
     def rank(self) -> int:
         return len(self.lattice)
@@ -146,14 +149,9 @@ class SlopeGroup:
         return not self.lattice
 
     def generator_values(self):
-        """The Hermite generators as numbers (Fractions or elements)."""
-        out = []
-        for row in self.lattice:
-            value = Fraction(1)
-            for a, e in zip(self.atoms, row):
-                value = value * a**e if e >= 0 else value / a**-e
-            out.append(value)
-        return tuple(out)
+        """The Hermite generators, one per lattice row, as numbers
+        (Fractions or elements)."""
+        return self._values
 
     def coordinates(self, mu) -> Optional[tuple]:
         """Integer coordinates of mu over `generator_values()`, or None
