@@ -9,8 +9,8 @@ import time
 import pytest
 
 from steinv import coding, parse_spec
-from steinv.numbers import MinimalPolynomial
 from steinv.cli import main
+from steinv.numbers import MinimalPolynomial
 
 DYADIC_DOC = {
     "gamma": {"basis": ["1"], "inverted_primes": [2]},
