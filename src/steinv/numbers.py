@@ -14,26 +14,26 @@ bound straddles zero, and then bisect the interval with Sturm-sequence
 root counts until the bound excludes zero.  No floating point is used
 anywhere.
 
-A product convolves the two numerator vectors and folds the terms of
-degree d to 2d-2 back in with the coordinates of a^d, ..., a^(2d-2),
-which the field computes once as integers over one denominator, so no
-polynomial division and no Fraction runs per product.  Multiplication by
-x is the d x d rational matrix whose columns are x*a^j (j < d); the field
-norm is its determinant and the inverse of x solves it against 1 (Cohen,
-GTM 138, 4.2).  In degree two both come from the norm form in integers:
+Each degree d has its own closed forms.  In degree one an element is
+the rational num[0]/den, and sums, products and comparisons are integer
+operations on num[0] and den alone.  Above it a product convolves the
+two numerator vectors and folds the terms of degree d to 2d-2 back in
+with the coordinates of a^d, ..., a^(2d-2), which the field computes once
+as integers over one denominator.  In degree two the inverse and the
+norm come from the norm form in integers:
 (x + y*a)^-1 = (c2*x - c1*y - c2*y*a) / (c2*x^2 - c1*x*y + c0*y^2) for the
-root a of c2*t^2 + c1*t + c0.  Degree three and up go through
-`_eliminate`, the package's only rational elimination, which also reduces
-a module basis B, once, to the transform E with E*B = [I_r; 0] that gives
-its coordinates.
+root a of c2*t^2 + c1*t + c0.  From degree three they come from the d x d
+matrix of multiplication by x, whose columns are x*a^j (j < d): the norm
+is its determinant and the inverse solves it against 1 (Cohen, GTM 138,
+4.2), by `_eliminate`, the package's only rational elimination, which
+also reduces a module basis B, once, to the transform E with
+E*B = [I_r; 0] that gives its coordinates.
 
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
 quotient ring that is only a product of fields; division then fails with
 DivisionByZero whenever the divisor shares a factor with the polynomial.
 This is a documented limitation, not an error in the caller's data.
-
-Degree one uses the same representation, with a single numerator.
 """
 
 from __future__ import annotations
@@ -563,6 +563,8 @@ class FieldElement:
         if o is None:
             return NotImplemented
         dx, dy = self.den, o.den
+        if self.field.degree == 1:
+            return _normalized(self.field, (self.num[0] * dy + o.num[0] * dx,), dx * dy)
         num = tuple(x * dy + y * dx for x, y in zip(self.num, o.num))
         return _normalized(self.field, num, dx * dy)
 
@@ -573,6 +575,8 @@ class FieldElement:
         if o is None:
             return NotImplemented
         dx, dy = self.den, o.den
+        if self.field.degree == 1:
+            return _normalized(self.field, (self.num[0] * dy - o.num[0] * dx,), dx * dy)
         num = tuple(x * dy - y * dx for x, y in zip(self.num, o.num))
         return _normalized(self.field, num, dx * dy)
 
@@ -591,6 +595,8 @@ class FieldElement:
             return NotImplemented
         f = self.field
         d = f.degree
+        if d == 1:
+            return _normalized(f, (self.num[0] * o.num[0],), self.den * o.den)
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(self.num):
             if x:
@@ -709,6 +715,8 @@ class FieldElement:
         if o is None:
             raise TypeError(f"cannot compare FieldElement with {type(other)}")
         dx, dy = self.den, o.den  # the sign of the difference's numerator
+        if self.field.degree == 1:
+            return _sign(self.num[0] * dy - o.num[0] * dx)
         return _numerator_sign(
             self.field, tuple(x * dy - y * dx for x, y in zip(self.num, o.num))
         )

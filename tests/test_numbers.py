@@ -1,6 +1,7 @@
 """Exact arithmetic in real algebraic number fields."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -591,3 +592,42 @@ def test_elements_are_stored_canonical_over_one_denominator(case):
     copy = twin.element(xs)
     assert twin is not field and x == copy and hash(x) == hash(copy)
     assert (x + copy).field is field and x + copy == 2 * x
+
+
+# -- degree one: closed forms on num[0] and den ------------------------------
+
+ROOT3 = RealAlgebraicField([-3, 1], (2, 4))  # Q again, remembering the root 3
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_degree_one = st.sampled_from([rational_field(), ROOT3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _degree_one, _degree_one, _rationals, _rationals, st.sampled_from(["element", int, Fraction])
+)
+def test_degree_one_closed_forms_match_fractions(field, other_field, p, q, kind):
+    x = field.from_rational(p)
+    if kind == "element":
+        y = other_field.from_rational(q)
+    else:
+        q = Fraction(round(q)) if kind is int else q
+        y = kind(q)
+    pairs = [(x, y, p, q), (y, x, q, p)]  # the element on either side
+    for a, b, fa, fb in pairs:
+        home = a.field if isinstance(a, numbers.FieldElement) else b.field
+        for op in ("__add__", "__sub__", "__mul__"):
+            z = getattr(operator, op)(a, b)
+            assert isinstance(z, numbers.FieldElement) and z.field is home
+            assert_canonical(z)
+            assert z.as_fraction() == getattr(operator, op)(fa, fb)
+        if fb:
+            z = a / b
+            assert_canonical(z)
+            assert z.as_fraction() == fa / fb
+        else:
+            with pytest.raises(DivisionByZero):
+                a / b
+        assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
+        assert (a == b) == (fa == fb) and (a != b) == (fa != fb)
+    assert x.sign() == (p > 0) - (p < 0)
+    assert (-x).sign() == -x.sign() and (x - x).sign() == 0
