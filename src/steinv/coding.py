@@ -1,8 +1,9 @@
 """Digit codings of interval cut points and the base-2 to golden-base bridge.
 
-Cut points of the dyadic triple correspond to eventually periodic binary
-streams: the plus side takes the expansion with tail 0s, the minus side
-the one with tail (n-1)s.  The golden-base model uses streams over {0,1}
+Cut points of (Z[1/n], <n>, 1) correspond to eventually periodic base-n
+streams.  A cut value of Z[1/n] is an integer a over n^k, for the least
+such k: the plus side is the k digits of a followed by 0s, the minus side
+the k digits of a - 1 followed by (n-1)s.  The golden-base model uses streams over {0,1}
 with no "11" factor; there the minus tail is the repeating "10" block.
 Substituting 1 -> 10 turns binary streams into admissible golden-base
 streams, and lifting that substitution through prefix exchange pairs
@@ -12,10 +13,9 @@ embeds the base-2 group into the golden-base group.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
-from .elements import MINUS, PLUS, CutPoint, PLMap, make_plmap, to_prefix_pairs
+from .elements import MINUS, PLUS, CutPoint, PLMap, _word_of, make_plmap, to_prefix_pairs
 from .errors import (
     BoundExceeded,
     EmptyWord,
@@ -27,9 +27,8 @@ from .errors import (
     UnsupportedInput,
     WrongContext,
 )
-from .intlinalg import _strip_primes, factor
 from .modules import SteinTriple, golden_field, golden_triple
-from .numbers import FieldElement, rational_field
+from .numbers import FieldElement, _normalized, rational_field
 
 _DIGITS = "0123456789"
 _WORD_RE = re.compile(r"^([0-9]*)\(([0-9]+)\)$")
@@ -110,57 +109,43 @@ def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     """Digit stream of a cut of (Z[1/n], <n>, 1): plus cuts get the
     expansion ending in 0s, minus cuts the one ending in (n-1)s."""
     _require_base(n)
-    if not x.value.is_rational:
+    t = x.value
+    if not t.is_rational:
         raise WrongContext("n-adic coding needs a rational cut point")
-    t = x.value.as_fraction()
-    if _strip_primes(t.denominator, factor(n)) != 1:
-        raise WrongContext(f"{t} is not an n-adic rational for base {n}")
+    num, den = t.num[0], t.den
+    # den | n^k for some k exactly when it does for k < den.bit_length()
+    k, scale = 0, 1
+    while scale % den:
+        if k == den.bit_length():
+            raise WrongContext(f"{t} is not an n-adic rational for base {n}")
+        k, scale = k + 1, scale * n
+    a = num * (scale // den)
     if x.side == PLUS:
-        if t < 0 or t >= 1:
+        if num < 0 or num >= den:
             raise OutOfDomain(f"plus cut {t} is outside [0, 1)")
-        digits = []
-        r = t
-        while r:
-            r *= n
-            d = int(r)
-            digits.append(str(d))
-            r -= d
-        return EventuallyPeriodicWord("".join(digits), "0")
-    if t <= 0 or t > 1:
+        return EventuallyPeriodicWord(_word_of(a, k, n), "0")
+    if num <= 0 or num > den:
         raise OutOfDomain(f"minus cut {t} is outside (0, 1]")
-    k = 0
-    scaled = t
-    while scaled.denominator != 1:
-        scaled *= n
-        k += 1
-    a = scaled.numerator - 1
-    digits = []
-    for _ in range(k):
-        a, d = divmod(a, n)
-        digits.append(str(d))
-    return EventuallyPeriodicWord("".join(reversed(digits)), str(n - 1))
+    return EventuallyPeriodicWord(_word_of(a - 1, k, n), str(n - 1))
 
 
 def n_adic_value(word, n: int) -> CutPoint:
-    """Inverse of n_adic_expand: rebuild the cut point from its stream."""
+    """Inverse of n_adic_expand: rebuild the cut point from its stream;
+    pre(0) is pre/n^k and pre(n-1) is (pre + 1)/n^k, for k = len(pre)."""
     _require_base(n)
     if isinstance(word, str):
         word = EventuallyPeriodicWord.from_string(word)
     for c in word.preperiod + word.period:
         if int(c) >= n:
             raise UnparsableWord(f"digit {c} is outside base {n}")
-    k = len(word.preperiod)
-    m = len(word.period)
-    a = int(word.preperiod, n) if word.preperiod else 0
-    b = int(word.period, n)
-    value = Fraction(a, n**k) + Fraction(b, n**k * (n**m - 1))
     if word.period == "0":
         side = PLUS
     elif word.period == str(n - 1):
         side = MINUS
     else:
         raise NotInGamma(f"{word} is not the stream of a base-{n} cut")
-    return CutPoint(rational_field().from_rational(value), side)
+    a = (int(word.preperiod, n) if word.preperiod else 0) + (side == MINUS)
+    return CutPoint(_normalized(rational_field(), (a,), n ** len(word.preperiod)), side)
 
 
 # ---------------------------------------------------------------------------

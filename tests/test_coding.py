@@ -1,11 +1,13 @@
 """Digit streams for cut points and the base-2 to golden-base embedding."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from steinv import coding
+from steinv import coding, numbers
 from steinv import (
     BoundExceeded,
     CutPoint,
@@ -125,6 +127,163 @@ def test_n_adic_round_trip_random():
                 x = cut_point(t, v, rng.choice("+-"))
             w = n_adic_expand(x, n)
             assert n_adic_value(w, n) == x
+
+
+def oracle_expand(t: Fraction, side: str, n: int):
+    """n_adic_expand by Fraction long division: (error type and message)
+    or (preperiod, period), with the checks in the library's order."""
+    den = t.denominator
+    for p in range(2, n + 1):  # strip every prime of n
+        while n % p == 0 and den % p == 0:
+            den //= p
+    if den != 1:
+        return WrongContext, f"{t} is not an n-adic rational for base {n}"
+    if side == "+":
+        if t < 0 or t >= 1:
+            return OutOfDomain, f"plus cut {t} is outside [0, 1)"
+        digits, r = [], t
+        while r:
+            r *= n
+            digits.append(str(int(r)))
+            r -= int(r)
+        return str(EventuallyPeriodicWord("".join(digits), "0"))
+    if t <= 0 or t > 1:
+        return OutOfDomain, f"minus cut {t} is outside (0, 1]"
+    digits, r = [], t
+    while r:  # the plus digits of t - n^-k, then (n-1)s
+        r *= n
+        d = int(r) if r.denominator != 1 else int(r) - 1
+        digits.append(str(d))
+        r -= d
+        if r == 1:
+            break
+    return str(EventuallyPeriodicWord("".join(digits), str(n - 1)))
+
+
+def oracle_value(word: EventuallyPeriodicWord, n: int):
+    """n_adic_value by summing the geometric series of the period."""
+    for c in word.preperiod + word.period:
+        if int(c) >= n:
+            return UnparsableWord, f"digit {c} is outside base {n}"
+    k, m = len(word.preperiod), len(word.period)
+    value = Fraction(int(word.preperiod or "0", n), n**k) + Fraction(
+        int(word.period, n), n**k * (n**m - 1)
+    )
+    sides = {"0": "+", str(n - 1): "-"}
+    if word.period not in sides:
+        return NotInGamma, f"{word} is not the stream of a base-{n} cut"
+    return value, sides[word.period]
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (OutOfDomain, UnparsableWord, NotInGamma, WrongContext) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def n_adic_cuts(draw):
+    """A base, a side and a value: mostly n-adic points of [0, 1] with the
+    edges 0 and 1 common, sometimes outside [0, 1] or not n-adic."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(0, 6))
+    num = draw(st.one_of(st.sampled_from([0, n**k]), st.integers(-(n**k), 2 * n**k)))
+    den = draw(st.one_of(st.just(n**k), st.integers(1, 60)))
+    return n, Fraction(num, den), draw(st.sampled_from("+-"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_adic_cuts())
+@example((2, Fraction(0), "+"))
+@example((10, Fraction(1), "-"))
+def test_n_adic_expand_matches_long_division(case):
+    n, t, side = case
+    x = CutPoint(rational_field().from_rational(t), side)
+    got = outcome(lambda: str(n_adic_expand(x, n)))
+    assert got == oracle_expand(t, side, n)
+    if isinstance(got, str):
+        assert n_adic_value(got, n) == x
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.text("0123456789", max_size=8),
+    st.one_of(st.sampled_from(["0", "9"]), st.text("0123456789", min_size=1, max_size=3)),
+    st.booleans(),
+)
+def test_n_adic_value_matches_the_geometric_series(n, preperiod, period, top):
+    digits = str(n - 1)
+    if top:  # valid streams, ending in (n-1)s or in 0s
+        preperiod = "".join(c if int(c) < n else digits for c in preperiod)
+        period = digits if period != "0" else "0"
+    word = EventuallyPeriodicWord(preperiod, period)
+    got = outcome(n_adic_value, word, n)
+    expected = oracle_value(word, n)
+    if isinstance(got, CutPoint):
+        assert (got.value.as_fraction(), got.side) == expected
+        assert_canonical_rational(got.value)
+    else:
+        assert got == expected
+
+
+def assert_canonical_rational(x):
+    assert x.field is rational_field() and x.den > 0
+    assert math.gcd(x.num[0], x.den) == 1
+
+
+def test_n_adic_edge_cuts_and_error_messages():
+    q = rational_field()
+    for n in range(2, 11):
+        zero, one = CutPoint(q.zero(), "+"), CutPoint(q.one(), "-")
+        assert str(n_adic_expand(zero, n)) == "(0)" and n_adic_value("(0)", n) == zero
+        top = f"({n - 1})"
+        assert str(n_adic_expand(one, n)) == top and n_adic_value(top, n) == one
+
+    def cut(v, side):
+        return CutPoint(q.from_rational(v), side)
+
+    assert [outcome(n_adic_expand, *args) for args in [
+        (cut(Fraction(1, 3), "+"), 2),
+        (cut(1, "+"), 2),
+        (cut(Fraction(-1, 2), "+"), 2),
+        (cut(0, "-"), 3),
+        (cut(Fraction(3, 2), "-"), 2),
+    ]] == [
+        (WrongContext, "1/3 is not an n-adic rational for base 2"),
+        (OutOfDomain, "plus cut 1 is outside [0, 1)"),
+        (OutOfDomain, "plus cut -1/2 is outside [0, 1)"),
+        (OutOfDomain, "minus cut 0 is outside (0, 1]"),
+        (OutOfDomain, "minus cut 3/2 is outside (0, 1]"),
+    ]
+    words = [("12(0)", 2), ("0(01)", 2), ("3(5)", 7)]
+    assert [outcome(n_adic_value, w, n) for w, n in words] == [
+        (UnparsableWord, "digit 2 is outside base 2"),
+        (NotInGamma, "0(01) is not the stream of a base-2 cut"),
+        (NotInGamma, "3(5) is not the stream of a base-7 cut"),
+    ]
+
+
+def test_n_adic_coding_builds_no_fraction(monkeypatch):
+    q = rational_field()
+    cuts = [
+        (CutPoint(q.from_rational(Fraction(num, n**3)), side), n)
+        for n in (2, 3, 6, 10)
+        for num in (0, 1, n**3 - 1, n**3)
+        for side in "+-"
+        if (side == "+" and num < n**3) or (side == "-" and num > 0)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the n-adic coding built a Fraction")
+
+    assert not hasattr(coding, "Fraction")
+    monkeypatch.setattr(numbers, "Fraction", refuse)
+    words = [(str(n_adic_expand(x, n)), n) for x, n in cuts]
+    back = [n_adic_value(w, n) for w, n in words]
+    monkeypatch.undo()
+    assert back == [x for x, _ in cuts]
 
 
 # -- golden-base words ------------------------------------------------------
