@@ -539,3 +539,23 @@ def test_huge_search_bound_spends_the_budget(tmp_path):
     assert (code, out) == (
         1, "Unknown: module scale search failed: search budget spent at radius 95\n"
     )
+
+
+@pytest.mark.parametrize("degree, radius", [(16, 18), (32, 9)])
+def test_high_degree_search_budget_is_charged_by_degree(tmp_path, degree, radius):
+    # Z[1/2]<1, a> against Z[1/2]<1, 3a> at a root in (0, 1) of a random
+    # polynomial with one sign change; each candidate divides in degree d,
+    # so the budget shrinks as 1/d^2 and the search ends in seconds
+    rng = random.Random(degree)
+    minpoly = [-rng.randint(1, 9)] + [rng.randint(1, 9) for _ in range(degree)]
+    a, b = (
+        {"field": {"minpoly": minpoly, "root_interval": ["0", "1"]},
+         "gamma": {"basis": [["1"], ["0", c]], "inverted_primes": [2]},
+         "lambda": {"generators": ["2"]}}
+        for c in ("1", "3")
+    )
+    code, out, _ = run_module(tmp_path, "classify", a, b, "--search-bound", "100000",
+                              timeout=10)
+    assert (code, out) == (
+        1, f"Unknown: module scale search failed: search budget spent at radius {radius}\n"
+    )
