@@ -3,11 +3,11 @@
 Cut points of (Z[1/n], <n>, 1) correspond to eventually periodic base-n
 streams.  A cut value of Z[1/n] is an integer a over n^k, for the least
 such k: the plus side is the k digits of a followed by 0s, the minus side
-the k digits of a - 1 followed by (n-1)s.  The golden-base model uses streams over {0,1}
-with no "11" factor; there the minus tail is the repeating "10" block.
-Substituting 1 -> 10 turns binary streams into admissible golden-base
-streams, and lifting that substitution through prefix exchange pairs
-embeds the base-2 group into the golden-base group.
+the k digits of a - 1 followed by (n-1)s.  The golden-base model uses
+streams over {0,1} with no "11" factor; there the minus tail is the
+repeating "10" block.  Substituting 1 -> 10 turns binary streams into
+admissible golden-base streams, and lifting that substitution through
+prefix exchange pairs embeds the base-2 group into the golden-base group.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ def n_adic_value(word, n: int) -> CutPoint:
     else:
         raise NotInGamma(f"{word} is not the stream of a base-{n} cut")
     a = (int(word.preperiod, n) if word.preperiod else 0) + (side == MINUS)
-    return CutPoint(_normalized(rational_field(), (a,), n ** len(word.preperiod)), side)
+    value = _normalized(rational_field(), (a,), n ** len(word.preperiod))
+    return CutPoint(value, side)
 
 
 # ---------------------------------------------------------------------------
