@@ -15,7 +15,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .elements import MINUS, PLUS, CutPoint, PLMap, _word_of, make_plmap, to_prefix_pairs
+from .elements import (
+    MINUS, PLUS, CutPoint, PLMap, _n_depth, _word_of, make_plmap, to_prefix_pairs
+)
 from .errors import (
     BoundExceeded,
     EmptyWord,
@@ -28,15 +30,14 @@ from .errors import (
     WrongContext,
 )
 from .modules import SteinTriple, golden_field, golden_triple
-from .numbers import FieldElement, _normalized, rational_field
+from .numbers import FieldElement, _ratio, rational_field
 
-_DIGITS = "0123456789"
 _WORD_RE = re.compile(r"^([0-9]*)\(([0-9]+)\)$")
 _MAX_GREEDY_STEPS = 100_000
 
 
 def _check_digits(w: str) -> None:
-    if any(c not in _DIGITS for c in w):
+    if w and not (w.isascii() and w.isdigit()):
         raise UnparsableWord(f"{w!r} is not a digit string")
 
 
@@ -71,10 +72,7 @@ class EventuallyPeriodicWord:
     def from_string(cls, text: str) -> "EventuallyPeriodicWord":
         """Parse "preperiod(period)"; bare digits mean a tail of 0s."""
         m = _WORD_RE.match(text)
-        if m:
-            return cls(m.group(1), m.group(2))
-        _check_digits(text)
-        return cls(text, "0")
+        return cls(m.group(1), m.group(2)) if m else cls(text, "0")
 
     def letter(self, i: int) -> str:
         k = len(self.preperiod)
@@ -113,13 +111,10 @@ def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     if not t.is_rational:
         raise WrongContext("n-adic coding needs a rational cut point")
     num, den = t.num[0], t.den
-    # den | n^k for some k exactly when it does for k < den.bit_length()
-    k, scale = 0, 1
-    while scale % den:
-        if k == den.bit_length():
-            raise WrongContext(f"{t} is not an n-adic rational for base {n}")
-        k, scale = k + 1, scale * n
-    a = num * (scale // den)
+    k = _n_depth(den, n)
+    if k is None:
+        raise WrongContext(f"{t} is not an n-adic rational for base {n}")
+    a = num * (n**k // den)
     if x.side == PLUS:
         if num < 0 or num >= den:
             raise OutOfDomain(f"plus cut {t} is outside [0, 1)")
@@ -135,9 +130,10 @@ def n_adic_value(word, n: int) -> CutPoint:
     _require_base(n)
     if isinstance(word, str):
         word = EventuallyPeriodicWord.from_string(word)
-    for c in word.preperiod + word.period:
-        if int(c) >= n:
-            raise UnparsableWord(f"digit {c} is outside base {n}")
+    digits, top = word.preperiod + word.period, str(n - 1)
+    if max(digits) > top:
+        c = next(c for c in digits if c > top)
+        raise UnparsableWord(f"digit {c} is outside base {n}")
     if word.period == "0":
         side = PLUS
     elif word.period == str(n - 1):
@@ -145,7 +141,7 @@ def n_adic_value(word, n: int) -> CutPoint:
     else:
         raise NotInGamma(f"{word} is not the stream of a base-{n} cut")
     a = (int(word.preperiod, n) if word.preperiod else 0) + (side == MINUS)
-    value = _normalized(rational_field(), (a,), n ** len(word.preperiod))
+    value = _ratio(rational_field(), a, n ** len(word.preperiod))
     return CutPoint(value, side)
 
 

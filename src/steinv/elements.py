@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Tuple
 
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     WrongContext,
 )
 from .modules import SteinTriple, thompson_base
-from .numbers import FieldElement
+from .numbers import FieldElement, _ratio
 
 PLUS = "+"
 MINUS = "-"
@@ -157,9 +157,7 @@ class PLMap:
         return self.triple == other.triple and self.pieces == other.pieces
 
     def __hash__(self):
-        return hash(
-            tuple((p.start.coords, p.slope.coords, p.offset.coords) for p in self.pieces)
-        )
+        return hash(self.pieces)
 
     def __repr__(self):
         parts = "; ".join(
@@ -294,9 +292,8 @@ class PLMap:
 
 
 def _add_fixed(seen, point: CutPoint, slope: FieldElement) -> None:
-    key = (tuple(point.value.coords), point.side)
-    if key not in seen:
-        seen[key] = FixedPoint(point, slope, (slope - 1).sign() < 0)
+    if point not in seen:
+        seen[point] = FixedPoint(point, slope, (slope - 1).sign() < 0)
 
 
 def _merge(pieces) -> Tuple[Piece, ...]:
@@ -376,9 +373,8 @@ def _candidate_lengths(triple: SteinTriple, count: int = 6):
     def push(v):
         if v.sign() <= 0:
             return
-        key = tuple(v.coords)
-        if key not in seen:
-            seen.add(key)
+        if v not in seen:
+            seen.add(v)
             values.append(v)
 
     n = module.rank()
@@ -495,53 +491,66 @@ def _word_of(num: int, depth: int, n: int) -> str:
     return "".join(reversed(digits))
 
 
+def _n_depth(den: int, n: int):
+    """The least k with den | n^k, or None when den divides no power of n."""
+    # den | n^k for some k exactly when it does for k < den.bit_length()
+    k, scale = 0, 1
+    while scale % den:
+        if k == den.bit_length():
+            return None
+        k, scale = k + 1, scale * n
+    return k
+
+
 def to_prefix_pairs(f: PLMap):
     """The complete prefix exchange form of an element of (Z[1/n], <n>, 1).
 
     Returns domain/image word pairs (u, v): the map carries the cylinder
     of u affinely onto the cylinder of v.  Pairs are emitted in domain
     order with the coarsest cylinders the map allows.
+
+    A cylinder is the integer num over n^depth, walked against the piece
+    starts as integers over n^top.  On a piece of slope n^e and offset
+    c/n^k (k least) a cylinder inside the piece is aligned when depth >= e
+    and n^(depth - e) * c/n^k is an integer, that is from depth e + k on;
+    top is the deepest of these and of the starts, and no cylinder is
+    deeper.
     """
     n = v2_base(f.triple)
-    pieces = [
-        (p.start.as_fraction(), p.slope.as_fraction(), p.offset.as_fraction())
-        for p in f.pieces
+    # the slopes are <n> with Hermite generator n, and make_plmap has
+    # checked that every slope is in the group
+    exps = [f.triple.slopes.coordinates(p.slope)[0] for p in f.pieces]
+    align_depth = [e + _n_depth(p.offset.den, n) for e, p in zip(exps, f.pieces)]
+    top = max(align_depth + [_n_depth(p.start.den, n) for p in f.pieces])
+    if top > _MAX_CYLINDER_DEPTH:
+        raise BoundExceeded("cylinder refinement runaway")
+    scale = n**top
+    starts = [p.start.num[0] * (scale // p.start.den) for p in f.pieces]
+    ends = starts[1:] + [scale]
+    # each offset c/n^k as the integer c
+    offsets = [
+        p.offset.num[0] * n ** (a - e) // p.offset.den
+        for p, a, e in zip(f.pieces, align_depth, exps)
     ]
-    starts = [start for start, _, _ in pieces]
-    ends = starts[1:] + [Fraction(1)]
     pairs = []
     stack = [(0, 0)]
     while stack:
         num, depth = stack.pop()
-        if depth > _MAX_CYLINDER_DEPTH:
-            raise BoundExceeded("cylinder refinement runaway")
-        width = Fraction(1, n**depth)
+        width = n ** (top - depth)
         left = num * width
-        right = left + width
         idx = bisect_right(starts, left) - 1
-        start, slope, offset = pieces[idx]
-        aligned = False
-        if right <= ends[idx]:
-            # the slopes are <n> with Hermite generator n, and make_plmap
-            # has checked that every slope is in the group
-            e = f.triple.slopes.coordinates(slope)[0]
-            if e <= depth:
-                img_depth = depth - e
-                scaled = (slope * left + offset) * n**img_depth
-                if scaled.denominator == 1:
-                    pairs.append(
-                        (_word_of(num, depth, n), _word_of(scaled.numerator, img_depth, n))
-                    )
-                    aligned = True
-        if not aligned:
-            for d in reversed(range(n)):
-                stack.append((num * n + d, depth + 1))
+        if depth >= align_depth[idx] and left + width <= ends[idx]:
+            image = num + offsets[idx] * n ** (depth - align_depth[idx])
+            pairs.append((_word_of(num, depth, n), _word_of(image, depth - exps[idx], n)))
+        else:
+            stack.extend((num * n + d, depth + 1) for d in reversed(range(n)))
     return pairs
 
 
 def _check_complete_antichain(words, n: int) -> None:
+    top_digit = str(n - 1)
     for w in words:
-        if any(c not in "0123456789" or int(c) >= n for c in w):
+        if w and not (w.isascii() and w.isdigit() and max(w) <= top_digit):
             raise UnparsableWord(f"word {w!r} has digits outside base {n}")
     ordered = sorted(words)
     for a, b in zip(ordered, ordered[1:]):
@@ -549,9 +558,11 @@ def _check_complete_antichain(words, n: int) -> None:
             raise NotAntichain(f"{a!r} is a prefix of {b!r}")
     if len(set(ordered)) != len(ordered):
         raise NotAntichain("duplicate words")
-    total = sum(Fraction(1, n ** len(w)) for w in words)
-    if total != 1:
-        raise NotComplete(f"cylinders cover {total} of the interval")
+    top = max(map(len, words))
+    covered, scale = sum(n ** (top - len(w)) for w in words), n**top
+    if covered != scale:
+        g = gcd(covered, scale)
+        raise NotComplete(f"cylinders cover {covered // g}/{scale // g} of the interval")
 
 
 def from_prefix_pairs(triple: SteinTriple, pairs) -> PLMap:
@@ -563,11 +574,12 @@ def from_prefix_pairs(triple: SteinTriple, pairs) -> PLMap:
         raise NotComplete("at least one pair is required")
     _check_complete_antichain([u for u, _ in pairs], n)
     _check_complete_antichain([v for _, v in pairs], n)
+    field = triple.field
     raw = []
-    for u, v in pairs:
-        u_val = Fraction(int(u, n) if u else 0, n ** len(u))
-        v_val = Fraction(int(v, n) if v else 0, n ** len(v))
-        slope = Fraction(n) ** (len(u) - len(v))
-        raw.append((u_val, slope, v_val - slope * u_val))
-    raw.sort(key=lambda p: p[0])
+    # the domain words are an antichain, so their order is the cylinders'
+    for u, v in sorted(pairs):
+        a, b = int(u, n) if u else 0, int(v, n) if v else 0
+        du, dv = n ** len(u), n ** len(v)
+        # u -> v carries a/du to b/dv with slope du/dv, so the offset is (b - a)/dv
+        raw.append((_ratio(field, a, du), _ratio(field, du, dv), _ratio(field, b - a, dv)))
     return make_plmap(triple, raw)

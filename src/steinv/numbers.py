@@ -14,13 +14,16 @@ bound straddles zero, and then bisect the interval with Sturm-sequence
 root counts until the bound excludes zero.  No floating point is used
 anywhere.
 
+An operand that is an element of the same field handle is used as it
+is; ints, Fractions and elements of compatible fields are coerced first.
 Each degree d has its own closed forms.  In degree one an element is
-the rational num[0]/den, and sums, products and comparisons are integer
-operations on num[0] and den alone.  Above it a product convolves the
-two numerator vectors and folds the terms of degree d to 2d-2 back in
-with the coordinates of a^d, ..., a^(2d-2), which the field computes once
-as integers over one denominator.  In degree two the inverse and the
-norm come from the norm form in integers:
+the rational num[0]/den, sums, products, quotients and comparisons are
+integer operations on num[0] and den alone, and one gcd reduces the
+result.  Above it a product convolves the two numerator vectors and
+folds the terms of degree d to 2d-2 back in with the coordinates of
+a^d, ..., a^(2d-2), which the field computes once as integers over one
+denominator.  In degree two the inverse and the norm come from the
+norm form in integers:
 (x + y*a)^-1 = (c2*x - c1*y - c2*y*a) / (c2*x^2 - c1*x*y + c0*y^2) for the
 root a of c2*t^2 + c1*t + c0.  From degree three they come from the d x d
 matrix of multiplication by x, whose columns are x*a^j (j < d): the norm
@@ -522,6 +525,12 @@ def _normalized(field: RealAlgebraicField, num: tuple, den: int) -> "FieldElemen
     return FieldElement(field, num, den)
 
 
+def _ratio(field: RealAlgebraicField, x: int, den: int) -> "FieldElement":
+    """The degree-one element x/den for a positive den, in canonical form."""
+    g = gcd(x, den)
+    return FieldElement(field, (x // g,), den // g)
+
+
 class FieldElement:
     """An element of a RealAlgebraicField, exact and totally ordered.
 
@@ -558,27 +567,31 @@ class FieldElement:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o):
+        f = self.field
+        if o.__class__ is not FieldElement or o.field is not f:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
         dx, dy = self.den, o.den
-        if self.field.degree == 1:
-            return _normalized(self.field, (self.num[0] * dy + o.num[0] * dx,), dx * dy)
+        if f.degree == 1:
+            return _ratio(f, self.num[0] * dy + o.num[0] * dx, dx * dy)
         num = tuple(x * dy + y * dx for x, y in zip(self.num, o.num))
-        return _normalized(self.field, num, dx * dy)
+        return _normalized(f, num, dx * dy)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __sub__(self, o):
+        f = self.field
+        if o.__class__ is not FieldElement or o.field is not f:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
         dx, dy = self.den, o.den
-        if self.field.degree == 1:
-            return _normalized(self.field, (self.num[0] * dy - o.num[0] * dx,), dx * dy)
+        if f.degree == 1:
+            return _ratio(f, self.num[0] * dy - o.num[0] * dx, dx * dy)
         num = tuple(x * dy - y * dx for x, y in zip(self.num, o.num))
-        return _normalized(self.field, num, dx * dy)
+        return _normalized(f, num, dx * dy)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -589,14 +602,15 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(self.field, tuple(-x for x in self.num), self.den)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
         f = self.field
+        if o.__class__ is not FieldElement or o.field is not f:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
         d = f.degree
         if d == 1:
-            return _normalized(f, (self.num[0] * o.num[0],), self.den * o.den)
+            return _ratio(f, self.num[0] * o.num[0], self.den * o.den)
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(self.num):
             if x:
@@ -647,10 +661,15 @@ class FieldElement:
             return Fraction(_norm_form(f, *self.num), f.minpoly.coefficients[2] * self.den**2)
         return _eliminate(_multiplication_columns(self))[1]
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __truediv__(self, o):
+        f = self.field
+        if o.__class__ is not FieldElement or o.field is not f:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        if f.degree == 1 and o.num[0]:
+            x, y = self.num[0] * o.den, self.den * o.num[0]
+            return _ratio(f, x, y) if y > 0 else _ratio(f, -x, -y)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -711,15 +730,15 @@ class FieldElement:
         return hash((self.num, self.den))
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare FieldElement with {type(other)}")
+        f, o = self.field, other
+        if o.__class__ is not FieldElement or o.field is not f:
+            o = self._coerce(other)
+            if o is None:
+                raise TypeError(f"cannot compare FieldElement with {type(other)}")
         dx, dy = self.den, o.den  # the sign of the difference's numerator
-        if self.field.degree == 1:
+        if f.degree == 1:
             return _sign(self.num[0] * dy - o.num[0] * dx)
-        return _numerator_sign(
-            self.field, tuple(x * dy - y * dx for x, y in zip(self.num, o.num))
-        )
+        return _numerator_sign(f, tuple(x * dy - y * dx for x, y in zip(self.num, o.num)))
 
     def __lt__(self, other):
         return self._cmp(other) < 0

@@ -1,10 +1,12 @@
 """Piecewise linear right continuous bijections of [0, endpoint)."""
 
+import bisect
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from steinv import elements
 from steinv.elements import Piece
@@ -384,6 +386,76 @@ def test_from_prefix_pairs_validation():
         from_prefix_pairs(DYADIC, [("0", "2"), ("1", "0")])
     with pytest.raises(NotAntichain):
         from_prefix_pairs(DYADIC, [("0", "0"), ("1", "1"), ("1", "0")])
+
+
+def reference_prefix_pairs(f):
+    """The cylinder walk in Fractions that the integer walk replaced, kept
+    as its oracle: each cylinder's ends, the piece at its left end, and
+    whether the piece carries it onto a cylinder."""
+    n = elements.v2_base(f.triple)
+    pieces = [
+        (p.start.as_fraction(), p.slope.as_fraction(), p.offset.as_fraction())
+        for p in f.pieces
+    ]
+    starts = [start for start, _, _ in pieces]
+    ends = starts[1:] + [Fraction(1)]
+    pairs = []
+    stack = [(0, 0)]
+    while stack:
+        num, depth = stack.pop()
+        width = Fraction(1, n**depth)
+        left = num * width
+        idx = bisect.bisect_right(starts, left) - 1
+        start, slope, offset = pieces[idx]
+        aligned = False
+        if left + width <= ends[idx]:
+            e = f.triple.slopes.coordinates(slope)[0]
+            if e <= depth:
+                scaled = (slope * left + offset) * n ** (depth - e)
+                if scaled.denominator == 1:
+                    pairs.append(
+                        (elements._word_of(num, depth, n),
+                         elements._word_of(scaled.numerator, depth - e, n))
+                    )
+                    aligned = True
+        if not aligned:
+            for d in reversed(range(n)):
+                stack.append((num * n + d, depth + 1))
+    return pairs
+
+
+@st.composite
+def prefix_elements(draw):
+    """An element of (Z[1/n], <n>, 1), n in 2, 3, 10, from two prefix
+    codes of up to four splits each, so that slopes run from n^-4 to n^4;
+    half the time a product of two of them."""
+    n = draw(st.sampled_from([2, 3, 10]))
+    triple = thompson_triple(n)
+
+    def element():
+        splits = draw(st.integers(1, 4))
+        codes = []
+        for _ in range(2):
+            words = [""]
+            for _ in range(splits):
+                w = words.pop(draw(st.integers(0, len(words) - 1)))
+                words += [w + str(d) for d in range(n)]
+            codes.append(words)
+        return from_prefix_pairs(triple, list(zip(codes[0], draw(st.permutations(codes[1])))))
+
+    f = element()
+    return f * element() if draw(st.booleans()) else f
+
+
+# slopes 2^3, 2^2, 1, 2^-2 and 2^-3: image and domain depths differ by up to 3
+@example(from_prefix_pairs(DYADIC, [("0000", "1"), ("0001", "01"), ("001", "001"),
+                                    ("01", "0001"), ("1", "0000")]))
+@settings(max_examples=150, deadline=None)
+@given(prefix_elements())
+def test_integer_prefix_walk_matches_the_fraction_walk(f):
+    pairs = to_prefix_pairs(f)
+    assert pairs == reference_prefix_pairs(f)
+    assert from_prefix_pairs(f.triple, pairs) == f
 
 
 def test_prefix_pairs_wrong_context():

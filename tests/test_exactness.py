@@ -34,6 +34,20 @@ def test_sources_use_no_floating_point():
     assert found == []
 
 
+def test_elements_and_coding_import_nothing_from_fractions():
+    # degree-one elements, cylinders and digit words are integers there
+    found = []
+    for name in ("elements.py", "coding.py"):
+        path = Path(steinv.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), name)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            if "fractions" in names:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_guard_sees_literals_and_calls_but_not_type_checks():
     code = "x = 0.5\ny = float(x)\nz = isinstance(x, float)\nw = 1e3\n"
     assert sorted(line for line, _ in float_uses(ast.parse(code))) == [1, 2, 4]
