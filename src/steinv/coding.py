@@ -21,7 +21,6 @@ from .elements import (
 from .errors import (
     BoundExceeded,
     EmptyWord,
-    FieldMismatch,
     ForbiddenFactor,
     NotInGamma,
     OutOfDomain,
@@ -289,13 +288,7 @@ def _greedy_beta(v: FieldElement):
 def beta_expand(value, side: str) -> EventuallyPeriodicWord:
     """Golden-base stream of a cut value: plus side gets the terminating
     expansion, minus side the variant ending in repeating 10."""
-    field = golden_field()
-    if not isinstance(value, FieldElement):
-        value = field.from_rational(value)
-    elif value.is_rational:
-        value = field.from_rational(value.as_fraction())
-    elif not field.compatible(value.field):
-        raise FieldMismatch(f"{value} is not an element of the golden field")
+    value = golden_field().coerce(value)
     s = value.sign()
     if side == PLUS:
         if s < 0 or (value - 1).sign() >= 0:

@@ -91,8 +91,7 @@ class CutPoint(NamedTuple("CutPoint", [("value", FieldElement), ("side", str)]))
 def cut_point(triple: SteinTriple, value, side: str) -> CutPoint:
     """Validated cut point of the triple's interval."""
     endpoint = triple.require_endpoint()
-    if not isinstance(value, FieldElement):
-        value = triple.field.from_rational(value)
+    value = triple.field.coerce(value)
     if not triple.module.contains(value):
         raise NotInGamma(f"{value} is not a point of the breakpoint module")
     s = value.sign()
@@ -184,8 +183,7 @@ class PLMap:
         return self.pieces[k]
 
     def __call__(self, t) -> FieldElement:
-        if not isinstance(t, FieldElement):
-            t = self.triple.field.from_rational(t)
+        t = self.triple.field.coerce(t)
         if t.sign() < 0 or (t - self.triple.endpoint).sign() >= 0:
             raise OutOfDomain(f"{t} is outside [0, {self.triple.endpoint})")
         return self._piece_at(t).image_of(t)
@@ -323,11 +321,7 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
     """
     endpoint = triple.require_endpoint()
     field = triple.field
-
-    def coerce(x):
-        return x if isinstance(x, FieldElement) else field.from_rational(x)
-
-    data = [tuple(coerce(x) for x in piece) for piece in pieces]
+    data = [tuple(map(field.coerce, piece)) for piece in pieces]
     if not data:
         raise UnorderedBreakpoints("an element needs at least one piece")
     if any(len(p) != 3 for p in data):
@@ -435,12 +429,7 @@ def generator_library(triple: SteinTriple):
             swap(zero, d)
         if (endpoint - (d + d + d)).sign() >= 0:
             swap(d, d)
-    slope_values = []
-    for mu in triple.slopes.generator_values():
-        slope_values.append(
-            mu if isinstance(mu, FieldElement) else field.from_rational(mu)
-        )
-    for lam in slope_values:
+    for lam in map(field.coerce, triple.slopes.generator_values()):
         for d in lengths:
             if (endpoint - (d + lam * d)).sign() >= 0:
                 rescale(zero, d, lam)

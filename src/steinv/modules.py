@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .errors import (
     BoundExceeded,
     DependentBasis,
-    FieldMismatch,
     InvalidEndpoint,
     NonDense,
     NotInvariant,
@@ -97,20 +96,14 @@ class SlopeGroup:
 
     def __init__(self, generators: Sequence[Union[Rational, FieldElement]],
                  field: Optional[RealAlgebraicField] = None):
-        rationals = []
-        irrationals = []
-        for g in generators:
-            if isinstance(g, FieldElement):
-                if field is None:
-                    field = g.field
-                elif not field.compatible(g.field):
-                    raise FieldMismatch("slope generators from different fields")
-                if g.is_rational:
-                    rationals.append(g.as_fraction())
-                else:
-                    irrationals.append(g)
-            else:
-                rationals.append(Fraction(g))
+        if field is None:
+            # an irrational generator names the field; rationals lie in every field
+            fields = (g.field for g in generators
+                      if isinstance(g, FieldElement) and not g.is_rational)
+            field = next(fields, rational_field())
+        values = [field.coerce(g) for g in generators]
+        rationals = [g.as_fraction() for g in values if g.is_rational]
+        irrationals = [g for g in values if not g.is_rational]
         for q in rationals:
             if q <= 0:
                 raise UnsupportedSlopeGroup("slope generators must be positive")
@@ -211,12 +204,7 @@ class SlopeGroup:
 def _search_exponent(g: FieldElement, mu) -> Optional[int]:
     """The k with g**k == mu for g > 1, or None: a monotone search over
     the powers of g, BoundExceeded past _EXPONENT_CAP."""
-    if not isinstance(mu, FieldElement) or mu.is_rational:
-        mu = g.field.from_rational(
-            mu.as_fraction() if isinstance(mu, FieldElement) else Fraction(mu)
-        )
-    elif not g.field.compatible(mu.field):
-        return None
+    mu = g.field.coerce(mu)
     if mu.sign() <= 0:
         return None
     if mu == 1:
@@ -245,14 +233,7 @@ class BreakpointModule:
         for p in primes:
             if not is_prime(p):
                 raise ValidationError(f"{p} is not prime")
-        elems = []
-        for b in basis:
-            if isinstance(b, FieldElement):
-                if not field.compatible(b.field):
-                    raise FieldMismatch("basis element from a different field")
-                elems.append(field.element(b.coords))
-            else:
-                elems.append(field.from_rational(b))
+        elems = [field.coerce(b) for b in basis]
         if not elems:
             raise ValidationError("basis must be nonempty")
         columns = [b.coords for b in elems]
@@ -280,11 +261,7 @@ class BreakpointModule:
     def coordinates(self, t) -> Optional[tuple]:
         """Rational basis coordinates of t, or None when t is outside the
         rational span of the basis."""
-        if isinstance(t, FieldElement):
-            if not self.field.compatible(t.field):
-                raise FieldMismatch("point from a different field")
-        else:
-            t = self.field.from_rational(t)
+        t = self.field.coerce(t)
         n, den = len(self.basis), self._den * t.den
         values = [sum(e * x for e, x in zip(row, t.num)) for row in self._rows]
         return None if any(values[n:]) else tuple(Fraction(v, den) for v in values[:n])
@@ -305,8 +282,7 @@ class BreakpointModule:
 
         Raises NotInvariant when some product leaves the module.
         """
-        if not isinstance(mu, FieldElement):
-            mu = self.field.from_rational(mu)
+        mu = self.field.coerce(mu)
         cols = []
         for b in self.basis:
             coords = self.coordinates(mu * b)
@@ -319,11 +295,8 @@ class BreakpointModule:
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
     def scaled(self, s) -> "BreakpointModule":
-        if not isinstance(s, FieldElement):
-            s = self.field.from_rational(s)
-        return BreakpointModule(
-            self.field, [s * b for b in self.basis], self.inverted_primes
-        )
+        s = self.field.coerce(s)
+        return BreakpointModule(self.field, [s * b for b in self.basis], self.inverted_primes)
 
     def norm(self, s: FieldElement) -> Fraction:
         """Field norm of s; the benchmark's tracer counts the scale search's
@@ -427,7 +400,8 @@ def scale_equivalence(
     if n == d:
         ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
     budget = _SCALE_CANDIDATES if d <= 3 else _SCALE_CANDIDATES * 9 // d**2
-    g = g2.basis[0]
+    # s = h / g for the fixed g = g2.basis[0], so g is inverted once
+    ginv = g2.basis[0].inverse()
     # by max-norm from 1 up, then lexicographically; the basis is
     # independent, so each vector gives a new nonzero h and a new s
     box = itertools.chain.from_iterable(_shell(n, r) for r in range(1, search_bound + 1))
@@ -436,7 +410,7 @@ def scale_equivalence(
             spent = f"search budget spent at radius {max(map(abs, coeffs))}"
             return ScaleResult("unknown", obstruction=spent)
         h = sum((c * b for c, b in zip(coeffs, g1.basis) if c), field.zero())
-        s = h / g
+        s = h * ginv
         if s.sign() <= 0:
             continue
         if ratio is not None:
@@ -464,15 +438,11 @@ class SteinTriple:
     __slots__ = ("module", "slopes", "endpoint")
 
     def __init__(self, module: BreakpointModule, slopes: SlopeGroup, endpoint=None):
-        for g in slopes.atoms:
-            if isinstance(g, FieldElement) and not module.field.compatible(g.field):
-                raise FieldMismatch("slope group lives in a different field")
         for mu in slopes.generator_values():
             module.multiplication_matrix(mu)
             module.multiplication_matrix(1 / mu)
         if endpoint is not None:
-            if not isinstance(endpoint, FieldElement):
-                endpoint = module.field.from_rational(endpoint)
+            endpoint = module.field.coerce(endpoint)
             if not module.contains(endpoint):
                 raise InvalidEndpoint("endpoint is not a module point")
             if endpoint.sign() <= 0:
@@ -520,11 +490,7 @@ def stein_triple(
     if field is None:
         field = rational_field()
     module = BreakpointModule(field, basis, inverted_primes)
-    gens = [
-        g if isinstance(g, FieldElement) else Fraction(g) for g in slope_generators
-    ]
-    slopes = SlopeGroup(gens, field=field)
-    return SteinTriple(module, slopes, endpoint)
+    return SteinTriple(module, SlopeGroup(slope_generators, field=field), endpoint)
 
 
 def thompson_triple(n: int, endpoint: Rational = 1) -> SteinTriple:

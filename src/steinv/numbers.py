@@ -14,8 +14,14 @@ bound straddles zero, and then bisect the interval with Sturm-sequence
 root counts until the bound excludes zero.  No floating point is used
 anywhere.
 
-An operand that is an element of the same field handle is used as it
-is; ints, Fractions and elements of compatible fields are coerced first.
+`RealAlgebraicField.coerce` is the one rule for which numbers enter a
+field handle: every rational lies in every field, and compatible handles
+present one field.  An int, a Fraction, a rational element of any handle
+and any element of a compatible handle enter; an irrational element of
+another field raises FieldMismatch.  Arithmetic and order coerce their
+second operand by it, and equality calls a rejected value unequal, so
+equal numbers compare and hash equal across handles.
+
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den, sums, products, quotients and comparisons are
 integer operations on num[0] and den alone, and one gcd reduces the
@@ -419,6 +425,21 @@ class RealAlgebraicField:
         zeros = (0,) * (self.degree - 1)
         return FieldElement(self, (q.numerator,) + zeros, q.denominator)
 
+    def coerce(self, x) -> "FieldElement":
+        """x as an element of this handle, by the rule in the module
+        docstring; TypeError for a value that is not a number."""
+        if isinstance(x, FieldElement):
+            if x.field is self:
+                return x
+            if x.is_rational:
+                return FieldElement(self, x.num[:1] + (0,) * (self.degree - 1), x.den)
+            if self.compatible(x.field):
+                return FieldElement(self, x.num, x.den)
+            raise FieldMismatch(f"{x} lies in {x.field!r}, not in {self!r}")
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        raise TypeError(f"{type(x).__name__} is not a number")
+
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
 
@@ -555,14 +576,9 @@ class FieldElement:
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is self.field:
-                return other
-            if self.field.compatible(other.field):
-                return FieldElement(self.field, other.num, other.den)
-            raise FieldMismatch("operands belong to different fields")
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+        """other in this element's handle, or None when it is not a number."""
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.field.coerce(other)
         return None
 
     # -- ring operations ----------------------------------------------------
@@ -712,29 +728,26 @@ class FieldElement:
 
     # -- order and equality -------------------------------------------------
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return (
-                self.den == q.denominator
-                and self.num[0] == q.numerator
-                and self.is_rational
-            )
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.field is not self.field and not self.field.compatible(other.field):
-            return False
-        return self.den == other.den and self.num == other.num
+    def __eq__(self, o):
+        if o.__class__ is not FieldElement or o.field is not self.field:
+            try:
+                o = self._coerce(o)
+            except FieldMismatch:
+                return False  # an irrational of another field
+            if o is None:
+                return NotImplemented
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
+        # a rational equals its Fraction, and so its int when den is 1
+        if self.is_rational:
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
     def _cmp(self, other) -> int:
         f, o = self.field, other
         if o.__class__ is not FieldElement or o.field is not f:
-            o = self._coerce(other)
-            if o is None:
-                raise TypeError(f"cannot compare FieldElement with {type(other)}")
+            o = f.coerce(other)
         dx, dy = self.den, o.den  # the sign of the difference's numerator
         if f.degree == 1:
             return _sign(self.num[0] * dy - o.num[0] * dx)

@@ -34,6 +34,29 @@ def test_sources_use_no_floating_point():
     assert found == []
 
 
+def field_mismatch_raises(tree):
+    """Lines that raise FieldMismatch, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "FieldMismatch":
+                yield node.lineno
+
+
+def test_only_numbers_decides_which_numbers_enter_a_field():
+    # every other module calls RealAlgebraicField.coerce, so the rule and
+    # its one message live in one place
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "numbers.py"
+        for line in field_mismatch_raises(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+    code = "raise FieldMismatch('x')\nraise FieldMismatch\nraise ValueError('y')\n"
+    assert list(field_mismatch_raises(ast.parse(code))) == [1, 2]
+
+
 def test_elements_and_coding_import_nothing_from_fractions():
     # degree-one elements, cylinders and digit words are integers there
     found = []
