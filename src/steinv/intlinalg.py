@@ -2,11 +2,11 @@
 generated abelian groups presented by them, and the primes of integers.
 
 Entries are arbitrary precision Python ints.  The Hermite normal form
-is the one integer elimination: its pivot is the entry of smallest
+is the one unimodular elimination: its pivot is the entry of smallest
 nonzero absolute value in the column, ties broken by the lowest row,
 which makes it deterministic.  The Smith normal form is built from
-Hermite forms of the matrix and of its transpose, and determinants go
-through the package's rational elimination.
+Hermite forms of the matrix and of its transpose.  Determinants come
+from the fraction-free (Bareiss) elimination behind `numbers._eliminate`.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Determinant, through the package's rational elimination."""
+        """Determinant, by fraction-free (Bareiss) elimination of these
+        integer entries through `numbers._eliminate`."""
         if self.rows != self.cols:
             raise ValidationError("determinant of a non-square matrix")
         return int(_eliminate(self.entries)[1])

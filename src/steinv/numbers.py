@@ -7,12 +7,14 @@ in the power basis 1, a, ..., a^(d-1), kept canonical (the numerators and
 the denominator have gcd 1, and zero is 0/1) so that equality and
 hashing compare integers (Cohen, GTM 138, 4.2).  Every decision is exact.
 Since the denominator is positive, a sign is the sign of the numerator
-polynomial at a.  Degree-two signs come from a closed form for the root
-by comparing squares of integers.  Higher degrees bound the value over
-the isolating interval, test for a symbolic zero by a gcd only when that
-bound straddles zero, and then bisect the interval with Sturm-sequence
-root counts until the bound excludes zero.  No floating point is used
-anywhere.
+polynomial at a.  In degree two the root is (-c1 + e*sqrt(D)) / (2*c2)
+for a branch e = +-1: a handle finds e, and bisects its interval, by the
+signs of q*a - p read from integer squares, and its squarefree test is
+D != 0, so no Sturm chain is built.  Degree-two signs come from the same
+closed form.  Higher degrees bound the value over the isolating interval,
+test for a symbolic zero by a gcd only when that bound straddles zero,
+and then bisect the interval with Sturm-sequence root counts until the
+bound excludes zero.  No floating point is used anywhere.
 
 `RealAlgebraicField.coerce` is the one rule for which numbers enter a
 field handle: every rational lies in every field, and compatible handles
@@ -34,9 +36,13 @@ norm form in integers:
 root a of c2*t^2 + c1*t + c0.  From degree three they come from the d x d
 matrix of multiplication by x, whose columns are x*a^j (j < d): the norm
 is its determinant and the inverse solves it against 1 (Cohen, GTM 138,
-4.2), by `_eliminate`, the package's only rational elimination, which
-also reduces a module basis B, once, to the transform E with
-E*B = [I_r; 0] that gives its coordinates.
+4.2).  The matrix is built in integers from num and den, with column j
+scaled by den*lead^j, and `_bareiss`, a fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22 (1968)), solves it in integers.
+`_eliminate`, the package's one elimination over Q, clears denominators
+once, runs `_bareiss` and builds Fractions only for its results; it also
+reduces a module basis B, once, to the transform E with E*B = [I_r; 0]
+that gives its coordinates.
 
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
@@ -58,6 +64,7 @@ from .errors import (
     MultipleRootsInInterval,
     NoRootInInterval,
     NotSquarefree,
+    ValidationError,
     ZeroLeadingCoefficient,
 )
 
@@ -188,53 +195,100 @@ def _quadratic_sign(quadratic, x: int, y: int) -> int:
     return su if d > 0 else -su if d < 0 else 0
 
 
+def _quadratic_roots_inside(coefficients, lo: Fraction, hi: Fraction) -> list:
+    """The closed forms (c1, c2, e, D) of the roots
+    a = (-c1 + e*sqrt(D)) / (2*c2) of c2*t^2 + c1*t + c0, c2 > 0, that lie
+    in the open interval (lo, hi); e = -1 is the lower root."""
+    c0, c1, c2 = coefficients
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return []
+    # the sign of q*a - p is the sign of a - p/q
+    return [
+        root
+        for root in ((c1, c2, e, disc) for e in (-1, 1))
+        if _quadratic_sign(root, -lo.numerator, lo.denominator) > 0
+        and _quadratic_sign(root, -hi.numerator, hi.denominator) < 0
+    ]
+
+
+def _bareiss(rows, n: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
+    (1968)) of a list of integer rows, in place, pivoting in the first n
+    columns on the first nonzero entry at or below the current row.
+
+    Returns (rank, p, det) for the last pivot p (1 when there is none)
+    and the determinant det of the first n columns (0 when one has no
+    pivot).  Each pivot row ends as p times its reduced row echelon row,
+    the rows below the rank are zero in the first n columns, and every
+    division is exact, since every entry stays a minor of the input.
+    """
+    r, p, sign, full = 0, 1, 1, True
+    for c in range(n):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            full = False
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        top = rows[r]
+        q = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    rows[i] = [(q * x - f * y) // p for x, y in zip(row, top)]
+                else:
+                    rows[i] = [q * x // p for x in row]
+        p = q
+        r += 1
+    return r, p, sign * p if full else 0
+
+
 def _eliminate(columns, target=None):
-    """Gauss-Jordan elimination over Q of the matrix with the given
-    columns, augmented by the column target when one is given.
+    """Gauss-Jordan elimination over Q of the matrix with the given int
+    or Fraction columns, augmented by the column target when one is
+    given.
 
     Returns (rank, det, solution): the rank of the columns, their
     determinant (for a square matrix), and the unique rational x with
     sum x_j * columns[j] = target, or None when there is no such x or
     it is not unique.  Without a target the third value is the reduced
-    row echelon form, as a list of rows.
+    row echelon form, as a list of rows.  The denominators are cleared
+    once and `_bareiss` runs on integers; Fractions are built only for
+    the results.
     """
     n = len(columns)
     augmented = list(columns) + ([target] if target is not None else [])
-    rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
-    det = Fraction(1)
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        p = rows[r][c]
-        det *= p
-        rows[r] = [x / p if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        r += 1
+    den = lcm(*(x.denominator for col in augmented for x in col))
+    rows = [
+        [col[i].numerator * (den // col[i].denominator) for col in augmented]
+        for i in range(len(columns[0]))
+    ]
+    r, p, det = _bareiss(rows, n)
+    det = Fraction(det, den**n)
     if target is None:
-        return r, det, rows
+        return r, det, [[Fraction(x, p) for x in row] for row in rows]
     solution = None
     if r == n and not any(row[n] for row in rows[r:]):
-        solution = tuple(row[n] for row in rows[:n])
+        solution = tuple(Fraction(row[n], p) for row in rows[:n])
     return r, det, solution
 
 
 def _multiplication_columns(x: "FieldElement"):
-    """Coordinates of x*a^j for j < d: the columns of the matrix of
-    multiplication by x on the power basis."""
-    a = x.field.generator()
-    columns = [x.coords]
+    """Integer columns den * lead^j * (x*a^j) for j < d, read from x's
+    numerators over its denominator den: the matrix of multiplication by
+    x on the power basis, its column j scaled by den * lead^j, so that
+    its determinant is den^d * lead^(d(d-1)/2) times the norm of x."""
+    *low, lead = x.field.minpoly.coefficients
+    column = x.num
+    columns = [column]
     for _ in range(x.field.degree - 1):
-        x = a * x
-        columns.append(x.coords)
+        # lead*a times the column: shift up one place, fold lead*a^d in
+        top = column[-1]
+        column = tuple(lead * y - top * c for y, c in zip((0,) + column[:-1], low))
+        columns.append(column)
     return columns
 
 
@@ -273,7 +327,11 @@ class MinimalPolynomial:
             g = -g
         cs = [c // g for c in cs]
         fr = tuple(Fraction(c) for c in cs)
-        if len(cs) > 2 and len(_pgcd(fr, _pderiv(fr))) > 1:
+        if len(cs) == 3:
+            repeated = cs[1] * cs[1] == 4 * cs[0] * cs[2]  # D = 0
+        else:
+            repeated = len(cs) > 3 and len(_pgcd(fr, _pderiv(fr))) > 1
+        if repeated:
             raise NotSquarefree("defining polynomial has a repeated root")
         self.coefficients = tuple(cs)
         self._fractions = fr
@@ -334,30 +392,27 @@ class RealAlgebraicField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self._exact_root = None
+        self._sturm = None
+        self._quadratic = None
         if self.degree == 1:
             a0, a1 = minpoly.coefficients
             root = Fraction(-a0, a1)
             if not (lo < root < hi):
                 raise NoRootInInterval("the rational root is outside the interval")
             self._exact_root = root
-            self._sturm = None
             lo = hi = root
         else:
-            self._sturm = _sturm_chain(minpoly.fractions())
-            n = _count_roots_open(self._sturm, lo, hi)
+            if self.degree == 2:
+                # located in closed form; no Sturm chain is built
+                roots = _quadratic_roots_inside(minpoly.coefficients, lo, hi)
+                n, self._quadratic = len(roots), roots[0] if roots else None
+            else:
+                self._sturm = _sturm_chain(minpoly.fractions())
+                n = _count_roots_open(self._sturm, lo, hi)
             if n == 0:
                 raise NoRootInInterval("no root inside the interval")
             if n > 1:
                 raise MultipleRootsInInterval(f"{n} roots inside the interval")
-        self._quadratic = None
-        if self.degree == 2:
-            # the root is (-c1 + e*sqrt(D)) / (2*c2), e = -1 below the vertex
-            c0, c1, c2 = minpoly.coefficients
-            vertex = Fraction(-c1, 2 * c2)
-            below = hi <= vertex or (
-                lo < vertex and _count_roots_open(self._sturm, lo, vertex) == 1
-            )
-            self._quadratic = (c1, c2, -1 if below else 1, c1 * c1 - 4 * c0 * c2)
         # numerators of a^d, ..., a^(2d-2), the high terms of a product,
         # over the one denominator lead^(d-1); a^(d+k) needs lead^(k+1)
         *low, lead = minpoly.coefficients
@@ -390,6 +445,9 @@ class RealAlgebraicField:
     def _bisect(self, lo: Fraction, hi: Fraction):
         """One bisection step keeping the root; degenerate when it is hit."""
         mid = (lo + hi) / 2
+        if self._quadratic is not None:
+            s = _quadratic_sign(self._quadratic, -mid.numerator, mid.denominator)
+            return (lo, mid) if s < 0 else (mid, hi) if s > 0 else (mid, mid)
         if self.minpoly.evaluate(mid) == 0:
             return mid, mid
         if _count_roots_open(self._sturm, lo, mid) == 1:
@@ -413,9 +471,7 @@ class RealAlgebraicField:
     def element(self, coords) -> "FieldElement":
         cs = [Fraction(c) for c in coords]
         if len(cs) > self.degree:
-            raise FieldMismatch(
-                f"coordinate vector longer than degree {self.degree}"
-            )
+            raise ValidationError(f"coordinate vector longer than degree {self.degree}")
         den = lcm(*(c.denominator for c in cs))
         num = [c.numerator * (den // c.denominator) for c in cs]
         return _normalized(self, tuple(num) + (0,) * (self.degree - len(cs)), den)
@@ -471,6 +527,8 @@ class RealAlgebraicField:
     def _same_root(self, other) -> bool:
         if self.minpoly != other.minpoly:
             return False
+        if self._quadratic is not None:
+            return self._quadratic == other._quadratic
         lo = max(self._lo, other._lo)
         hi = min(self._hi, other._hi)
         if self._exact_root is not None:
@@ -660,10 +718,16 @@ class FieldElement:
                 s = self.den if n > 0 else -self.den
                 return _normalized(f, (s * (c2 * x - c1 * y), -s * c2 * y), abs(n))
         else:
-            one = (1,) + (0,) * (f.degree - 1)
-            solution = _eliminate(_multiplication_columns(self), one)[2]
-            if solution is not None:
-                return f.element(solution)
+            # x^-1 = den * sum_j y_j * (lead*a)^j for the solution y of
+            # sum_j y_j * columns[j] = 1, and y_j = rows[j][d] / p
+            d, lead = f.degree, f.minpoly.coefficients[-1]
+            columns = _multiplication_columns(self)
+            rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*columns))]
+            rank, p, _ = _bareiss(rows, d)
+            if rank == d:
+                s = self.den if p > 0 else -self.den
+                num = tuple(s * row[d] * lead**j for j, row in enumerate(rows))
+                return _normalized(f, num, abs(p))
         raise DivisionByZero(
             "zero divisor: the element shares a factor with the defining polynomial"
         )
@@ -675,7 +739,9 @@ class FieldElement:
             return Fraction(self.num[0], self.den)
         if f.degree == 2:
             return Fraction(_norm_form(f, *self.num), f.minpoly.coefficients[2] * self.den**2)
-        return _eliminate(_multiplication_columns(self))[1]
+        d, lead = f.degree, f.minpoly.coefficients[-1]
+        det = _bareiss([list(row) for row in zip(*_multiplication_columns(self))], d)[2]
+        return Fraction(det, self.den**d * lead ** (d * (d - 1) // 2))
 
     def __truediv__(self, o):
         f = self.field

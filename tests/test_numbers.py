@@ -20,6 +20,7 @@ from steinv import (
     NotSquarefree,
     RealAlgebraicField,
     SteinError,
+    ValidationError,
     ZeroLeadingCoefficient,
     approx,
     rational_field,
@@ -101,8 +102,11 @@ def test_sqrt2_identities():
 def test_element_pads_and_rejects_long_coords():
     x = GOLDEN.element([1])
     assert x.coords == (Fraction(1), Fraction(0))
-    with pytest.raises(FieldMismatch):
+    # a shape error in the caller's data, not a mismatch of fields
+    with pytest.raises(ValidationError) as info:
         GOLDEN.element([1, 2, 3])
+    assert not isinstance(info.value, FieldMismatch)
+    assert str(info.value) == "coordinate vector longer than degree 2"
 
 
 def test_mixed_field_arithmetic_fails():
@@ -637,3 +641,263 @@ def test_degree_one_closed_forms_match_fractions(field, other_field, p, q, kind)
         assert (a == b) == (fa == fb) and (a != b) == (fa != fb)
     assert x.sign() == (p > 0) - (p < 0)
     assert (-x).sign() == -x.sign() and (x - x).sign() == 0
+
+
+# -- fraction-free elimination against the Fraction Gauss-Jordan ------------
+
+
+def gauss_jordan_reference(columns, target=None):
+    """The elimination as it was on Fractions, kept as the reference for
+    `numbers._eliminate`: same contract, Gauss-Jordan over Q."""
+    n = len(columns)
+    augmented = list(columns) + ([target] if target is not None else [])
+    rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
+    det = Fraction(1)
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        p = rows[r][c]
+        det *= p
+        rows[r] = [x / p if x else x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if target is None:
+        return r, det, rows
+    solution = None
+    if r == n and not any(row[n] for row in rows[r:]):
+        solution = tuple(row[n] for row in rows[:n])
+    return r, det, solution
+
+
+_entries = (
+    st.integers(-6, 6)
+    | st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    | st.integers(-(10**12), 10**12)
+)
+
+
+def _combination(weights, columns):
+    return [sum((w * col[i] for w, col in zip(weights, columns)), Fraction(0))
+            for i in range(len(columns[0]))]
+
+
+@st.composite
+def elimination_cases(draw):
+    """Columns of an m x n matrix, m, n <= 6, square about half the time,
+    with a dependent last column when asked, and no target, a drawn one
+    or one in the span of the columns."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.just(m) | st.integers(1, 6))
+    vector = st.lists(_entries, min_size=m, max_size=m)
+    columns = draw(st.lists(vector, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):  # singular: the last column depends on the rest
+        weights = draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+        columns[-1] = _combination(weights, columns[:-1])
+    kind = draw(st.sampled_from(["none", "drawn", "span"]))
+    target = None
+    if kind == "drawn":
+        target = draw(vector)
+    elif kind == "span":
+        target = _combination(draw(st.lists(_entries, min_size=n, max_size=n)), columns)
+    return columns, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases())
+def test_eliminate_matches_the_fraction_gauss_jordan(case):
+    columns, target = case
+    rank, det, third = numbers._eliminate(columns, target)
+    assert (rank, det, third) == gauss_jordan_reference(columns, target)
+    assert type(det) is Fraction
+    if target is None:  # the reduced row echelon form
+        assert all(type(x) is Fraction for row in third for x in row)
+    elif third is not None:
+        assert all(type(x) is Fraction for x in third)
+
+
+# -- degree two: root location in closed form, not by Sturm chains ----------
+
+
+def sturm_count(minpoly, lo, hi):
+    return numbers._count_roots_open(numbers._sturm_chain(minpoly.fractions()), lo, hi)
+
+
+def sturm_branch(minpoly, lo, hi):
+    """The branch e of the root (-c1 + e*sqrt(D)) / (2*c2) in (lo, hi), as
+    the Sturm-chain construction chose it: -1 below the vertex."""
+    c0, c1, c2 = minpoly.coefficients
+    vertex = Fraction(-c1, 2 * c2)
+    below = hi <= vertex or (lo < vertex and sturm_count(minpoly, lo, vertex) == 1)
+    return -1 if below else 1
+
+
+_ends = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+
+
+@st.composite
+def quadratic_cases(draw):
+    """A squarefree quadratic, non-monic at times, and two intervals; for a
+    square discriminant the ends fall on or next to the rational roots."""
+    if draw(st.booleans()):
+        # (q1*t - p1)(q2*t - p2) with distinct roots p1/q1 and p2/q2
+        r1, r2 = draw(st.lists(_ends, min_size=2, max_size=2, unique=True))
+        (p1, q1), (p2, q2) = (r1.numerator, r1.denominator), (r2.numerator, r2.denominator)
+        coeffs = [p1 * p2, -(q1 * p2 + q2 * p1), q1 * q2]
+        near = st.sampled_from([r1, r2, r1 - 1, r1 + 1, r2 - 1, r2 + 1, (r1 + r2) / 2]) | _ends
+    else:
+        coeffs = [draw(st.integers(-30, 30)), draw(st.integers(-30, 30)), draw(st.integers(1, 9))]
+        assume(coeffs[1] ** 2 != 4 * coeffs[0] * coeffs[2])
+        near = _ends
+    ends = st.lists(near, min_size=2, max_size=2, unique=True).map(sorted)
+    return coeffs, [tuple(draw(ends)) for _ in range(2)]
+
+
+def reference_bisect(minpoly, lo, hi):
+    """One bisection step of the Sturm-chain construction."""
+    mid = (lo + hi) / 2
+    if minpoly.evaluate(mid) == 0:
+        return mid, mid
+    if sturm_count(minpoly, lo, mid) == 1:
+        return lo, mid
+    return mid, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_cases())
+def test_quadratic_root_location_matches_sturm(case):
+    coeffs, intervals = case
+    minpoly = MinimalPolynomial(coeffs)
+    c0, c1, c2 = minpoly.coefficients
+    handles = []
+    for lo, hi in intervals:
+        n = sturm_count(minpoly, lo, hi)
+        if n == 0:
+            with pytest.raises(NoRootInInterval, match="no root inside the interval"):
+                RealAlgebraicField(minpoly, (lo, hi))
+            continue
+        if n > 1:
+            with pytest.raises(MultipleRootsInInterval, match="2 roots inside the interval"):
+                RealAlgebraicField(minpoly, (lo, hi))
+            continue
+        field = RealAlgebraicField(minpoly, (lo, hi))
+        e = sturm_branch(minpoly, lo, hi)
+        assert field._quadratic == (c1, c2, e, c1 * c1 - 4 * c0 * c2)
+        assert field._sturm is None
+        handles.append(field)
+    if len(handles) == 2:
+        # the Sturm-overlap rule: one root in the common part of the intervals
+        (f, g), ((lo1, hi1), (lo2, hi2)) = handles, intervals
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        overlap = lo < hi and sturm_count(minpoly, lo, hi) == 1
+        assert f.compatible(g) == g.compatible(f) == overlap
+    for field in handles:
+        lo, hi = field.root_interval()
+        for _ in range(6):
+            field.refine_root()
+            if lo != hi:
+                lo, hi = reference_bisect(minpoly, lo, hi)
+            assert field.root_interval() == (lo, hi)
+        assert (field._exact_root is not None) == (lo == hi)
+
+
+@given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12))
+def test_quadratic_squarefree_test_is_the_discriminant(c0, c1, c2):
+    cs = (Fraction(c0), Fraction(c1), Fraction(c2))
+    repeated = len(numbers._pgcd(cs, numbers._pderiv(cs))) > 1
+    assert repeated == (c1 * c1 == 4 * c0 * c2)
+    if repeated:
+        with pytest.raises(NotSquarefree):
+            MinimalPolynomial([c0, c1, c2])
+    else:
+        MinimalPolynomial([c0, c1, c2])
+
+
+def test_degree_two_handles_build_no_sturm_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a degree-two handle ran a Sturm chain")
+
+    for name in ("_sturm_chain", "_count_roots_open", "_pgcd"):
+        monkeypatch.setattr(numbers, name, refuse)
+    with pytest.raises(NotSquarefree):
+        MinimalPolynomial([1, -2, 1])
+    other_roots = {GOLDEN: (-1, 0), SQRT2M1: (-3, -2), NON_MONIC: (-2, -1)}
+    for field, other in other_roots.items():
+        twin = RealAlgebraicField(field.minpoly, field.initial_interval())
+        conjugate = RealAlgebraicField(field.minpoly, other)
+        assert twin.compatible(field) and field.compatible(twin)
+        assert not conjugate.compatible(field) and not twin.compatible(conjugate)
+        assert twin.generator() + field.generator() == 2 * field.generator()
+        with pytest.raises(MultipleRootsInInterval, match="2 roots"):
+            RealAlgebraicField(field.minpoly, (-4, 4))
+        with pytest.raises(NoRootInInterval):
+            RealAlgebraicField(field.minpoly, (5, 6))
+        a = twin.generator()
+        for handle in (twin, conjugate):
+            for _ in range(12):
+                handle.refine_root()
+            lo, hi = handle.root_interval()
+            assert lo < handle.generator() < hi
+        lo0, hi0 = twin.initial_interval()
+        lo, hi = twin.root_interval()
+        assert hi - lo == (hi0 - lo0) / 2**12  # twelve halvings, no rational root
+        assert lo < a < hi
+
+
+# -- degree three and up: norm and inverse on integers -----------------------
+
+
+def count_fractions(call):
+    """call() and the number of Fractions built while it ran, by arithmetic
+    as well as by construction."""
+    real = Fraction.__dict__["__new__"]
+    built = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        result = call()
+    finally:
+        Fraction.__new__ = real
+    return result, built
+
+
+NON_MONIC_CUBIC = RealAlgebraicField([-3, 0, 0, 2], (1, 2))  # (3/2)^(1/3)
+FOURTH_ROOT2 = RealAlgebraicField([-2, 0, 0, 0, 1], (1, 2))
+
+
+@pytest.mark.parametrize("field", [CUBE_ROOT2, NON_MONIC_CUBIC, FOURTH_ROOT2, REDUCIBLE])
+def test_norm_and_inverse_do_no_fraction_arithmetic(field):
+    rng = random.Random(131)
+    d = field.degree
+    a = field.generator()
+    xs = [a, a - 1, field.from_rational(Fraction(-2, 3))] + [
+        random_element(rng, field) for _ in range(12)
+    ]
+    for x in xs:
+        norm, built = count_fractions(x.norm)
+        assert built <= d + 1
+        columns, y = [], x
+        for _ in range(d):
+            columns.append(y.coords)
+            y = a * y
+        assert norm == gauss_jordan_reference(columns)[1]
+        if norm:
+            inverse, built = count_fractions(x.inverse)
+            assert built <= d + 1
+            assert x * inverse == 1
+        else:  # a zero divisor of the reducible polynomial
+            with pytest.raises(DivisionByZero):
+                x.inverse()
