@@ -14,7 +14,12 @@ D != 0, so no Sturm chain is built.  Degree-two signs come from the same
 closed form.  Higher degrees bound the value over the isolating interval,
 test for a symbolic zero by a gcd only when that bound straddles zero,
 and then bisect the interval with Sturm-sequence root counts until the
-bound excludes zero.  No floating point is used anywhere.
+bound excludes zero.  All three run on integers: the bound is Horner's
+scheme over one denominator of the interval ends, the gcd, the squarefree
+test and the Sturm chain are primitive pseudo-remainder sequences
+(Collins and Loos, "Real zeros of polynomials", 1982), and a polynomial
+a of degree k is evaluated at p/q as q^k * a(p/q), of the same sign.  No
+floating point is used anywhere.
 
 `RealAlgebraicField.coerce` is the one rule for which numbers enter a
 field handle: every rational lies in every field, and compatible handles
@@ -75,15 +80,15 @@ Rational = Union[int, Fraction]
 # separate from zero.
 _MAX_REFINEMENTS = 4096
 
-# Degree of a defining polynomial: the squarefree gcd and the Sturm chain
-# are Euclid over Fractions, and with coefficients in [-9, 9] a field
-# takes 0.1 s to build at degree 32, 0.3 s at 40, 0.8 s at 48, 5 s at
-# 64 and 19 s at 80, in CPython 3.11 on a 2-vCPU x86-64 host.
+# Degree of a defining polynomial.  The squarefree gcd and the Sturm chain
+# run on integers: with coefficients in [-9, 9] a field takes 2 ms to
+# build at degree 32, 12 ms at 64 and 28 ms at 80 (CPython 3.11, 2-vCPU
+# x86-64).  The cap fixes which documents are refused, so it stays.
 _MAX_DEGREE = 32
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q: coefficient tuples, constant term first
+# dense integer polynomials: coefficient tuples, constant term first
 
 
 def _trim(coeffs) -> tuple:
@@ -94,57 +99,66 @@ def _trim(coeffs) -> tuple:
 
 
 def _prem(a, b):
-    """Remainder of the polynomial a on division by the nonzero b."""
-    a = list(a)
-    inv = Fraction(1, 1) / b[-1]
+    """The remainder of the polynomial a on division by the nonzero b, in
+    integers: each step multiplies by |lc(b)| and the content is divided
+    out, so the result is a positive multiple of the rational remainder."""
+    a, lead = list(a), b[-1]
+    m, s = abs(lead), 1 if lead > 0 else -1
     while len(a) >= len(b):
-        c = a[-1] * inv
-        k = len(a) - len(b)
+        c, k = s * a[-1], len(a) - len(b)
+        a = [m * x for x in a]
         for i, y in enumerate(b):
             a[k + i] -= c * y
         a.pop()
         while a and a[-1] == 0:
             a.pop()
-    return _trim(a)
+    g = gcd(*a)
+    return tuple(x // g for x in a)
 
 
 def _pderiv(a):
     return _trim(i * a[i] for i in range(1, len(a)))
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _peval(a, p: int, q: int) -> int:
+    """q^deg(a) * a(p/q) for q > 0, which has the sign of a(p/q)."""
+    acc, scale = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
+        acc = acc * p + c * scale
+        scale *= q
     return acc
 
 
 def _interval_eval(a, lo: Fraction, hi: Fraction):
-    """Exact interval extension of the polynomial by Horner's scheme."""
-    if not a:
-        return Fraction(0), Fraction(0)
-    acc_lo = acc_hi = Fraction(a[-1])
+    """Horner's scheme for the nonempty polynomial a over [lo, hi], in
+    integers: (v_lo, v_hi, scale) with scale > 0, where [v_lo, v_hi] / scale
+    is the enclosure that the scheme gives over Q.  The ends are put over
+    one denominator q, and the k-th accumulators are kept times q^k."""
+    q = lcm(lo.denominator, hi.denominator)
+    L = lo.numerator * (q // lo.denominator)
+    H = hi.numerator * (q // hi.denominator)
+    acc_lo = acc_hi = a[-1]
+    scale = 1
     for c in reversed(a[:-1]):
-        p = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo = min(p) + c
-        acc_hi = max(p) + c
-    return acc_lo, acc_hi
+        scale *= q
+        p = (acc_lo * L, acc_lo * H, acc_hi * L, acc_hi * H)
+        acc_lo = min(p) + c * scale
+        acc_hi = max(p) + c * scale
+    return acc_lo, acc_hi, scale
 
 
 def _pgcd(a, b):
-    # Euclid over Q; the result is normalized monic (or a constant 1).
+    """A gcd of a and b over Q, as an integer polynomial: Euclid by
+    primitive pseudo-remainders (Collins and Loos 1982)."""
     a, b = _trim(a), _trim(b)
     while b:
         a, b = b, _prem(a, b)
-    if not a:
-        return ()
-    if len(a) == 1:
-        return (Fraction(1),)
-    lead = a[-1]
-    return tuple(c / lead for c in a)
+    return a
 
 
 def _sturm_chain(f):
+    """The Sturm chain of f, each member a positive multiple of the
+    rational one, so that every sign is kept."""
     chain = [_trim(f), _pderiv(f)]
     while chain[-1]:
         rem = _prem(chain[-2], chain[-1])
@@ -155,26 +169,16 @@ def _sturm_chain(f):
 
 
 def _variations(values) -> int:
-    count = 0
-    prev = 0
-    for v in values:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of chain[0] in the open interval."""
-    v_lo = _variations(_peval(p, lo) for p in chain)
-    v_hi = _variations(_peval(p, hi) for p in chain)
-    n = v_lo - v_hi  # roots in (lo, hi]
-    if _peval(chain[0], hi) == 0:
-        n -= 1
-    return n
+    at_lo = [_peval(c, lo.numerator, lo.denominator) for c in chain]
+    at_hi = [_peval(c, hi.numerator, hi.denominator) for c in chain]
+    # the roots in (lo, hi], less hi itself when it is one
+    return _variations(at_lo) - _variations(at_hi) - (at_hi[0] == 0)
 
 
 def _sign(x: Rational) -> int:
@@ -303,7 +307,7 @@ class MinimalPolynomial:
     verified at construction; irreducibility is not.
     """
 
-    __slots__ = ("coefficients", "_fractions")
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[Rational]):
         cs = []
@@ -320,31 +324,19 @@ class MinimalPolynomial:
             raise ZeroLeadingCoefficient("degree must be at least 1")
         if len(cs) - 1 > _MAX_DEGREE:
             raise BoundExceeded(f"a defining polynomial is capped at degree {_MAX_DEGREE}")
-        g = 0
-        for c in cs:
-            g = gcd(g, abs(c))
-        if cs[-1] < 0:
-            g = -g
-        cs = [c // g for c in cs]
-        fr = tuple(Fraction(c) for c in cs)
+        g = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
+        cs = tuple(c // g for c in cs)
         if len(cs) == 3:
             repeated = cs[1] * cs[1] == 4 * cs[0] * cs[2]  # D = 0
         else:
-            repeated = len(cs) > 3 and len(_pgcd(fr, _pderiv(fr))) > 1
+            repeated = len(cs) > 3 and len(_pgcd(cs, _pderiv(cs))) > 1
         if repeated:
             raise NotSquarefree("defining polynomial has a repeated root")
-        self.coefficients = tuple(cs)
-        self._fractions = fr
+        self.coefficients = cs
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def fractions(self):
-        return self._fractions
-
-    def evaluate(self, x: Rational) -> Fraction:
-        return _peval(self._fractions, Fraction(x))
 
     def __eq__(self, other):
         return (
@@ -407,7 +399,7 @@ class RealAlgebraicField:
                 roots = _quadratic_roots_inside(minpoly.coefficients, lo, hi)
                 n, self._quadratic = len(roots), roots[0] if roots else None
             else:
-                self._sturm = _sturm_chain(minpoly.fractions())
+                self._sturm = _sturm_chain(minpoly.coefficients)
                 n = _count_roots_open(self._sturm, lo, hi)
             if n == 0:
                 raise NoRootInInterval("no root inside the interval")
@@ -448,7 +440,7 @@ class RealAlgebraicField:
         if self._quadratic is not None:
             s = _quadratic_sign(self._quadratic, -mid.numerator, mid.denominator)
             return (lo, mid) if s < 0 else (mid, hi) if s > 0 else (mid, mid)
-        if self.minpoly.evaluate(mid) == 0:
+        if _peval(self.minpoly.coefficients, mid.numerator, mid.denominator) == 0:
             return mid, mid
         if _count_roots_open(self._sturm, lo, mid) == 1:
             return lo, mid
@@ -569,9 +561,10 @@ def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
         return _sign(poly[0])
     zero_checked = False
     for _ in range(_MAX_REFINEMENTS):
-        if f._exact_root is not None:
-            return _sign(_peval(poly, f._exact_root))
-        v_lo, v_hi = _interval_eval(poly, f._lo, f._hi)
+        root = f._exact_root
+        if root is not None:
+            return _sign(_peval(poly, root.numerator, root.denominator))
+        v_lo, v_hi, _ = _interval_eval(poly, f._lo, f._hi)
         if v_lo > 0:
             return 1
         if v_hi < 0:
@@ -581,7 +574,7 @@ def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
             # root is possible only when the defining polynomial is
             # reducible and the element hits a factor of it.
             zero_checked = True
-            g = _pgcd(poly, f.minpoly.fractions())
+            g = _pgcd(poly, f.minpoly.coefficients)
             if len(g) > 1 and _count_roots_open(_sturm_chain(g), f._lo, f._hi) >= 1:
                 return 0
         f.refine_root()
@@ -879,14 +872,17 @@ def approx(a: FieldElement, eps: Rational):
     if f._quadratic is not None:
         return _quadratic_approx(f._quadratic, *a.num, a.den, eps)
     poly = _trim(a.num)  # the value is poly(a) / den
-    if f._exact_root is not None:
-        v = _peval(poly, f._exact_root) / a.den
+    root = f._exact_root
+    if root is not None:
+        p, q = root.numerator, root.denominator
+        v = Fraction(_peval(poly, p, q), q ** (len(poly) - 1) * a.den)
         return v, v
     lo, hi = f.initial_interval()
     for _ in range(_MAX_REFINEMENTS):
-        v_lo, v_hi = _interval_eval(poly, lo, hi)
-        if v_hi - v_lo < eps * a.den:
-            return v_lo / a.den, v_hi / a.den
+        v_lo, v_hi, scale = _interval_eval(poly, lo, hi)
+        scale *= a.den  # the value lies in [v_lo, v_hi] / scale
+        if (v_hi - v_lo) * eps.denominator < eps.numerator * scale:
+            return Fraction(v_lo, scale), Fraction(v_hi, scale)
         lo, hi = f._bisect(lo, hi)  # a root hit gives lo == hi, width 0
     raise BoundExceeded("approximation did not converge")
 

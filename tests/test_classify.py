@@ -382,7 +382,7 @@ def reference_unit_box(field, radius=30):
     """The least unit above 1 of rational norm +-1 among a + b*g with
     |a|, |b| <= radius: the coordinate search the continued fraction
     replaced (at radius 50)."""
-    c0, c1, c2 = field.minpoly.fractions()
+    c0, c1, c2 = field.minpoly.coefficients
     one = field.one()
     best = None
     for a in range(-radius, radius + 1):
@@ -429,7 +429,7 @@ def test_fundamental_unit_is_a_unit_of_the_multiplier_ring(field):
     module = power_module(field)
     u = _fundamental_unit(module)
     assert u is not None and u > 1
-    c0, c1, c2 = field.minpoly.fractions()
+    c0, c1, c2 = field.minpoly.coefficients
     x, y = u.coords
     assert x * x - x * y * c1 / c2 + y * y * c0 / c2 in (1, -1)
     assert (2 * x - y * c1 / c2).denominator == 1

@@ -1,14 +1,19 @@
 """Exact arithmetic in real algebraic number fields."""
 
+import contextlib
+import importlib
+import io
 import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from steinv import modules, numbers
+from steinv.cli import main
 from steinv import (
     BoundExceeded,
     BreakpointModule,
@@ -724,11 +729,215 @@ def test_eliminate_matches_the_fraction_gauss_jordan(case):
         assert all(type(x) is Fraction for x in third)
 
 
+# -- Fraction references for the integer polynomial helpers -----------------
+
+
+def reference_prem(a, b):
+    """Remainder of the polynomial a on division by the nonzero b, over Q."""
+    a = [Fraction(x) for x in a]
+    inv = Fraction(1) / b[-1]
+    while len(a) >= len(b):
+        c = a[-1] * inv
+        k = len(a) - len(b)
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return tuple(a)
+
+
+def reference_peval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def reference_interval_eval(a, lo, hi):
+    """Horner's scheme over Fractions on the interval [lo, hi]."""
+    acc_lo = acc_hi = Fraction(a[-1])
+    for c in reversed(a[:-1]):
+        p = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(p) + c, max(p) + c
+    return acc_lo, acc_hi
+
+
+def reference_pgcd(a, b):
+    """Euclid over Q; the result is monic (or a constant 1)."""
+    a, b = numbers._trim(a), numbers._trim(b)
+    while b:
+        a, b = b, reference_prem(a, b)
+    return tuple(Fraction(c) / a[-1] for c in a)
+
+
+def reference_sturm_chain(f):
+    chain = [numbers._trim(f), numbers._pderiv(f)]
+    while chain[-1]:
+        rem = reference_prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(tuple(-c for c in rem))
+    return tuple(chain)
+
+
+def reference_variations(values):
+    count = 0
+    prev = 0
+    for v in values:
+        if v == 0:
+            continue
+        s = 1 if v > 0 else -1
+        if prev and s != prev:
+            count += 1
+        prev = s
+    return count
+
+
+def reference_count_roots_open(chain, lo, hi):
+    v_lo = reference_variations(reference_peval(p, lo) for p in chain)
+    v_hi = reference_variations(reference_peval(p, hi) for p in chain)
+    return v_lo - v_hi - (reference_peval(chain[0], hi) == 0)
+
+
+def reference_numbers(monkeypatch):
+    """Put the Fraction references in place of the integer helpers, with
+    the shipped signatures."""
+    monkeypatch.setattr(numbers, "_interval_eval", lambda a, lo, hi: (
+        *reference_interval_eval(a, lo, hi), 1))
+    monkeypatch.setattr(numbers, "_peval", lambda a, p, q: (
+        reference_peval(a, Fraction(p, q)) * Fraction(q) ** (len(a) - 1)))
+    monkeypatch.setattr(numbers, "_pgcd", reference_pgcd)
+    monkeypatch.setattr(numbers, "_sturm_chain", reference_sturm_chain)
+    monkeypatch.setattr(numbers, "_count_roots_open", reference_count_roots_open)
+
+
+def scaled_by_positive(poly, reference):
+    """True when the integer polynomial is a positive multiple of the
+    reference."""
+    if not reference:
+        return not poly
+    k = Fraction(poly[-1]) / reference[-1]
+    return k > 0 and len(poly) == len(reference) and all(
+        x == k * y for x, y in zip(poly, reference))
+
+
+_coefficient = st.integers(-9, 9)
+_interval_end = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+def product(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@st.composite
+def integer_polynomials(draw, max_degree=8):
+    """A nonzero integer polynomial of degree at most max_degree; half of
+    them are products with a factor of degree one or two, at times
+    squared, so that rational and repeated roots occur."""
+    def poly(degree):
+        cs = draw(st.lists(_coefficient, min_size=degree + 1, max_size=degree + 1))
+        return tuple(cs[:-1]) + (cs[-1] or 1,)
+
+    if draw(st.booleans()):
+        return poly(draw(st.integers(0, max_degree)))
+    u = poly(draw(st.integers(1, 2)))
+    rest = max_degree + 1 - len(u)
+    if rest >= len(u) - 1 and draw(st.booleans()):
+        return product(u, u)
+    return product(u, poly(draw(st.integers(0, rest))))
+
+
+_intervals = st.lists(_interval_end, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polynomials(), _intervals)
+def test_integer_interval_horner_is_the_fraction_enclosure_scaled(poly, interval):
+    lo, hi = interval
+    v_lo, v_hi, scale = numbers._interval_eval(poly, lo, hi)
+    assert all(type(x) is int for x in (v_lo, v_hi, scale)) and scale > 0
+    assert (Fraction(v_lo, scale), Fraction(v_hi, scale)) == reference_interval_eval(poly, lo, hi)
+    p, q = lo.numerator, lo.denominator
+    assert numbers._peval(poly, p, q) == reference_peval(poly, lo) * q ** (len(poly) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polynomials(), integer_polynomials(6), integer_polynomials(2), _intervals)
+def test_integer_sturm_chain_and_gcd_match_the_fraction_ones(f, u, v, interval):
+    lo, hi = interval
+    g = product(u, v)
+    chain, reference = numbers._sturm_chain(f), reference_sturm_chain(f)
+    assert len(chain) == len(reference)
+    assert all(scaled_by_positive(c, r) for c, r in zip(chain, reference))
+    assert numbers._count_roots_open(chain, lo, hi) == reference_count_roots_open(
+        reference, lo, hi)
+    for a, b in ((f, g), (product(f, v), g)):  # the second with a common factor
+        h = numbers._pgcd(a, b)
+        assert tuple(Fraction(c, h[-1]) for c in h) == reference_pgcd(a, b)
+    repeated = len(reference_pgcd(f, numbers._pderiv(f))) > 1
+    assert (len(numbers._pgcd(f, numbers._pderiv(f))) > 1) == repeated
+    if len(f) > 3:  # degree 2 has the discriminant test
+        if repeated:
+            with pytest.raises(NotSquarefree):
+                MinimalPolynomial(f)
+        else:
+            assert MinimalPolynomial(f).degree == len(f) - 1
+
+
+@st.composite
+def refinement_cases(draw):
+    """A cubic or quartic and an interval; half of them have a rational
+    root r in the interval that a bisection midpoint hits."""
+    degree = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        f = draw(integer_polynomials(degree).filter(lambda f: len(f) == degree + 1))
+        return f, draw(_intervals)
+    r = draw(_interval_end)
+    rest = draw(integer_polynomials(degree - 1).filter(lambda f: len(f) == degree))
+    delta = Fraction(1, draw(st.integers(1, 8)))
+    # r is the midpoint after j halvings of (r - delta, r + (2^j - 1)*delta)
+    ends = [r - delta, r + (2 ** draw(st.integers(1, 3)) - 1) * delta]
+    if draw(st.booleans()):
+        ends = [2 * r - x for x in reversed(ends)]
+    return product((-r.numerator, r.denominator), rest), ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(refinement_cases())
+def test_cubic_and_quartic_refinement_and_approx_match_the_fraction_references(case):
+    f, (lo, hi) = case
+    assume(len(reference_pgcd(f, numbers._pderiv(f))) == 1)
+    minpoly = MinimalPolynomial(f)
+    n = sturm_count(minpoly, lo, hi)
+    if n != 1:
+        with pytest.raises(NoRootInInterval if n == 0 else MultipleRootsInInterval):
+            RealAlgebraicField(minpoly, (lo, hi))
+        return
+    field = RealAlgebraicField(minpoly, (lo, hi))
+    for _ in range(6):
+        field.refine_root()
+        if lo != hi:
+            lo, hi = reference_bisect(minpoly, lo, hi)
+        assert field.root_interval() == (lo, hi)
+    assert (field._exact_root is not None) == (lo == hi)
+    a = field.generator()
+    x, eps = a * a - 2 * a + Fraction(1, 3), Fraction(1, 1000)
+    shipped = approx(x, eps)
+    with pytest.MonkeyPatch.context() as m:
+        reference_numbers(m)
+        assert approx(x, eps) == shipped
+
+
 # -- degree two: root location in closed form, not by Sturm chains ----------
 
 
 def sturm_count(minpoly, lo, hi):
-    return numbers._count_roots_open(numbers._sturm_chain(minpoly.fractions()), lo, hi)
+    return reference_count_roots_open(reference_sturm_chain(minpoly.coefficients), lo, hi)
 
 
 def sturm_branch(minpoly, lo, hi):
@@ -764,7 +973,7 @@ def quadratic_cases(draw):
 def reference_bisect(minpoly, lo, hi):
     """One bisection step of the Sturm-chain construction."""
     mid = (lo + hi) / 2
-    if minpoly.evaluate(mid) == 0:
+    if reference_peval(minpoly.coefficients, mid) == 0:
         return mid, mid
     if sturm_count(minpoly, lo, mid) == 1:
         return lo, mid
@@ -811,8 +1020,8 @@ def test_quadratic_root_location_matches_sturm(case):
 
 @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12))
 def test_quadratic_squarefree_test_is_the_discriminant(c0, c1, c2):
-    cs = (Fraction(c0), Fraction(c1), Fraction(c2))
-    repeated = len(numbers._pgcd(cs, numbers._pderiv(cs))) > 1
+    cs = (c0, c1, c2)
+    repeated = len(reference_pgcd(cs, numbers._pderiv(cs))) > 1
     assert repeated == (c1 * c1 == 4 * c0 * c2)
     if repeated:
         with pytest.raises(NotSquarefree):
@@ -901,3 +1110,60 @@ def test_norm_and_inverse_do_no_fraction_arithmetic(field):
         else:  # a zero divisor of the reducible polynomial
             with pytest.raises(DivisionByZero):
                 x.inverse()
+
+
+@pytest.mark.parametrize("field", [CUBE_ROOT2, NON_MONIC_CUBIC, FOURTH_ROOT2, REDUCIBLE])
+def test_signs_build_fractions_only_for_bisection_midpoints(field, monkeypatch):
+    refines = []
+    real_refine = RealAlgebraicField.refine_root
+    monkeypatch.setattr(RealAlgebraicField, "refine_root",
+                        lambda f: refines.append(f) or real_refine(f))
+    rng = random.Random(137)
+    a = field.generator()
+    lo, hi = approx(a, Fraction(1, 10 ** 6))
+    near = [a - lo, a - Fraction(126, 100), hi - a]  # small values
+    for x in [a, a - 1, a * a - 2, a - a] + near + [random_element(rng, field) for _ in range(12)]:
+        # a fresh handle, so that no earlier sign has refined its interval
+        y = RealAlgebraicField(field.minpoly, field.initial_interval()).coerce(x)
+        refines.clear()
+        sign, built = count_fractions(y.sign)
+        assert sign == x.sign()
+        assert built <= 4 * len(refines)  # the midpoint of each bisection
+
+
+def test_the_cubic_pair_decides_as_the_fraction_references(monkeypatch):
+    # the classify-docs cubic pair, Z[1/2]<1, a, a^2> against <1, a, 3a^2>
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    a, b = workloads._cubic_doc("1"), workloads._cubic_doc("3")
+
+    def run():
+        outputs, calls = [], []
+        for bound in ("1", "2", "3"):
+            counts = {"sign": 0, "refine": 0, "gcd": 0}
+            with monkeypatch.context() as m:
+                for owner, name, key in [
+                    (numbers, "_numerator_sign", "sign"),
+                    (numbers, "_pgcd", "gcd"),
+                    (RealAlgebraicField, "refine_root", "refine"),
+                ]:
+                    real = getattr(owner, name)
+
+                    def counting(*args, real=real, key=key):
+                        counts[key] += 1
+                        return real(*args)
+
+                    m.setattr(owner, name, counting)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["classify", a, b, "--search-bound", bound, "--json"])
+            outputs.append((code, out.getvalue()))
+            calls.append(counts)
+        return outputs, calls
+
+    shipped = run()
+    with monkeypatch.context() as m:
+        reference_numbers(m)
+        reference = run()
+    assert shipped == reference
+    assert all(c["sign"] and c["gcd"] for c in shipped[1])
