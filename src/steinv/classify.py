@@ -49,7 +49,7 @@ from .modules import (
     scale_equivalence,
     thompson_base,
 )
-from .numbers import FieldElement, _eliminate
+from .numbers import FieldElement, _bareiss
 
 # Partial quotients allowed in one period: no D below 2*10^5 needs more
 # than 951, and longer periods (documents of a few dozen bytes) take seconds.
@@ -106,9 +106,10 @@ class Verdict(NamedTuple):
 def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvariants:
     """Quotient of the module by all elements t - mu*t, mu a slope generator.
 
-    Stacks the columns of (I - M_mu) over the generators, clears
-    denominators columnwise (harmless: the factors are products of
-    inverted primes), takes the integer cokernel, and localizes.
+    Stacks the columns of (I - M_mu) over the generators, each scaled to
+    integers by its coordinates' denominator (harmless: a product of
+    inverted primes), so column j is den*e_j - nums for the coordinates
+    (nums, den) of mu*b_j; takes the integer cokernel, and localizes.
     """
     values = slopes.generator_values()
     for mu in values:
@@ -118,13 +119,10 @@ def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvaria
     columns = []
     try:
         for mu in values:
-            m = module.multiplication_matrix(mu)
+            for j, (nums, den) in enumerate(module.multiplication_matrix(mu)):
+                columns.append([den * (i == j) - x for i, x in enumerate(nums)])
             # the group contains 1/mu as well, so demand a two-sided action
             module.multiplication_matrix(1 / mu)
-            for j in range(n):
-                columns.append(
-                    [(1 if i == j else 0) - m[i][j] for i in range(n)]
-                )
     except NotInvariant as e:
         raise UnsupportedGamma(str(e)) from e
     if not columns:
@@ -132,13 +130,8 @@ def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvaria
             raise UnsupportedGamma(
                 "coinvariants of a localized module need slope generators"
             )
-        columns = [[Fraction(0)] * n]
-    int_columns = []
-    for col in columns:
-        den = math.lcm(*(x.denominator for x in col))
-        int_columns.append([int(x * den) for x in col])
-    entries = [[c[i] for c in int_columns] for i in range(n)]
-    inv = cokernel_invariants(IntMatrix(entries))
+        columns = [[0] * n]
+    inv = cokernel_invariants(IntMatrix(list(zip(*columns))))
     return localize_factors(inv, module.inverted_primes)
 
 
@@ -148,8 +141,8 @@ def class_of(t, inv: AbelianInvariants, module: BreakpointModule) -> tuple:
     coords = module.coordinates(t)
     if not module._in_module(coords):
         raise NotInGamma(f"{t} is not a module point")
-    torsion, free = inv.reduce(coords)
-    return tuple(torsion) + tuple(free)
+    torsion, free = inv.reduce(*coords)
+    return torsion + tuple(Fraction(x, coords[1]) for x in free)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +312,15 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
             v[index[p]] = e
         return v
 
-    target_cols = [lift(l2, row) for row in l2.lattice]
+    target_rows = list(zip(*(lift(l2, row) for row in l2.lattice)))
+    n = len(l2.lattice)
     c = Fraction(1)
     for row in l1.lattice:
-        w = lift(l1, row)
-        x = _eliminate(target_cols, w)[2]
-        if x is None:
+        # x with sum_j x_j * (row j of l2) = w is x_j = rows[j][n] / pivot;
+        # the Hermite rows of l2 are independent, so the rank is n
+        rows = [[*t, w] for t, w in zip(target_rows, lift(l1, row))]
+        pivot = _bareiss(rows, n)[1]
+        if any(r[n] for r in rows[n:]):
             missing = next(
                 (p for p, e in zip(l1.atoms, row) if e and p not in l2.atoms),
                 None,
@@ -334,9 +330,8 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
             return EmbeddingAnswer(
                 "No", obstruction="exponent lattices span different subspaces"
             )
-        den = math.lcm(*(q.denominator for q in x))
-        g = math.gcd(*(q.numerator * (den // q.denominator) for q in x))
-        q_min = Fraction(den, g)  # least positive q with q*x integral
+        # the least q > 0 with q*x integral
+        q_min = Fraction(abs(pivot), math.gcd(*(r[n] for r in rows[:n])))
         c = Fraction(
             math.lcm(c.numerator, q_min.numerator),
             math.gcd(c.denominator, q_min.denominator),

@@ -273,7 +273,7 @@ def _greedy_beta(v: FieldElement):
     seen = {}
     r = v
     for _ in range(_MAX_GREEDY_STEPS):
-        key = r.coords
+        key = r.num, r.den
         if key in seen:
             cut = seen[key]
             return "".join(digits[:cut]), "".join(digits[cut:])

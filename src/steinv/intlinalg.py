@@ -6,17 +6,26 @@ is the one unimodular elimination: its pivot is the entry of smallest
 nonzero absolute value in the column, ties broken by the lowest row,
 which makes it deterministic.  The Smith normal form is built from
 Hermite forms of the matrix and of its transpose.  Determinants come
-from the fraction-free (Bareiss) elimination behind `numbers._eliminate`.
+from `numbers._bareiss`, the package's one fraction-free elimination.
+Every entry is an int, and rational vectors are integer numerators over
+one positive denominator, so no Fraction is built here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import BoundExceeded, ValidationError
-from .numbers import _eliminate
+from .numbers import _bareiss
+
+
+def _integer(x) -> int:
+    """x itself when it is an int; ValidationError for any other value,
+    so that a Fraction or a float is never truncated."""
+    if not isinstance(x, int):
+        raise ValidationError(f"{x!r} is not an integer")
+    return x
 
 
 class IntMatrix:
@@ -25,7 +34,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(_integer, row)) for row in entries)
         if not rows:
             raise ValidationError("matrix needs at least one row")
         width = len(rows[0])
@@ -68,11 +77,10 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Determinant, by fraction-free (Bareiss) elimination of these
-        integer entries through `numbers._eliminate`."""
+        """Determinant, by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValidationError("determinant of a non-square matrix")
-        return int(_eliminate(self.entries)[1])
+        return _bareiss([list(row) for row in self.entries], self.cols)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +310,11 @@ def _strip_primes(d: int, primes) -> int:
 class AbelianInvariants:
     """A finitely generated abelian group in invariant factor form.
 
-    The group is a quotient of an ambient Z^n; `reduce` sends ambient
-    integer (or rational, see class_of in classify) coordinate vectors
-    to their residue vector.  Torsion factors are all >= 2 and form a
-    divisibility chain; `free_rank` counts infinite cyclic summands.
+    The group is a quotient of an ambient Z^n; `reduce` sends an ambient
+    coordinate vector, integer numerators over one positive denominator
+    (see class_of in classify), to its residue vector.  Torsion factors
+    are all >= 2 and form a divisibility chain; `free_rank` counts
+    infinite cyclic summands.
     """
 
     __slots__ = ("invariant_factors", "free_rank", "transform", "torsion_rows", "free_rows")
@@ -339,28 +348,25 @@ class AbelianInvariants:
             parts.append(f"Z^{self.free_rank}")
         return " x ".join(parts) if parts else "trivial"
 
-    def reduce(self, vector):
-        """Residues of an ambient coordinate vector.
+    def reduce(self, nums, den: int = 1):
+        """Residues of the ambient coordinate vector nums/den, for integer
+        numerators nums and a positive integer den.
 
         Returns (torsion, free): residues modulo each invariant factor and
-        the exact values of the free coordinates.  Rational coordinates
-        are allowed as long as their denominators are invertible modulo
-        the relevant factor.
+        the numerators over den of the free coordinates.  A torsion
+        coordinate's reduced denominator must be invertible modulo its
+        factor.
         """
-        vec = [Fraction(x) for x in vector]
-        if len(vec) != self.transform.cols:
+        if len(nums) != self.transform.cols:
             raise ValidationError("coordinate vector has the wrong length")
-        image = [
-            sum(a * x for a, x in zip(row, vec)) for row in self.transform.entries
-        ]
+        image = [sum(a * x for a, x in zip(row, nums)) for row in self.transform.entries]
         torsion = []
         for row, d in zip(self.torsion_rows, self.invariant_factors):
-            y = image[row]
-            if gcd(y.denominator, d) != 1:
-                raise ValidationError(
-                    f"denominator {y.denominator} is not invertible modulo {d}"
-                )
-            torsion.append(y.numerator * pow(y.denominator, -1, d) % d)
+            g = gcd(image[row], den)
+            y, y_den = image[row] // g, den // g
+            if gcd(y_den, d) != 1:
+                raise ValidationError(f"denominator {y_den} is not invertible modulo {d}")
+            torsion.append(y * pow(y_den, -1, d) % d)
         free = tuple(image[row] for row in self.free_rows)
         return tuple(torsion), free
 

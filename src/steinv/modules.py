@@ -4,7 +4,10 @@ of piecewise linear bijections.
 A breakpoint module is a finitely generated dense subgroup of the reals,
 stored as a Q-linearly independent basis inside a real algebraic field
 together with a set of inverted primes: the module is the span of the
-basis over Z[1/m], m the product of those primes.  A slope group is a
+basis over Z[1/m], m the product of those primes.  Its coordinates, like
+a field element's, are integer numerators over one positive denominator
+with gcd 1, and they are read through one integer transform found by
+`numbers._bareiss` at construction.  A slope group is a
 finitely generated multiplicative subgroup of the positive reals, so a
 free abelian group: it is stored as an exponent lattice over atoms, the
 prime support of rational generators or one irrational generator, and
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -29,14 +32,15 @@ from .errors import (
     UnsupportedSlopeGroup,
     ValidationError,
 )
-from .intlinalg import IntMatrix, _strip_primes, factor, hermite_normal_form, is_prime
-from .numbers import (
-    FieldElement,
-    RealAlgebraicField,
-    Rational,
-    _eliminate,
-    rational_field,
+from .intlinalg import (
+    IntMatrix,
+    _integer,
+    _strip_primes,
+    factor,
+    hermite_normal_form,
+    is_prime,
 )
+from .numbers import FieldElement, RealAlgebraicField, Rational, _bareiss, rational_field
 
 DEFAULT_SEARCH_BOUND = 16
 
@@ -227,22 +231,23 @@ def _search_exponent(g: FieldElement, mu) -> Optional[int]:
 class BreakpointModule:
     """Z[1/m]-span of a Q-independent basis inside a real algebraic field."""
 
-    __slots__ = ("field", "basis", "inverted_primes", "_columns", "_rows", "_den")
+    __slots__ = ("field", "basis", "inverted_primes", "_rows", "_den")
 
     def __init__(self, field: RealAlgebraicField, basis, inverted_primes=()):
-        primes = sorted(set(int(p) for p in inverted_primes))
+        primes = sorted(set(map(_integer, inverted_primes)))
         for p in primes:
             if not is_prime(p):
                 raise ValidationError(f"{p} is not prime")
         elems = [field.coerce(b) for b in basis]
         if not elems:
             raise ValidationError("basis must be nonempty")
-        columns = [b.coords for b in elems]
-        d, n = field.degree, len(columns)
-        # [B | I] reduces to [E*B | E], with E*B = [I_n; 0] exactly when B is independent
-        identity = [[int(i == j) for i in range(d)] for j in range(d)]
-        reduced = _eliminate(columns + identity)[2]
-        if n > d or any(reduced[i][i] != 1 for i in range(n)):
+        d, n = field.degree, len(elems)
+        # [B*D | I], D the basis denominators, reduces to p*[E*B*D | E] with
+        # E*B*D = [I_n; 0] exactly when B is independent; then the rows of
+        # D*E over p read a point's coordinates, and the rest test the span
+        rows = [[*(b.num[i] for b in elems), *(int(i == j) for j in range(d))] for i in range(d)]
+        rank, p, _ = _bareiss(rows, n)
+        if rank != n:
             raise DependentBasis("basis is linearly dependent over Q")
         if len(elems) == 1 and not primes:
             raise NonDense(
@@ -251,49 +256,47 @@ class BreakpointModule:
         self.field = field
         self.basis = tuple(elems)
         self.inverted_primes = tuple(primes)
-        self._columns = columns
-        # E as integer rows over one denominator
-        self._den = den = lcm(*(x.denominator for row in reduced for x in row[n:]))
-        self._rows = [[x.numerator * (den // x.denominator) for x in row[n:]] for row in reduced]
+        scales = [b.den for b in elems] + [1] * (d - n)
+        transform = [[s * x for x in row[n:]] for s, row in zip(scales, rows)]
+        g = gcd(p, *(x for row in transform for x in row))
+        g = g if p > 0 else -g
+        self._den = p // g
+        self._rows = [[x // g for x in row] for row in transform]
 
     def rank(self) -> int:
         return len(self.basis)
 
     def coordinates(self, t) -> Optional[tuple]:
-        """Rational basis coordinates of t, or None when t is outside the
-        rational span of the basis."""
+        """Basis coordinates of t as (nums, den), integer numerators over
+        one positive denominator with gcd 1, or None when t is outside
+        the rational span of the basis."""
         t = self.field.coerce(t)
         n, den = len(self.basis), self._den * t.den
         values = [sum(e * x for e, x in zip(row, t.num)) for row in self._rows]
-        return None if any(values[n:]) else tuple(Fraction(v, den) for v in values[:n])
+        if any(values[n:]):
+            return None
+        g = gcd(den, *values[:n])
+        return tuple(v // g for v in values[:n]), den // g
 
     def contains(self, t) -> bool:
         return self._in_module(self.coordinates(t))
 
     def _in_module(self, coords) -> bool:
-        # rational coordinates name a module point when their denominators
-        # are products of inverted primes
-        return coords is not None and all(
-            _strip_primes(x.denominator, self.inverted_primes) == 1 for x in coords
-        )
+        # coordinates name a module point when their common denominator is
+        # a product of inverted primes
+        return coords is not None and _strip_primes(coords[1], self.inverted_primes) == 1
 
     def multiplication_matrix(self, mu) -> tuple:
-        """Matrix of multiplication by mu on the basis, as rows of
-        Fractions: mu * basis[j] = sum_i M[i][j] * basis[i].
+        """Multiplication by mu on the basis, as its columns: column j is
+        the coordinates (nums, den) of mu * basis[j].
 
         Raises NotInvariant when some product leaves the module.
         """
         mu = self.field.coerce(mu)
-        cols = []
-        for b in self.basis:
-            coords = self.coordinates(mu * b)
-            if not self._in_module(coords):
-                raise NotInvariant(
-                    f"module is not closed under multiplication by {mu}"
-                )
-            cols.append(coords)
-        n = len(cols)
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        columns = tuple(self.coordinates(mu * b) for b in self.basis)
+        if not all(map(self._in_module, columns)):
+            raise NotInvariant(f"module is not closed under multiplication by {mu}")
+        return columns
 
     def scaled(self, s) -> "BreakpointModule":
         s = self.field.coerce(s)
@@ -310,11 +313,11 @@ class BreakpointModule:
         return (
             self.field.compatible(other.field)
             and self.inverted_primes == other.inverted_primes
-            and self._columns == other._columns
+            and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.inverted_primes, tuple(self._columns)))
+        return hash((self.inverted_primes, self.basis))
 
     def same_module(self, other: "BreakpointModule") -> bool:
         """Semantic equality: the s = 1 case of `_carries`."""
@@ -358,6 +361,11 @@ def _carries(s, g2: BreakpointModule, g1: BreakpointModule) -> bool:
     )
 
 
+def _covolume(m: BreakpointModule) -> Fraction:
+    """The determinant of a full-rank module's basis coordinates."""
+    return Fraction(IntMatrix([b.num for b in m.basis]).det(), prod(b.den for b in m.basis))
+
+
 def _shell(n: int, r: int):
     """The integer vectors of length n and max-norm r >= 1, in
     lexicographic order."""
@@ -399,7 +407,7 @@ def scale_equivalence(
     d = field.degree
     ratio = None
     if n == d:
-        ratio = abs(_eliminate(g1._columns)[1] / _eliminate(g2._columns)[1])
+        ratio = abs(_covolume(g1) / _covolume(g2))
     budget = _SCALE_CANDIDATES if d <= 3 else _SCALE_CANDIDATES * 9 // d**2
     # s = h / g for the fixed g = g2.basis[0], so g is inverted once
     ginv = g2.basis[0].inverse()

@@ -44,10 +44,8 @@ is its determinant and the inverse solves it against 1 (Cohen, GTM 138,
 4.2).  The matrix is built in integers from num and den, with column j
 scaled by den*lead^j, and `_bareiss`, a fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22 (1968)), solves it in integers.
-`_eliminate`, the package's one elimination over Q, clears denominators
-once, runs `_bareiss` and builds Fractions only for its results; it also
-reduces a module basis B, once, to the transform E with E*B = [I_r; 0]
-that gives its coordinates.
+`_bareiss` is the package's one elimination: module bases, determinants
+and exponent lattices reach it as integer rows, never as Fractions.
 
 The defining polynomial must be squarefree but need not be irreducible.
 With a reducible polynomial the coordinate arithmetic takes place in a
@@ -248,36 +246,6 @@ def _bareiss(rows, n: int):
         p = q
         r += 1
     return r, p, sign * p if full else 0
-
-
-def _eliminate(columns, target=None):
-    """Gauss-Jordan elimination over Q of the matrix with the given int
-    or Fraction columns, augmented by the column target when one is
-    given.
-
-    Returns (rank, det, solution): the rank of the columns, their
-    determinant (for a square matrix), and the unique rational x with
-    sum x_j * columns[j] = target, or None when there is no such x or
-    it is not unique.  Without a target the third value is the reduced
-    row echelon form, as a list of rows.  The denominators are cleared
-    once and `_bareiss` runs on integers; Fractions are built only for
-    the results.
-    """
-    n = len(columns)
-    augmented = list(columns) + ([target] if target is not None else [])
-    den = lcm(*(x.denominator for col in augmented for x in col))
-    rows = [
-        [col[i].numerator * (den // col[i].denominator) for col in augmented]
-        for i in range(len(columns[0]))
-    ]
-    r, p, det = _bareiss(rows, n)
-    det = Fraction(det, den**n)
-    if target is None:
-        return r, det, [[Fraction(x, p) for x in row] for row in rows]
-    solution = None
-    if r == n and not any(row[n] for row in rows[r:]):
-        solution = tuple(Fraction(row[n], p) for row in rows[:n])
-    return r, det, solution
 
 
 def _multiplication_columns(x: "FieldElement"):

@@ -58,9 +58,10 @@ def test_only_numbers_decides_which_numbers_enter_a_field():
 
 
 def test_elements_and_coding_import_nothing_from_fractions():
-    # degree-one elements, cylinders and digit words are integers there
+    # degree-one elements, cylinders, digit words, matrices and coordinate
+    # vectors over one denominator are integers there
     found = []
-    for name in ("elements.py", "coding.py"):
+    for name in ("elements.py", "coding.py", "intlinalg.py"):
         path = Path(steinv.__file__).parent / name
         for node in ast.walk(ast.parse(path.read_text(), name)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []

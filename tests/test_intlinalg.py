@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,14 @@ def test_constructor_rejects_bad_shapes():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValidationError):
         IntMatrix([[], []])
+
+
+def test_constructor_refuses_entries_that_are_not_integers():
+    # only ints enter: int() would truncate 5/2 to 2 (and the cokernel
+    # to Z/2) and 2.9 to 2
+    for entry in (Fraction(5, 2), 2.9, 2.0, Fraction(4, 1), "3", None):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            IntMatrix([[1, 0], [0, entry]])
 
 
 def test_matmul_and_transpose():

@@ -21,6 +21,7 @@ from steinv import (
     SteinTriple,
     UnsupportedComparison,
     UnsupportedSlopeGroup,
+    ValidationError,
     algebraic_triple,
     golden_field,
     golden_triple,
@@ -31,7 +32,7 @@ from steinv import (
 )
 from steinv import modules
 from steinv.modules import thompson_base
-from steinv.numbers import _eliminate
+from steinv.numbers import _bareiss
 
 
 # -- slope groups -----------------------------------------------------------
@@ -171,9 +172,9 @@ def test_rational_module_membership():
     assert m.contains(Fraction(3, 8))
     assert m.contains(5)
     assert not m.contains(Fraction(1, 3))
-    assert m.coordinates(Fraction(3, 4)) == (Fraction(3, 4),)
+    assert m.coordinates(Fraction(3, 4)) == ((3,), 4)
     # inside the rational span but with an unsupported denominator
-    assert m.coordinates(Fraction(1, 5)) == (Fraction(1, 5),)
+    assert m.coordinates(Fraction(1, 5)) == ((1,), 5)
     assert not m.contains(Fraction(1, 5))
 
 
@@ -183,6 +184,16 @@ def test_module_requires_density():
     # rank 2 without inverted primes is fine
     f = golden_field()
     BreakpointModule(f, [f.one(), f.generator()])
+
+
+def test_module_refuses_inverted_primes_that_are_not_integers():
+    # only ints enter: int() would truncate 2.5 to 2 and 7/2 to 3
+    for p in (2.5, Fraction(7, 2), 2.0, "3"):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            BreakpointModule(rational_field(), [1], [p])
+    with pytest.raises(ValidationError, match="4 is not prime"):
+        BreakpointModule(rational_field(), [1], [4])
+    assert BreakpointModule(rational_field(), [1], [3, 2, 3]).inverted_primes == (2, 3)
 
 
 def test_module_rejects_dependent_basis():
@@ -199,7 +210,7 @@ def test_golden_module_membership():
     assert m.contains(b * b)  # 1 + b
     assert m.contains(3 - 2 * b)
     assert not m.contains(b / 2)
-    assert m.coordinates(b * b) == (Fraction(1), Fraction(1))
+    assert m.coordinates(b * b) == ((1, 1), 1)
 
 
 def test_multiplication_matrix_columns():
@@ -208,14 +219,14 @@ def test_multiplication_matrix_columns():
     m = BreakpointModule(f, [f.one(), b])
     mat = m.multiplication_matrix(b)
     # column j holds the coordinates of b * basis[j]: b*1 = b, b*b = 1 + b
-    assert mat == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
+    assert mat == (((0, 1), 1), ((1, 1), 1))
     with pytest.raises(NotInvariant):
         m.multiplication_matrix(f.from_rational(Fraction(1, 2)))
 
 
 def test_multiplication_matrix_rational_case():
     m = BreakpointModule(rational_field(), [1], [2, 5])
-    assert m.multiplication_matrix(Fraction(5, 2)) == ((Fraction(5, 2),),)
+    assert m.multiplication_matrix(Fraction(5, 2)) == (((5,), 2),)
     with pytest.raises(NotInvariant):
         m.multiplication_matrix(Fraction(1, 3))
 
@@ -399,14 +410,12 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-_entries = st.one_of(
-    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3)
-)
+_entries = st.one_of(st.just(0), st.integers(-12, 12))
 
 
 @st.composite
 def systems(draw):
-    """Columns of a small rational matrix, often square, with zeros and
+    """Columns of a small integer matrix, often square, with zeros and
     repeated columns so that row swaps and singular matrices occur, and
     a right-hand side."""
     rows = draw(st.integers(1, 4))
@@ -419,13 +428,21 @@ def systems(draw):
 
 
 @given(systems())
-def test_eliminate_matches_sympy(sympy, system):
+def test_bareiss_matches_sympy(sympy, system):
     columns, target = system
-    a = sympy.Matrix(len(target), len(columns), lambda i, j: columns[j][i])
-    rank, det, solution = _eliminate(columns, target)
+    n = len(columns)
+    a = sympy.Matrix(len(target), n, lambda i, j: columns[j][i])
+    rows = [[*row, y] for row, y in zip(zip(*columns), target)]
+    rank, p, det = _bareiss(rows, n)
     assert rank == a.rank()
     if a.is_square:
         assert det == a.det()
+    # the pivot rows over the last pivot are the reduced row echelon form
+    reduced = [[sympy.Rational(x, p) for x in row[:n]] for row in rows]
+    assert reduced == a.rref()[0].tolist()
+    solution = None
+    if rank == n and not any(row[n] for row in rows[n:]):
+        solution = [sympy.Rational(row[n], p) for row in rows[:n]]
     try:
         x, free = a.gauss_jordan_solve(sympy.Matrix(target))
     except ValueError:  # no solution

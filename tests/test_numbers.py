@@ -8,15 +8,17 @@ import operator
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from steinv import modules, numbers
+from steinv import classify, modules, numbers
 from steinv.cli import main
 from steinv import (
     BoundExceeded,
     BreakpointModule,
+    IntMatrix,
     DivisionByZero,
     FieldMismatch,
     MinimalPolynomial,
@@ -24,10 +26,13 @@ from steinv import (
     NoRootInInterval,
     NotSquarefree,
     RealAlgebraicField,
+    SlopeGroup,
     SteinError,
     ValidationError,
     ZeroLeadingCoefficient,
     approx,
+    class_of,
+    coinvariants,
     rational_field,
     thompson_triple,
 )
@@ -251,10 +256,11 @@ def test_quadratic_inverse_norm_and_module_coordinates_never_eliminate(monkeypat
     ]
 
     def refuse(*args):
-        raise AssertionError("a fast path ran the rational elimination")
+        raise AssertionError("a fast path ran the elimination")
 
-    monkeypatch.setattr(numbers, "_eliminate", refuse)
-    monkeypatch.setattr(modules, "_eliminate", refuse)
+    # the modules run it once, when they are built, and never again
+    monkeypatch.setattr(numbers, "_bareiss", refuse)
+    monkeypatch.setattr(modules, "_bareiss", refuse)
     for field in (GOLDEN, SQRT2M1, NON_MONIC):
         a = field.generator()
         c0, _, c2 = field.minpoly.coefficients
@@ -271,8 +277,9 @@ def test_quadratic_inverse_norm_and_module_coordinates_never_eliminate(monkeypat
     for module, (u, v) in built:
         b = module.basis
         point = u * b[0] + v * b[-1] if len(b) > 1 else u * b[0]
-        expected = (u, v) if len(b) > 1 else (u,)
-        assert module.coordinates(point) == expected
+        coords = (u, v) if len(b) > 1 else (u,)
+        den = math.lcm(*(Fraction(c).denominator for c in coords))
+        assert module.coordinates(point) == (tuple(int(c * den) for c in coords), den)
         assert module.contains(point)
     assert not built[0][0].contains(GOLDEN.generator() / 3)
     # outside the rational span of a module of lower rank than the degree
@@ -564,13 +571,20 @@ def test_module_coordinates_match_the_elimination(case, data):
     vector = st.lists(_coords, min_size=d, max_size=d)
     more = data.draw(st.lists(vector, min_size=rank - 1, max_size=rank - 1))
     columns = [tuple(xs)] + [tuple(v) for v in more]
-    assume(numbers._eliminate(columns)[0] == rank)
+    assume(gauss_jordan_reference(columns)[0] == rank)
     module = BreakpointModule(field, [field.element(c) for c in columns], [2])
     t = field.element(ys)
     if inside:  # a point of the rational span
         weights = data.draw(st.lists(_coords, min_size=rank, max_size=rank))
         t = sum((w * b for w, b in zip(weights, module.basis)), field.zero())
-    assert module.coordinates(t) == numbers._eliminate(columns, t.coords)[2]
+    expected = gauss_jordan_reference(columns, t.coords)[2]
+    coords = module.coordinates(t)
+    if expected is None:
+        assert coords is None
+    else:
+        nums, den = coords
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert tuple(Fraction(x, den) for x in nums) == expected
 
 
 def assert_canonical(x):
@@ -652,8 +666,15 @@ def test_degree_one_closed_forms_match_fractions(field, other_field, p, q, kind)
 
 
 def gauss_jordan_reference(columns, target=None):
-    """The elimination as it was on Fractions, kept as the reference for
-    `numbers._eliminate`: same contract, Gauss-Jordan over Q."""
+    """Gauss-Jordan elimination over Q of the matrix with the given int or
+    Fraction columns, augmented by the column target when one is given,
+    pivoting on the first nonzero entry in the first len(columns) columns.
+
+    Returns (rank, det, solution): the rank of the columns, their
+    determinant (for a square matrix), and the unique rational x with
+    sum x_j * columns[j] = target, or None when there is no such x or it
+    is not unique.  Without a target the third value is the reduced row
+    echelon form, as a list of rows."""
     n = len(columns)
     augmented = list(columns) + ([target] if target is not None else [])
     rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
@@ -718,15 +739,24 @@ def elimination_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(elimination_cases())
-def test_eliminate_matches_the_fraction_gauss_jordan(case):
+def test_bareiss_matches_the_fraction_gauss_jordan(case):
     columns, target = case
-    rank, det, third = numbers._eliminate(columns, target)
-    assert (rank, det, third) == gauss_jordan_reference(columns, target)
-    assert type(det) is Fraction
-    if target is None:  # the reduced row echelon form
-        assert all(type(x) is Fraction for row in third for x in row)
-    elif third is not None:
-        assert all(type(x) is Fraction for x in third)
+    n = len(columns)
+    # the same matrix in integers: every column times one common denominator
+    augmented = columns + ([target] if target is not None else [])
+    den = math.lcm(*(Fraction(x).denominator for col in augmented for x in col))
+    integer = [[int(x * den) for x in col] for col in augmented]
+    rows = [list(row) for row in zip(*integer)]
+    rank, p, det = numbers._bareiss(rows, n)
+    assert all(type(x) is int for row in rows for x in row)
+    ref_rank, ref_det, third = gauss_jordan_reference(integer[:n], *integer[n:])
+    assert (rank, det) == (ref_rank, ref_det)
+    if target is None:  # the pivot rows over p are the reduced row echelon form
+        assert [[Fraction(x, p) for x in row] for row in rows] == third
+    else:
+        solvable = rank == n and not any(row[n] for row in rows[n:])
+        solution = tuple(Fraction(row[n], p) for row in rows[:n]) if solvable else None
+        assert solution == third
 
 
 # -- Fraction references for the integer polynomial helpers -----------------
@@ -1167,3 +1197,123 @@ def test_the_cubic_pair_decides_as_the_fraction_references(monkeypatch):
         reference = run()
     assert shipped == reference
     assert all(c["sign"] and c["gcd"] for c in shipped[1])
+
+
+# -- module coordinates, the slope action and coinvariants on integers -------
+
+
+def test_membership_coordinates_and_the_slope_action_build_no_fraction():
+    a, c = SQRT2M1.generator(), CUBE_ROOT2.generator()
+    cube = BreakpointModule(CUBE_ROOT2, [1, c, c * c])
+    cases = [  # (module, slope group, points): torsion-only coinvariants
+        (thompson_triple(3).module, SlopeGroup([3]), [Fraction(5, 9), Fraction(1, 2)]),
+        (BreakpointModule(GOLDEN, [1, GOLDEN.generator()], [2]), SlopeGroup([4]),
+         [GOLDEN.generator() / 8, GOLDEN.generator() / 3]),
+        (BreakpointModule(SQRT2M1, [1, a]), SlopeGroup([a]), [3 - 5 * a, a / 2]),
+        (cube, SlopeGroup([c - 1]), [c * c - 7, c / 2, c ** 2 + 1]),  # Z/6
+    ]
+    for module, slopes, points in cases:
+        inv = coinvariants(module, slopes)
+        assert inv.invariant_factors and inv.free_rank == 0
+        points = [module.field.coerce(t) for t in points]
+        for mu in map(module.field.coerce, slopes.generator_values()):
+            assert count_fractions(lambda: module.multiplication_matrix(mu))[1] == 0
+        for t in points:
+            assert count_fractions(lambda: module.contains(t))[1] == 0
+            assert count_fractions(lambda: module.coordinates(t))[1] == 0
+            if module.contains(t):
+                assert count_fractions(lambda: class_of(t, inv, module))[1] == 0
+
+
+def reference_coordinates(module, t):
+    """Basis coordinates of t as Fractions, by the Fraction Gauss-Jordan."""
+    return gauss_jordan_reference([b.coords for b in module.basis], t.coords)[2]
+
+
+def reference_coinvariant_rows(module, slopes):
+    """The matrix coinvariants once built: the columns of I - M_mu from
+    Fraction coordinates, each cleared of its denominators by their lcm."""
+    n = module.rank()
+    columns = []
+    for mu in slopes.generator_values():
+        for j, b in enumerate(module.basis):
+            x = reference_coordinates(module, mu * b)
+            column = [(i == j) - x[i] for i in range(n)]
+            den = math.lcm(*(y.denominator for y in column))
+            columns.append([int(y * den) for y in column])
+    return [list(row) for row in zip(*columns)]
+
+
+def reference_class(t, inv, module):
+    """class_of as it was, reducing Fraction coordinates."""
+    x = reference_coordinates(module, t)
+    image = [sum(e * y for e, y in zip(row, x)) for row in inv.transform.entries]
+    torsion = tuple(
+        image[r].numerator * pow(image[r].denominator, -1, d) % d
+        for r, d in zip(inv.torsion_rows, inv.invariant_factors)
+    )
+    return torsion + tuple(image[r] for r in inv.free_rows)
+
+
+# a field, with a unit u of Z[a] in it: a module c*Z[1/m][a] is carried onto
+# itself by u times any product of inverted primes
+_UNIT_FIELDS = [
+    (rational_field(), lambda f: f.one()),
+    (GOLDEN, lambda f: f.generator()),
+    (SQRT2M1, lambda f: f.generator()),
+    (CUBE_ROOT2, lambda f: f.generator() - 1),
+]
+
+
+@st.composite
+def slope_modules(draw):
+    """A module of degree 1-3 and a slope group that carries it onto
+    itself: c*Z[1/m][a] with a unit times a product of inverted primes as
+    slope, or any basis with products of inverted primes as slopes.  The
+    basis of c*Z[a] is a random unimodular change of c*(1, a, ..., a^(d-1))."""
+    field, unit = draw(st.sampled_from(_UNIT_FIELDS))
+    d = field.degree
+    primes = draw(st.lists(st.sampled_from([2, 3, 5]), unique=True, max_size=2))
+    small = st.integers(-3, 3)
+
+    def prime_product():
+        return math.prod(Fraction(p) ** draw(st.integers(-2, 2)) for p in primes)
+
+    rational = [g for g in (prime_product() for _ in range(draw(st.integers(1, 2)))) if g != 1]
+    if d > 1 and (not rational or draw(st.booleans())):
+        scale = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        c = field.element([draw(small) for _ in range(d)]) + scale
+        assume(not c.is_zero())
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.permutations(range(d)))[:2]
+            k = draw(small)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        basis = [c * field.element(row) for row in rows]
+        slopes = SlopeGroup([unit(field) * prime_product()])
+    else:
+        assume(rational)
+        rank = draw(st.integers(1, d))
+        basis = [field.element([draw(_coords) for _ in range(d)]) for _ in range(rank)]
+        assume(gauss_jordan_reference([b.coords for b in basis])[0] == rank)
+        slopes = SlopeGroup(rational, field=field)
+    assume(primes or len(basis) > 1)
+    assume(not slopes.is_trivial())
+    return BreakpointModule(field, basis, primes), slopes
+
+
+@settings(max_examples=80, deadline=None)
+@given(slope_modules(), st.data())
+def test_coinvariants_and_classes_match_the_fraction_column_clearing(case, data):
+    module, slopes = case
+    with mock.patch.object(classify, "cokernel_invariants",
+                           wraps=classify.cokernel_invariants) as spy:
+        inv = coinvariants(module, slopes)
+    assert spy.call_args.args[0] == IntMatrix(reference_coinvariant_rows(module, slopes))
+    primes = module.inverted_primes
+    for _ in range(4):
+        weights = data.draw(st.lists(st.integers(-9, 9), min_size=module.rank(),
+                                     max_size=module.rank()))
+        t = sum((w * b for w, b in zip(weights, module.basis)), module.field.zero())
+        t = t * math.prod(Fraction(p) ** data.draw(st.integers(-2, 2)) for p in primes)
+        assert class_of(t, inv, module) == reference_class(t, inv, module)
