@@ -27,21 +27,27 @@ present one field.  An int, a Fraction, a rational element of any handle
 and any element of a compatible handle enter; an irrational element of
 another field raises FieldMismatch.  Arithmetic and order coerce their
 second operand by it, and equality calls a rejected value unequal, so
-equal numbers compare and hash equal across handles.
+equal numbers compare and hash equal across handles.  A float enters
+nowhere: coordinates, rationals, polynomial coefficients and interval
+ends given as floats raise ValidationError, since a float's binary value
+is rarely the number meant.
 
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den, sums, products, quotients and comparisons are
 integer operations on num[0] and den alone, and one gcd reduces the
-result.  Above it a product convolves the two numerator vectors and
+result.  In degree two, for the root a of c2*t^2 + c1*t + c0, a product
+folds c2*a^2 = -c1*a - c0 into the two numerator pairs in integers,
+(x1 + y1*a)(x2 + y2*a) =
+(c2*x1*x2 - c0*y1*y2 + (c2*(x1*y2 + x2*y1) - c1*y1*y2)*a) / c2,
+and the inverse and the norm come from the norm form in integers:
+(x + y*a)^-1 = (c2*x - c1*y - c2*y*a) / (c2*x^2 - c1*x*y + c0*y^2).
+From degree three a product convolves the two numerator vectors and
 folds the terms of degree d to 2d-2 back in with the coordinates of
 a^d, ..., a^(2d-2), which the field computes once as integers over one
-denominator.  In degree two the inverse and the norm come from the
-norm form in integers:
-(x + y*a)^-1 = (c2*x - c1*y - c2*y*a) / (c2*x^2 - c1*x*y + c0*y^2) for the
-root a of c2*t^2 + c1*t + c0.  From degree three they come from the d x d
-matrix of multiplication by x, whose columns are x*a^j (j < d): the norm
-is its determinant and the inverse solves it against 1 (Cohen, GTM 138,
-4.2).  The matrix is built in integers from num and den, with column j
+denominator.  The inverse and the norm come from the d x d matrix of
+multiplication by x, whose columns are x*a^j (j < d): the norm is its
+determinant and the inverse solves it against 1 (Cohen, GTM 138, 4.2).
+The matrix is built in integers from num and den, with column j
 scaled by den*lead^j, and `_bareiss`, a fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22 (1968)), solves it in integers.
 `_bareiss` is the package's one elimination: module bases, determinants
@@ -179,6 +185,14 @@ def _count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
     return _variations(at_lo) - _variations(at_hi) - (at_hi[0] == 0)
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; a float is refused, since Fraction would take
+    its binary value (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(value, float):
+        raise ValidationError(f"{value!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return Fraction(value)
+
+
 def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
@@ -280,7 +294,7 @@ class MinimalPolynomial:
     def __init__(self, coefficients: Sequence[Rational]):
         cs = []
         for c in coefficients:
-            f = Fraction(c)
+            f = _exact(c)
             if f.denominator != 1:
                 raise ZeroLeadingCoefficient(
                     "minimal polynomial coefficients must be integers"
@@ -346,7 +360,7 @@ class RealAlgebraicField:
     def __init__(self, minpoly, root_interval):
         if not isinstance(minpoly, MinimalPolynomial):
             minpoly = MinimalPolynomial(minpoly)
-        lo, hi = (Fraction(x) for x in root_interval)
+        lo, hi = (_exact(x) for x in root_interval)
         if not lo < hi:
             raise NoRootInInterval("isolating interval is empty")
         self.minpoly = minpoly
@@ -373,22 +387,23 @@ class RealAlgebraicField:
                 raise NoRootInInterval("no root inside the interval")
             if n > 1:
                 raise MultipleRootsInInterval(f"{n} roots inside the interval")
-        # numerators of a^d, ..., a^(2d-2), the high terms of a product,
-        # over the one denominator lead^(d-1); a^(d+k) needs lead^(k+1)
-        *low, lead = minpoly.coefficients
-        power = tuple(-c for c in low)  # lead * a^d
-        powers = []
-        for _ in range(self.degree - 1):
-            powers.append(power)
-            # lead * a * power: shift up one place, fold the top coordinate in
-            power = tuple(
-                lead * x + power[-1] * t for x, t in zip((0,) + power[:-1], powers[0])
+        if self.degree > 2:
+            # numerators of a^d, ..., a^(2d-2), the high terms of a product,
+            # over the one denominator lead^(d-1); a^(d+k) needs lead^(k+1)
+            *low, lead = minpoly.coefficients
+            power = tuple(-c for c in low)  # lead * a^d
+            powers = []
+            for _ in range(self.degree - 1):
+                powers.append(power)
+                # lead * a * power: shift up one place, fold the top coordinate in
+                power = tuple(
+                    lead * x + power[-1] * t for x, t in zip((0,) + power[:-1], powers[0])
+                )
+            n = len(powers)
+            self._powers = tuple(
+                tuple(x * lead ** (n - 1 - k) for x in p) for k, p in enumerate(powers)
             )
-        n = len(powers)
-        self._powers = tuple(
-            tuple(x * lead ** (n - 1 - k) for x in p) for k, p in enumerate(powers)
-        )
-        self._power_den = lead**n
+            self._power_den = lead**n
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
         self._compat_true = []
@@ -429,7 +444,7 @@ class RealAlgebraicField:
         return self.degree == 1
 
     def element(self, coords) -> "FieldElement":
-        cs = [Fraction(c) for c in coords]
+        cs = [_exact(c) for c in coords]
         if len(cs) > self.degree:
             raise ValidationError(f"coordinate vector longer than degree {self.degree}")
         den = lcm(*(c.denominator for c in cs))
@@ -437,7 +452,7 @@ class RealAlgebraicField:
         return _normalized(self, tuple(num) + (0,) * (self.degree - len(cs)), den)
 
     def from_rational(self, value: Rational) -> "FieldElement":
-        q = Fraction(value)
+        q = _exact(value)
         zeros = (0,) * (self.degree - 1)
         return FieldElement(self, (q.numerator,) + zeros, q.denominator)
 
@@ -646,6 +661,16 @@ class FieldElement:
         d = f.degree
         if d == 1:
             return _ratio(f, self.num[0] * o.num[0], self.den * o.den)
+        if d == 2:
+            # fold c2*a^2 = -c1*a - c0 into (x1 + y1*a)(x2 + y2*a) in integers
+            (x1, y1), (x2, y2) = self.num, o.num
+            c0, c1, c2 = f.minpoly.coefficients
+            yy = y1 * y2
+            if c2 == 1:
+                num = (x1 * x2 - c0 * yy, x1 * y2 + x2 * y1 - c1 * yy)
+                return _normalized(f, num, self.den * o.den)
+            num = (c2 * x1 * x2 - c0 * yy, c2 * (x1 * y2 + x2 * y1) - c1 * yy)
+            return _normalized(f, num, c2 * self.den * o.den)
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(self.num):
             if x:

@@ -288,6 +288,144 @@ def test_quadratic_inverse_norm_and_module_coordinates_never_eliminate(monkeypat
     assert not built[3][0].contains(CUBE_ROOT2.generator() ** 2)
 
 
+# -- degree two: the product in closed form ----------------------------------
+
+SQRT2 = RealAlgebraicField([-2, 0, 1], (1, 2))
+# both roots of 3x^2 - 2x - 7, (1 +- sqrt 22) / 3
+NON_MONIC_UPPER = RealAlgebraicField([-7, -2, 3], (1, 2))
+NON_MONIC_LOWER = RealAlgebraicField([-7, -2, 3], (-2, -1))
+QUADRATICS = [GOLDEN, SQRT2M1, NON_MONIC, SQRT2, NON_MONIC_UPPER, NON_MONIC_LOWER]
+
+
+def reference_mul(x, y):
+    """x * y by the generic product: convolve the numerators, then fold
+    a^d, ..., a^(2d-2) back in from a power table over lead^(d-1)."""
+    f, d = x.field, x.field.degree
+    *low, lead = f.minpoly.coefficients
+    power = tuple(-c for c in low)  # lead * a^d
+    powers = []
+    for _ in range(d - 1):
+        powers.append(power)
+        power = tuple(lead * u + power[-1] * t for u, t in zip((0,) + power[:-1], powers[0]))
+    n = len(powers)
+    powers = [tuple(u * lead ** (n - 1 - k) for u in p) for k, p in enumerate(powers)]
+    conv = [0] * (2 * d - 1)
+    for i, u in enumerate(x.num):
+        for j, v in enumerate(y.num, i):
+            conv[j] += u * v
+    out, high = conv[:d], conv[d:]
+    out = [lead**n * u for u in out]
+    for c, p in zip(high, powers):
+        out = [u + c * t for u, t in zip(out, p)]
+    return numbers._normalized(f, tuple(out), x.den * y.den * lead**n)
+
+
+def reference_pow(x, n):
+    acc = x.field.one()
+    for _ in range(abs(n)):
+        acc = reference_mul(acc, x if n > 0 else x.inverse())
+    return acc
+
+
+def assert_canonical(x):
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+@st.composite
+def quadratic_operands(draw):
+    """(field, x, y): y an element, a rational element, an int or a
+    Fraction, numerators up to 10^12 and zero included."""
+    field = draw(st.sampled_from(QUADRATICS))
+    big = st.integers(-10**12, 10**12)
+    small = st.integers(-9, 9)
+
+    def element():
+        coords = draw(st.lists(st.one_of(small, big), min_size=2, max_size=2))
+        den = draw(st.one_of(st.integers(1, 9), st.integers(1, 10**12)))
+        if draw(st.integers(0, 4)) == 0:
+            coords[1] = 0  # a rational element
+        if draw(st.integers(0, 9)) == 0:
+            coords = [0, 0]
+        return field.element([Fraction(c, den) for c in coords])
+
+    x = element()
+    kind = draw(st.sampled_from(["element", "element", "int", "fraction"]))
+    if kind == "int":
+        return field, x, draw(st.one_of(small, big))
+    if kind == "fraction":
+        return field, x, Fraction(draw(big), draw(st.integers(1, 10**12)))
+    return field, x, element()
+
+
+@settings(max_examples=400, deadline=None)
+@given(quadratic_operands(), st.integers(-3, 4))
+def test_quadratic_product_matches_the_convolution(operands, n):
+    field, x, y = operands
+    y_in = field.coerce(y)
+    for product, factors in [(x * y, (x, y_in)), (y * x, (y_in, x)), (x * x, (x, x))]:
+        assert product.field is field
+        assert product == reference_mul(*factors)
+        assert_canonical(product)
+    if y_in.is_zero():
+        with pytest.raises(DivisionByZero):
+            x / y
+    else:
+        quotient = x / y
+        assert quotient == reference_mul(x, y_in.inverse())
+        assert reference_mul(quotient, y_in) == x
+        assert_canonical(quotient)
+    if x.is_zero() and n < 0:
+        with pytest.raises(DivisionByZero):
+            x ** n
+    else:
+        power = x**n
+        assert power == reference_pow(x, n)
+        assert_canonical(power)
+
+
+@pytest.mark.parametrize("field", QUADRATICS)
+def test_quadratic_product_builds_no_fraction_and_reads_no_power_table(field, monkeypatch):
+    assert not hasattr(RealAlgebraicField(field.minpoly, field.initial_interval()), "_powers")
+    assert hasattr(CUBE_ROOT2, "_powers")  # degree three and up keep the table
+
+    def refuse(handle):
+        raise AssertionError("a degree-two product read the power table")
+
+    monkeypatch.setattr(RealAlgebraicField, "_powers", property(refuse))
+    monkeypatch.setattr(RealAlgebraicField, "_power_den", property(refuse))
+    rng = random.Random(149)
+    a = field.generator()
+    xs = [a, a - 1, field.from_rational(Fraction(-2, 3)), field.zero(),
+          field.element([10**12 + 1, -(10**12) + 7])]
+    xs += [random_element(rng, field) for _ in range(12)]
+    for x in xs:
+        for y in xs:
+            product, built = count_fractions(lambda: x * y)
+            assert built == 0 and product == reference_mul(x, y)
+            if not y.is_zero():
+                quotient, built = count_fractions(lambda: x / y)
+                assert built == 0 and quotient * y == x
+        assert x**5 == reference_pow(x, 5)
+        if not x.is_zero():
+            assert x**-3 == reference_pow(x, -3)
+
+
+def test_floats_are_refused_where_numbers_enter():
+    for make, what in [
+        (lambda: GOLDEN.element([0.5, 1]), "0.5"),
+        (lambda: GOLDEN.from_rational(0.5), "0.5"),
+        (lambda: MinimalPolynomial([-2.0, 0, 1.0]), "-2.0"),
+        (lambda: RealAlgebraicField([-2, 0, 1], (1.4, 1.5)), "1.4"),
+    ]:
+        with pytest.raises(ValidationError, match=f"{what} is a float"):
+            make()
+    with pytest.raises(TypeError):
+        GOLDEN.coerce(0.5)
+    # the exact forms of the same numbers still enter
+    assert GOLDEN.element([Fraction(1, 2), 1]) == GOLDEN.generator() + Fraction(1, 2)
+    assert RealAlgebraicField([-2, 0, 1], ("7/5", "3/2")).generator() ** 2 == 2
+
+
 @pytest.mark.parametrize("field", [GOLDEN, SQRT2M1])
 def test_sign_matches_float_estimate(field):
     rng = random.Random(103)
