@@ -23,7 +23,9 @@ floating point is used anywhere.
 
 `RealAlgebraicField.coerce` is the one rule for which numbers enter a
 field handle: every rational lies in every field, and compatible handles
-present one field.  An int, a Fraction, a rational element of any handle
+present one field.  Two handles are compatible when their root keys are
+equal; a handle fixes its key at construction from the data that locates
+its root, so no handle remembers another.  An int, a Fraction, a rational element of any handle
 and any element of a compatible handle enter; an irrational element of
 another field raises FieldMismatch.  Arithmetic and order coerce their
 second operand by it, and equality calls a rejected value unequal, so
@@ -177,12 +179,16 @@ def _variations(values) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+def _variations_at(chain, x: Fraction):
+    """The chain's sign variations at x, and whether x is a root of chain[0]."""
+    values = [_peval(c, x.numerator, x.denominator) for c in chain]
+    return _variations(values), values[0] == 0
+
+
 def _count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of chain[0] in the open interval."""
-    at_lo = [_peval(c, lo.numerator, lo.denominator) for c in chain]
-    at_hi = [_peval(c, hi.numerator, hi.denominator) for c in chain]
-    # the roots in (lo, hi], less hi itself when it is one
-    return _variations(at_lo) - _variations(at_hi) - (at_hi[0] == 0)
+    (at_lo, _), (at_hi, hit) = _variations_at(chain, lo), _variations_at(chain, hi)
+    return at_lo - at_hi - hit  # the roots in (lo, hi], less hi when it is one
 
 
 def _exact(value) -> Fraction:
@@ -339,6 +345,11 @@ class RealAlgebraicField:
     The isolating interval is refined lazily as comparisons demand; the
     refinement is monotone shrinking and has no user-visible effect, so
     the object behaves as immutable.
+
+    `compatible` compares root keys fixed at construction: () in degree
+    one, the closed form (c1, c2, e, D) of the root in degree two, and
+    from degree three the coefficients with the root's index among the
+    real roots, the number of them <= the interval's lower end.
     """
 
     __slots__ = (
@@ -353,8 +364,7 @@ class RealAlgebraicField:
         "_quadratic",
         "_powers",
         "_power_den",
-        "_compat_true",
-        "_compat_false",
+        "_root",
     )
 
     def __init__(self, minpoly, root_interval):
@@ -375,14 +385,20 @@ class RealAlgebraicField:
                 raise NoRootInInterval("the rational root is outside the interval")
             self._exact_root = root
             lo = hi = root
+            self._root = ()  # every degree-one handle presents Q
         else:
             if self.degree == 2:
                 # located in closed form; no Sturm chain is built
                 roots = _quadratic_roots_inside(minpoly.coefficients, lo, hi)
                 n, self._quadratic = len(roots), roots[0] if roots else None
+                self._root = self._quadratic
             else:
-                self._sturm = _sturm_chain(minpoly.coefficients)
-                n = _count_roots_open(self._sturm, lo, hi)
+                chain = self._sturm = _sturm_chain(minpoly.coefficients)
+                (at_lo, _), (at_hi, hit) = _variations_at(chain, lo), _variations_at(chain, hi)
+                n = at_lo - at_hi - hit
+                # the root's index: the roots <= lo, the variations at -inf less those at lo
+                at_minus_inf = _variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
+                self._root = (minpoly.coefficients, at_minus_inf - at_lo)
             if n == 0:
                 raise NoRootInInterval("no root inside the interval")
             if n > 1:
@@ -406,8 +422,6 @@ class RealAlgebraicField:
             self._power_den = lead**n
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
-        self._compat_true = []
-        self._compat_false = []
 
     # -- root bookkeeping ---------------------------------------------------
 
@@ -438,10 +452,6 @@ class RealAlgebraicField:
         self._lo, self._hi = lo, hi
 
     # -- element construction ----------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.degree == 1
 
     def element(self, coords) -> "FieldElement":
         cs = [_exact(c) for c in coords]
@@ -486,31 +496,9 @@ class RealAlgebraicField:
     # -- compatibility ------------------------------------------------------
 
     def compatible(self, other: "RealAlgebraicField") -> bool:
-        """True when both handles describe the same subfield of R."""
-        if other is self:
-            return True
-        if self.degree == 1 and other.degree == 1:
-            return True  # both are plain Q; the remembered roots differ freely
-        if any(f is other for f in self._compat_true):
-            return True
-        if any(f is other for f in self._compat_false):
-            return False
-        ok = self._same_root(other)
-        (self._compat_true if ok else self._compat_false).append(other)
-        return ok
-
-    def _same_root(self, other) -> bool:
-        if self.minpoly != other.minpoly:
-            return False
-        if self._quadratic is not None:
-            return self._quadratic == other._quadratic
-        lo = max(self._lo, other._lo)
-        hi = min(self._hi, other._hi)
-        if self._exact_root is not None:
-            return other._lo <= self._exact_root <= other._hi
-        if lo >= hi:
-            return False
-        return _count_roots_open(self._sturm, lo, hi) == 1
+        """True when both handles present the same subfield of R: their
+        root keys, fixed at construction, are equal."""
+        return self._root == other._root
 
     def __repr__(self):
         if self.degree == 1:

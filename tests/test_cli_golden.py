@@ -12,6 +12,7 @@ import json
 import pytest
 
 from record_cli_golden import COMMANDS, GOLDEN, run_case, write_documents
+from steinv import RealAlgebraicField, golden_field
 from steinv.cli import main
 
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -60,6 +61,16 @@ def test_no_state_carries_between_calls(paths):
         run_case(["classify", "@base5"], paths)
     assert e.value.code == 64
     assert run_case(list(classify), paths) == RECORDED[classify]
+
+    # handles of the golden and cubic documents' polynomials on other
+    # intervals, alive and met by the shared golden handle, print nowhere
+    others = [RealAlgebraicField([-2, 0, 0, 1], (1, 2)), RealAlgebraicField([-1, -1, 1], (1, 2))]
+    assert golden_field().coerce(others[1].generator()) == golden_field().generator()
+    for argv in [
+        ("element", "random", "@cubic", "5", "--seed", "3", "--json"),
+        ("embed-v2", "@dyadic", "x0", "--json"),
+    ]:
+        assert run_case(list(argv), paths) == RECORDED[argv]
 
 
 @pytest.mark.parametrize(

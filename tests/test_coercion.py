@@ -7,6 +7,7 @@ field raises FieldMismatch.  Equality follows the same rule, and hashes
 agree with it.
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,28 @@ def test_rationals_compare_and_hash_equal_across_handles():
     phi = g.generator()
     assert phi + q.from_rational(half) == phi + half
     assert (phi + q.from_rational(half)).field is g
+
+
+def test_coercion_keeps_no_handle_alive():
+    # compatibility is a comparison of root keys, so a handle remembers
+    # none of the handles whose elements it took in
+    def golden_handles_on_1_2():
+        return sum(
+            isinstance(o, RealAlgebraicField)
+            and o.minpoly.coefficients == (-1, -1, 1)
+            and o.initial_interval() == (1, 2)
+            for o in gc.get_objects()
+        )
+
+    g = golden_field()
+    gc.collect()
+    before = golden_handles_on_1_2()
+    for _ in range(1000):
+        handle = RealAlgebraicField([-1, -1, 1], (1, 2))
+        assert g.coerce(handle.generator() + 1) == g.generator() + 1
+    del handle
+    gc.collect()
+    assert golden_handles_on_1_2() == before
 
 
 # -- every public entry applies the rule -------------------------------------

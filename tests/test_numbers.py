@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from steinv import classify, modules, numbers
 from steinv.cli import main
@@ -1099,6 +1099,62 @@ def test_cubic_and_quartic_refinement_and_approx_match_the_fraction_references(c
     with pytest.MonkeyPatch.context() as m:
         reference_numbers(m)
         assert approx(x, eps) == shipped
+
+
+_shift = st.fractions(min_value=-1, max_value=1, max_denominator=6)
+
+
+@st.composite
+def compatibility_cases(draw):
+    """A squarefree polynomial of degree 3 to 8 and three intervals, the
+    second a shift of the first; in half of them the polynomial has a
+    rational root r that a bisection midpoint of the first interval hits."""
+    degree = draw(st.integers(3, 8))
+
+    def poly(degree):
+        cs = draw(st.lists(_coefficient, min_size=degree + 1, max_size=degree + 1))
+        return tuple(cs[:-1]) + (cs[-1] or 1,)
+
+    if draw(st.booleans()):
+        f, first = poly(degree), draw(_intervals)
+    else:
+        r = draw(_interval_end)
+        f = product((-r.numerator, r.denominator), poly(degree - 1))
+        delta = Fraction(1, draw(st.integers(1, 8)))
+        first = [r - delta, r + (2 ** draw(st.integers(1, 3)) - 1) * delta]
+    assume(len(reference_pgcd(f, numbers._pderiv(f))) == 1)
+    second = sorted({first[0] + draw(_shift), first[1] + draw(_shift)})
+    assume(len(second) == 2)
+    return f, [tuple(first), tuple(second), tuple(draw(_intervals))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(compatibility_cases(), st.lists(st.integers(0, 2), max_size=12))
+# (t - 1)(t^2 - 3): the first midpoint of (1/2, 3/2) is the root 1, which
+# (0, 3/2) holds too and (3/2, 2) does not
+@example(([3, -3, -1, 1], [(Fraction(1, 2), Fraction(3, 2)), (0, Fraction(3, 2)),
+                           (Fraction(3, 2), 2)]), [0, 1, 0, 2, 0])
+def test_compatibility_in_degree_three_and_up_is_the_sturm_overlap(case, refinements):
+    f, intervals = case
+    minpoly = MinimalPolynomial(f)
+    chain = reference_sturm_chain(minpoly.coefficients)
+    handles = [
+        (RealAlgebraicField(minpoly, (lo, hi)), (lo, hi))
+        for lo, hi in intervals
+        if reference_count_roots_open(chain, lo, hi) == 1
+    ]
+    assume(len(handles) >= 2)
+    expected = {}
+    for i, (_, (lo1, hi1)) in enumerate(handles):
+        for j, (_, (lo2, hi2)) in enumerate(handles):
+            # the Sturm-overlap rule: one root in the common part
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            expected[i, j] = lo < hi and reference_count_roots_open(chain, lo, hi) == 1
+    for k in [None, *refinements]:  # refining either handle changes no answer
+        if k is not None:
+            handles[k % len(handles)][0].refine_root()
+        for (i, j), same in expected.items():
+            assert handles[i][0].compatible(handles[j][0]) == same
 
 
 # -- degree two: root location in closed form, not by Sturm chains ----------
