@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional
 from .errors import (
     BoundExceeded,
     NotInGamma,
-    NotInvariant,
     UnsupportedComparison,
     UnsupportedGamma,
     UnsupportedInput,
@@ -103,34 +102,27 @@ class Verdict(NamedTuple):
 # coinvariants
 
 
-def coinvariants(module: BreakpointModule, slopes: SlopeGroup) -> AbelianInvariants:
+def coinvariants(triple: SteinTriple) -> AbelianInvariants:
     """Quotient of the module by all elements t - mu*t, mu a slope generator.
 
-    Stacks the columns of (I - M_mu) over the generators, each scaled to
-    integers by its coordinates' denominator (harmless: a product of
-    inverted primes), so column j is den*e_j - nums for the coordinates
-    (nums, den) of mu*b_j; takes the integer cokernel, and localizes.
+    Reads the slope action the triple built and checked: the columns
+    (nums, den) of mu*b_j per generator.  Stacks the columns of
+    (I - M_mu), each scaled to integers by its denominator (harmless: a
+    product of inverted primes), so column j is den*e_j - nums; takes the
+    integer cokernel, and localizes.
     """
-    values = slopes.generator_values()
-    for mu in values:
-        if isinstance(mu, FieldElement) and not module.field.compatible(mu.field):
-            raise UnsupportedGamma("slope generator lives in a different field")
-    n = module.rank()
-    columns = []
-    try:
-        for mu in values:
-            for j, (nums, den) in enumerate(module.multiplication_matrix(mu)):
-                columns.append([den * (i == j) - x for i, x in enumerate(nums)])
-            # the group contains 1/mu as well, so demand a two-sided action
-            module.multiplication_matrix(1 / mu)
-    except NotInvariant as e:
-        raise UnsupportedGamma(str(e)) from e
+    module = triple.module
+    columns = [
+        [den * (i == j) - x for i, x in enumerate(nums)]
+        for matrix in triple.action
+        for j, (nums, den) in enumerate(matrix)
+    ]
     if not columns:
         if module.inverted_primes:
             raise UnsupportedGamma(
                 "coinvariants of a localized module need slope generators"
             )
-        columns = [[0] * n]
+        columns = [[0] * module.rank()]
     inv = cokernel_invariants(IntMatrix(list(zip(*columns))))
     return localize_factors(inv, module.inverted_primes)
 
@@ -347,8 +339,8 @@ def _compare_coinvariants(a: SteinTriple, b: SteinTriple) -> tuple:
     """(obstruction, inv_a): a NotIsomorphic verdict when the coinvariant
     groups disagree, else None, and Gamma_a's invariants.  Raises
     UnsupportedGamma when either side has no computable coinvariants."""
-    inv_a = coinvariants(a.module, a.slopes)
-    inv_b = coinvariants(b.module, b.slopes)
+    inv_a = coinvariants(a)
+    inv_b = coinvariants(b)
     if inv_a.same_group(inv_b):
         return None, inv_a
     differ = f"coinvariants differ ({inv_a.describe()} vs {inv_b.describe()})"
@@ -386,11 +378,9 @@ def classify_pair(
     try:
         same_slopes = a.slopes.equals(b.slopes)
     except UnsupportedComparison as e:
-        # incomparable slope groups: the coinvariants may still separate
-        try:
-            blocked = _compare_coinvariants(a, b)[0]
-        except UnsupportedGamma:
-            blocked = None
+        # incomparable slope groups: both have an irrational generator, so
+        # the coinvariants exist and may still separate
+        blocked = _compare_coinvariants(a, b)[0]
         if blocked is not None:
             return blocked
         return Verdict("Unknown", reason=f"slope groups are not comparable: {e}")

@@ -86,7 +86,7 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_coinvariants(args) -> int:
     doc = parse_spec(args.spec)
-    inv = coinvariants(doc.triple.module, doc.triple.slopes)
+    inv = coinvariants(doc.triple)
     obj = {
         "coinvariants": inv.describe(),
         "invariant_factors": list(inv.invariant_factors),

@@ -206,45 +206,21 @@ def _tau_forward_str(w: str) -> str:
 
 
 def _tau_inverse_str(w: str) -> str:
+    # a word over {0, 10} decodes block by block; "10" occurrences never overlap
     _check_beta_word(w)
-    out = []
-    i = 0
-    while i < len(w):
-        if w[i] == "1":
-            if i + 1 >= len(w):
-                raise UnparsableWord(f"{w!r} ends in the middle of a 10 block")
-            out.append("1")
-            i += 2
-        else:
-            out.append("0")
-            i += 1
-    return "".join(out)
+    if w.endswith("1"):
+        raise UnparsableWord(f"{w!r} ends in the middle of a 10 block")
+    return w.replace("10", "1")
 
 
 def _tau_inverse_stream(word: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
-    k = len(word.preperiod)
-    m = len(word.period)
-    out = []
-    seen = {}
-    i = 0
-    while True:
-        if i >= k:
-            state = (i - k) % m
-            if state in seen:
-                cut = seen[state]
-                return EventuallyPeriodicWord("".join(out[:cut]), "".join(out[cut:]))
-            seen[state] = len(out)
-        c = word.letter(i)
-        if c == "1":
-            if word.letter(i + 1) != "0":
-                raise ForbiddenFactor(f"{word} contains the forbidden factor 11")
-            out.append("1")
-            i += 2
-        elif c == "0":
-            out.append("0")
-            i += 1
-        else:
-            raise UnparsableWord(f"{word} is not a binary stream")
+    pre, per = word.preperiod, word.period
+    _check_beta_word(pre + per + per)  # no "11", so per holds a 0
+    # cut the period after its first 0: both parts then end in a whole block
+    t = per.index("0") + 1
+    return EventuallyPeriodicWord(
+        _tau_inverse_str(pre + per[:t]), _tau_inverse_str(per[t:] + per[:t])
+    )
 
 
 def substitute_tau(word, direction: str = "forward"):

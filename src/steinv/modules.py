@@ -441,15 +441,18 @@ class SteinTriple:
     The endpoint is optional; without it the triple only determines the
     groupoid-level data.  Construction checks that the module is carried
     into itself by every slope generator and its inverse, and that the
-    endpoint is a positive element of the module.
+    endpoint is a positive element of the module.  It keeps the slope
+    action that check builds: `action` holds, in `generator_values()`
+    order, the columns of `module.multiplication_matrix(mu)`.
     """
 
-    __slots__ = ("module", "slopes", "endpoint")
+    __slots__ = ("module", "slopes", "endpoint", "action")
 
     def __init__(self, module: BreakpointModule, slopes: SlopeGroup, endpoint=None):
+        action = []
         for mu in slopes.generator_values():
-            module.multiplication_matrix(mu)
-            module.multiplication_matrix(1 / mu)
+            action.append(module.multiplication_matrix(mu))
+            module.multiplication_matrix(1 / mu)  # the group holds 1/mu as well
         if endpoint is not None:
             endpoint = module.field.coerce(endpoint)
             if not module.contains(endpoint):
@@ -459,6 +462,7 @@ class SteinTriple:
         self.module = module
         self.slopes = slopes
         self.endpoint = endpoint
+        self.action = tuple(action)
 
     def require_endpoint(self) -> FieldElement:
         if self.endpoint is None:

@@ -843,9 +843,9 @@ def approx(a: FieldElement, eps: Rational):
     only on the inputs, never on how much refinement earlier comparisons
     happened to trigger.
     """
-    eps = Fraction(eps)
+    eps = _exact(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValidationError(f"eps must be positive, not {eps}")
     if a.is_rational:
         v = a.as_fraction()
         return v, v

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from steinv import (
     BreakpointModule,
     NotInGamma,
+    NotInvariant,
     SlopeGroup,
     SteinTriple,
     UnsupportedGamma,
@@ -34,17 +35,13 @@ from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
 
 
-def triple_invariants(t):
-    return coinvariants(t.module, t.slopes)
-
-
 # -- coinvariants -----------------------------------------------------------
 
 
 def test_thompson_coinvariants_closed_form():
     # the quotient of Z[1/n] by (1 - n) scaling is Z/(n-1)
     for n in range(2, 13):
-        inv = triple_invariants(thompson_triple(n))
+        inv = coinvariants(thompson_triple(n))
         if n == 2:
             assert inv.is_trivial()
         else:
@@ -70,7 +67,7 @@ def test_fractional_slope_coinvariants():
     cases = [(3, 2), (5, 2), (5, 3), (7, 4), (7, 2)]
     for p, q in cases:
         t = stein_triple([1], prime_factors(p * q), [Fraction(p, q)], endpoint=1)
-        inv = triple_invariants(t)
+        inv = coinvariants(t)
         d = p - q
         # strip prime factors of the localized set from p - q
         for r in t.module.inverted_primes:
@@ -84,39 +81,40 @@ def test_fractional_slope_coinvariants():
 
 def test_five_halves_example():
     t = stein_triple([1], [2, 5], [Fraction(5, 2)], endpoint=1)
-    assert triple_invariants(t).describe() == "Z/3"
+    assert coinvariants(t).describe() == "Z/3"
 
 
 def test_golden_coinvariants_trivial():
-    assert triple_invariants(golden_triple()).is_trivial()
+    assert coinvariants(golden_triple()).is_trivial()
 
 
 def test_sqrt2_coinvariants():
     t = algebraic_triple([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
-    assert triple_invariants(t).describe() == "Z/2"
+    assert coinvariants(t).describe() == "Z/2"
 
 
 def test_coinvariants_need_generators_when_localized():
     m = BreakpointModule(rational_field(), [1], [2])
     f = golden_field()
     free = BreakpointModule(f, [f.one(), f.generator()])
+    localized = SteinTriple(m, SlopeGroup([], field=rational_field()))
     with pytest.raises(UnsupportedGamma):
-        coinvariants(m, SlopeGroup([], field=rational_field()))
+        coinvariants(localized)
     # an honest free module with no scaling keeps its rank
-    inv = coinvariants(free, SlopeGroup([], field=f))
+    inv = coinvariants(SteinTriple(free, SlopeGroup([], field=f)))
     assert inv.free_rank == 2
 
 
 def test_coinvariants_rejects_noninvariant_slopes():
     m = BreakpointModule(rational_field(), [1], [2])
     # 1/3 does not carry Z[1/2] into itself
-    with pytest.raises(UnsupportedGamma):
-        coinvariants(m, SlopeGroup([Fraction(1, 3)]))
+    with pytest.raises(NotInvariant):
+        SteinTriple(m, SlopeGroup([Fraction(1, 3)]))
 
 
 def test_class_of_residues():
     t = thompson_triple(5)
-    inv = triple_invariants(t)
+    inv = coinvariants(t)
     assert inv.invariant_factors == (4,)
     # 1, 2, 3, 4 fall into distinct classes mod 4, and 1/5 = 5 mod 4 = 1
     c1 = class_of(1, inv, t.module)
@@ -131,7 +129,7 @@ def test_class_of_residues():
 
 def test_class_of_golden():
     t = golden_triple()
-    inv = triple_invariants(t)
+    inv = coinvariants(t)
     b = t.field.generator()
     # trivial quotient: every module point lands on the zero class
     assert class_of(b, inv, t.module) == class_of(1, inv, t.module)
@@ -718,7 +716,7 @@ def reference_endpoint_box(a, b, search_bound):
     products of inverted prime powers (exponents up to the bound, or 5
     with two primes and more) times the powers u^k, |k| <= bound, of the
     unit of Z[c2*a], where that unit stabilizes the module."""
-    inv = coinvariants(a.module, a.slopes)
+    inv = coinvariants(a)
     sr = scale_equivalence(a.module, b.module, search_bound)
     if not sr.found:
         return None
@@ -743,16 +741,16 @@ def reference_endpoint_box(a, b, search_bound):
     return None
 
 
-def quadratic_value(text, field):
-    """The element of a degree-two field that str() printed as text."""
-    x = y = Fraction(0)
+def printed_value(text, field):
+    """The field element that str() printed as text."""
+    coords = [Fraction(0)] * field.degree
     for term in text.replace(" - ", " + -").split(" + "):
-        if term.endswith("a"):
-            coef = term[:-1].rstrip("*")
-            y = Fraction({"": "1", "-": "-1"}.get(coef, coef))
-        else:
-            x = Fraction(term)
-    return field.element((x, y))
+        coef, var, power = term.partition("a")
+        coef = coef.rstrip("*") if var else coef
+        coords[int(power.lstrip("^") or 1) if var else 0] = Fraction(
+            {"": 1, "-": -1}.get(coef, coef)
+        )
+    return field.element(coords)
 
 
 @st.composite
@@ -788,9 +786,9 @@ def test_walk_keeps_every_box_verdict(pair, bound):
     if reference_endpoint_box(a, b, bound) is not None:
         assert v.is_isomorphic, v
     if v.is_isomorphic:
-        s = quadratic_value(v.witness["s"], a.field)
+        s = printed_value(v.witness["s"], a.field)
         assert b.module.scaled(s).same_module(a.module)
-        inv = coinvariants(a.module, a.slopes)
+        inv = coinvariants(a)
         assert not any(class_of(a.endpoint - s * b.endpoint, inv, a.module))
     outcomes = {classify_pair(a, b, k).outcome for k in range(1, 17)}
     assert not {"Isomorphic", "NotIsomorphic"} <= outcomes

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from steinv import coding, parse_spec
+from steinv import BreakpointModule, coding, coinvariants, parse_spec
 from steinv.cli import main
 from steinv.numbers import MinimalPolynomial
 
@@ -206,6 +206,28 @@ def test_coinvariants_json(docs, capsys):
         "free_rank": 0,
         "invariant_factors": [4],
     }
+
+
+def test_each_triple_builds_its_slope_action_once(docs, capsys, monkeypatch):
+    # a one-generator triple multiplies by mu and by 1/mu when it is built;
+    # coinvariants reads the action the triple kept
+    calls = []
+    build = BreakpointModule.multiplication_matrix
+
+    def spy(module, mu):
+        calls.append(mu)
+        return build(module, mu)
+
+    monkeypatch.setattr(BreakpointModule, "multiplication_matrix", spy)
+    assert run(capsys, "classify", docs["golden"], docs["golden_ell_b"])[0] == 0
+    assert len(calls) == 4
+    calls.clear()
+    assert run(capsys, "coinvariants", docs["golden"]) == (0, "trivial\n", "")
+    assert len(calls) == 2
+    triple = parse_spec(docs["golden"]).triple
+    calls.clear()
+    assert coinvariants(triple).is_trivial()
+    assert calls == []
 
 
 # -- element operations -----------------------------------------------------

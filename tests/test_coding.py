@@ -1,5 +1,6 @@
 """Digit streams for cut points and the base-2 to golden-base embedding."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -450,6 +451,25 @@ def test_tau_round_trip_random():
     for _ in range(200):
         w = "".join(rng.choice("01") for _ in range(rng.randint(1, 14)))
         assert substitute_tau(substitute_tau(w), "inverse") == w
+    # every binary word up to length 10, and every stream on the words up to
+    # length 5, both ways: a word decodes unless it holds 11 or ends in 1
+    words = ["".join(p) for n in range(11) for p in itertools.product("01", repeat=n)]
+    for w in words:
+        assert substitute_tau(substitute_tau(w), "inverse") == w
+        if "11" in w or w.endswith("1"):
+            with pytest.raises((ForbiddenFactor, UnparsableWord)):
+                substitute_tau(w, "inverse")
+        else:
+            assert substitute_tau(substitute_tau(w, "inverse")) == w
+    short = [w for w in words if len(w) <= 5]
+    for pre, per in itertools.product(short, short[1:]):
+        u = EventuallyPeriodicWord(pre, per)
+        assert substitute_tau(substitute_tau(u), "inverse") == u
+        if "11" in pre + per + per:
+            with pytest.raises(ForbiddenFactor):
+                substitute_tau(u, "inverse")
+        else:
+            assert substitute_tau(substitute_tau(u, "inverse")) == u
 
 
 # -- the embedding ----------------------------------------------------------

@@ -28,6 +28,7 @@ from steinv import (
     RealAlgebraicField,
     SlopeGroup,
     SteinError,
+    SteinTriple,
     ValidationError,
     ZeroLeadingCoefficient,
     approx,
@@ -175,6 +176,22 @@ def test_approx_brackets_the_value():
     # deterministic: refinement elsewhere must not change the answer
     GOLDEN.refine_root()
     assert approx(b, Fraction(1, 10 ** 12)) == (lo, hi)
+
+
+def test_approx_refuses_a_float_eps():
+    # Fraction(0.1) is the binary value of 0.1, not 1/10
+    for eps in (0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="is a float"):
+            approx(GOLDEN.generator(), eps)
+    lo, hi = approx(GOLDEN.generator(), "1/10")
+    assert hi - lo < Fraction(1, 10)
+
+
+@pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 3), "0"])
+def test_approx_refuses_eps_at_most_zero(eps):
+    for x in (GOLDEN.generator(), GOLDEN.one()):
+        with pytest.raises(ValidationError, match="eps must be positive"):
+            approx(x, eps)
 
 
 def test_hash_consistent_with_eq():
@@ -1407,7 +1424,7 @@ def test_membership_coordinates_and_the_slope_action_build_no_fraction():
         (cube, SlopeGroup([c - 1]), [c * c - 7, c / 2, c ** 2 + 1]),  # Z/6
     ]
     for module, slopes, points in cases:
-        inv = coinvariants(module, slopes)
+        inv = coinvariants(SteinTriple(module, slopes))
         assert inv.invariant_factors and inv.free_rank == 0
         points = [module.field.coerce(t) for t in points]
         for mu in map(module.field.coerce, slopes.generator_values()):
@@ -1502,7 +1519,7 @@ def test_coinvariants_and_classes_match_the_fraction_column_clearing(case, data)
     module, slopes = case
     with mock.patch.object(classify, "cokernel_invariants",
                            wraps=classify.cokernel_invariants) as spy:
-        inv = coinvariants(module, slopes)
+        inv = coinvariants(SteinTriple(module, slopes))
     assert spy.call_args.args[0] == IntMatrix(reference_coinvariant_rows(module, slopes))
     primes = module.inverted_primes
     for _ in range(4):
