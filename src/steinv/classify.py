@@ -8,13 +8,13 @@ Rank-one modules fall outside that criterion; they run an obstruction
 battery instead (a rescaling, whose scalar the endpoints force,
 slope-group rank, coinvariants, an order-preserving embedding, and the
 base-n closed form) and otherwise report Unknown.  Both pipelines share
-one coinvariant comparison and one test of the forced scalar, and
-`modules._carries` alone decides whether a scalar carries one module
-onto the other.  Every search and walk is bounded, and a decided verdict
-carries an exact certificate.  The walk steps by the exact unit of the
-module's multiplier ring and by the inverted primes; only in degree two
-without inverted primes do these span the stabilizer, and only there
-does a closed orbit give NotIsomorphic.
+one coinvariant comparison and one test of the forced scalar, and one
+determinant, in `modules._carries`, decides whether a scalar carries one
+module onto the other.  Every search and walk is bounded, and a decided
+verdict carries an exact certificate.  The walk steps by the exact unit
+of the module's multiplier ring and by the inverted primes; only in
+degree two without inverted primes do these span the stabilizer, and
+only there does a closed orbit give NotIsomorphic.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .document import (
 )
 from .elements import CutPoint, PLMap, random_word, to_prefix_pairs
 from .errors import ParseError, SteinError, UsageError
-from .modules import DEFAULT_SEARCH_BOUND, SteinTriple, golden_field
+from .modules import DEFAULT_SEARCH_BOUND, golden_field
 from .numbers import rational_field
 
 
@@ -78,7 +78,8 @@ def _cmd_verdict(args) -> int:
         verdict = rank_one_report(a, b)
     else:
         if args.command == "classify-groupoid":
-            a, b = (SteinTriple(t.module, t.slopes, None) for t in (a, b))
+            # the triples are this call's own; rebuilding them would check them again
+            a.endpoint = b.endpoint = None
         verdict = classify_pair(a, b, args.search_bound)
     _emit(args, verdict.describe(), verdict_to_json(verdict))
     return 1 if verdict.is_unknown else 0

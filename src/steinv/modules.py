@@ -83,6 +83,14 @@ def _valuations(mu, primes) -> Optional[list]:
     return vector if num == den == 1 else None
 
 
+def _determinant(columns) -> tuple:
+    """The determinant of n coordinate columns (nums, den) over an
+    n-element basis, as (numerator, denominator): the `_bareiss`
+    determinant of the numerators over the product of the denominators."""
+    rows = [list(row) for row in zip(*(nums for nums, _ in columns))]
+    return _bareiss(rows, len(columns))[2], prod(den for _, den in columns)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -286,6 +294,13 @@ class BreakpointModule:
         # a product of inverted primes
         return coords is not None and _strip_primes(coords[1], self.inverted_primes) == 1
 
+    def _spanned_by(self, columns) -> bool:
+        # n module points span the module exactly when their determinant is a
+        # unit of Z[1/m] (Newman, Integral Matrices, 1972): their denominators
+        # are products of inverted primes, so when the numerator is one too
+        num = _determinant(columns)[0]
+        return num != 0 and _strip_primes(abs(num), self.inverted_primes) == 1
+
     def multiplication_matrix(self, mu) -> tuple:
         """Multiplication by mu on the basis, as its columns: column j is
         the coordinates (nums, den) of mu * basis[j].
@@ -349,21 +364,17 @@ class ScaleResult(NamedTuple):
 
 
 def _carries(s, g2: BreakpointModule, g1: BreakpointModule) -> bool:
-    """True when s * G2 = G1: equal inverted primes, then two-sided
-    membership of the bases.  Membership alone would call Z[1/10] and
-    Z[1/30] equal, since each contains the other's basis."""
-    if not g1.field.compatible(g2.field) or g1.inverted_primes != g2.inverted_primes:
+    """True when s * G2 = G1: equal inverted primes and ranks, every s*b
+    of G2's basis a point of G1, and the coordinates of those points
+    spanning G1.  Membership alone would call Z[1/10] and Z[1/30] equal,
+    since each contains the other's basis."""
+    same = g1.inverted_primes == g2.inverted_primes and g1.rank() == g2.rank()
+    if not same or not g1.field.compatible(g2.field):
         return False
-    if s == 1:  # same_module: the bases themselves, without field arithmetic
-        return all(map(g1.contains, g2.basis)) and all(map(g2.contains, g1.basis))
-    return all(g1.contains(s * b) for b in g2.basis) and all(
-        g2.contains(b / s) for b in g1.basis
-    )
-
-
-def _covolume(m: BreakpointModule) -> Fraction:
-    """The determinant of a full-rank module's basis coordinates."""
-    return Fraction(IntMatrix([b.num for b in m.basis]).det(), prod(b.den for b in m.basis))
+    # same_module reads the bases themselves, without field arithmetic
+    points = g2.basis if s == 1 else [s * b for b in g2.basis]
+    columns = [g1.coordinates(t) for t in points]
+    return all(map(g1._in_module, columns)) and g1._spanned_by(columns)
 
 
 def _shell(n: int, r: int):
@@ -384,7 +395,8 @@ def scale_equivalence(
     Rank one is closed form: s = |b1 / b2|.  Otherwise candidates are
     ratios h / g of a module element h of G1 (integer basis coefficients
     bounded by search_bound) against the first basis element of G2,
-    filtered by the field-norm/covolume identity and then verified by
+    filtered at full rank by the norm of s, which must make N(s) times
+    the determinant of G2's basis over G1 a unit, and then verified by
     `_carries`.  The box is walked lazily, shell by shell, until the
     degree's candidate budget is spent.  Complete up to the bound and
     the budget: "unknown" only means no candidate tried worked.
@@ -405,9 +417,9 @@ def scale_equivalence(
         s = g1.basis[0] / g2.basis[0]
         return ScaleResult("found", scalar=s if s.sign() > 0 else -s)
     d = field.degree
-    ratio = None
-    if n == d:
-        ratio = abs(_covolume(g1) / _covolume(g2))
+    # at full rank s*G2 = G1 makes N(s) * det(M) a unit of Z[1/m], for M
+    # the coordinates of G2's basis over G1's
+    det = Fraction(*_determinant([g1.coordinates(b) for b in g2.basis])) if n == d else None
     budget = _SCALE_CANDIDATES if d <= 3 else _SCALE_CANDIDATES * 9 // d**2
     # s = h / g for the fixed g = g2.basis[0], so g is inverted once
     ginv = g2.basis[0].inverse()
@@ -422,10 +434,8 @@ def scale_equivalence(
         s = h * ginv
         if s.sign() <= 0:
             continue
-        if ratio is not None:
-            norm_ratio = abs(g1.norm(s))
-            if _valuations(norm_ratio / ratio, g1.inverted_primes) is None:
-                continue
+        if det is not None and _valuations(abs(g1.norm(s) * det), g1.inverted_primes) is None:
+            continue
         if _carries(s, g2, g1):
             return ScaleResult("found", scalar=s)
     return ScaleResult("unknown", obstruction="no scalar within the search box")
@@ -440,10 +450,11 @@ class SteinTriple:
 
     The endpoint is optional; without it the triple only determines the
     groupoid-level data.  Construction checks that the module is carried
-    into itself by every slope generator and its inverse, and that the
-    endpoint is a positive element of the module.  It keeps the slope
-    action that check builds: `action` holds, in `generator_values()`
-    order, the columns of `module.multiplication_matrix(mu)`.
+    into itself by every slope generator mu, and by 1/mu through the
+    determinant of mu's columns, and that the endpoint is a positive
+    element of the module.  It keeps the slope action that check builds:
+    `action` holds, in `generator_values()` order, the columns of
+    `module.multiplication_matrix(mu)`.
     """
 
     __slots__ = ("module", "slopes", "endpoint", "action")
@@ -451,8 +462,11 @@ class SteinTriple:
     def __init__(self, module: BreakpointModule, slopes: SlopeGroup, endpoint=None):
         action = []
         for mu in slopes.generator_values():
-            action.append(module.multiplication_matrix(mu))
-            module.multiplication_matrix(1 / mu)  # the group holds 1/mu as well
+            columns = module.multiplication_matrix(mu)
+            if not module._spanned_by(columns):  # the group holds 1/mu as well
+                inverse = module.field.coerce(1 / mu)
+                raise NotInvariant(f"module is not closed under multiplication by {inverse}")
+            action.append(columns)
         if endpoint is not None:
             endpoint = module.field.coerce(endpoint)
             if not module.contains(endpoint):

@@ -44,11 +44,12 @@ folds c2*a^2 = -c1*a - c0 into the two numerator pairs in integers,
 and the inverse and the norm come from the norm form in integers:
 (x + y*a)^-1 = (c2*x - c1*y - c2*y*a) / (c2*x^2 - c1*x*y + c0*y^2).
 From degree three a product convolves the two numerator vectors and
-folds the terms of degree d to 2d-2 back in with the coordinates of
-a^d, ..., a^(2d-2), which the field computes once as integers over one
-denominator.  The inverse and the norm come from the d x d matrix of
-multiplication by x, whose columns are x*a^j (j < d): the norm is its
-determinant and the inverse solves it against 1 (Cohen, GTM 138, 4.2).
+folds the terms of degree 2d-2 down to d back in, the top one first, by
+lead*a^d = -(c0 + c1*a + ... + c_(d-1)*a^(d-1)), multiplying the rest
+and the denominator by lead when lead is not 1.  The inverse and the
+norm come from the d x d matrix of multiplication by x, whose columns
+are x*a^j (j < d): the norm is its determinant and the inverse solves
+it against 1 (Cohen, GTM 138, 4.2).
 The matrix is built in integers from num and den, with column j
 scaled by den*lead^j, and `_bareiss`, a fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22 (1968)), solves it in integers.
@@ -362,8 +363,6 @@ class RealAlgebraicField:
         "_sturm",
         "_exact_root",
         "_quadratic",
-        "_powers",
-        "_power_den",
         "_root",
     )
 
@@ -403,23 +402,6 @@ class RealAlgebraicField:
                 raise NoRootInInterval("no root inside the interval")
             if n > 1:
                 raise MultipleRootsInInterval(f"{n} roots inside the interval")
-        if self.degree > 2:
-            # numerators of a^d, ..., a^(2d-2), the high terms of a product,
-            # over the one denominator lead^(d-1); a^(d+k) needs lead^(k+1)
-            *low, lead = minpoly.coefficients
-            power = tuple(-c for c in low)  # lead * a^d
-            powers = []
-            for _ in range(self.degree - 1):
-                powers.append(power)
-                # lead * a * power: shift up one place, fold the top coordinate in
-                power = tuple(
-                    lead * x + power[-1] * t for x, t in zip((0,) + power[:-1], powers[0])
-                )
-            n = len(powers)
-            self._powers = tuple(
-                tuple(x * lead ** (n - 1 - k) for x in p) for k, p in enumerate(powers)
-            )
-            self._power_den = lead**n
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
 
@@ -664,16 +646,18 @@ class FieldElement:
             if x:
                 for j, y in enumerate(o.num, i):
                     conv[j] += x * y
-        out, high = conv[:d], conv[d:]
         den = self.den * o.den
-        if any(high):
-            if f._power_den != 1:
-                out = [f._power_den * x for x in out]
-                den *= f._power_den
-            for c, power in zip(high, f._powers):
-                if c:
-                    out = [x + c * t for x, t in zip(out, power)]
-        return _normalized(f, tuple(out), den)
+        # fold the top term c*a^k back in by lead*a^d = -(c0 + ... + c_(d-1)*a^(d-1))
+        *low, lead = f.minpoly.coefficients
+        for k in range(2 * d - 2, d - 1, -1):
+            c = conv.pop()
+            if c:
+                if lead != 1:
+                    conv = [lead * x for x in conv]
+                    den *= lead
+                for i, t in enumerate(low, k - d):
+                    conv[i] -= c * t
+        return _normalized(f, tuple(conv), den)
 
     __rmul__ = __mul__
 
@@ -760,7 +744,7 @@ class FieldElement:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError("element is irrational")
+            raise ValidationError("element is irrational")
         return Fraction(self.num[0], self.den)
 
     def sign(self) -> int:

@@ -209,8 +209,9 @@ def test_coinvariants_json(docs, capsys):
 
 
 def test_each_triple_builds_its_slope_action_once(docs, capsys, monkeypatch):
-    # a one-generator triple multiplies by mu and by 1/mu when it is built;
-    # coinvariants reads the action the triple kept
+    # a one-generator triple multiplies by mu once when it is built and
+    # reads 1/mu off that matrix's determinant; coinvariants and
+    # classify-groupoid read the triples already built
     calls = []
     build = BreakpointModule.multiplication_matrix
 
@@ -220,10 +221,13 @@ def test_each_triple_builds_its_slope_action_once(docs, capsys, monkeypatch):
 
     monkeypatch.setattr(BreakpointModule, "multiplication_matrix", spy)
     assert run(capsys, "classify", docs["golden"], docs["golden_ell_b"])[0] == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
+    calls.clear()
+    assert run(capsys, "classify-groupoid", docs["golden"], docs["golden_ell_b"])[0] == 0
+    assert len(calls) == 2
     calls.clear()
     assert run(capsys, "coinvariants", docs["golden"]) == (0, "trivial\n", "")
-    assert len(calls) == 2
+    assert len(calls) == 1
     triple = parse_spec(docs["golden"]).triple
     calls.clear()
     assert coinvariants(triple).is_trivial()

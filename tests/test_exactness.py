@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import steinv
+from steinv import errors
 
 SOURCES = sorted(Path(steinv.__file__).parent.glob("*.py"))
 
@@ -55,6 +56,50 @@ def test_only_numbers_decides_which_numbers_enter_a_field():
     assert found == []
     code = "raise FieldMismatch('x')\nraise FieldMismatch\nraise ValueError('y')\n"
     assert list(field_mismatch_raises(ast.parse(code))) == [1, 2]
+
+
+# raises that name no SteinError, with the reason each stays
+FOREIGN_RAISES = {
+    # the value is not a number: Python's protocol for an operand of the wrong type
+    ("numbers.py", "RealAlgebraicField.coerce", "TypeError"),
+    # the process exit status of the command line
+    ("cli.py", "<module>", "SystemExit"),
+    ("__main__.py", "<module>", "SystemExit"),
+}
+
+
+def raised_names(tree, scope="<module>"):
+    """(line, enclosing function, raised name) for every raise with an
+    exception, called or not; a bare re-raise names nothing."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            yield from raised_names(node, inner)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, scope, exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+        yield from raised_names(node, scope)
+
+
+def test_every_raise_names_a_stein_error():
+    # every error raised on a documented failure path derives from SteinError
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for line, scope, name in raised_names(ast.parse(path.read_text(), str(path)))
+        if (path.name, scope, name) not in FOREIGN_RAISES
+        and not (isinstance(getattr(errors, name, None), type)
+                 and issubclass(getattr(errors, name), errors.SteinError))
+    ]
+    assert found == []
+    code = (
+        "class A:\n    def f(self):\n        raise ValueError('x')\n"
+        "raise SystemExit(1)\nraise ParseError\ntry:\n    pass\nexcept E:\n    raise\n"
+    )
+    assert list(raised_names(ast.parse(code))) == [
+        (3, "A.f", "ValueError"), (4, "<module>", "SystemExit"), (5, "<module>", "ParseError")
+    ]
 
 
 def test_elements_and_coding_import_nothing_from_fractions():

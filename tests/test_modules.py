@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from steinv import (
     BoundExceeded,
@@ -315,6 +315,128 @@ def test_scale_different_fields_is_unknown():
 def test_scale_module_ranks_differ():
     res = scale_equivalence(cube_root_two_module(3), cube_root_two_module(2))
     assert (res.outcome, res.obstruction) == ("distinct", "module ranks differ")
+
+
+# -- one determinant decides every module map -------------------------------
+
+
+def reference_carries(s, g2, g1):
+    """s * G2 = G1 by two-sided membership of the bases and equal
+    inverted primes, without a determinant."""
+    if not g1.field.compatible(g2.field) or g1.inverted_primes != g2.inverted_primes:
+        return False
+    return all(g1.contains(s * b) for b in g2.basis) and all(
+        g2.contains(b / s) for b in g1.basis
+    )
+
+
+CUBIC = cube_root_two_module(3).field
+PRIME_SETS = [(), (2,), (2, 5), (2, 3, 5)]
+# one factor of each kind: a unit of every Z[1/m] drawn, units of some, and
+# primes no m drawn inverts
+FACTORS = [1, -1, 2, Fraction(1, 2), 5, 3, Fraction(1, 3), 7]
+
+
+@st.composite
+def module_maps(draw, full_rank=False):
+    """(s, G2, G1) with G1 the span of s0 * G2's basis under an integer
+    matrix that is often invertible over Z[1/m], or of a random basis,
+    and s = s0 times a rational factor; degrees 1-3, full and lower rank."""
+    fields = [golden_field(), CUBIC] if full_rank else [rational_field(), golden_field(), CUBIC]
+    field = draw(st.sampled_from(fields))
+    d = field.degree
+    primes = draw(st.sampled_from(PRIME_SETS))
+    other = draw(st.sampled_from([primes] * 4 + PRIME_SETS))
+    rank = d if full_rank else draw(st.integers(1, d))
+    assume(rank > 1 or (primes and other))  # a rank-one module needs an inverted prime
+    coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5]))
+
+    def element():
+        return field.element(draw(st.lists(coord, min_size=d, max_size=d)))
+
+    basis = [element() for _ in range(rank)]
+    s0 = element()
+    assume(not s0.is_zero())
+    if draw(st.integers(0, 4)):
+        points = [s0 * b for b in basis]
+        for _ in range(draw(st.integers(0, 3))):  # elementary column operations
+            i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+            if i != j:
+                points[i] = points[i] + draw(st.sampled_from([-2, -1, 1, 2])) * points[j]
+        k = draw(st.integers(0, rank - 1))
+        points[k] = draw(st.sampled_from(FACTORS)) * points[k]
+    else:
+        points = [element() for _ in range(rank)]
+    try:
+        g2 = BreakpointModule(field, basis, primes)
+        g1 = BreakpointModule(field, points, other)
+    except DependentBasis:
+        assume(False)
+    return s0 * draw(st.sampled_from(FACTORS)), g2, g1
+
+
+@settings(max_examples=300, deadline=None)
+@given(module_maps())
+def test_carries_agrees_with_two_sided_membership(case):
+    s, g2, g1 = case
+    assert modules._carries(s, g2, g1) == reference_carries(s, g2, g1)
+    assert g1.same_module(g2) == reference_carries(1, g2, g1)
+
+
+def test_carries_tells_apart_what_membership_alone_cannot():
+    q = rational_field()
+    z10, z30 = BreakpointModule(q, [1], [2, 5]), BreakpointModule(q, [1], [2, 3, 5])
+    dyadic, three = BreakpointModule(q, [1], [2]), BreakpointModule(q, [3], [2])
+    # each of Z[1/10] and Z[1/30] contains the other's basis, and 3 * Z[1/2]
+    # lies in Z[1/2] without being all of it
+    for s, g2, g1, carried in [
+        (1, z10, z30, False), (1, z30, z10, False), (3, z10, z10, False),
+        (1, three, dyadic, False), (Fraction(1, 3), three, dyadic, True),
+    ]:
+        assert modules._carries(s, g2, g1) == reference_carries(s, g2, g1) == carried
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_maps(full_rank=True))
+def test_the_norm_prefilter_keeps_every_scalar_the_reference_accepts(case):
+    _, g2, g1 = case
+    assume(g1.inverted_primes == g2.inverted_primes)
+    passed = []
+    with pytest.MonkeyPatch.context() as patch:  # every candidate that passes the prefilter
+        patch.setattr(modules, "_carries", lambda s, g2, g1: passed.append(s) and False)
+        scale_equivalence(g1, g2, search_bound=2)
+    for r in (1, 2):
+        for coeffs in modules._shell(g1.rank(), r):
+            h = sum((c * b for c, b in zip(coeffs, g1.basis)), g1.field.zero())
+            s = h / g2.basis[0]
+            if s.sign() > 0 and reference_carries(s, g2, g1):
+                assert s in passed
+
+
+def test_the_determinant_tests_build_no_fraction():
+    from test_numbers import count_fractions
+
+    f = golden_field()
+    b = f.generator()
+    g = BreakpointModule(f, [f.one(), b], [2])
+    h = BreakpointModule(f, [2 * f.one(), 2 * b], [2])
+    t = BreakpointModule(f, [3 * f.one(), 3 * b], [2])
+    assert count_fractions(lambda: h.same_module(g)) == (True, 0)
+    assert count_fractions(lambda: t.same_module(g)) == (False, 0)
+    slopes = SlopeGroup([b])
+    assert count_fractions(lambda: SteinTriple(g, slopes))[1] == 0
+    columns = t.multiplication_matrix(3)
+    assert count_fractions(lambda: t._spanned_by(columns)) == (False, 0)
+
+
+@pytest.mark.parametrize("module, slope, shown", [
+    (BreakpointModule(rational_field(), [1], [2]), 3, "1/3"),
+    (BreakpointModule(golden_field(), [1, golden_field().generator()]), 2, "1/2"),
+])
+def test_a_slope_whose_inverse_leaves_the_module_is_named(module, slope, shown):
+    with pytest.raises(NotInvariant) as caught:
+        SteinTriple(module, SlopeGroup([slope], field=module.field))
+    assert str(caught.value) == f"module is not closed under multiplication by {shown}"
 
 
 # -- triples ----------------------------------------------------------------
