@@ -37,8 +37,10 @@ is rarely the number meant.
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den, sums, products, quotients and comparisons are
 integer operations on num[0] and den alone, and one gcd reduces the
-result.  In degree two, for the root a of c2*t^2 + c1*t + c0, a product
-folds c2*a^2 = -c1*a - c0 into the two numerator pairs in integers,
+result; `_affine(s, t, o)` forms s*t + o over one denominator with one
+gcd, where the operators would reduce twice.  In degree two, for the
+root a of c2*t^2 + c1*t + c0, a product folds c2*a^2 = -c1*a - c0 into
+the two numerator pairs in integers,
 (x1 + y1*a)(x2 + y2*a) =
 (c2*x1*x2 - c0*y1*y2 + (c2*(x1*y2 + x2*y1) - c1*y1*y2)*a) / c2,
 and the inverse and the norm come from the norm form in integers:
@@ -554,6 +556,16 @@ def _ratio(field: RealAlgebraicField, x: int, den: int) -> "FieldElement":
     """The degree-one element x/den for a positive den, in canonical form."""
     g = gcd(x, den)
     return FieldElement(field, (x // g,), den // g)
+
+
+def _affine(s: "FieldElement", t, o) -> "FieldElement":
+    """s*t + o, reduced once in degree one when t and o are elements of s's
+    handle; otherwise s * t + o through the operators."""
+    f = s.field
+    if f.degree == 1 and t.__class__ is o.__class__ is FieldElement and t.field is o.field is f:
+        st, do = s.den * t.den, o.den
+        return _ratio(f, s.num[0] * t.num[0] * do + o.num[0] * st, st * do)
+    return s * t + o
 
 
 class FieldElement:

@@ -375,8 +375,12 @@ def test_prefix_pairs_in_base_three():
 
 
 def test_from_prefix_pairs_validation():
-    with pytest.raises(NotAntichain):
+    with pytest.raises(NotAntichain, match=r"^'0' is a prefix of '01'$"):
         from_prefix_pairs(DYADIC, [("0", "0"), ("01", "1")])
+    with pytest.raises(NotAntichain, match=r"^duplicate word '0'$"):
+        from_prefix_pairs(DYADIC, [("0", "0"), ("0", "1")])
+    with pytest.raises(NotAntichain, match=r"^duplicate word '1'$"):
+        from_prefix_pairs(DYADIC, [("0", "1"), ("1", "1")])
     with pytest.raises(NotComplete):
         from_prefix_pairs(DYADIC, [("00", "0"), ("01", "1")])
     with pytest.raises(NotComplete):
@@ -458,6 +462,31 @@ def test_integer_prefix_walk_matches_the_fraction_walk(f):
     assert from_prefix_pairs(f.triple, pairs) == f
 
 
+@st.composite
+def prefix_tables(draw):
+    """A triple (Z[1/n], <n>, 1), n in 2, 3, 5, and a complete table of up
+    to 32 pairs between two random prefix codes, in random order."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    splits = draw(st.integers(0, 31 // (n - 1)))
+    codes = []
+    for _ in range(2):
+        words = [""]
+        for _ in range(splits):
+            w = words.pop(draw(st.integers(0, len(words) - 1)))
+            words += [w + str(d) for d in range(n)]
+        codes.append(words)
+    pairs = list(zip(codes[0], draw(st.permutations(codes[1]))))
+    return thompson_triple(n), draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_tables())
+def test_trusted_prefix_construction_passes_make_plmap(table):
+    triple, pairs = table
+    f = from_prefix_pairs(triple, pairs)
+    assert f == make_plmap(triple, [tuple(p) for p in f.pieces])
+
+
 def test_prefix_pairs_wrong_context():
     with pytest.raises(WrongContext):
         to_prefix_pairs(PLMap.identity(GOLDEN))
@@ -497,7 +526,8 @@ def reference_compose(f, g):
     breakpoints in a set, sort it, and look both pieces up at every cut."""
     starts = [p.start for p in g.pieces] + [g.triple.endpoint]
     images = [
-        (p.image_of(lo), p.image_of(hi)) for p, lo, hi in zip(g.pieces, starts, starts[1:])
+        (p.slope * lo + p.offset, p.slope * hi + p.offset)
+        for p, lo, hi in zip(g.pieces, starts, starts[1:])
     ]
     cuts = {p.start for p in g.pieces}
     for piece in f.pieces:
@@ -511,11 +541,26 @@ def reference_compose(f, g):
     new_pieces = []
     for u in sorted(cuts):
         gp = g._piece_at(u)
-        fp = f._piece_at(gp.image_of(u))
+        fp = f._piece_at(gp.slope * u + gp.offset)
         new_pieces.append(
             Piece(u, fp.slope * gp.slope, fp.slope * gp.offset + fp.offset)
         )
     return PLMap._trusted(f.triple, new_pieces)
+
+
+def reference_inverse(f):
+    """f's inverse by the operators in Fraction coordinates: each piece
+    (start, slope, offset) becomes (image of start, 1/slope, -offset/slope),
+    sorted by start and merged."""
+    pieces = sorted(
+        ((p.slope * p.start + p.offset, 1 / p.slope, -p.offset / p.slope) for p in f.pieces),
+        key=lambda p: p[0],
+    )
+    out = []
+    for start, slope, offset in pieces:
+        if not out or out[-1][1:] != (slope.coords, offset.coords):
+            out.append((start.coords, slope.coords, offset.coords))
+    return [repr(p) for p in out]
 
 
 def random_prefix_code(rng, k):
@@ -555,6 +600,8 @@ def test_compose_matches_reference(triple):
         sizes.update((len(f.pieces), len(g.pieces)))
         for a, b in [(f, g), (g, f), (f, f.inverse())]:
             assert exact_pieces(a * b) == exact_pieces(reference_compose(a, b))
+        for h in (f, g):
+            assert exact_pieces(h.inverse()) == reference_inverse(h)
     assert min(sizes) <= 4 and max(sizes) >= 24
 
 

@@ -811,6 +811,51 @@ def test_degree_one_closed_forms_match_fractions(field, other_field, p, q, kind)
     assert (-x).sign() == -x.sign() and (x - x).sign() == 0
 
 
+# -- s*t + o reduced once ---------------------------------------------------
+
+# each handle beside a compatible one: Q remembering the root 3, and phi and
+# the cube root of 2 isolated in other intervals
+_AFFINE_HANDLES = [
+    (thompson_triple(2).field, ROOT3),
+    (GOLDEN, RealAlgebraicField([-1, -1, 1], (Fraction(8, 5), Fraction(17, 10)))),
+    (CUBE_ROOT2, RealAlgebraicField([-2, 0, 0, 1], (1, 2))),
+]
+SQRT5 = RealAlgebraicField([-5, 0, 1], (2, 3))
+_coordinates = st.lists(_rationals, min_size=3, max_size=3)
+_operand_kinds = st.sampled_from(["element", "compatible", "rational of sqrt 5", int, Fraction])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_AFFINE_HANDLES), _coordinates, _coordinates, _coordinates,
+    st.booleans(), _operand_kinds, _operand_kinds,
+)
+def test_affine_matches_the_operators(handles, s, t, o, zero_slope, t_kind, o_kind):
+    field, compatible = handles
+    d = field.degree
+
+    def operand(coords, kind):
+        if kind == "element":
+            return field.element(coords[:d])
+        if kind == "compatible":
+            return compatible.element(coords[:d])
+        if kind == "rational of sqrt 5":
+            return SQRT5.from_rational(coords[0])
+        return round(coords[0]) if kind is int else coords[0]
+
+    s = field.zero() if zero_slope else field.element(s[:d])
+    t, o = operand(t, t_kind), operand(o, o_kind)
+    z, expected = numbers._affine(s, t, o), s * t + o
+    assert z.field is field and (z.num, z.den) == (expected.num, expected.den)
+
+
+def test_affine_refuses_an_irrational_of_another_field():
+    sqrt5, phi, one = SQRT5.generator(), GOLDEN.generator(), rational_field().one()
+    for s, t, o in [(phi, sqrt5, phi), (phi, phi, sqrt5), (one, sqrt5, one), (one, one, sqrt5)]:
+        with pytest.raises(FieldMismatch):
+            numbers._affine(s, t, o)
+
+
 # -- fraction-free elimination against the Fraction Gauss-Jordan ------------
 
 
