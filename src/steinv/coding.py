@@ -16,7 +16,7 @@ import re
 from functools import lru_cache
 
 from .elements import (
-    MINUS, PLUS, CutPoint, PLMap, _n_depth, _word_of, make_plmap, to_prefix_pairs
+    MINUS, PLUS, CutPoint, PLMap, _check_cut, _n_depth, _word_of, make_plmap, to_prefix_pairs
 )
 from .errors import (
     BoundExceeded,
@@ -114,6 +114,7 @@ def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     if k is None:
         raise WrongContext(f"{t} is not an n-adic rational for base {n}")
     a = num * (n**k // den)
+    # _check_cut with endpoint 1, on the integers: no element is built per cut
     if x.side == PLUS:
         if num < 0 or num >= den:
             raise OutOfDomain(f"plus cut {t} is outside [0, 1)")
@@ -255,7 +256,7 @@ def _greedy_beta(v: FieldElement):
             return "".join(digits[:cut]), "".join(digits[cut:])
         seen[key] = len(digits)
         p = beta * r
-        d = 1 if (p - 1).sign() >= 0 else 0
+        d = 1 if p >= 1 else 0
         digits.append(str(d))
         r = p - d
     raise BoundExceeded("greedy expansion did not cycle")
@@ -264,18 +265,11 @@ def _greedy_beta(v: FieldElement):
 def beta_expand(value, side: str) -> EventuallyPeriodicWord:
     """Golden-base stream of a cut value: plus side gets the terminating
     expansion, minus side the variant ending in repeating 10."""
-    value = golden_field().coerce(value)
-    s = value.sign()
+    value, side = CutPoint(golden_field().coerce(value), side)  # checks the side
+    _check_cut(value, side, 1)
     if side == PLUS:
-        if s < 0 or (value - 1).sign() >= 0:
-            raise OutOfDomain(f"plus cut {value} is outside [0, 1)")
-        pre, per = _greedy_beta(value)
-        return EventuallyPeriodicWord(pre, per)
-    if side != MINUS:
-        raise OutOfDomain(f"side must be '+' or '-', not {side!r}")
-    if s <= 0 or (value - 1).sign() > 0:
-        raise OutOfDomain(f"minus cut {value} is outside (0, 1]")
-    if (value - 1).sign() == 0:
+        return EventuallyPeriodicWord(*_greedy_beta(value))
+    if value == 1:  # == decides by value: the golden polynomial is irreducible
         return EventuallyPeriodicWord("", "10")
     word = EventuallyPeriodicWord(*_greedy_beta(value))
     if word.period != "0":

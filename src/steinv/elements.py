@@ -10,7 +10,10 @@ elements compare equal structurally.
 
 Cut points model the doubled module points of the Cantor-like completion
 of the interval: (t, "-") sits immediately below (t, "+"); the cuts
-(0, "-") and (endpoint, "+") do not exist.
+(0, "-") and (endpoint, "+") do not exist.  So a plus cut needs
+0 <= t < endpoint and a minus cut 0 < t <= endpoint: `_check_cut` is the
+one place that decides it.  Order between values is decided by the
+comparison operators of `numbers`, never by the sign of a difference.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class CutPoint(NamedTuple("CutPoint", [("value", FieldElement), ("side", str)]))
         return super().__new__(cls, value, side)
 
     def _key_cmp(self, other: "CutPoint") -> int:
-        c = (self.value - other.value).sign()
+        c = self.value._cmp(other.value)
         if c:
             return c
         if self.side == other.side:
@@ -95,15 +98,18 @@ def cut_point(triple: SteinTriple, value, side: str) -> CutPoint:
     value = triple.field.coerce(value)
     if not triple.module.contains(value):
         raise NotInGamma(f"{value} is not a point of the breakpoint module")
-    s = value.sign()
-    if s < 0 or (value - endpoint).sign() > 0:
-        raise OutOfDomain(f"{value} lies outside [0, {endpoint}]")
-    point = CutPoint(value, side)
-    if s == 0 and side == MINUS:
-        raise OutOfDomain("0 has no minus side")
-    if (value - endpoint).sign() == 0 and side == PLUS:
-        raise OutOfDomain("the endpoint has no plus side")
-    return point
+    _check_cut(value, side, endpoint)
+    return CutPoint(value, side)
+
+
+def _check_cut(t: FieldElement, side: str, endpoint) -> None:
+    """OutOfDomain unless (t, side) is a cut of [0, endpoint): a plus cut
+    needs 0 <= t < endpoint, any other side 0 < t <= endpoint."""
+    if side == PLUS:
+        if t.sign() < 0 or t >= endpoint:
+            raise OutOfDomain(f"plus cut {t} is outside [0, {endpoint})")
+    elif t.sign() <= 0 or t > endpoint:
+        raise OutOfDomain(f"minus cut {t} is outside (0, {endpoint}]")
 
 
 class Piece(NamedTuple):
@@ -185,19 +191,14 @@ class PLMap:
 
     def __call__(self, t) -> FieldElement:
         t = self.triple.field.coerce(t)
-        if t.sign() < 0 or (t - self.triple.endpoint).sign() >= 0:
-            raise OutOfDomain(f"{t} is outside [0, {self.triple.endpoint})")
+        _check_cut(t, PLUS, self.triple.endpoint)
         return self._piece_at(t).image_of(t)
 
     def act_on_cut(self, x: CutPoint) -> CutPoint:
         t = x.value
-        endpoint = self.triple.endpoint
+        _check_cut(t, x.side, self.triple.endpoint)
         if x.side == PLUS:
-            if t.sign() < 0 or (t - endpoint).sign() >= 0:
-                raise OutOfDomain(f"{x} is outside the interval")
             return CutPoint(self._piece_at(t).image_of(t), PLUS)
-        if t.sign() <= 0 or (t - endpoint).sign() > 0:
-            raise OutOfDomain(f"{x} is outside the interval")
         return CutPoint(self._piece_left_of(t).image_of(t), MINUS)
 
     # -- group structure ----------------------------------------------------
@@ -278,13 +279,15 @@ class PLMap:
                     _add_fixed(seen, CutPoint(t_hi, MINUS), one)
                 continue
             t_star = s / (one - lam)
-            above_lo = (t_star - t_lo).sign()
-            below_hi = (t_hi - t_star).sign()
-            if above_lo >= 0 and below_hi > 0 and triple.module.contains(t_star):
-                _add_fixed(seen, CutPoint(t_star, PLUS), lam)
-            if above_lo > 0 and below_hi >= 0 and triple.module.contains(t_star):
-                _add_fixed(seen, CutPoint(t_star, MINUS), lam)
-            if above_lo > 0 and below_hi > 0 and not triple.module.contains(t_star):
+            above_lo, below_hi = t_star._cmp(t_lo), t_hi._cmp(t_star)
+            if above_lo < 0 or below_hi < 0:
+                continue
+            if triple.module.contains(t_star):
+                if below_hi > 0:
+                    _add_fixed(seen, CutPoint(t_star, PLUS), lam)
+                if above_lo > 0:
+                    _add_fixed(seen, CutPoint(t_star, MINUS), lam)
+            elif above_lo > 0 and below_hi > 0:
                 non_cut.append(t_star)
         points = sorted(seen.values(), key=lambda fp: fp.point)
         return FixedPointReport(tuple(points), tuple(non_cut))
@@ -292,7 +295,7 @@ class PLMap:
 
 def _add_fixed(seen, point: CutPoint, slope: FieldElement) -> None:
     if point not in seen:
-        seen[point] = FixedPoint(point, slope, (slope - 1).sign() < 0)
+        seen[point] = FixedPoint(point, slope, slope < 1)
 
 
 def _merge(pieces) -> Tuple[Piece, ...]:
@@ -331,9 +334,9 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
     if built[0].start.sign() != 0:
         raise UnorderedBreakpoints("the first breakpoint must be 0")
     for a, b in zip(built, built[1:]):
-        if (b.start - a.start).sign() <= 0:
+        if b.start <= a.start:
             raise UnorderedBreakpoints("breakpoints must strictly increase")
-    if (built[-1].start - endpoint).sign() >= 0:
+    if built[-1].start >= endpoint:
         raise UnorderedBreakpoints("breakpoints must stay below the endpoint")
     for piece in built:
         if not triple.module.contains(piece.start):
@@ -347,10 +350,10 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
     )
     cursor = field.zero()
     for lo, hi in images:
-        if (lo - cursor).sign() != 0:
+        if lo._cmp(cursor) != 0:
             raise NotBijective("image intervals do not tile the interval")
         cursor = hi
-    if (cursor - endpoint).sign() != 0:
+    if cursor._cmp(endpoint) != 0:
         raise NotBijective("images do not end at the endpoint")
     return PLMap(triple, _merge(built))
 
@@ -408,7 +411,7 @@ def generator_library(triple: SteinTriple):
         pieces.append((a, one, d))
         pieces.append((a + d, one, -d))
         upper = a + d + d
-        if (endpoint - upper).sign() > 0:
+        if endpoint > upper:
             pieces.append((upper, one, zero))
         emit(pieces)
 
@@ -421,18 +424,18 @@ def generator_library(triple: SteinTriple):
         upper = a + d + lam * d
         inv = lam.inverse()
         pieces.append((mid, inv, a + lam * d - mid * inv))
-        if (endpoint - upper).sign() > 0:
+        if endpoint > upper:
             pieces.append((upper, one, zero))
         emit(pieces)
 
     for d in lengths:
-        if (endpoint - (d + d)).sign() >= 0:
+        if endpoint >= d + d:
             swap(zero, d)
-        if (endpoint - (d + d + d)).sign() >= 0:
+        if endpoint >= d + d + d:
             swap(d, d)
     for lam in map(field.coerce, triple.slopes.generator_values()):
         for d in lengths:
-            if (endpoint - (d + lam * d)).sign() >= 0:
+            if endpoint >= d + lam * d:
                 rescale(zero, d, lam)
     if not library:
         raise EmptyLibrary("no generator shape fits inside the interval")

@@ -134,7 +134,7 @@ class SlopeGroup:
             g = irrationals[0]
             if g.sign() <= 0:
                 raise UnsupportedSlopeGroup("slope generators must be positive")
-            if (g - 1).sign() < 0:
+            if g < 1:
                 g = g.inverse()
             self.atoms, self.lattice, self._values = (g,), ((1,),), (g,)
             return
@@ -220,15 +220,16 @@ def _search_exponent(g: FieldElement, mu) -> Optional[int]:
     mu = g.field.coerce(mu)
     if mu.sign() <= 0:
         return None
-    if mu == 1:
+    c = mu._cmp(1)
+    if c == 0:
         return 0
     sign = 1
-    if (mu - 1).sign() < 0:
+    if c < 0:
         mu, sign = mu.inverse(), -1
     power = g.field.one()
     for k in range(1, _EXPONENT_CAP + 1):
         power = power * g
-        c = (power - mu).sign()
+        c = power._cmp(mu)
         if c == 0:
             return sign * k
         if c > 0:

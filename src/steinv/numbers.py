@@ -849,11 +849,6 @@ def approx(a: FieldElement, eps: Rational):
     if f._quadratic is not None:
         return _quadratic_approx(f._quadratic, *a.num, a.den, eps)
     poly = _trim(a.num)  # the value is poly(a) / den
-    root = f._exact_root
-    if root is not None:
-        p, q = root.numerator, root.denominator
-        v = Fraction(_peval(poly, p, q), q ** (len(poly) - 1) * a.den)
-        return v, v
     lo, hi = f.initial_interval()
     for _ in range(_MAX_REFINEMENTS):
         v_lo, v_hi, scale = _interval_eval(poly, lo, hi)

@@ -33,6 +33,7 @@ from steinv import classify, modules
 from steinv.classify import _fundamental_unit
 from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
+from test_numbers import gauss_jordan_reference
 
 
 # -- coinvariants -----------------------------------------------------------
@@ -753,6 +754,36 @@ def printed_value(text, field):
     return field.element(coords)
 
 
+def in_module(x, module):
+    """x in Z[1/S]<basis>, by the Fraction Gauss-Jordan: the coordinates
+    exist and their denominators are products of inverted primes."""
+    coords = gauss_jordan_reference([b.coords for b in module.basis], x.coords)[2]
+    if coords is None:
+        return False
+    for c in coords:
+        den = c.denominator
+        for p in module.inverted_primes:
+            while den % p == 0:
+                den //= p
+        if den != 1:
+            return False
+    return True
+
+
+def check_witness(a, b, printed_s):
+    """The Isomorphic witness s of classify(a, b), checked without classify:
+    s > 0, s*Gamma_b = Gamma_a, and s*ell_b in the class of ell_a in
+    Gamma_a / I*Gamma_a."""
+    s = printed_value(printed_s, a.field)
+    assert s.sign() > 0
+    assert a.module.inverted_primes == b.module.inverted_primes
+    assert all(in_module(s * x, a.module) for x in b.module.basis)
+    assert all(in_module(x / s, b.module) for x in a.module.basis)
+    if a.endpoint is not None and b.endpoint is not None:
+        inv = coinvariants(a)
+        assert class_of(s * b.endpoint, inv, a.module) == class_of(a.endpoint, inv, a.module)
+
+
 @st.composite
 def quadratic_endpoint_pairs(draw):
     """Two endpoint triples on Gamma and c*Gamma in a real quadratic field,
@@ -792,3 +823,61 @@ def test_walk_keeps_every_box_verdict(pair, bound):
         assert not any(class_of(a.endpoint - s * b.endpoint, inv, a.module))
     outcomes = {classify_pair(a, b, k).outcome for k in range(1, 17)}
     assert not {"Isomorphic", "NotIsomorphic"} <= outcomes
+
+
+PRESENTATION_FIELDS = [
+    golden_field(),
+    RealAlgebraicField([-2, 0, 1], (1, 2)),
+    RealAlgebraicField([-3, 0, 1], (1, 2)),
+]
+
+
+@st.composite
+def presentations(draw):
+    """(a, b, b2): triples Z[1/S]<basis> with slopes <S> for S in {2, 3},
+    which leave every such module invariant, and positive module endpoints.
+    b is unrelated to a or a rescaled copy (s*Gamma_a, s*ell_a), and b2
+    is b on a GL_2(Z) change of basis."""
+    field = draw(st.sampled_from(PRESENTATION_FIELDS))
+    primes = draw(st.sampled_from([(), (2,), (3,), (2, 3)]))
+    small = st.integers(-3, 3)
+
+    def triple(basis, ell):
+        return stein_triple(basis, primes, primes, endpoint=ell, field=field)
+
+    def random_triple():
+        (x1, y1), (x2, y2) = draw(st.tuples(small, small)), draw(st.tuples(small, small))
+        assume(x1 * y2 != x2 * y1)
+        basis = [field.element([x1, y1]), field.element([x2, y2])]
+        ell = draw(small) * basis[0] + draw(small) * basis[1]
+        assume(not ell.is_zero())
+        return triple(basis, ell if ell.sign() > 0 else -ell)
+
+    a = random_triple()
+    if draw(st.booleans()):
+        b = random_triple()
+    else:
+        s = field.element([draw(st.integers(1, 4)), draw(small)])
+        assume(s.sign() > 0)
+        b = triple([s * x for x in a.module.basis], s * a.endpoint)
+    # b1 + k*b2 and m*(b1 + k*b2) + b2, in either order: a matrix of det +-1
+    b1, b2 = b.module.basis
+    k, m = draw(small), draw(small)
+    changed = [b1 + k * b2, m * (b1 + k * b2) + b2]
+    if draw(st.booleans()):
+        changed.reverse()
+    return a, b, triple(changed, b.endpoint)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_verdicts_do_not_depend_on_the_presentation(triples):
+    # classify(a, b), classify(a, b2) and classify(b, a) describe one
+    # isomorphism question: no two of them may decide it differently
+    a, b, b2 = triples
+    verdicts = [(a, b, classify_pair(a, b, 4)), (a, b2, classify_pair(a, b2, 4)),
+                (b, a, classify_pair(b, a, 4))]
+    assert not {"Isomorphic", "NotIsomorphic"} <= {v.outcome for _, _, v in verdicts}
+    for x, y, v in verdicts:
+        if v.is_isomorphic:
+            check_witness(x, y, v.witness["s"])

@@ -12,10 +12,9 @@ import json
 import pytest
 
 from record_cli_golden import COMMANDS, GOLDEN, run_case, write_documents
-from steinv import RealAlgebraicField, class_of, coinvariants, golden_field, parse_spec
+from steinv import RealAlgebraicField, golden_field, parse_spec
 from steinv.cli import main
-from test_classify import printed_value
-from test_numbers import gauss_jordan_reference
+from test_classify import check_witness
 
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 RECORDED = {tuple(case["argv"]): (case["exit"], case["stdout"]) for case in DATA["cases"]}
@@ -75,22 +74,6 @@ def test_no_state_carries_between_calls(paths):
         assert run_case(list(argv), paths) == RECORDED[argv]
 
 
-def in_module(x, module):
-    """x in Z[1/S]<basis>, by the Fraction Gauss-Jordan: the coordinates
-    exist and their denominators are products of inverted primes."""
-    coords = gauss_jordan_reference([b.coords for b in module.basis], x.coords)[2]
-    if coords is None:
-        return False
-    for c in coords:
-        den = c.denominator
-        for p in module.inverted_primes:
-            while den % p == 0:
-                den //= p
-        if den != 1:
-            return False
-    return True
-
-
 WITNESSED = [
     case for case in DATA["cases"]
     if case["argv"][0] in ("classify", "obstruct") and "--json" in case["argv"]
@@ -100,17 +83,8 @@ WITNESSED = [
 
 @pytest.mark.parametrize("case", WITNESSED, ids=lambda c: " ".join(c["argv"]))
 def test_isomorphic_witness_is_a_certificate(case):
-    # checked without classify: s > 0, s*Gamma_b = Gamma_a, and s*ell_b in
-    # the class of ell_a in Gamma_a / I*Gamma_a
     a, b = (parse_spec(DATA["documents"][arg[1:]]).triple for arg in case["argv"][1:3])
-    s = printed_value(json.loads(case["stdout"])["witness"]["s"], a.field)
-    assert s.sign() > 0
-    assert a.module.inverted_primes == b.module.inverted_primes
-    assert all(in_module(s * x, a.module) for x in b.module.basis)
-    assert all(in_module(x / s, b.module) for x in a.module.basis)
-    if a.endpoint is not None and b.endpoint is not None:
-        inv = coinvariants(a)
-        assert class_of(s * b.endpoint, inv, a.module) == class_of(a.endpoint, inv, a.module)
+    check_witness(a, b, json.loads(case["stdout"])["witness"]["s"])
 
 
 def test_every_witness_is_checked():

@@ -58,6 +58,33 @@ def test_only_numbers_decides_which_numbers_enter_a_field():
     assert list(field_mismatch_raises(ast.parse(code))) == [1, 2]
 
 
+def signs_of_differences(tree):
+    """Lines that call .sign() on a subtraction, as in (x - y).sign()."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sign"
+            and isinstance(node.func.value, ast.BinOp)
+            and isinstance(node.func.value.op, ast.Sub)
+        ):
+            yield node.lineno
+
+
+def test_only_numbers_reads_the_sign_of_a_difference():
+    # elsewhere order goes through the comparison operators or _cmp, which
+    # build no difference and normalize nothing
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "numbers.py"
+        for line in signs_of_differences(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+    code = "a = (x - y).sign()\nb = x.sign()\nc = (x + y).sign()\nd = (1 - x * y).sign() > 0\n"
+    assert list(signs_of_differences(ast.parse(code))) == [1, 4]
+
+
 # raises that name no SteinError, with the reason each stays
 FOREIGN_RAISES = {
     # the value is not a number: Python's protocol for an operand of the wrong type

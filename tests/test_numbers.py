@@ -43,6 +43,8 @@ SQRT2M1 = RealAlgebraicField([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
 CUBE_ROOT2 = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
 # (x - 1)(x^2 - 2) at sqrt 2: a quotient ring with zero divisors
 REDUCIBLE = RealAlgebraicField([2, -2, -1, 1], (Fraction(7, 5), Fraction(3, 2)))
+# (x - 1)(x^2 - 3) at 1, as arguments: the first bisection hits the root
+ROOT_HIT = ([3, -3, -1, 1], (Fraction(1, 2), Fraction(3, 2)))
 
 
 def test_minpoly_normalization():
@@ -178,6 +180,15 @@ def test_approx_brackets_the_value():
     # deterministic: refinement elsewhere must not change the answer
     GOLDEN.refine_root()
     assert approx(b, Fraction(1, 10 ** 12)) == (lo, hi)
+
+
+def test_approx_does_not_depend_on_a_root_hit():
+    fresh, hit = (RealAlgebraicField(*ROOT_HIT) for _ in range(2))
+    hit.refine_root()
+    assert hit.root_interval() == (1, 1)
+    for eps in (10, 1, Fraction(1, 1000)):
+        assert approx(hit.element([1, 1]), eps) == approx(fresh.element([1, 1]), eps)
+    assert approx(hit.element([1, 1]), 10) == (Fraction(3, 2), Fraction(5, 2))
 
 
 def test_approx_refuses_a_float_eps():
@@ -452,15 +463,33 @@ def test_sign_matches_float_estimate(field):
             assert x.sign() == (1 if est > 0 else -1)
 
 
-def test_total_order_random():
+ORDER_FIELDS = {
+    "golden": ([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3))),
+    "rational": ([-3, 1], (2, 4)),
+    "cube-root-2": ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3))),
+    "root-hit": ROOT_HIT,
+}
+
+
+@pytest.mark.parametrize("spec", ORDER_FIELDS.values(), ids=ORDER_FIELDS)
+def test_total_order_random(spec):
+    # _cmp decides as the sign of the difference does and refines the
+    # root the same way: twin handles, one driven through each, stay equal
+    by_cmp, by_sign = (RealAlgebraicField(*spec) for _ in range(2))
     rng = random.Random(107)
     for _ in range(40):
-        x = random_element(rng, GOLDEN)
-        y = random_element(rng, GOLDEN)
-        assert (x < y) + (x == y) + (y < x) == 1
-        if x < y:
-            assert x + 1 < y + 1
-            assert 2 * x < 2 * y
+        x, y = random_element(rng, by_cmp), random_element(rng, by_cmp)
+        u, v = by_sign.coerce(x), by_sign.coerce(y)
+        for (p, q), (r, t) in [((x, y), (u, v)), ((x + 1, y + 1), (u + 1, v + 1)),
+                               ((2 * x, 2 * y), (2 * u, 2 * v))]:
+            assert p._cmp(q) == (r - t).sign()
+            assert by_cmp.root_interval() == by_sign.root_interval()
+        c = x._cmp(y)
+        # == is structural; it decides equality only where the polynomial is irreducible
+        assert (x < y) + (c == 0) + (y < x) == 1
+        assert (x + 1 < y + 1) == (2 * x < 2 * y) == (c < 0)
+        if spec is not ROOT_HIT:
+            assert (x == y) == (c == 0)
 
 
 def test_pow_edge_cases():
