@@ -2,10 +2,9 @@
 
     PYTHONPATH=src python tests/record_cli_golden.py
 
-runs every command below on the documents named in `record` (some
-taken from tests/test_cli.py, others defined here) and writes the
-documents, the command lines, stdout and the exit code to
-tests/cli_golden.json.
+runs every command below on the documents named in `record` (defined
+here; tests/test_cli.py reads some of them) and writes the documents,
+the command lines, stdout and the exit code to tests/cli_golden.json.
 """
 
 import contextlib
@@ -73,6 +72,63 @@ COMMANDS = [
     ["classify", "@sqrt2_free", "@sqrt2_free_ell_1a", "--json"],
 ]
 
+DYADIC_DOC = {
+    "gamma": {"basis": ["1"], "inverted_primes": [2]},
+    "lambda": {"generators": ["2"]},
+    "ell": "1",
+    "elements": {
+        "x0": {
+            "pieces": [["0", "2", "0"], ["1/4", "1", "1/4"], ["1/2", "1/2", "1/2"]]
+        },
+        "swap": {"pairs": [["0", "1"], ["1", "0"]]},
+    },
+}
+
+BASE5_DOC = {
+    "gamma": {"basis": ["1"], "inverted_primes": [5]},
+    "lambda": {"generators": ["5"]},
+    "ell": "1",
+}
+
+BASE5_ELL2_DOC = dict(BASE5_DOC, ell="2")
+
+TWO_THREE_DOC = {
+    "gamma": {"basis": ["1"], "inverted_primes": [2, 3]},
+    "lambda": {"generators": ["2", "3"]},
+    "ell": "1",
+}
+
+TWO_NINE_DOC = dict(TWO_THREE_DOC, **{"lambda": {"generators": ["2", "9"]}})
+
+TWO_FIVE_DOC = {
+    "gamma": {"basis": ["1"], "inverted_primes": [2, 5]},
+    "lambda": {"generators": ["2", "5"]},
+    "ell": "1",
+}
+
+GOLDEN_DOC = {
+    "field": {"minpoly": [-1, -1, 1], "root_interval": ["3/2", "5/3"]},
+    "gamma": {"basis": [["1"], ["0", "1"]]},
+    "lambda": {"generators": [["0", "1"]]},
+    "ell": "1",
+}
+
+GOLDEN_ELL_B_DOC = dict(GOLDEN_DOC, ell=["0", "1"])
+
+GOLDEN_ELL_B3_DOC = dict(GOLDEN_DOC, ell=["1", "2"])
+
+# a = sqrt(2) - 1; the coinvariants are Z/2 and c0 + c1*a lands on c0 - c1 mod 2
+SQRT2_DOC = {
+    "field": {"minpoly": [-1, 2, 1], "root_interval": ["2/5", "1/2"]},
+    "gamma": {"basis": [["1", "0"], ["0", "1"]]},
+    "lambda": {"generators": [["0", "1"]]},
+    "ell": "1",
+}
+
+SQRT2_ELL_A_DOC = dict(SQRT2_DOC, ell=["0", "1"])
+
+SQRT2_ELL_2_DOC = dict(SQRT2_DOC, ell="2")
+
 # Q(a), a = 2^(1/3): Z[1/2]<1, a, a^2> and Z[1/2]<1, a, 3a^2>, slopes <2>
 CUBIC_DOC = {
     "field": {"minpoly": [-2, 0, 0, 1], "root_interval": ["5/4", "4/3"]},
@@ -139,28 +195,26 @@ def run_case(argv, paths):
 
 
 def record() -> None:
-    import test_cli
-
     documents = {
-        "dyadic": test_cli.DYADIC_DOC,
-        "base5": test_cli.BASE5_DOC,
-        "base5_ell2": test_cli.BASE5_ELL2_DOC,
-        "two_three": test_cli.TWO_THREE_DOC,
-        "two_nine": test_cli.TWO_NINE_DOC,
-        "two_five": test_cli.TWO_FIVE_DOC,
-        "golden": test_cli.GOLDEN_DOC,
-        "golden_ell_b": test_cli.GOLDEN_ELL_B_DOC,
-        "golden_ell_b3": test_cli.GOLDEN_ELL_B3_DOC,
-        "sqrt2": test_cli.SQRT2_DOC,
-        "sqrt2_ell_a": test_cli.SQRT2_ELL_A_DOC,
-        "sqrt2_ell_2": test_cli.SQRT2_ELL_2_DOC,
+        "dyadic": DYADIC_DOC,
+        "base5": BASE5_DOC,
+        "base5_ell2": BASE5_ELL2_DOC,
+        "two_three": TWO_THREE_DOC,
+        "two_nine": TWO_NINE_DOC,
+        "two_five": TWO_FIVE_DOC,
+        "golden": GOLDEN_DOC,
+        "golden_ell_b": GOLDEN_ELL_B_DOC,
+        "golden_ell_b3": GOLDEN_ELL_B3_DOC,
+        "sqrt2": SQRT2_DOC,
+        "sqrt2_ell_a": SQRT2_ELL_A_DOC,
+        "sqrt2_ell_2": SQRT2_ELL_2_DOC,
         "cubic": CUBIC_DOC,
         "cubic_3a2": CUBIC_3A2_DOC,
         "sqrt2_unit2": SQRT2_UNIT2_DOC,
         "sqrt2_unit2_ell_1a": dict(SQRT2_UNIT2_DOC, ell=["1", "1"]),
         "sqrt2_unit2_ell_a": dict(SQRT2_UNIT2_DOC, ell=["0", "1"]),
         "sqrt2_unit2_ell_5": dict(SQRT2_UNIT2_DOC, ell="5"),
-        "two_three_ell_3_2": dict(test_cli.TWO_THREE_DOC, ell="3/2"),
+        "two_three_ell_3_2": dict(TWO_THREE_DOC, ell="3/2"),
         "sqrt5_phi": SQRT5_PHI_DOC,
         "sqrt5_phi_ell_phi": dict(SQRT5_PHI_DOC, ell=["1/2", "1/2"]),
         "sqrt2_22": SQRT2_22_DOC,
@@ -170,7 +224,7 @@ def record() -> None:
         "sqrt2_free_ell_1a": dict(SQRT2_FREE_DOC, ell=["1", "1"]),
         # slope b on [0, 2 - b), then slope 1/b = b - 1
         "golden_pieces": dict(
-            test_cli.GOLDEN_DOC,
+            GOLDEN_DOC,
             elements={
                 "g": {
                     "pieces": [
@@ -186,7 +240,7 @@ def record() -> None:
             "ell": "1",
         },
         "golden_localized_trivial": dict(
-            test_cli.GOLDEN_DOC,
+            GOLDEN_DOC,
             gamma={"basis": [["1"], ["0", "1"]], "inverted_primes": [2]},
             **{"lambda": {"generators": []}},
         ),

@@ -6,7 +6,6 @@ collected details otherwise.  Expected values come from closed forms
 and from slow, independent reference computations coded inline here.
 """
 
-import itertools
 import math
 import random
 import time
@@ -37,6 +36,7 @@ from steinv import (
 )
 from steinv.coding import beta_cut_point, beta_expand
 from steinv.intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
+from references import minor_gcd_factors, prime_factors
 
 
 def _report(capsys, num: int, label: str, failures) -> None:
@@ -46,55 +46,7 @@ def _report(capsys, num: int, label: str, failures) -> None:
     assert not failures, f"criterion {num}: {failures[:5]}"
 
 
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return sorted(out)
-
-
-def _strip(d: int, primes) -> int:
-    for p in primes:
-        while d % p == 0:
-            d //= p
-    return d
-
-
 # -- independent reference computations -------------------------------------
-
-
-def _laplace_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1 if j % 2 else 1) * rows[0][j] * _laplace_det(minor)
-    return total
-
-
-def _minor_gcd_factors(rows):
-    m, n = len(rows), len(rows[0])
-    dets = [1]
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for ri in itertools.combinations(range(m), k):
-            for ci in itertools.combinations(range(n), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, abs(_laplace_det(sub)))
-        if g == 0:
-            break
-        dets.append(g)
-    return tuple(dets[k] // dets[k - 1] for k in range(1, len(dets)))
 
 
 def _library_words(triple, count, length, seed):
@@ -131,11 +83,11 @@ def test_criterion_1_fractional_slope_closed_form(capsys):
     failures = []
     start = time.perf_counter()
     for p, q in [(3, 2), (5, 2), (5, 3), (7, 4), (7, 2)]:
-        primes = _prime_factors(p * q)
+        primes = prime_factors(p * q)
         t = stein_triple([1], primes, [Fraction(p, q)], endpoint=1)
         inv = coinvariants(t)
-        expected = _strip(p - q, primes)
-        want = () if expected == 1 else (expected,)
+        # p and q are coprime, so no inverted prime divides p - q
+        want = () if p - q == 1 else (p - q,)
         if inv.invariant_factors != want or inv.free_rank != 0:
             failures.append((p, q, inv.invariant_factors, want))
     elapsed = time.perf_counter() - start
@@ -180,13 +132,13 @@ def test_criterion_3_quadratic_examples(capsys):
     failures = []
     sqrt2 = algebraic_triple([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
     inv_s = coinvariants(sqrt2)
-    oracle_s = tuple(d for d in _minor_gcd_factors([[1, -1], [-1, 3]]) if d != 1)
+    oracle_s = tuple(d for d in minor_gcd_factors([[1, -1], [-1, 3]]) if d != 1)
     if inv_s.invariant_factors != oracle_s or inv_s.invariant_factors != (2,):
         failures.append(("sqrt2-1", inv_s.invariant_factors, oracle_s))
 
     gold = golden_triple()
     inv_g = coinvariants(gold)
-    oracle_g = tuple(d for d in _minor_gcd_factors([[1, -1], [-1, 0]]) if d != 1)
+    oracle_g = tuple(d for d in minor_gcd_factors([[1, -1], [-1, 0]]) if d != 1)
     if inv_g.invariant_factors != oracle_g or not inv_g.is_trivial():
         failures.append(("golden", inv_g.invariant_factors, oracle_g))
 
@@ -337,7 +289,7 @@ def test_criterion_7_normal_form_oracle(capsys):
             failures.append(("snf-identity", i))
             break
         got = tuple(x for x in d.diagonal() if x)
-        if got != _minor_gcd_factors(rows):
+        if got != minor_gcd_factors(rows):
             failures.append(("snf-oracle", rows))
             break
     _report(

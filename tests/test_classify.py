@@ -1,6 +1,5 @@
 """Coinvariant computations and the isomorphism decision procedure."""
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -25,7 +24,6 @@ from steinv import (
     order_embedding_exists,
     rank_one_report,
     rational_field,
-    scale_equivalence,
     stein_triple,
     thompson_triple,
 )
@@ -33,7 +31,9 @@ from steinv import classify, modules
 from steinv.classify import _fundamental_unit
 from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
-from test_numbers import gauss_jordan_reference
+from references import (
+    check_witness, prime_factors, printed_value, reference_endpoint_box, reference_unit_box,
+)
 
 
 # -- coinvariants -----------------------------------------------------------
@@ -48,19 +48,6 @@ def test_thompson_coinvariants_closed_form():
         else:
             assert inv.invariant_factors == (n - 1,)
             assert inv.free_rank == 0
-
-
-def prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return sorted(out)
 
 
 def test_fractional_slope_coinvariants():
@@ -377,28 +364,6 @@ def test_verdict_shapes():
 # -- the fundamental unit ---------------------------------------------------
 
 
-def reference_unit_box(field, radius=30):
-    """The least unit above 1 of rational norm +-1 among a + b*g with
-    |a|, |b| <= radius: the coordinate search the continued fraction
-    replaced (at radius 50)."""
-    c0, c1, c2 = field.minpoly.coefficients
-    one = field.one()
-    best = None
-    for a in range(-radius, radius + 1):
-        for b in range(-radius, radius + 1):
-            if b == 0:
-                continue
-            norm = a * a - Fraction(a * b) * c1 / c2 + Fraction(b * b) * c0 / c2
-            if norm != 1 and norm != -1:
-                continue
-            u = field.element((Fraction(a), Fraction(b)))
-            if (u - one).sign() <= 0:
-                continue
-            if best is None or (u - best).sign() < 0:
-                best = u
-    return best
-
-
 @st.composite
 def real_quadratic_fields(draw):
     """A primitive c2*x^2 + c1*x + c0 with D > 0 not a square, and an
@@ -710,78 +675,6 @@ def test_distinct_bases_differ_in_their_coinvariants(bases, ks, es):
     for v in (classify_pair(a, b), rank_one_report(a, b)):
         assert v.is_not_isomorphic
         assert v.obstruction.startswith("coinvariants differ")
-
-
-def reference_endpoint_box(a, b, search_bound):
-    """The scalar of the endpoint test the orbit walk replaced, or None:
-    products of inverted prime powers (exponents up to the bound, or 5
-    with two primes and more) times the powers u^k, |k| <= bound, of the
-    unit of Z[c2*a], where that unit stabilizes the module."""
-    inv = coinvariants(a)
-    sr = scale_equivalence(a.module, b.module, search_bound)
-    if not sr.found:
-        return None
-
-    def box(bound, n):
-        vectors = itertools.product(range(-bound, bound + 1), repeat=n)
-        return sorted(vectors, key=lambda v: (max(map(abs, v), default=0), v))
-
-    module, field = b.module, b.module.field
-    primes = module.inverted_primes
-    e_bound = search_bound if len(primes) <= 1 else min(search_bound, 5)
-    values = [math.prod(Fraction(p) ** e for p, e in zip(primes, vec))
-              for vec in box(e_bound, len(primes))]
-    unit, k_bound = _fundamental_unit(power_module(field)), search_bound
-    if unit is None or not module.scaled(unit).same_module(module):
-        unit, k_bound = field.one(), 0
-    for (k,) in box(k_bound, 1):
-        for q in values:
-            s = sr.scalar * unit**k * q
-            if not any(class_of(a.endpoint - s * b.endpoint, inv, a.module)):
-                return s
-    return None
-
-
-def printed_value(text, field):
-    """The field element that str() printed as text."""
-    coords = [Fraction(0)] * field.degree
-    for term in text.replace(" - ", " + -").split(" + "):
-        coef, var, power = term.partition("a")
-        coef = coef.rstrip("*") if var else coef
-        coords[int(power.lstrip("^") or 1) if var else 0] = Fraction(
-            {"": 1, "-": -1}.get(coef, coef)
-        )
-    return field.element(coords)
-
-
-def in_module(x, module):
-    """x in Z[1/S]<basis>, by the Fraction Gauss-Jordan: the coordinates
-    exist and their denominators are products of inverted primes."""
-    coords = gauss_jordan_reference([b.coords for b in module.basis], x.coords)[2]
-    if coords is None:
-        return False
-    for c in coords:
-        den = c.denominator
-        for p in module.inverted_primes:
-            while den % p == 0:
-                den //= p
-        if den != 1:
-            return False
-    return True
-
-
-def check_witness(a, b, printed_s):
-    """The Isomorphic witness s of classify(a, b), checked without classify:
-    s > 0, s*Gamma_b = Gamma_a, and s*ell_b in the class of ell_a in
-    Gamma_a / I*Gamma_a."""
-    s = printed_value(printed_s, a.field)
-    assert s.sign() > 0
-    assert a.module.inverted_primes == b.module.inverted_primes
-    assert all(in_module(s * x, a.module) for x in b.module.basis)
-    assert all(in_module(x / s, b.module) for x in a.module.basis)
-    if a.endpoint is not None and b.endpoint is not None:
-        inv = coinvariants(a)
-        assert class_of(s * b.endpoint, inv, a.module) == class_of(a.endpoint, inv, a.module)
 
 
 @st.composite

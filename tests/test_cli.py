@@ -8,74 +8,13 @@ import time
 
 import pytest
 
+from record_cli_golden import (
+    DYADIC_DOC, BASE5_DOC, BASE5_ELL2_DOC, TWO_THREE_DOC, TWO_NINE_DOC, TWO_FIVE_DOC,
+    GOLDEN_DOC, GOLDEN_ELL_B_DOC, SQRT2_FREE_DOC,
+)
 from steinv import BreakpointModule, coding, coinvariants, parse_spec
 from steinv.cli import main
 from steinv.numbers import MinimalPolynomial
-
-DYADIC_DOC = {
-    "gamma": {"basis": ["1"], "inverted_primes": [2]},
-    "lambda": {"generators": ["2"]},
-    "ell": "1",
-    "elements": {
-        "x0": {
-            "pieces": [["0", "2", "0"], ["1/4", "1", "1/4"], ["1/2", "1/2", "1/2"]]
-        },
-        "swap": {"pairs": [["0", "1"], ["1", "0"]]},
-    },
-}
-
-BASE5_DOC = {
-    "gamma": {"basis": ["1"], "inverted_primes": [5]},
-    "lambda": {"generators": ["5"]},
-    "ell": "1",
-}
-
-BASE5_ELL2_DOC = dict(BASE5_DOC, ell="2")
-
-TWO_THREE_DOC = {
-    "gamma": {"basis": ["1"], "inverted_primes": [2, 3]},
-    "lambda": {"generators": ["2", "3"]},
-    "ell": "1",
-}
-
-TWO_NINE_DOC = dict(TWO_THREE_DOC, **{"lambda": {"generators": ["2", "9"]}})
-
-TWO_FIVE_DOC = {
-    "gamma": {"basis": ["1"], "inverted_primes": [2, 5]},
-    "lambda": {"generators": ["2", "5"]},
-    "ell": "1",
-}
-
-GOLDEN_DOC = {
-    "field": {"minpoly": [-1, -1, 1], "root_interval": ["3/2", "5/3"]},
-    "gamma": {"basis": [["1"], ["0", "1"]]},
-    "lambda": {"generators": [["0", "1"]]},
-    "ell": "1",
-}
-
-GOLDEN_ELL_B_DOC = dict(GOLDEN_DOC, ell=["0", "1"])
-
-GOLDEN_ELL_B3_DOC = dict(GOLDEN_DOC, ell=["1", "2"])
-
-# a = sqrt(2) - 1; the coinvariants are Z/2 and c0 + c1*a lands on c0 - c1 mod 2
-SQRT2_DOC = {
-    "field": {"minpoly": [-1, 2, 1], "root_interval": ["2/5", "1/2"]},
-    "gamma": {"basis": [["1", "0"], ["0", "1"]]},
-    "lambda": {"generators": [["0", "1"]]},
-    "ell": "1",
-}
-
-SQRT2_ELL_A_DOC = dict(SQRT2_DOC, ell=["0", "1"])
-
-SQRT2_ELL_2_DOC = dict(SQRT2_DOC, ell="2")
-
-# Z + Z*sqrt(2) with no slopes: the endpoints alone force s
-SQRT2_FREE_DOC = {
-    "field": {"minpoly": [-2, 0, 1], "root_interval": ["1", "2"]},
-    "gamma": {"basis": [["1", "0"], ["0", "1"]]},
-    "lambda": {"generators": []},
-    "ell": "1",
-}
 
 SQRT2_FREE_ELL_2_DOC = dict(SQRT2_FREE_DOC, ell="2")
 

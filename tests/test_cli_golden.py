@@ -14,7 +14,7 @@ import pytest
 from record_cli_golden import COMMANDS, GOLDEN, run_case, write_documents
 from steinv import RealAlgebraicField, golden_field, parse_spec
 from steinv.cli import main
-from test_classify import check_witness
+from references import check_witness
 
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 RECORDED = {tuple(case["argv"]): (case["exit"], case["stdout"]) for case in DATA["cases"]}

@@ -1,7 +1,6 @@
 """Digit streams for cut points and the base-2 to golden-base embedding."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -38,6 +37,7 @@ from steinv import (
     rational_field,
     thompson_triple,
 )
+from references import assert_canonical
 
 DYADIC = thompson_triple(2)
 GOLDEN = golden_triple()
@@ -224,14 +224,10 @@ def test_n_adic_value_matches_the_geometric_series(n, preperiod, period, top):
     expected = oracle_value(word, n)
     if isinstance(got, CutPoint):
         assert (got.value.as_fraction(), got.side) == expected
-        assert_canonical_rational(got.value)
+        assert got.value.field is rational_field()
+        assert_canonical(got.value)
     else:
         assert got == expected
-
-
-def assert_canonical_rational(x):
-    assert x.field is rational_field() and x.den > 0
-    assert math.gcd(x.num[0], x.den) == 1
 
 
 def test_n_adic_edge_cuts_and_error_messages():

@@ -1,6 +1,5 @@
 """Piecewise linear right continuous bijections of [0, endpoint)."""
 
-import bisect
 import math
 import random
 from fractions import Fraction
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from steinv import elements
-from steinv.elements import Piece
 from steinv import (
     BoundExceeded,
     BreakpointNotInGamma,
@@ -36,6 +34,7 @@ from steinv import (
     thompson_triple,
     to_prefix_pairs,
 )
+from references import reference_compose, reference_inverse, reference_prefix_pairs
 
 DYADIC = thompson_triple(2)
 GOLDEN = golden_triple()
@@ -392,42 +391,6 @@ def test_from_prefix_pairs_validation():
         from_prefix_pairs(DYADIC, [("0", "0"), ("1", "1"), ("1", "0")])
 
 
-def reference_prefix_pairs(f):
-    """The cylinder walk in Fractions that the integer walk replaced, kept
-    as its oracle: each cylinder's ends, the piece at its left end, and
-    whether the piece carries it onto a cylinder."""
-    n = elements.v2_base(f.triple)
-    pieces = [
-        (p.start.as_fraction(), p.slope.as_fraction(), p.offset.as_fraction())
-        for p in f.pieces
-    ]
-    starts = [start for start, _, _ in pieces]
-    ends = starts[1:] + [Fraction(1)]
-    pairs = []
-    stack = [(0, 0)]
-    while stack:
-        num, depth = stack.pop()
-        width = Fraction(1, n**depth)
-        left = num * width
-        idx = bisect.bisect_right(starts, left) - 1
-        start, slope, offset = pieces[idx]
-        aligned = False
-        if left + width <= ends[idx]:
-            e = f.triple.slopes.coordinates(slope)[0]
-            if e <= depth:
-                scaled = (slope * left + offset) * n ** (depth - e)
-                if scaled.denominator == 1:
-                    pairs.append(
-                        (elements._word_of(num, depth, n),
-                         elements._word_of(scaled.numerator, depth - e, n))
-                    )
-                    aligned = True
-        if not aligned:
-            for d in reversed(range(n)):
-                stack.append((num * n + d, depth + 1))
-    return pairs
-
-
 @st.composite
 def prefix_elements(draw):
     """An element of (Z[1/n], <n>, 1), n in 2, 3, 10, from two prefix
@@ -519,48 +482,6 @@ def test_golden_random_maps_close():
 # -- composition against the scan-and-sort reference ------------------------
 
 TWO_THREE = stein_triple([1], [2, 3], [2, 3], endpoint=1)
-
-
-def reference_compose(f, g):
-    """f after g the slow way: collect g's starts and the preimages of f's
-    breakpoints in a set, sort it, and look both pieces up at every cut."""
-    starts = [p.start for p in g.pieces] + [g.triple.endpoint]
-    images = [
-        (p.slope * lo + p.offset, p.slope * hi + p.offset)
-        for p, lo, hi in zip(g.pieces, starts, starts[1:])
-    ]
-    cuts = {p.start for p in g.pieces}
-    for piece in f.pieces:
-        b = piece.start
-        if b.is_zero():
-            continue
-        for gp, (gl, gr) in zip(g.pieces, images):
-            if (b - gl).sign() >= 0 and (b - gr).sign() < 0:
-                cuts.add((b - gp.offset) / gp.slope)
-                break
-    new_pieces = []
-    for u in sorted(cuts):
-        gp = g._piece_at(u)
-        fp = f._piece_at(gp.slope * u + gp.offset)
-        new_pieces.append(
-            Piece(u, fp.slope * gp.slope, fp.slope * gp.offset + fp.offset)
-        )
-    return PLMap._trusted(f.triple, new_pieces)
-
-
-def reference_inverse(f):
-    """f's inverse by the operators in Fraction coordinates: each piece
-    (start, slope, offset) becomes (image of start, 1/slope, -offset/slope),
-    sorted by start and merged."""
-    pieces = sorted(
-        ((p.slope * p.start + p.offset, 1 / p.slope, -p.offset / p.slope) for p in f.pieces),
-        key=lambda p: p[0],
-    )
-    out = []
-    for start, slope, offset in pieces:
-        if not out or out[-1][1:] != (slope.coords, offset.coords):
-            out.append((start.coords, slope.coords, offset.coords))
-    return [repr(p) for p in out]
 
 
 def random_prefix_code(rng, k):

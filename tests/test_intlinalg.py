@@ -6,7 +6,6 @@ obviously correct, which is the point.
 """
 
 import contextlib
-import itertools
 import math
 import random
 import signal
@@ -25,36 +24,7 @@ from steinv import (
     smith_normal_form,
 )
 from steinv.intlinalg import factor, is_prime
-
-
-def laplace_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * rows[0][j] * laplace_det(minor)
-    return total
-
-
-def minor_gcd_factors(rows):
-    """Invariant factors d_k/d_{k-1} where d_k = gcd of all k-minors."""
-    m, n = len(rows), len(rows[0])
-    dets = [1]
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for ri in itertools.combinations(range(m), k):
-            for ci in itertools.combinations(range(n), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, abs(laplace_det(sub)))
-        if g == 0:
-            break
-        dets.append(g)
-    return tuple(dets[k] // dets[k - 1] for k in range(1, len(dets)))
+from references import laplace_det, minor_gcd_factors
 
 
 def random_matrix(rng, max_dim=6, lo=-9, hi=9):
@@ -313,11 +283,6 @@ def test_localize_strips_inverted_primes():
 
 
 # -- primes -----------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
 
 
 def trial_division_is_prime(n):

@@ -33,6 +33,7 @@ from steinv import (
 from steinv import modules
 from steinv.modules import thompson_base
 from steinv.numbers import _bareiss
+from references import count_fractions, reference_carries
 
 
 # -- slope groups -----------------------------------------------------------
@@ -320,16 +321,6 @@ def test_scale_module_ranks_differ():
 # -- one determinant decides every module map -------------------------------
 
 
-def reference_carries(s, g2, g1):
-    """s * G2 = G1 by two-sided membership of the bases and equal
-    inverted primes, without a determinant."""
-    if not g1.field.compatible(g2.field) or g1.inverted_primes != g2.inverted_primes:
-        return False
-    return all(g1.contains(s * b) for b in g2.basis) and all(
-        g2.contains(b / s) for b in g1.basis
-    )
-
-
 CUBIC = cube_root_two_module(3).field
 PRIME_SETS = [(), (2,), (2, 5), (2, 3, 5)]
 # one factor of each kind: a unit of every Z[1/m] drawn, units of some, and
@@ -414,8 +405,6 @@ def test_the_norm_prefilter_keeps_every_scalar_the_reference_accepts(case):
 
 
 def test_the_determinant_tests_build_no_fraction():
-    from test_numbers import count_fractions
-
     f = golden_field()
     b = f.generator()
     g = BreakpointModule(f, [f.one(), b], [2])
@@ -525,11 +514,6 @@ def test_random_module_membership_is_linear():
 
 
 # -- the rational elimination against sympy --------------------------------
-
-
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
 
 
 _entries = st.one_of(st.just(0), st.integers(-12, 12))

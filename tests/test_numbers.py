@@ -37,6 +37,12 @@ from steinv import (
     rational_field,
     thompson_triple,
 )
+from references import (
+    assert_canonical, count_fractions, gauss_jordan_reference, reference_bisect,
+    reference_class, reference_coinvariant_rows, reference_count_roots_open,
+    reference_interval_eval, reference_mul, reference_numbers, reference_peval, reference_pgcd,
+    reference_pow, reference_sturm_chain, sturm_count,
+)
 
 GOLDEN = RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
 SQRT2M1 = RealAlgebraicField([-1, 2, 1], (Fraction(2, 5), Fraction(1, 2)))
@@ -327,40 +333,6 @@ NON_MONIC_LOWER = RealAlgebraicField([-7, -2, 3], (-2, -1))
 QUADRATICS = [GOLDEN, SQRT2M1, NON_MONIC, SQRT2, NON_MONIC_UPPER, NON_MONIC_LOWER]
 
 
-def reference_mul(x, y):
-    """x * y by the generic product: convolve the numerators, then fold
-    a^d, ..., a^(2d-2) back in from a power table over lead^(d-1)."""
-    f, d = x.field, x.field.degree
-    *low, lead = f.minpoly.coefficients
-    power = tuple(-c for c in low)  # lead * a^d
-    powers = []
-    for _ in range(d - 1):
-        powers.append(power)
-        power = tuple(lead * u + power[-1] * t for u, t in zip((0,) + power[:-1], powers[0]))
-    n = len(powers)
-    powers = [tuple(u * lead ** (n - 1 - k) for u in p) for k, p in enumerate(powers)]
-    conv = [0] * (2 * d - 1)
-    for i, u in enumerate(x.num):
-        for j, v in enumerate(y.num, i):
-            conv[j] += u * v
-    out, high = conv[:d], conv[d:]
-    out = [lead**n * u for u in out]
-    for c, p in zip(high, powers):
-        out = [u + c * t for u, t in zip(out, p)]
-    return numbers._normalized(f, tuple(out), x.den * y.den * lead**n)
-
-
-def reference_pow(x, n):
-    acc = x.field.one()
-    for _ in range(abs(n)):
-        acc = reference_mul(acc, x if n > 0 else x.inverse())
-    return acc
-
-
-def assert_canonical(x):
-    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
-
-
 @st.composite
 def quadratic_operands(draw):
     """(field, x, y): y an element, a rational element, an int or a
@@ -648,11 +620,6 @@ def test_bounded_loops_raise_bound_exceeded(monkeypatch):
 # -- products, inverses and norms against sympy ------------------------------
 
 
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
-
-
 _coords = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
@@ -763,13 +730,6 @@ def test_module_coordinates_match_the_elimination(case, data):
         nums, den = coords
         assert den > 0 and math.gcd(den, *nums) == 1
         assert tuple(Fraction(x, den) for x in nums) == expected
-
-
-def assert_canonical(x):
-    assert all(type(c) is int for c in x.num) and type(x.den) is int
-    assert x.den > 0
-    assert math.gcd(x.den, *x.num) == 1
-    assert len(x.num) == x.field.degree
 
 
 @settings(max_examples=150, deadline=None)
@@ -888,45 +848,6 @@ def test_affine_refuses_an_irrational_of_another_field():
 # -- fraction-free elimination against the Fraction Gauss-Jordan ------------
 
 
-def gauss_jordan_reference(columns, target=None):
-    """Gauss-Jordan elimination over Q of the matrix with the given int or
-    Fraction columns, augmented by the column target when one is given,
-    pivoting on the first nonzero entry in the first len(columns) columns.
-
-    Returns (rank, det, solution): the rank of the columns, their
-    determinant (for a square matrix), and the unique rational x with
-    sum x_j * columns[j] = target, or None when there is no such x or it
-    is not unique.  Without a target the third value is the reduced row
-    echelon form, as a list of rows."""
-    n = len(columns)
-    augmented = list(columns) + ([target] if target is not None else [])
-    rows = [[Fraction(col[i]) for col in augmented] for i in range(len(columns[0]))]
-    det = Fraction(1)
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        p = rows[r][c]
-        det *= p
-        rows[r] = [x / p if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        r += 1
-    if target is None:
-        return r, det, rows
-    solution = None
-    if r == n and not any(row[n] for row in rows[r:]):
-        solution = tuple(row[n] for row in rows[:n])
-    return r, det, solution
-
-
 _entries = (
     st.integers(-6, 6)
     | st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -982,87 +903,7 @@ def test_bareiss_matches_the_fraction_gauss_jordan(case):
         assert solution == third
 
 
-# -- Fraction references for the integer polynomial helpers -----------------
-
-
-def reference_prem(a, b):
-    """Remainder of the polynomial a on division by the nonzero b, over Q."""
-    a = [Fraction(x) for x in a]
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def reference_peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def reference_interval_eval(a, lo, hi):
-    """Horner's scheme over Fractions on the interval [lo, hi]."""
-    acc_lo = acc_hi = Fraction(a[-1])
-    for c in reversed(a[:-1]):
-        p = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(p) + c, max(p) + c
-    return acc_lo, acc_hi
-
-
-def reference_pgcd(a, b):
-    """Euclid over Q; the result is monic (or a constant 1)."""
-    a, b = numbers._trim(a), numbers._trim(b)
-    while b:
-        a, b = b, reference_prem(a, b)
-    return tuple(Fraction(c) / a[-1] for c in a)
-
-
-def reference_sturm_chain(f):
-    chain = [numbers._trim(f), numbers._pderiv(f)]
-    while chain[-1]:
-        rem = reference_prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(tuple(-c for c in rem))
-    return tuple(chain)
-
-
-def reference_variations(values):
-    count = 0
-    prev = 0
-    for v in values:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def reference_count_roots_open(chain, lo, hi):
-    v_lo = reference_variations(reference_peval(p, lo) for p in chain)
-    v_hi = reference_variations(reference_peval(p, hi) for p in chain)
-    return v_lo - v_hi - (reference_peval(chain[0], hi) == 0)
-
-
-def reference_numbers(monkeypatch):
-    """Put the Fraction references in place of the integer helpers, with
-    the shipped signatures."""
-    monkeypatch.setattr(numbers, "_interval_eval", lambda a, lo, hi: (
-        *reference_interval_eval(a, lo, hi), 1))
-    monkeypatch.setattr(numbers, "_peval", lambda a, p, q: (
-        reference_peval(a, Fraction(p, q)) * Fraction(q) ** (len(a) - 1)))
-    monkeypatch.setattr(numbers, "_pgcd", reference_pgcd)
-    monkeypatch.setattr(numbers, "_sturm_chain", reference_sturm_chain)
-    monkeypatch.setattr(numbers, "_count_roots_open", reference_count_roots_open)
+# -- the integer polynomial helpers against the Fraction references ---------
 
 
 def scaled_by_positive(poly, reference):
@@ -1245,10 +1086,6 @@ def test_compatibility_in_degree_three_and_up_is_the_sturm_overlap(case, refinem
 # -- degree two: root location in closed form, not by Sturm chains ----------
 
 
-def sturm_count(minpoly, lo, hi):
-    return reference_count_roots_open(reference_sturm_chain(minpoly.coefficients), lo, hi)
-
-
 def sturm_branch(minpoly, lo, hi):
     """The branch e of the root (-c1 + e*sqrt(D)) / (2*c2) in (lo, hi), as
     the Sturm-chain construction chose it: -1 below the vertex."""
@@ -1277,16 +1114,6 @@ def quadratic_cases(draw):
         near = _ends
     ends = st.lists(near, min_size=2, max_size=2, unique=True).map(sorted)
     return coeffs, [tuple(draw(ends)) for _ in range(2)]
-
-
-def reference_bisect(minpoly, lo, hi):
-    """One bisection step of the Sturm-chain construction."""
-    mid = (lo + hi) / 2
-    if reference_peval(minpoly.coefficients, mid) == 0:
-        return mid, mid
-    if sturm_count(minpoly, lo, mid) == 1:
-        return lo, mid
-    return mid, hi
 
 
 @settings(max_examples=200, deadline=None)
@@ -1371,26 +1198,6 @@ def test_degree_two_handles_build_no_sturm_chain(monkeypatch):
 
 
 # -- degree three and up: norm and inverse on integers -----------------------
-
-
-def count_fractions(call):
-    """call() and the number of Fractions built while it ran, by arithmetic
-    as well as by construction."""
-    real = Fraction.__dict__["__new__"]
-    built = 0
-
-    def counting(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return real.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counting)
-    try:
-        result = call()
-    finally:
-        Fraction.__new__ = real
-    return result, built
-
 
 NON_MONIC_CUBIC = RealAlgebraicField([-3, 0, 0, 2], (1, 2))  # (3/2)^(1/3)
 FOURTH_ROOT2 = RealAlgebraicField([-2, 0, 0, 0, 1], (1, 2))
@@ -1502,36 +1309,6 @@ def test_membership_coordinates_and_the_slope_action_build_no_fraction():
             assert count_fractions(lambda: module.coordinates(t))[1] == 0
             if module.contains(t):
                 assert count_fractions(lambda: class_of(t, inv, module))[1] == 0
-
-
-def reference_coordinates(module, t):
-    """Basis coordinates of t as Fractions, by the Fraction Gauss-Jordan."""
-    return gauss_jordan_reference([b.coords for b in module.basis], t.coords)[2]
-
-
-def reference_coinvariant_rows(module, slopes):
-    """The matrix coinvariants once built: the columns of I - M_mu from
-    Fraction coordinates, each cleared of its denominators by their lcm."""
-    n = module.rank()
-    columns = []
-    for mu in slopes.generator_values():
-        for j, b in enumerate(module.basis):
-            x = reference_coordinates(module, mu * b)
-            column = [(i == j) - x[i] for i in range(n)]
-            den = math.lcm(*(y.denominator for y in column))
-            columns.append([int(y * den) for y in column])
-    return [list(row) for row in zip(*columns)]
-
-
-def reference_class(t, inv, module):
-    """class_of as it was, reducing Fraction coordinates."""
-    x = reference_coordinates(module, t)
-    image = [sum(e * y for e, y in zip(row, x)) for row in inv.transform.entries]
-    torsion = tuple(
-        image[r].numerator * pow(image[r].denominator, -1, d) % d
-        for r, d in zip(inv.torsion_rows, inv.invariant_factors)
-    )
-    return torsion + tuple(image[r] for r in inv.free_rows)
 
 
 # a field, with a unit u of Z[a] in it: a module c*Z[1/m][a] is carried onto
