@@ -12,9 +12,12 @@ their shared helpers from here and from no other test module.
 import bisect
 import itertools
 import math
+import re
 from fractions import Fraction
 
-from steinv import PLMap, class_of, coinvariants, elements, numbers, scale_equivalence
+from steinv import (
+    BreakpointModule, PLMap, class_of, coinvariants, elements, numbers, scale_equivalence,
+)
 from steinv.classify import _fundamental_unit
 from steinv.elements import Piece
 
@@ -448,7 +451,7 @@ def reference_endpoint_box(a, b, search_bound):
     e_bound = search_bound if len(primes) <= 1 else min(search_bound, 5)
     values = [math.prod(Fraction(p) ** e for p, e in zip(primes, vec))
               for vec in box(e_bound, len(primes))]
-    power_module = type(module)(field, [field.one(), field.generator()])
+    power_module = BreakpointModule(field, [field.one(), field.generator()])
     unit, k_bound = _fundamental_unit(power_module), search_bound
     if unit is None or not reference_carries(unit, module, module):
         unit, k_bound = field.one(), 0
@@ -478,10 +481,47 @@ def check_witness(a, b, printed_s):
     Gamma_a / I*Gamma_a."""
     s = printed_value(printed_s, a.field)
     assert s.sign() > 0
-    assert a.module.inverted_primes == b.module.inverted_primes
-    assert all(in_module(s * x, a.module) for x in b.module.basis)
-    assert all(in_module(x / s, b.module) for x in a.module.basis)
+    assert reference_carries(s, b.module, a.module)
     if a.endpoint is not None and b.endpoint is not None:
         inv = coinvariants(a)
         assert class_of(s * b.endpoint, inv, a.module) == class_of(a.endpoint, inv, a.module)
 
+
+def _endpoint_gcd(triple):
+    """gcd(n - 1, r mod n - 1) for the triple (Z[1/n], <n>) at endpoint r."""
+    (g,) = triple.slopes.generator_values()
+    n = max(g, 1 / g)
+    assert n.denominator == 1 and triple.module.inverted_primes == tuple(prime_factors(int(n)))
+    assert len(triple.module.basis) == 1 and triple.module.basis[0] == 1
+    r, m = triple.endpoint.as_fraction(), int(n) - 1
+    return math.gcd(m, r.numerator * pow(r.denominator, -1, m) % m)
+
+
+def _prime_support(triple):
+    return {p for g in triple.slopes.generator_values()
+            for p in prime_factors(g.numerator * g.denominator)}
+
+
+def check_obstruction(a, b, obstruction):
+    """The data that a NotIsomorphic obstruction of classify(a, b) names,
+    re-derived without classify.  An obstruction of another kind fails,
+    so that a new kind is not passed unchecked."""
+    forced = re.fullmatch(
+        r"the endpoints force s = (.+), which does not carry Gamma_b to Gamma_a", obstruction
+    )
+    residues = re.fullmatch(r"endpoint residue classes differ \(gcd (\d+) vs (\d+)\)", obstruction)
+    prime = re.fullmatch(
+        r"no order-preserving embedding of slope groups \(prime (\d+)\)", obstruction
+    )
+    if forced:
+        s = printed_value(forced[1], a.field)
+        assert s == a.endpoint / b.endpoint
+        assert not reference_carries(s, b.module, a.module)
+    elif residues:
+        g1, g2 = int(residues[1]), int(residues[2])
+        assert (g1, g2) == (_endpoint_gcd(a), _endpoint_gcd(b)) and g1 != g2
+    elif prime:
+        p = int(prime[1])
+        assert (p in _prime_support(a)) != (p in _prime_support(b))
+    else:
+        raise AssertionError(f"no oracle checks the obstruction {obstruction!r}")

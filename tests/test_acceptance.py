@@ -3,7 +3,8 @@
 Each test covers one headline capability, prints a single PASS/FAIL
 line on the terminal (bypassing capture), and fails loudly with the
 collected details otherwise.  Expected values come from closed forms
-and from slow, independent reference computations coded inline here.
+and from the slow, independent reference computations of
+tests/references.py.
 """
 
 import math

@@ -32,7 +32,8 @@ from steinv.classify import _fundamental_unit
 from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
 from references import (
-    check_witness, prime_factors, printed_value, reference_endpoint_box, reference_unit_box,
+    check_witness, prime_factors, printed_value, reference_carries, reference_endpoint_box,
+    reference_unit_box,
 )
 
 
@@ -397,9 +398,9 @@ def test_fundamental_unit_is_a_unit_of_the_multiplier_ring(field):
     x, y = u.coords
     assert x * x - x * y * c1 / c2 + y * y * c0 / c2 in (1, -1)
     assert (2 * x - y * c1 / c2).denominator == 1
-    assert module.scaled(u).same_module(module)
+    assert reference_carries(u, module, module)
     box = reference_unit_box(field)
-    if box is not None and module.scaled(box).same_module(module):
+    if box is not None and reference_carries(box, module, module):
         assert box == u
 
 
@@ -417,7 +418,7 @@ def test_fundamental_unit_stabilizes_any_module(field, entries):
     assume(u is not None)  # None when the period passes the step budget
     assert u > 1
     assert u.norm() in (1, -1)
-    assert module.scaled(u).same_module(module)
+    assert reference_carries(u, module, module)
 
 
 def test_fundamental_unit_exact_cases():
@@ -446,10 +447,10 @@ def test_fundamental_unit_exact_cases():
     u = _fundamental_unit(module)
     assert u is not None and u > 1
     assert u.norm() in (1, -1)
-    assert module.scaled(u).same_module(module)
+    assert reference_carries(u, module, module)
     assert u == (2 - a) ** 2268
     for r in (2, 3, 7):  # the prime factors of 2268: no smaller power stabilizes
-        assert not module.scaled((2 - a) ** (2268 // r)).same_module(module)
+        assert not reference_carries((2 - a) ** (2268 // r), module, module)
 
 
 def test_fundamental_unit_of_a_localized_module():
@@ -580,7 +581,7 @@ def test_non_rational_s_unit_leaves_unknown():
     assert v.is_unknown
     assert "S-units that are not rational" in v.reason
     s = r / 2
-    assert b.module.scaled(s).same_module(a.module) and s * b.endpoint == a.endpoint
+    assert reference_carries(s, b.module, a.module) and s * b.endpoint == a.endpoint
 
 
 def test_exhausted_orbit_walk_is_unknown_and_quick():
@@ -711,7 +712,7 @@ def test_walk_keeps_every_box_verdict(pair, bound):
         assert v.is_isomorphic, v
     if v.is_isomorphic:
         s = printed_value(v.witness["s"], a.field)
-        assert b.module.scaled(s).same_module(a.module)
+        assert reference_carries(s, b.module, a.module)
         inv = coinvariants(a)
         assert not any(class_of(a.endpoint - s * b.endpoint, inv, a.module))
     outcomes = {classify_pair(a, b, k).outcome for k in range(1, 17)}
@@ -766,11 +767,14 @@ def presentations(draw):
 @given(presentations())
 def test_verdicts_do_not_depend_on_the_presentation(triples):
     # classify(a, b), classify(a, b2) and classify(b, a) describe one
-    # isomorphism question: no two of them may decide it differently
+    # isomorphism question: no two of them may decide it differently, and
+    # a larger search bound may only turn Unknown into a decided answer
     a, b, b2 = triples
     verdicts = [(a, b, classify_pair(a, b, 4)), (a, b2, classify_pair(a, b2, 4)),
                 (b, a, classify_pair(b, a, 4))]
     assert not {"Isomorphic", "NotIsomorphic"} <= {v.outcome for _, _, v in verdicts}
+    if not verdicts[0][2].is_unknown:
+        assert classify_pair(a, b, 8).describe() == verdicts[0][2].describe()
     for x, y, v in verdicts:
         if v.is_isomorphic:
             check_witness(x, y, v.witness["s"])

@@ -14,7 +14,7 @@ import pytest
 from record_cli_golden import COMMANDS, GOLDEN, run_case, write_documents
 from steinv import RealAlgebraicField, golden_field, parse_spec
 from steinv.cli import main
-from references import check_witness
+from references import check_obstruction, check_witness
 
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 RECORDED = {tuple(case["argv"]): (case["exit"], case["stdout"]) for case in DATA["cases"]}
@@ -74,21 +74,37 @@ def test_no_state_carries_between_calls(paths):
         assert run_case(list(argv), paths) == RECORDED[argv]
 
 
-WITNESSED = [
-    case for case in DATA["cases"]
-    if case["argv"][0] in ("classify", "obstruct") and "--json" in case["argv"]
-    and "s" in (json.loads(case["stdout"] or "{}").get("witness") or {})
+VERDICTS = [
+    (case, json.loads(case["stdout"])) for case in DATA["cases"]
+    if case["argv"][0] in ("classify", "obstruct") and "--json" in case["argv"] and case["stdout"]
 ]
+WITNESSED = [case for case, out in VERDICTS if "s" in (out["witness"] or {})]
+REFUTED = [case for case, out in VERDICTS if out["outcome"] == "NotIsomorphic"]
+# no orbit oracle independent of classify exists, so the two "stabilizer
+# orbits" obstructions stay unchecked
+OBSTRUCTED = [case for case in REFUTED if "stabilizer orbits" not in case["stdout"]]
+
+
+def documented_pair(case):
+    return (parse_spec(DATA["documents"][arg[1:]]).triple for arg in case["argv"][1:3])
 
 
 @pytest.mark.parametrize("case", WITNESSED, ids=lambda c: " ".join(c["argv"]))
 def test_isomorphic_witness_is_a_certificate(case):
-    a, b = (parse_spec(DATA["documents"][arg[1:]]).triple for arg in case["argv"][1:3])
-    check_witness(a, b, json.loads(case["stdout"])["witness"]["s"])
+    check_witness(*documented_pair(case), json.loads(case["stdout"])["witness"]["s"])
 
 
 def test_every_witness_is_checked():
     assert len(WITNESSED) == 9
+
+
+@pytest.mark.parametrize("case", OBSTRUCTED, ids=lambda c: " ".join(c["argv"]))
+def test_not_isomorphic_obstruction_is_a_certificate(case):
+    check_obstruction(*documented_pair(case), json.loads(case["stdout"])["obstruction"])
+
+
+def test_every_obstruction_with_an_oracle_is_checked():
+    assert (len(OBSTRUCTED), len(REFUTED)) == (4, 6)
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,52 @@ def test_elements_and_coding_import_nothing_from_fractions():
     assert found == []
 
 
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def imports_of_tests(tree):
+    """(line, module) for every import of a test_* module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        yield from ((node.lineno, n) for n in names if n.split(".")[0].startswith("test_"))
+
+
+def defined_tests(tree):
+    """Names of the test_* functions a module defines, at any depth."""
+    return sorted(
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("test_")
+    )
+
+
+def test_no_test_module_imports_another_and_references_holds_no_test():
+    # the shared oracles live in references.py: importing a test module
+    # would collect its tests twice and apply its @given decorators inside
+    # the importer, which hypothesis refuses within a property test
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in TESTS
+        for line, name in imports_of_tests(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+    assert defined_tests(ast.parse(Path(__file__).with_name("references.py").read_text())) == []
+    code = (
+        "import test_a, os\nfrom test_b import c\ndef f():\n    import test_c.d\n"
+        "from references import test_e\nfrom . import test_f\n"
+    )
+    assert sorted(imports_of_tests(ast.parse(code))) == [
+        (1, "test_a"), (2, "test_b"), (4, "test_c.d"), (6, "test_f")
+    ]
+    code = "def test_x():\n    pass\ndef helper():\n    def test_y():\n        pass\n"
+    assert defined_tests(ast.parse(code)) == ["test_x", "test_y"]
+
+
 def test_the_guard_sees_literals_and_calls_but_not_type_checks():
     code = "x = 0.5\ny = float(x)\nz = isinstance(x, float)\nw = 1e3\n"
     assert sorted(line for line, _ in float_uses(ast.parse(code))) == [1, 2, 4]

@@ -1,8 +1,9 @@
 """Integer matrix normal forms, checked against naive reference computations.
 
 The reference determinant is a cofactor expansion and the reference
-invariant factors come from gcds of k-by-k minors.  Both are slow but
-obviously correct, which is the point.
+invariant factors come from gcds of k-by-k minors, both in
+tests/references.py.  Both are slow but obviously correct, which is the
+point.
 """
 
 import contextlib

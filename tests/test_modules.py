@@ -270,7 +270,7 @@ def test_scale_related_rational_modules():
     # any dyadic multiple of 3 carries m2 onto m1
     q = res.scalar.as_fraction()
     assert (q * Fraction(1, 3)).denominator in (1, 2, 4, 8)
-    assert m2.scaled(res.scalar).same_module(m1)
+    assert reference_carries(res.scalar, m2, m1)
 
 
 def test_scale_distinct_prime_support():
@@ -288,7 +288,7 @@ def test_scale_golden_conjugate_modules():
     m2 = BreakpointModule(f, [2 * f.one(), 2 * b])
     res = scale_equivalence(m1, m2)
     assert res.found
-    assert m2.scaled(res.scalar).same_module(m1)
+    assert reference_carries(res.scalar, m2, m1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
