@@ -170,8 +170,8 @@ def defined_tests(tree):
 
 def test_no_test_module_imports_another_and_references_holds_no_test():
     # the shared oracles live in references.py: importing a test module
-    # would collect its tests twice and apply its @given decorators inside
-    # the importer, which hypothesis refuses within a property test
+    # runs its body, @given decorators included, inside the importer,
+    # which hypothesis refuses when the import happens in a property test
     found = [
         f"{path.name}:{line}: {name}"
         for path in TESTS
