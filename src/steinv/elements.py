@@ -54,6 +54,11 @@ _MAX_CYLINDER_DEPTH = 512
 # CPython 3.11 on a 2-vCPU x86-64 host.
 _MAX_LETTERS = 500
 
+# Module rank r of a generator library, which walks 5^r - 1 vectors: a run of
+# `element random` on x^d - 2, power basis over Z[1/2], takes 0.4-0.7 s at
+# r = 5, 1.1-3.0 s at 6 and 7-8 s at 7 (d = r..32; CPython 3.11, 2 vCPUs).
+_MAX_LIBRARY_RANK = 5
+
 
 class CutPoint(NamedTuple("CutPoint", [("value", FieldElement), ("side", str)])):
     """A module point together with the side from which it is approached."""
@@ -369,13 +374,13 @@ def _candidate_lengths(triple: SteinTriple, count: int = 6):
     seen = set()
 
     def push(v):
-        if v.sign() <= 0:
-            return
-        if v not in seen:
+        if v.sign() > 0 and v not in seen:
             seen.add(v)
             values.append(v)
 
     n = module.rank()
+    if n > _MAX_LIBRARY_RANK:
+        raise BoundExceeded(f"a generator library is capped at module rank {_MAX_LIBRARY_RANK}")
     for coeffs in itertools.product(range(-2, 3), repeat=n):
         if any(coeffs):
             v = field.zero()

@@ -13,13 +13,14 @@ signs of q*a - p read from integer squares, and its squarefree test is
 D != 0, so no Sturm chain is built.  Degree-two signs come from the same
 closed form.  Higher degrees bound the value over the isolating interval,
 test for a symbolic zero by a gcd only when that bound straddles zero,
-and then bisect the interval with Sturm-sequence root counts until the
-bound excludes zero.  All three run on integers: the bound is Horner's
-scheme over one denominator of the interval ends, the gcd, the squarefree
-test and the Sturm chain are primitive pseudo-remainder sequences
-(Collins and Loos, "Real zeros of polynomials", 1982), and a polynomial
-a of degree k is evaluated at p/q as q^k * a(p/q), of the same sign.  No
-floating point is used anywhere.
+and bisect the interval with Sturm-sequence root counts until the bound
+excludes zero.  Every sign decides, within a number of bisections fixed
+by the inputs: a nonzero value is bounded away from zero (root
+separation; Mahler 1964) and the bound narrows with the interval.  All
+three run on integers: Horner's scheme over one denominator of the
+interval ends, and primitive pseudo-remainder sequences (Collins and
+Loos, "Real zeros of polynomials", 1982) for the gcd, the squarefree
+test and the Sturm chain.  No floating point is used anywhere.
 
 `RealAlgebraicField.coerce` is the one rule for which numbers enter a
 field handle: every rational lies in every field, and compatible handles
@@ -83,11 +84,6 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
-
-# Safety valve for the bisection loops; convergence is geometric, so this
-# is reached only by values that 4096 halvings of the interval cannot
-# separate from zero.
-_MAX_REFINEMENTS = 4096
 
 # Degree of a defining polynomial.  The squarefree gcd and the Sturm chain
 # run on integers: with coefficients in [-9, 9] a field takes 2 ms to
@@ -515,7 +511,7 @@ def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
     if len(poly) == 1:
         return _sign(poly[0])
     zero_checked = False
-    for _ in range(_MAX_REFINEMENTS):
+    while True:
         root = f._exact_root
         if root is not None:
             return _sign(_peval(poly, root.numerator, root.denominator))
@@ -533,7 +529,6 @@ def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
             if len(g) > 1 and _count_roots_open(_sturm_chain(g), f._lo, f._hi) >= 1:
                 return 0
         f.refine_root()
-    raise BoundExceeded("sign determination did not converge")
 
 
 def _norm_form(field: RealAlgebraicField, x: int, y: int) -> int:
@@ -850,13 +845,12 @@ def approx(a: FieldElement, eps: Rational):
         return _quadratic_approx(f._quadratic, *a.num, a.den, eps)
     poly = _trim(a.num)  # the value is poly(a) / den
     lo, hi = f.initial_interval()
-    for _ in range(_MAX_REFINEMENTS):
+    while True:
         v_lo, v_hi, scale = _interval_eval(poly, lo, hi)
         scale *= a.den  # the value lies in [v_lo, v_hi] / scale
         if (v_hi - v_lo) * eps.denominator < eps.numerator * scale:
             return Fraction(v_lo, scale), Fraction(v_hi, scale)
         lo, hi = f._bisect(lo, hi)  # a root hit gives lo == hi, width 0
-    raise BoundExceeded("approximation did not converge")
 
 
 def _quadratic_approx(quadratic, x: int, y: int, den: int, eps: Fraction):

@@ -289,6 +289,64 @@ def reference_bisect(minpoly, lo, hi):
     return mid, hi
 
 
+def reference_quotient(a, b):
+    """The quotient of the polynomial a by b over Q, when b divides a."""
+    a, q = [Fraction(x) for x in a], []
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        q.append(c)
+        k = len(a) - len(b)
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        a.pop()
+    assert not any(a), "b does not divide a"
+    return tuple(reversed(q))
+
+
+def reference_bisection_bound(x, eps=None):
+    """The bisections of x's field's construction-time interval after which
+    the integer Horner enclosure of x = P(a) / den decides its sign (eps
+    None) or is narrower than eps, which bounds the bisections that
+    `sign` (on a fresh handle) and `approx(x, eps)` take.
+
+    It is the least n with w * S / 2^n < gap, for the interval's width w.
+    Over an interval of width v inside [-R, R], R the larger magnitude of
+    the construction-time interval's ends, Horner's scheme encloses P = sum p_k t^k
+    within a width of at most v * S, S = sum_k k*|p_k|*R^(k-1): by
+    induction, width(A*X + c) <= |A|*v + R*width(A), with |A| at most
+    sum_(k>=j) |p_k|*R^(k-j) at step j.  For approx the gap is eps * den.
+    For a sign it is a positive lower bound on |P(a)|.  Let g = f /
+    gcd(f, P), f the defining polynomial, as a primitive integer
+    polynomial: a is a root of g when P(a) != 0, and the resultant
+    Res(g, P) = lc(g)^deg P * prod over the roots alpha of g of P(alpha)
+    is a nonzero integer, so
+
+        |P(a)| >= 1 / (|lc(g)|^deg P * prod over the other roots alpha of |P(alpha)|),
+
+    and every root of f has |alpha| <= C = 1 + max |f_i / f_d| (Cauchy),
+    so |P(alpha)| <= sum |p_k| C^k.  An exact zero, a root of gcd(f, P)
+    under a reducible f, is found by the gcd and needs no bisection."""
+    f = x.field.minpoly.coefficients
+    p = numbers._trim(x.num)
+    lo, hi = x.field.initial_interval()
+    R = max(abs(lo), abs(hi))
+    S = sum(k * abs(c) * R ** (k - 1) for k, c in enumerate(p) if k)
+    if eps is not None:
+        gap = Fraction(eps) * x.den
+    else:
+        h = reference_pgcd(f, p)
+        if len(h) > 1 and reference_count_roots_open(reference_sturm_chain(h), lo, hi):
+            return 0
+        g = reference_quotient(f, h)
+        scale = math.lcm(*(c.denominator for c in g))
+        g = [int(c * scale) for c in g]
+        g = [c // math.gcd(*g) for c in g]
+        C = 1 + max(Fraction(abs(c), abs(f[-1])) for c in f[:-1])
+        B = sum(abs(c) * C**k for k, c in enumerate(p))
+        gap = 1 / (abs(g[-1]) ** (len(p) - 1) * B ** (len(g) - 2))
+    return int((hi - lo) * S / gap).bit_length()
+
+
 def reference_numbers(monkeypatch):
     """Put the Fraction references in place of the integer helpers, with
     the shipped signatures."""
@@ -413,16 +471,14 @@ def reference_class(t, inv, module):
 def reference_unit_box(field, radius=30):
     """The least unit above 1 of rational norm +-1 among a + b*g with
     |a|, |b| <= radius: the coordinate search the continued fraction
-    replaced (at radius 50)."""
+    replaced (at radius 50).  The norm a^2 - a*b*c1/c2 + b^2*c0/c2 is +-1
+    exactly when the integer c2*a^2 - c1*a*b + c0*b^2 is +-c2."""
     c0, c1, c2 = field.minpoly.coefficients
     one = field.one()
     best = None
     for a in range(-radius, radius + 1):
         for b in range(-radius, radius + 1):
-            if b == 0:
-                continue
-            norm = a * a - Fraction(a * b) * c1 / c2 + Fraction(b * b) * c0 / c2
-            if norm != 1 and norm != -1:
+            if b == 0 or abs(c2 * a * a - c1 * a * b + c0 * b * b) != c2:
                 continue
             u = field.element((Fraction(a), Fraction(b)))
             if (u - one).sign() <= 0:
@@ -502,10 +558,31 @@ def _prime_support(triple):
             for p in prime_factors(g.numerator * g.denominator)}
 
 
+def reference_coinvariants(triple):
+    """describe() of the triple's coinvariant group, re-derived without
+    `coinvariants`: the invariant factors of the rows by minor gcds, each
+    with the inverted primes divided out and dropped at 1, and free rank
+    the module's rank less the rows' rank."""
+    module = triple.module
+    rows = reference_coinvariant_rows(module, triple.slopes)
+    factors = minor_gcd_factors(rows) if rows else ()
+    parts = []
+    for d in factors:
+        for p in module.inverted_primes:
+            while d % p == 0:
+                d //= p
+        if d > 1:
+            parts.append(f"Z/{d}")
+    free = module.rank() - len(factors)
+    parts += ["Z"] if free == 1 else [f"Z^{free}"] if free > 1 else []
+    return " x ".join(parts) or "trivial"
+
+
 def check_obstruction(a, b, obstruction):
     """The data that a NotIsomorphic obstruction of classify(a, b) names,
     re-derived without classify.  An obstruction of another kind fails,
     so that a new kind is not passed unchecked."""
+    differ = re.fullmatch(r"coinvariants differ \((.+) vs (.+)\)", obstruction)
     forced = re.fullmatch(
         r"the endpoints force s = (.+), which does not carry Gamma_b to Gamma_a", obstruction
     )
@@ -513,7 +590,11 @@ def check_obstruction(a, b, obstruction):
     prime = re.fullmatch(
         r"no order-preserving embedding of slope groups \(prime (\d+)\)", obstruction
     )
-    if forced:
+    if differ:
+        groups = differ[1], differ[2]
+        assert groups == (reference_coinvariants(a), reference_coinvariants(b))
+        assert groups[0] != groups[1]
+    elif forced:
         s = printed_value(forced[1], a.field)
         assert s == a.endpoint / b.endpoint
         assert not reference_carries(s, b.module, a.module)

@@ -1,10 +1,13 @@
 """Command line behavior: output text, JSON mode, and exit codes."""
 
+import inspect
 import json
 import random
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,9 @@ from record_cli_golden import (
     DYADIC_DOC, BASE5_DOC, BASE5_ELL2_DOC, TWO_THREE_DOC, TWO_NINE_DOC, TWO_FIVE_DOC,
     GOLDEN_DOC, GOLDEN_ELL_B_DOC, SQRT2_FREE_DOC,
 )
-from steinv import BreakpointModule, coding, coinvariants, parse_spec
+from steinv import (
+    BreakpointModule, classify, coding, coinvariants, elements, modules, numbers, parse_spec,
+)
 from steinv.cli import main
 from steinv.numbers import MinimalPolynomial
 
@@ -474,6 +479,40 @@ def test_overlong_random_word_exits_2_at_once(tmp_path):
         code, out, err = run_module(tmp_path, "element", "random", doc, length)
         assert (code, out) == (2, ""), length
         assert err == f"error: {message}\n"
+
+
+def test_high_rank_generator_library_exits_2_at_once(tmp_path):
+    # x^7 - 2 on its power basis over Z[1/2]: 339 bytes of document, whose
+    # 5^7 - 1 candidate lengths once took 7-10 s for a one-letter word
+    doc = {
+        "field": {"minpoly": ["-2", "0", "0", "0", "0", "0", "0", "1"],
+                  "root_interval": ["1", "2"]},
+        "gamma": {"basis": [["0"] * i + ["1"] for i in range(7)], "inverted_primes": [2]},
+        "lambda": {"generators": ["2"]},
+        "ell": "1",
+    }
+    code, out, err = run_module(tmp_path, "element", "random", doc, "1", timeout=1)
+    assert (code, out, err) == (2, "", "error: a generator library is capped at module rank 5\n")
+
+
+def test_readme_states_each_budget_as_the_code_sets_it():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    for promise in [
+        f"(default {modules.DEFAULT_SEARCH_BOUND})",
+        f"tries at most {modules._SCALE_CANDIDATES:,} candidates",
+        f"degree d <= 3, and {modules._SCALE_CANDIDATES:,} * 9 // d^2 above that",
+        f"words of at most {elements._MAX_LETTERS} letters",
+        f"so it needs r <= {elements._MAX_LIBRARY_RANK};",
+        f"polynomial has degree at most {numbers._MAX_DEGREE};",
+        f"longer than {classify._UNIT_STEPS} partial quotients",
+        f"trying at most {classify._UNIT_POWERS:,} powers",
+        f"or after {classify._ORBIT_STATES} classes",
+    ]:
+        assert promise in readme
+    rule = "_SCALE_CANDIDATES if d <= 3 else _SCALE_CANDIDATES * 9 // d**2"
+    assert rule in inspect.getsource(modules.scale_equivalence)
+    # every sign decides, so no count of bisections or refinements is a cap
+    assert not re.search(r"\d (bisections|refinements|halvings)", readme)
 
 
 def test_high_degree_field_exits_2_at_once(tmp_path):

@@ -41,7 +41,7 @@ from references import (
     assert_canonical, count_fractions, gauss_jordan_reference, reference_bisect,
     reference_class, reference_coinvariant_rows, reference_count_roots_open,
     reference_interval_eval, reference_mul, reference_numbers, reference_peval, reference_pgcd,
-    reference_pow, reference_sturm_chain, sturm_count,
+    reference_bisection_bound, reference_pow, reference_sturm_chain, sturm_count,
 )
 
 GOLDEN = RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
@@ -606,15 +606,63 @@ def test_cubic_sign_skips_the_gcd_when_the_interval_decides(monkeypatch):
     assert a * a * a == 2
 
 
-def test_bounded_loops_raise_bound_exceeded(monkeypatch):
-    monkeypatch.setattr(numbers, "_MAX_REFINEMENTS", 2)
-    f = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
-    x = f.generator() - Fraction(126, 100)
-    with pytest.raises(BoundExceeded):
-        x.sign()
-    with pytest.raises(BoundExceeded):
-        approx(x, Fraction(1, 10 ** 9))
+def test_a_sign_decides_past_4096_bisections():
+    # q*2^(1/3) - p for p = floor(q*2^(1/3)) and a 1301-digit q takes
+    # about 3.3 bisections a digit; a cap of 4096 raised BoundExceeded here
+    q = 10**1300 + 7
+    p, hi = q, 2 * q
+    while hi - p > 1:  # p = floor(q*2^(1/3)), the integer cube root of 2*q^3
+        mid = (p + hi) // 2
+        p, hi = (mid, hi) if mid**3 <= 2 * q**3 else (p, mid)
+    f = RealAlgebraicField([-2, 0, 0, 1], (1, 2))
+    x = q * f.generator() - p
+    assert x.sign() == (2 * q**3 > p**3) - (2 * q**3 < p**3) == 1
+    lo, hi = f.root_interval()
+    assert hi - lo < Fraction(1, 2**4096)
+    with pytest.raises(BoundExceeded, match="capped at degree 32"):
+        MinimalPolynomial([1] + [0] * 32 + [1])
     assert issubclass(BoundExceeded, SteinError)
+
+
+@st.composite
+def near_zero_elements(draw):
+    """(x, want) for x = (q*a - p)*a^j in degree d = 3..8, with p, q up to
+    10^30 and j < d - 1, where a is the root in (0, (p + 1)/q) of
+    (N*q)^d*t^d - (N*p)^d - k for N = 2^70 and |k| <= 3, and want is the
+    sign of x by integers.  q*a - p is about k / (d*p^(d-1)*N^d), below
+    2^-200, and an exact zero under a reducible polynomial when k = 0."""
+    d = draw(st.integers(3, 8))
+    p, q = draw(st.integers(1, 10**30)), draw(st.integers(1, 10**30))
+    k, n = draw(st.integers(-3, 3)), 2**70
+    f = RealAlgebraicField([-((n * p) ** d) - k] + [0] * (d - 1) + [(n * q) ** d],
+                           (0, Fraction(p + 1, q)))
+    c, m = -f.minpoly.coefficients[0], f.minpoly.coefficients[-1]
+    j = draw(st.integers(0, d - 2))
+    x = f.element([0] * j + [-p, q])
+    return x, (c * q**d > m * p**d) - (c * q**d < m * p**d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_zero_elements(), st.integers(0, 400))
+def test_near_zero_signs_decide_within_the_bisection_bound(case, e):
+    x, want = case
+    bisections = []
+    real_bisect = RealAlgebraicField._bisect
+
+    def counted(field, lo, hi):
+        bisections.append((lo, hi))
+        return real_bisect(field, lo, hi)
+
+    eps = Fraction(1, 2**e)
+    tiny = Fraction(1, 2**200)
+    with mock.patch.object(RealAlgebraicField, "_bisect", counted):
+        assert x.sign() == want
+        assert len(bisections) <= reference_bisection_bound(x)  # 0 for an exact zero
+        bisections.clear()
+        lo, hi = approx(x, eps)
+        assert len(bisections) <= reference_bisection_bound(x, eps)
+    assert hi - lo < eps and lo <= x <= hi
+    assert -tiny < x < tiny
 
 
 # -- products, inverses and norms against sympy ------------------------------
