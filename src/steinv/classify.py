@@ -279,9 +279,10 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
 
     A monotone map on a dense subgroup of the reals under log is forced
     to be x -> x^c, so for rank >= 2 the question reduces to a rational
-    scalar c carrying the exponent lattice of l1 into that of l2; the
-    minimal c is returned as witness.  Cyclic l1 embeds into any
-    nontrivial l2.
+    scalar c carrying the exponent lattice of l1 into that of l2.  The
+    witness is the least positive integer c that does: 1 for <4, 9> into
+    <2, 3>, although 1/2 works too.  Cyclic l1 embeds into any nontrivial
+    l2.
     """
     r1, r2 = l1.rank(), l2.rank()
     if r1 == 0:
@@ -304,15 +305,15 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
             v[index[p]] = e
         return v
 
-    target_rows = list(zip(*(lift(l2, row) for row in l2.lattice)))
+    # `_bareiss` on [l2^T | l1^T] leaves pivot * x in column n + k for row k
+    # of l1 = sum_j x_j * (row j of l2); the Hermite rows of l2 have rank n
     n = len(l2.lattice)
-    c = Fraction(1)
-    for row in l1.lattice:
-        # x with sum_j x_j * (row j of l2) = w is x_j = rows[j][n] / pivot;
-        # the Hermite rows of l2 are independent, so the rank is n
-        rows = [[*t, w] for t, w in zip(target_rows, lift(l1, row))]
-        pivot = _bareiss(rows, n)[1]
-        if any(r[n] for r in rows[n:]):
+    columns = [lift(l2, row) for row in l2.lattice] + [lift(l1, row) for row in l1.lattice]
+    rows = [list(row) for row in zip(*columns)]
+    pivot = abs(_bareiss(rows, n)[1])
+    c = 1
+    for k, row in enumerate(l1.lattice):
+        if any(r[n + k] for r in rows[n:]):
             missing = next(
                 (p for p, e in zip(l1.atoms, row) if e and p not in l2.atoms),
                 None,
@@ -322,13 +323,9 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
             return EmbeddingAnswer(
                 "No", obstruction="exponent lattices span different subspaces"
             )
-        # the least q > 0 with q*x integral
-        q_min = Fraction(abs(pivot), math.gcd(*(r[n] for r in rows[:n])))
-        c = Fraction(
-            math.lcm(c.numerator, q_min.numerator),
-            math.gcd(c.denominator, q_min.denominator),
-        )
-    return EmbeddingAnswer("Yes", scale=c)
+        # the least integer q > 0 with q*x integral
+        c = math.lcm(c, pivot // math.gcd(pivot, *(r[n + k] for r in rows[:n])))
+    return EmbeddingAnswer("Yes", scale=Fraction(c))
 
 
 # ---------------------------------------------------------------------------

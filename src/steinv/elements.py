@@ -46,7 +46,11 @@ from .numbers import FieldElement, _affine, _ratio
 PLUS = "+"
 MINUS = "-"
 
-_MAX_CYLINDER_DEPTH = 512
+# Letters of a prefix exchange form, summed over its pairs; `embed-v2` reads
+# each letter once.  The rotation by 2^-k has 2^k pairs of 2k letters, and at
+# k = 11 (45,056 letters) `element to-pairs` takes 0.2 s and `embed-v2` 0.5 s
+# in CPython 3.11 on a 2-vCPU x86-64 host.
+_MAX_PAIR_LETTERS = 50_000
 
 # Letters in one random word: composing costs about quadratic time in the
 # length, and 500 letters at seed 1 take 0.09-0.13 s on the dyadic triple
@@ -512,7 +516,7 @@ def to_prefix_pairs(f: PLMap):
     c/n^k (k least) a cylinder inside the piece is aligned when depth >= e
     and n^(depth - e) * c/n^k is an integer, that is from depth e + k on;
     top is the deepest of these and of the starts, and no cylinder is
-    deeper.
+    deeper.  BoundExceeded past _MAX_PAIR_LETTERS letters over all pairs.
     """
     n = v2_base(f.triple)
     # the slopes are <n> with Hermite generator n, and every slope is in
@@ -520,8 +524,6 @@ def to_prefix_pairs(f: PLMap):
     exps = [f.triple.slopes.coordinates(p.slope)[0] for p in f.pieces]
     align_depth = [e + _n_depth(p.offset.den, n) for e, p in zip(exps, f.pieces)]
     top = max(align_depth + [_n_depth(p.start.den, n) for p in f.pieces])
-    if top > _MAX_CYLINDER_DEPTH:
-        raise BoundExceeded("cylinder refinement runaway")
     scale = n**top
     starts = [p.start.num[0] * (scale // p.start.den) for p in f.pieces]
     ends = starts[1:] + [scale]
@@ -530,7 +532,7 @@ def to_prefix_pairs(f: PLMap):
         p.offset.num[0] * n ** (a - e) // p.offset.den
         for p, a, e in zip(f.pieces, align_depth, exps)
     ]
-    pairs = []
+    pairs, letters = [], 0
     stack = [(0, 0)]
     while stack:
         num, depth = stack.pop()
@@ -538,6 +540,11 @@ def to_prefix_pairs(f: PLMap):
         left = num * width
         idx = bisect_right(starts, left) - 1
         if depth >= align_depth[idx] and left + width <= ends[idx]:
+            letters += 2 * depth - exps[idx]
+            if letters > _MAX_PAIR_LETTERS:
+                raise BoundExceeded(
+                    f"a prefix exchange form is capped at {_MAX_PAIR_LETTERS:,} letters"
+                )
             image = num + offsets[idx] * n ** (depth - align_depth[idx])
             pairs.append((_word_of(num, depth, n), _word_of(image, depth - exps[idx], n)))
         else:

@@ -4,9 +4,12 @@ generated abelian groups presented by them, and the primes of integers.
 Entries are arbitrary precision Python ints.  The Hermite normal form
 is the one unimodular elimination: its pivot is the entry of smallest
 nonzero absolute value in the column, ties broken by the lowest row,
-which makes it deterministic.  The Smith normal form is built from
-Hermite forms of the matrix and of its transpose.  Determinants come
-from `numbers._bareiss`, the package's one fraction-free elimination.
+which makes it deterministic.  It follows the convention of
+`numbers._bareiss`, the package's one fraction-free elimination:
+`_hermite(rows, n)` pivots in the first n columns of a list of rows, and
+a transform rides along as the columns past n, so a caller that never
+reads it appends none.  The Smith normal form is built from Hermite
+forms of [M | U] and of [M^T | V^T].  Determinants come from `_bareiss`.
 Every entry is an int, and rational vectors are integer numerators over
 one positive denominator, so no Fraction is built here.
 """
@@ -84,60 +87,46 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# row primitives on mutable list-of-list workspaces
+# normal forms
 
 
-def _identity_ws(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _swap_rows(m, u, a, b):
-    m[a], m[b] = m[b], m[a]
-    u[a], u[b] = u[b], u[a]
-
-
-def _negate_row(m, u, a):
-    m[a] = [-x for x in m[a]]
-    u[a] = [-x for x in u[a]]
-
-
-def _row_sub(m, u, i, k, q):
-    # row i -= q * row k
-    if q == 0:
-        return
-    m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-
-def _hermite(m, u):
-    """Bring the workspace m to row Hermite normal form in place, applying
-    every row operation to the companion workspace u as well."""
-    rows, cols = len(m), len(m[0])
+def _hermite(rows, n: int) -> None:
+    """Bring the first n columns of a list of integer rows to row Hermite
+    normal form in place; every column past n rides along, so a transform
+    kept there records the row operations, as in `_bareiss`."""
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(n):
+        if r == len(rows):
             break
         while True:
-            nz = [i for i in range(r, rows) if m[i][c]]
+            nz = [i for i in range(r, len(rows)) if rows[i][c]]
             if not nz:
                 break
-            best = min(nz, key=lambda i: (abs(m[i][c]), i))
-            if best != r:
-                _swap_rows(m, u, r, best)
-            if m[r][c] < 0:
-                _negate_row(m, u, r)
+            best = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            rows[r], rows[best] = rows[best], rows[r]
+            top = rows[r]
+            if top[c] < 0:
+                top = rows[r] = [-x for x in top]
             clean = True
-            for i in range(r + 1, rows):
-                if m[i][c]:
-                    _row_sub(m, u, i, r, m[i][c] // m[r][c])
-                    if m[i][c]:
-                        clean = False
+            for i in range(r + 1, len(rows)):
+                q = rows[i][c] // top[c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+                clean = clean and not rows[i][c]
             if clean:
                 break
-        if m[r][c]:
+        if rows[r][c]:
+            top = rows[r]
             for i in range(r):
-                _row_sub(m, u, i, r, m[i][c] // m[r][c])
+                q = rows[i][c] // top[c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
             r += 1
+
+
+def _augmented(entries):
+    """[A | I] for the rows of A."""
+    return [[*row, *(int(i == j) for j in range(len(entries)))] for i, row in enumerate(entries)]
 
 
 def hermite_normal_form(A: IntMatrix):
@@ -147,20 +136,17 @@ def hermite_normal_form(A: IntMatrix):
     with positive pivots and the entries above each pivot reduced into
     [0, pivot).
     """
-    m = [list(r) for r in A.entries]
-    u = _identity_ws(A.rows)
-    _hermite(m, u)
-    return IntMatrix(m), IntMatrix(u)
+    rows = _augmented(A.entries)
+    _hermite(rows, A.cols)
+    return IntMatrix([r[: A.cols] for r in rows]), IntMatrix([r[A.cols :] for r in rows])
 
 
-def smith_normal_form(A: IntMatrix):
-    """Smith normal form.
+def _smith(A: IntMatrix, vt):
+    """(D, U, V^T) as row lists with D = U @ A @ V, for Smith's diagonal D.
 
-    Returns (D, U, V) with D = U @ A @ V, U and V unimodular, D diagonal
-    with nonnegative entries forming a divisibility chain d1 | d2 | ...
-
-    Hermite forms of the matrix and of its transpose alternate until the
-    matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8 (1979)).
+    Hermite forms of [M | U] and of [M^T | V^T] alternate until M is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8 (1979)); vt holds the
+    starting rows of V^T, one per column of A, and may have width zero.
     When a diagonal entry does not divide a later one, the later column
     is added to its column and the alternation resumes; adding the row
     instead would be undone by the next row pass.  The loop stops because
@@ -168,25 +154,35 @@ def smith_normal_form(A: IntMatrix):
     proper divisor of itself: a pass replaces it by the gcd of its column
     or row, and a column addition by its gcd with the later entry.
     """
-    limit = min(A.rows, A.cols)
-    m = [list(r) for r in A.entries]
-    u = _identity_ws(A.rows)
-    vt = _identity_ws(A.cols)  # column operations on m are row operations on V^T
+    m, n, limit = A.rows, A.cols, min(A.rows, A.cols)
+    rows = _augmented(A.entries)
     while True:
-        _hermite(m, u)
-        mt = [list(c) for c in zip(*m)]
-        _hermite(mt, vt)
-        m = [list(r) for r in zip(*mt)]
-        if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        _hermite(rows, n)
+        # zip stops at the shorter side: columns of M only, rows of M^T only
+        t = [[*col, *v] for col, v in zip(zip(*rows), vt)]
+        _hermite(t, m)
+        rows = [[*col, *row[n:]] for col, row in zip(zip(*t), rows)]
+        vt = [row[m:] for row in t]
+        if any(x for i, row in enumerate(rows) for j, x in enumerate(row[:n]) if i != j):
             continue
-        d = [m[k][k] for k in range(limit)]
+        d = [rows[k][k] for k in range(limit)]
         pairs = ((i, j) for i in range(limit) for j in range(i + 1, limit))
         split = next(((i, j) for i, j in pairs if d[i] and d[j] % d[i]), None)
         if split is None:
-            return IntMatrix(m), IntMatrix(u), IntMatrix(list(zip(*vt)))
+            return [row[:n] for row in rows], [row[n:] for row in rows], vt
         i, j = split
-        m[j][i] = d[j]  # add column j to column i
+        rows[j][i] = d[j]  # add column j to column i
         vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+
+
+def smith_normal_form(A: IntMatrix):
+    """Smith normal form.
+
+    Returns (D, U, V) with D = U @ A @ V, U and V unimodular, D diagonal
+    with nonnegative entries forming a divisibility chain d1 | d2 | ...
+    """
+    d, u, vt = _smith(A, IntMatrix.identity(A.cols).entries)
+    return IntMatrix(d), IntMatrix(u), IntMatrix(list(zip(*vt)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +372,15 @@ class AbelianInvariants:
 
 def cokernel_invariants(A: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of A)."""
-    d_mat, u_mat, _ = smith_normal_form(A)
-    diag = list(d_mat.diagonal()) + [0] * (A.rows - min(A.rows, A.cols))
+    # the column operations are never read, so V^T has width zero
+    dm, u, _ = _smith(A, [()] * A.cols)
+    diag = [dm[k][k] for k in range(min(A.rows, A.cols))] + [0] * (A.rows - min(A.rows, A.cols))
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     free_rows = [i for i, d in enumerate(diag) if d == 0]
     return AbelianInvariants(
         [diag[i] for i in torsion_rows],
         len(free_rows),
-        u_mat,
+        IntMatrix(u),
         torsion_rows,
         free_rows,
     )

@@ -32,14 +32,7 @@ from .errors import (
     UnsupportedSlopeGroup,
     ValidationError,
 )
-from .intlinalg import (
-    IntMatrix,
-    _integer,
-    _strip_primes,
-    factor,
-    hermite_normal_form,
-    is_prime,
-)
+from .intlinalg import _hermite, _integer, _strip_primes, factor, is_prime
 from .numbers import FieldElement, RealAlgebraicField, Rational, _bareiss, rational_field
 
 DEFAULT_SEARCH_BOUND = 16
@@ -143,8 +136,9 @@ class SlopeGroup:
         ))
         self.lattice = ()
         if self.atoms:
-            h, _ = hermite_normal_form(IntMatrix([_valuations(q, self.atoms) for q in rationals]))
-            self.lattice = tuple(row for row in h.entries if any(row))
+            rows = [_valuations(q, self.atoms) for q in rationals]
+            _hermite(rows, len(self.atoms))
+            self.lattice = tuple(tuple(row) for row in rows if any(row))
         self._values = tuple(
             prod(Fraction(p) ** e for p, e in zip(self.atoms, row)) for row in self.lattice
         )

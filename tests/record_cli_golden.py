@@ -70,6 +70,8 @@ COMMANDS = [
     ["classify", "@sqrt2_22", "@sqrt2_22_ell_a", "--json"],
     ["classify", "@sqrt2_free", "@sqrt2_free_ell_2", "--json"],
     ["classify", "@sqrt2_free", "@sqrt2_free_ell_1a", "--json"],
+    # rank two, equal slopes: Z + Z*phi and Z[1/2] + Z[1/2]*phi under <phi^3>
+    ["classify", "@golden_cube", "@golden_cube_2", "--json"],
 ]
 
 DYADIC_DOC = {
@@ -148,6 +150,10 @@ CUBIC_3A2_DOC = dict(
     },
 )
 
+# Z + Z*phi with slopes <phi^3 = 1 + 2*phi>: 1 - phi^3 = -2*phi has norm -4,
+# so the coinvariants are Z/2 x Z/2, and trivial once 2 is inverted
+GOLDEN_CUBE_DOC = dict(GOLDEN_DOC, **{"lambda": {"generators": [["1", "2"]]}})
+
 # Q(a), a = sqrt 2: Z + Z*a with slopes <3 + 2a>, coinvariants Z/2 x Z/2
 SQRT2_UNIT2_DOC = {
     "field": {"minpoly": [-2, 0, 1], "root_interval": ["1", "2"]},
@@ -222,6 +228,10 @@ def record() -> None:
         "sqrt2_free": SQRT2_FREE_DOC,
         "sqrt2_free_ell_2": dict(SQRT2_FREE_DOC, ell="2"),
         "sqrt2_free_ell_1a": dict(SQRT2_FREE_DOC, ell=["1", "1"]),
+        "golden_cube": GOLDEN_CUBE_DOC,
+        "golden_cube_2": dict(
+            GOLDEN_CUBE_DOC, gamma={"basis": [["1"], ["0", "1"]], "inverted_primes": [2]}
+        ),
         # slope b on [0, 2 - b), then slope 1/b = b - 1
         "golden_pieces": dict(
             GOLDEN_DOC,

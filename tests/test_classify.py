@@ -311,6 +311,47 @@ def test_coinvariant_obstruction_rank_two():
     check_obstruction(a, b, v.obstruction)
 
 
+def test_rank_two_slope_groups_differ():
+    # Z + Z*b under <b> and under <b^2>; Z[1/6]<1, sqrt 2> under <2> and <6>
+    f, k = golden_field(), RealAlgebraicField([-2, 0, 1], (1, 2))
+    b, r = f.generator(), k.generator()
+    for a, c in [
+        (stein_triple([1, b], [], [b], endpoint=1, field=f),
+         stein_triple([1, b], [], [b ** 2], endpoint=1, field=f)),
+        (stein_triple([1, r], [2, 3], [2], endpoint=1, field=k),
+         stein_triple([1, r], [2, 3], [6], endpoint=1, field=k)),
+    ]:
+        v = classify_pair(a, c)
+        assert v.obstruction == "slope groups differ"
+        check_obstruction(a, c, v.obstruction)
+
+
+def test_rank_two_coinvariants_differ():
+    # Z + Z*b and Z[1/2] + Z[1/2]*b under <b^3>: 1 - b^3 = -2b has norm
+    # -4, so the first quotient is Z/2 x Z/2, and inverting 2 kills it
+    f = golden_field()
+    b = f.generator()
+    a = stein_triple([1, b], [], [b ** 3], endpoint=1, field=f)
+    c = stein_triple([1, b], [2], [b ** 3], endpoint=1, field=f)
+    assert a.slopes.equals(c.slopes)
+    for x, y, groups in [(a, c, "Z/2 x Z/2 vs trivial"), (c, a, "trivial vs Z/2 x Z/2")]:
+        v = classify_pair(x, y)
+        assert v.obstruction == f"coinvariants differ ({groups})"
+        check_obstruction(x, y, v.obstruction)
+
+
+def test_incomparable_slopes_with_equal_coinvariants_are_unknown():
+    # Z + Z*b under <b> against Z[1/2]<1, sqrt 2> under <1 + sqrt 2>: the
+    # slopes live in different fields, and both quotients are trivial
+    k = RealAlgebraicField([-2, 0, 1], (1, 2))
+    r = k.generator()
+    s = stein_triple([1, r], [2], [1 + r], endpoint=1, field=k)
+    assert coinvariants(s).is_trivial() and coinvariants(golden_triple()).is_trivial()
+    v = classify_pair(golden_triple(), s)
+    assert v.is_unknown
+    assert v.reason == "slope groups are not comparable: slope groups live in different fields"
+
+
 def test_scale_obstruction_rank_two():
     f = golden_field()
     b = f.generator()

@@ -1,5 +1,7 @@
 """Command line behavior: output text, JSON mode, and exit codes."""
 
+import ast
+import importlib
 import inspect
 import json
 import random
@@ -7,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from record_cli_golden import (
     GOLDEN_DOC, GOLDEN_ELL_B_DOC, SQRT2_FREE_DOC,
 )
 from steinv import (
-    BreakpointModule, classify, coding, coinvariants, elements, modules, numbers, parse_spec,
+    BreakpointModule, coding, coinvariants, elements, modules, parse_spec,
 )
 from steinv.cli import main
 from steinv.numbers import MinimalPolynomial
@@ -495,20 +498,58 @@ def test_high_rank_generator_library_exits_2_at_once(tmp_path):
     assert (code, out, err) == (2, "", "error: a generator library is capped at module rank 5\n")
 
 
+@pytest.mark.parametrize("command", [["element", "to-pairs"], ["embed-v2"]], ids=" ".join)
+def test_long_prefix_exchange_form_exits_2_at_once(tmp_path, command):
+    # the rotation by 2^-40 in (Z[1/2], <2>, 1): 230 bytes of document and
+    # 2^40 prefix pairs, never more than 40 cylinders deep
+    shift = Fraction(1, 2**40)
+    pieces = [["0", "1", str(shift)], [str(1 - shift), "1", str(shift - 1)]]
+    doc = dict(DYADIC_DOC, elements={"r": {"pieces": pieces}})
+    code, out, err = run_module(tmp_path, *command, doc, "r")
+    message = f"a prefix exchange form is capped at {elements._MAX_PAIR_LETTERS:,} letters"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_interval_too_short_for_any_generator_exits_2(tmp_path, capsys):
+    doc = tmp_path / "tiny.json"
+    doc.write_text(json.dumps({"gamma": DYADIC_DOC["gamma"], "lambda": DYADIC_DOC["lambda"],
+                               "ell": "1/1024"}))
+    code, out, err = run(capsys, "element", "random", str(doc), "3")
+    assert (code, out, err) == (2, "", "error: no generator shape fits inside the interval\n")
+
+
+def budget_constants():
+    """{(module, name): value} for every module-level budget constant in
+    src/steinv: the _MAX_* names and those ending in _STEPS, _STATES,
+    _POWERS, _CAP or _CANDIDATES."""
+    pattern = re.compile(r"_MAX_\w+|\w+_(STEPS|STATES|POWERS|CAP|CANDIDATES)")
+    found = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "steinv").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                if pattern.fullmatch(name):
+                    module = importlib.import_module(f"steinv.{path.stem}")
+                    found[path.stem, name] = getattr(module, name)
+    return found
+
+
 def test_readme_states_each_budget_as_the_code_sets_it():
-    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
-    for promise in [
-        f"(default {modules.DEFAULT_SEARCH_BOUND})",
-        f"tries at most {modules._SCALE_CANDIDATES:,} candidates",
-        f"degree d <= 3, and {modules._SCALE_CANDIDATES:,} * 9 // d^2 above that",
-        f"words of at most {elements._MAX_LETTERS} letters",
-        f"so it needs r <= {elements._MAX_LIBRARY_RANK};",
-        f"polynomial has degree at most {numbers._MAX_DEGREE};",
-        f"longer than {classify._UNIT_STEPS} partial quotients",
-        f"trying at most {classify._UNIT_POWERS:,} powers",
-        f"or after {classify._ORBIT_STATES} classes",
-    ]:
-        assert promise in readme
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = {
+        (m[1], m[2]): m[3]
+        for m in re.finditer(r"^\| `(\w+)\.(\w+)` \| ([\d,]+) \|", text, re.MULTILINE)
+    }
+    budgets = budget_constants()
+    assert table == {key: f"{value:,}" for key, value in budgets.items()}
+    # the prose states each value too, with or without a thousands comma
+    prose = re.sub(r"^\|.*$", "", text, flags=re.MULTILINE)
+    for key, value in budgets.items():
+        forms = "|".join({f"{value:,}", str(value)})
+        assert re.search(rf"(?<![\d,])({forms})(?![\d,])", prose), key
+    readme = " ".join(text.split())
+    assert f"(default {modules.DEFAULT_SEARCH_BOUND})" in readme
+    assert f"degree d <= 3, and {modules._SCALE_CANDIDATES:,} * 9 // d^2 above that" in readme
     rule = "_SCALE_CANDIDATES if d <= 3 else _SCALE_CANDIDATES * 9 // d**2"
     assert rule in inspect.getsource(modules.scale_equivalence)
     # every sign decides, so no count of bisections or refinements is a cap

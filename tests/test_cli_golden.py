@@ -104,7 +104,7 @@ def test_not_isomorphic_obstruction_is_a_certificate(case):
 
 
 def test_every_obstruction_with_an_oracle_is_checked():
-    assert (len(OBSTRUCTED), len(REFUTED)) == (4, 6)
+    assert (len(OBSTRUCTED), len(REFUTED)) == (5, 7)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from steinv import (
     BoundExceeded,
     BreakpointNotInGamma,
     ContextMismatch,
+    EmptyLibrary,
     FieldElement,
     NotAntichain,
     NotBijective,
@@ -301,6 +302,14 @@ def test_generator_library_valid(triple):
         assert not g.is_identity()
 
 
+def test_no_generator_fits_a_tiny_interval():
+    # (Z[1/2], <2>, 1/1024): the candidate lengths 1/4, 1/2, 1 and 2 are all
+    # too long for a swap or a rescale
+    tiny = stein_triple([1], [2], [2], endpoint=Fraction(1, 1024))
+    with pytest.raises(EmptyLibrary, match="^no generator shape fits inside the interval$"):
+        generator_library(tiny)
+
+
 def test_random_word_deterministic():
     a = random_word(DYADIC, 12, seed=42)
     b = random_word(DYADIC, 12, seed=42)
@@ -352,12 +361,6 @@ def test_prefix_pairs_round_trip():
         f = random_word(DYADIC, 7, seed=seed)
         pairs = to_prefix_pairs(f)
         assert from_prefix_pairs(DYADIC, pairs) == f
-
-
-def test_prefix_pairs_depth_bound(monkeypatch):
-    monkeypatch.setattr(elements, "_MAX_CYLINDER_DEPTH", 1)
-    with pytest.raises(BoundExceeded):
-        to_prefix_pairs(X0)  # needs the depth-2 cylinder "00"
 
 
 def test_from_prefix_pairs_swap():

@@ -235,6 +235,22 @@ def test_same_group_ignores_presentation():
     assert a.same_group(c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-9, 9), min_size=m, max_size=m), min_size=1, max_size=5)))
+def test_cokernel_reads_the_smith_form(rows):
+    # the cokernel drops V but must keep the Smith form's U and diagonal
+    a = IntMatrix(rows)
+    inv = cokernel_invariants(a)
+    d, u, _ = smith_normal_form(a)
+    diag = list(d.diagonal()) + [0] * (a.rows - min(a.rows, a.cols))
+    assert inv.transform == u
+    assert inv.invariant_factors == tuple(x for x in diag if x >= 2)
+    assert inv.free_rank == diag.count(0)
+    assert inv.torsion_rows == tuple(i for i, x in enumerate(diag) if x >= 2)
+    assert inv.free_rows == tuple(i for i, x in enumerate(diag) if x == 0)
+
+
 def test_reduce_sends_column_span_to_zero():
     rng = random.Random(53)
     for _ in range(60):

@@ -188,6 +188,13 @@ def test_approx_brackets_the_value():
     assert approx(b, Fraction(1, 10 ** 12)) == (lo, hi)
 
 
+def test_rational_values_are_their_own_norm_and_approximation():
+    x = Fraction(-3, 4)
+    assert rational_field().coerce(x).norm() == x
+    for field in (rational_field(), GOLDEN):
+        assert approx(field.coerce(x), Fraction(1, 10)) == (x, x)
+
+
 def test_approx_does_not_depend_on_a_root_hit():
     fresh, hit = (RealAlgebraicField(*ROOT_HIT) for _ in range(2))
     hit.refine_root()
