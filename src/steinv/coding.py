@@ -13,7 +13,7 @@ prefix exchange pairs embeds the base-2 group into the golden-base group.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 
 from .elements import (
     MINUS, PLUS, CutPoint, PLMap, _check_cut, _n_depth, _word_of, make_plmap, to_prefix_pairs
@@ -297,12 +297,12 @@ def beta_cut_point(word) -> CutPoint:
 # the base-2 into golden-base embedding
 
 
-@lru_cache(maxsize=1)
+@cache
 def _golden_context() -> SteinTriple:
     return golden_triple(1)
 
 
-@lru_cache(maxsize=1)
+@cache
 def _golden_inverse() -> FieldElement:
     """1/beta in the shared golden field."""
     return golden_field().generator().inverse()
@@ -316,18 +316,18 @@ def embed_v2_cut(x: CutPoint) -> CutPoint:
 
 def embed_v2_element(f: PLMap) -> PLMap:
     """Image of a dyadic element: each prefix exchange pair (u, v) becomes
-    the affine identification of the cylinders of tau(u) and tau(v)."""
+    the affine identification of the cylinders of tau(u) and tau(v).  The
+    pairs come in domain order and tau keeps the order of cylinders, so
+    the pieces need no sort."""
     target = _golden_context()
     field = target.field
     beta = field.generator()
-    pairs = to_prefix_pairs(f)
     pieces = []
-    for u, v in pairs:
+    for u, v in to_prefix_pairs(f):
         tu = _tau_forward_str(u)
         tv = _tau_forward_str(v)
         b_u = beta_word_value(tu)
         b_v = beta_word_value(tv)
         slope = beta ** (_beta_depth(tu) - _beta_depth(tv))
         pieces.append((b_u, slope, b_v - slope * b_u))
-    pieces.sort(key=lambda p: p[0])
     return make_plmap(target, pieces)

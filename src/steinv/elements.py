@@ -40,8 +40,8 @@ from .errors import (
     ValidationError,
     WrongContext,
 )
-from .modules import SteinTriple, thompson_base
-from .numbers import FieldElement, _affine, _ratio
+from .modules import SteinTriple, _shell, thompson_base
+from .numbers import FieldElement, _affine, _power, _ratio
 
 PLUS = "+"
 MINUS = "-"
@@ -260,15 +260,7 @@ class PLMap:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        acc = PLMap.identity(self.triple)
-        n = abs(n)
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return _power(base, abs(n), PLMap.identity(self.triple))
 
     # -- analysis -----------------------------------------------------------
 
@@ -371,7 +363,7 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
 # generator library and random words
 
 
-def _candidate_lengths(triple: SteinTriple, count: int = 6):
+def _candidate_lengths(triple: SteinTriple):
     module = triple.module
     field = triple.field
     values = []
@@ -385,20 +377,16 @@ def _candidate_lengths(triple: SteinTriple, count: int = 6):
     n = module.rank()
     if n > _MAX_LIBRARY_RANK:
         raise BoundExceeded(f"a generator library is capped at module rank {_MAX_LIBRARY_RANK}")
-    for coeffs in itertools.product(range(-2, 3), repeat=n):
-        if any(coeffs):
-            v = field.zero()
-            for c, b in zip(coeffs, module.basis):
-                if c:
-                    v = v + c * b
-            push(v)
+    # the nonzero coefficient vectors of [-2, 2]^n, as scale_equivalence builds them
+    for coeffs in itertools.chain(_shell(n, 1), _shell(n, 2)):
+        push(sum((c * b for c, b in zip(coeffs, module.basis) if c), field.zero()))
     for b in module.basis:
         mag = b if b.sign() > 0 else -b
         for p in module.inverted_primes:
             push(mag / p)
             push(mag / (p * p))
     values.sort()
-    return values[:count]
+    return values[:6]
 
 
 def generator_library(triple: SteinTriple):
@@ -410,32 +398,18 @@ def generator_library(triple: SteinTriple):
     lengths = _candidate_lengths(triple)
     library = []
 
-    def emit(pieces):
-        library.append(make_plmap(triple, pieces))
+    def emit(a, upper, middle):
+        """The shape middle on [a, upper), the identity on either side."""
+        head = [(zero, one, zero)] if a.sign() > 0 else []
+        tail = [(upper, one, zero)] if endpoint > upper else []
+        library.append(make_plmap(triple, head + middle + tail))
 
     def swap(a, d):
-        pieces = []
-        if a.sign() > 0:
-            pieces.append((zero, one, zero))
-        pieces.append((a, one, d))
-        pieces.append((a + d, one, -d))
-        upper = a + d + d
-        if endpoint > upper:
-            pieces.append((upper, one, zero))
-        emit(pieces)
+        emit(a, a + d + d, [(a, one, d), (a + d, one, -d)])
 
     def rescale(a, d, lam):
-        pieces = []
-        if a.sign() > 0:
-            pieces.append((zero, one, zero))
-        pieces.append((a, lam, a - lam * a))
-        mid = a + d
-        upper = a + d + lam * d
-        inv = lam.inverse()
-        pieces.append((mid, inv, a + lam * d - mid * inv))
-        if endpoint > upper:
-            pieces.append((upper, one, zero))
-        emit(pieces)
+        mid, inv = a + d, lam.inverse()
+        emit(a, mid + lam * d, [(a, lam, a - lam * a), (mid, inv, a + lam * d - mid * inv)])
 
     for d in lengths:
         if endpoint >= d + d:

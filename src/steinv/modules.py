@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -540,15 +541,10 @@ def thompson_base(triple: SteinTriple) -> Optional[int]:
     return prod(p**e for p, e in zip(slopes.atoms, row))
 
 
-_GOLDEN_FIELD = None
-
-
+@cache
 def golden_field() -> RealAlgebraicField:
     """Q(b) for the golden ratio b, the root of x^2 - x - 1 in (3/2, 5/3)."""
-    global _GOLDEN_FIELD
-    if _GOLDEN_FIELD is None:
-        _GOLDEN_FIELD = RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
-    return _GOLDEN_FIELD
+    return RealAlgebraicField([-1, -1, 1], (Fraction(3, 2), Fraction(5, 3)))
 
 
 def golden_triple(endpoint: Union[Rational, FieldElement] = 1) -> SteinTriple:

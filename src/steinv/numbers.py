@@ -69,6 +69,7 @@ This is a documented limitation, not an error in the caller's data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
@@ -301,9 +302,7 @@ class MinimalPolynomial:
         for c in coefficients:
             f = _exact(c)
             if f.denominator != 1:
-                raise ZeroLeadingCoefficient(
-                    "minimal polynomial coefficients must be integers"
-                )
+                raise ValidationError("minimal polynomial coefficients must be integers")
             cs.append(f.numerator)
         if not cs or cs[-1] == 0:
             raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
@@ -489,15 +488,10 @@ class RealAlgebraicField:
         )
 
 
-_RATIONAL_FIELD = None
-
-
+@cache
 def rational_field() -> RealAlgebraicField:
     """The shared handle for plain Q (degree one, remembered root 0)."""
-    global _RATIONAL_FIELD
-    if _RATIONAL_FIELD is None:
-        _RATIONAL_FIELD = RealAlgebraicField([0, 1], (-1, 1))
-    return _RATIONAL_FIELD
+    return RealAlgebraicField([0, 1], (-1, 1))
 
 
 def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
@@ -561,6 +555,19 @@ def _affine(s: "FieldElement", t, o) -> "FieldElement":
         st, do = s.den * t.den, o.den
         return _ratio(f, s.num[0] * t.num[0] * do + o.num[0] * st, st * do)
     return s * t + o
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0, squaring and multiplying from the identity one;
+    the last square is never formed."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        n >>= 1
+        if n:
+            base = base * base
+    return acc
 
 
 class FieldElement:
@@ -728,17 +735,8 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        acc = self.field.one()
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        base = self if n >= 0 else self.inverse()
+        return _power(base, abs(n), self.field.one())
 
     # -- decisions ----------------------------------------------------------
 

@@ -4,9 +4,12 @@ Each reference is slow and plain on purpose: Fraction Gauss-Jordan in
 place of the integer elimination, Fraction polynomial arithmetic in place
 of the integer Sturm and Horner helpers, cofactor expansions and minor
 gcds in place of the normal forms, the scan-and-sort walks that the
-element code replaced, and certificate checks that re-derive a verdict's
-data without `classify`.  The module holds no tests; test modules import
-their shared helpers from here and from no other test module.
+element code replaced, the scale search as a box walk with no prefilter
+or budget, and certificate checks that re-derive a verdict's data
+without `classify`.  It also holds `presentations()`, the strategy that
+the presentation property tests and `mix_count.py` draw from.  The
+module holds no tests; test modules import their shared helpers from
+here and from no other test module.
 """
 
 import bisect
@@ -15,11 +18,15 @@ import math
 import re
 from fractions import Fraction
 
+from hypothesis import assume, strategies as st
+
 from steinv import (
-    BreakpointModule, PLMap, class_of, coinvariants, elements, numbers, scale_equivalence,
+    BreakpointModule, PLMap, class_of, coinvariants, elements, golden_field, numbers,
+    rational_field, stein_triple,
 )
 from steinv.classify import _fundamental_unit
 from steinv.elements import Piece
+from steinv.numbers import RealAlgebraicField
 
 
 # -- linear algebra over Q --------------------------------------------------
@@ -488,20 +495,39 @@ def reference_unit_box(field, radius=30):
     return best
 
 
+def box(bound, n):
+    """The integer vectors of [-bound, bound]^n, by max-norm and then
+    lexicographically."""
+    vectors = itertools.product(range(-bound, bound + 1), repeat=n)
+    return sorted(vectors, key=lambda v: (max(map(abs, v), default=0), v))
+
+
+def reference_scale_box(g1, g2, bound):
+    """The scalar of the module scale search, or None: 1 when s = 1 carries
+    G2 to G1, else the first positive s = h / b1 that does, for h over
+    G1's basis with coefficients in box(bound) and b1 the first basis
+    element of G2.  Every candidate goes to `reference_carries`: there is
+    no norm prefilter and no candidate budget."""
+    one = g1.field.one()
+    if reference_carries(one, g2, g1):
+        return one
+    for coeffs in box(bound, g1.rank()):
+        s = sum((c * x for c, x in zip(coeffs, g1.basis)), g1.field.zero()) / g2.basis[0]
+        if s.sign() > 0 and reference_carries(s, g2, g1):
+            return s
+    return None
+
+
 def reference_endpoint_box(a, b, search_bound):
     """The scalar of the endpoint test the orbit walk replaced, or None:
-    products of inverted prime powers (exponents up to the bound, or 5
-    with two primes and more) times the powers u^k, |k| <= bound, of the
-    unit of Z[c2*a], where that unit stabilizes the module."""
+    the scale search's scalar times products of inverted prime powers
+    (exponents up to the bound, or 5 with two primes and more) times the
+    powers u^k, |k| <= bound, of the unit of Z[c2*a], where that unit
+    stabilizes the module."""
     inv = coinvariants(a)
-    sr = scale_equivalence(a.module, b.module, search_bound)
-    if not sr.found:
+    scalar = reference_scale_box(a.module, b.module, search_bound)
+    if scalar is None:
         return None
-
-    def box(bound, n):
-        vectors = itertools.product(range(-bound, bound + 1), repeat=n)
-        return sorted(vectors, key=lambda v: (max(map(abs, v), default=0), v))
-
     module, field = b.module, b.module.field
     primes = module.inverted_primes
     e_bound = search_bound if len(primes) <= 1 else min(search_bound, 5)
@@ -513,7 +539,7 @@ def reference_endpoint_box(a, b, search_bound):
         unit, k_bound = field.one(), 0
     for (k,) in box(k_bound, 1):
         for q in values:
-            s = sr.scalar * unit**k * q
+            s = scalar * unit**k * q
             if not any(class_of(a.endpoint - s * b.endpoint, inv, a.module)):
                 return s
     return None
@@ -531,11 +557,15 @@ def printed_value(text, field):
     return field.element(coords)
 
 
-def check_witness(a, b, printed_s):
-    """The Isomorphic witness s of classify(a, b), checked without classify:
-    s > 0, s*Gamma_b = Gamma_a, and s*ell_b in the class of ell_a in
-    Gamma_a / I*Gamma_a."""
-    s = printed_value(printed_s, a.field)
+def check_witness(a, b, witness):
+    """The Isomorphic witness of classify(a, b), checked without classify.
+    A scalar s must have s > 0, s*Gamma_b = Gamma_a, and s*ell_b in the
+    class of ell_a in Gamma_a / I*Gamma_a.  A base n must be that of both
+    triples (Z[1/n], <n>), with one endpoint gcd."""
+    if "base" in witness:
+        assert _base_and_gcd(a) == _base_and_gcd(b) == (witness["base"], witness["endpoint_gcd"])
+        return
+    s = printed_value(witness["s"], a.field)
     assert s.sign() > 0
     assert reference_carries(s, b.module, a.module)
     if a.endpoint is not None and b.endpoint is not None:
@@ -543,14 +573,17 @@ def check_witness(a, b, printed_s):
         assert class_of(s * b.endpoint, inv, a.module) == class_of(a.endpoint, inv, a.module)
 
 
-def _endpoint_gcd(triple):
-    """gcd(n - 1, r mod n - 1) for the triple (Z[1/n], <n>) at endpoint r."""
+def _base_and_gcd(triple):
+    """n and gcd(n - 1, r mod n - 1) for the triple (Z[1/n], <n>) at
+    endpoint r, whose basis is any unit of Z[1/n]."""
     (g,) = triple.slopes.generator_values()
     n = max(g, 1 / g)
-    assert n.denominator == 1 and triple.module.inverted_primes == tuple(prime_factors(int(n)))
-    assert len(triple.module.basis) == 1 and triple.module.basis[0] == 1
+    primes = triple.module.inverted_primes
+    assert n.denominator == 1 and primes == tuple(prime_factors(int(n)))
+    (b,) = triple.module.basis
+    assert set(prime_factors(abs(b.num[0]) * b.den)) <= set(primes)
     r, m = triple.endpoint.as_fraction(), int(n) - 1
-    return math.gcd(m, r.numerator * pow(r.denominator, -1, m) % m)
+    return int(n), math.gcd(m, r.numerator * pow(r.denominator, -1, m) % m)
 
 
 def _prime_support(triple):
@@ -634,9 +667,71 @@ def check_obstruction(a, b, obstruction):
         assert not reference_carries(s, b.module, a.module)
     elif residues:
         g1, g2 = int(residues[1]), int(residues[2])
-        assert (g1, g2) == (_endpoint_gcd(a), _endpoint_gcd(b)) and g1 != g2
+        assert (g1, g2) == (_base_and_gcd(a)[1], _base_and_gcd(b)[1]) and g1 != g2
     elif prime:
         p = int(prime[1])
         assert (p in _prime_support(a)) != (p in _prime_support(b))
     else:
         raise AssertionError(f"no oracle checks the obstruction {obstruction!r}")
+
+
+# -- presentations ----------------------------------------------------------
+
+# (field, twin): the twin is a second handle on the same field, its root
+# isolated in another interval; in degree one it is Q remembering the root 3
+PRESENTATION_FIELDS = [
+    (rational_field(), RealAlgebraicField([-3, 1], (2, 4))),
+    (golden_field(), RealAlgebraicField([-1, -1, 1], (1, 2))),
+    (RealAlgebraicField([-2, 0, 1], (1, 2)), RealAlgebraicField([-2, 0, 1], (0, 3))),
+    (RealAlgebraicField([-3, 0, 1], (1, 2)), RealAlgebraicField([-3, 0, 1], (0, 2))),
+    (RealAlgebraicField([-2, 0, 0, 1], (1, 2)), RealAlgebraicField([-2, 0, 0, 1], (0, 2))),
+]
+
+
+@st.composite
+def presentations(draw):
+    """(a, b, b2): one isomorphism question in three presentations.
+
+    a and b are triples Z[1/S]<basis> with slopes <S>, which leave every
+    such module invariant, and positive module endpoints: of rank one in
+    Q, where S is not empty, rank two in the quadratic fields, and rank
+    two or three in Q(2^(1/3)), where S is {2} or {2, 3}.  b is unrelated to a or a
+    rescaled copy (s*Gamma_a, s*ell_a).  b2 is b on a GL_r(Z) change of
+    basis, over either handle of the field, with Lambda = <2, 3> written
+    <6, 3> or not."""
+    field, twin = draw(st.sampled_from(PRESENTATION_FIELDS))
+    d = field.degree
+    rank = draw(st.integers(2, 3)) if d == 3 else d
+    # a rank-one module is dense only with an inverted prime
+    choices = {1: [(2,), (3,), (2, 3)], 2: [(), (2,), (3,), (2, 3)], 3: [(2,), (2, 3)]}
+    primes = draw(st.sampled_from(choices[d]))
+    small = st.integers(-3, 3)
+
+    def triple(basis, ell, handle=field, slopes=primes):
+        return stein_triple(basis, primes, slopes, endpoint=handle.coerce(ell), field=handle)
+
+    def random_triple():
+        basis = [field.element(draw(st.tuples(*[small] * d))) for _ in range(rank)]
+        assume(gauss_jordan_reference([x.coords for x in basis])[0] == rank)
+        ell = sum((draw(small) * x for x in basis), field.zero())
+        assume(not ell.is_zero())
+        return triple(basis, ell if ell.sign() > 0 else -ell)
+
+    a = random_triple()
+    if draw(st.booleans()):
+        b = random_triple()
+    else:
+        s = field.element([draw(st.integers(1, 4)), *draw(st.tuples(*[small] * (d - 1)))])
+        assume(s.sign() > 0)
+        b = triple([s * x for x in a.module.basis], s * a.endpoint)
+    # elementary moves, a reversal and a sign: a matrix of det +-1, which
+    # at rank two is b1 + k*b2 and m*(b1 + k*b2) + b2, in either order
+    changed = list(b.module.basis)
+    for i, j in itertools.permutations(range(rank), 2):
+        changed[i] = changed[i] + draw(small) * changed[j]
+    if draw(st.booleans()):
+        changed.reverse()
+    changed[0] = -changed[0]
+    handle = draw(st.sampled_from([field, twin]))
+    slopes = (6, 3) if primes == (2, 3) and draw(st.booleans()) else primes
+    return a, b, triple(changed, b.endpoint, handle, slopes)

@@ -24,6 +24,7 @@ from steinv import (
     order_embedding_exists,
     rank_one_report,
     rational_field,
+    scale_equivalence,
     stein_triple,
     thompson_triple,
 )
@@ -32,8 +33,8 @@ from steinv.classify import _fundamental_unit
 from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
 from references import (
-    check_obstruction, check_witness, printed_value, reference_carries, reference_endpoint_box,
-    reference_unit_box,
+    check_obstruction, check_witness, presentations, printed_value, reference_carries,
+    reference_endpoint_box, reference_scale_box, reference_unit_box,
 )
 
 
@@ -744,50 +745,6 @@ def test_walk_keeps_every_box_verdict(pair, bound):
     assert not {"Isomorphic", "NotIsomorphic"} <= outcomes
 
 
-PRESENTATION_FIELDS = [
-    golden_field(),
-    RealAlgebraicField([-2, 0, 1], (1, 2)),
-    RealAlgebraicField([-3, 0, 1], (1, 2)),
-]
-
-
-@st.composite
-def presentations(draw):
-    """(a, b, b2): triples Z[1/S]<basis> with slopes <S> for S in {2, 3},
-    which leave every such module invariant, and positive module endpoints.
-    b is unrelated to a or a rescaled copy (s*Gamma_a, s*ell_a), and b2
-    is b on a GL_2(Z) change of basis."""
-    field = draw(st.sampled_from(PRESENTATION_FIELDS))
-    primes = draw(st.sampled_from([(), (2,), (3,), (2, 3)]))
-    small = st.integers(-3, 3)
-
-    def triple(basis, ell):
-        return stein_triple(basis, primes, primes, endpoint=ell, field=field)
-
-    def random_triple():
-        (x1, y1), (x2, y2) = draw(st.tuples(small, small)), draw(st.tuples(small, small))
-        assume(x1 * y2 != x2 * y1)
-        basis = [field.element([x1, y1]), field.element([x2, y2])]
-        ell = draw(small) * basis[0] + draw(small) * basis[1]
-        assume(not ell.is_zero())
-        return triple(basis, ell if ell.sign() > 0 else -ell)
-
-    a = random_triple()
-    if draw(st.booleans()):
-        b = random_triple()
-    else:
-        s = field.element([draw(st.integers(1, 4)), draw(small)])
-        assume(s.sign() > 0)
-        b = triple([s * x for x in a.module.basis], s * a.endpoint)
-    # b1 + k*b2 and m*(b1 + k*b2) + b2, in either order: a matrix of det +-1
-    b1, b2 = b.module.basis
-    k, m = draw(small), draw(small)
-    changed = [b1 + k * b2, m * (b1 + k * b2) + b2]
-    if draw(st.booleans()):
-        changed.reverse()
-    return a, b, triple(changed, b.endpoint)
-
-
 @settings(max_examples=100, deadline=None)
 @given(presentations())
 def test_verdicts_do_not_depend_on_the_presentation(triples):
@@ -795,14 +752,25 @@ def test_verdicts_do_not_depend_on_the_presentation(triples):
     # isomorphism question: no two of them may decide it differently, and
     # a larger search bound may only turn Unknown into a decided answer
     a, b, b2 = triples
-    verdicts = [(a, b, classify_pair(a, b, 4)), (a, b2, classify_pair(a, b2, 4)),
-                (b, a, classify_pair(b, a, 4))]
-    assert not {"Isomorphic", "NotIsomorphic"} <= {v.outcome for _, _, v in verdicts}
-    if not verdicts[0][2].is_unknown:
-        assert classify_pair(a, b, 8).describe() == verdicts[0][2].describe()
-    for x, y, v in verdicts:
+    questions = [(a, b), (a, b2), (b, a)]
+    verdicts = [classify_pair(x, y, 4) for x, y in questions]
+    assert not {"Isomorphic", "NotIsomorphic"} <= {v.outcome for v in verdicts}
+    for (x, y), v in zip(questions, verdicts):
+        if not v.is_unknown:
+            assert classify_pair(x, y, 8).describe() == v.describe()
         if v.is_isomorphic:
-            check_witness(x, y, v.witness["s"])
+            check_witness(x, y, v.witness)
         # no orbit oracle independent of classify exists
         elif v.is_not_isomorphic and "stabilizer orbits" not in v.obstruction:
             check_obstruction(x, y, v.obstruction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(1, 8))
+def test_scale_search_finds_the_reference_scalar(triples, bound):
+    a, b, b2 = triples
+    for x, y in [(a, b), (a, b2), (b, a)]:
+        found = scale_equivalence(x.module, y.module, bound)
+        assert (found.scalar if found.found else None) == reference_scale_box(
+            x.module, y.module, bound
+        )

@@ -556,6 +556,42 @@ def test_readme_states_each_budget_as_the_code_sets_it():
     assert not re.search(r"\d (bisections|refinements|halvings)", readme)
 
 
+def readme_tour_results(text):
+    """(repr of the value, documented result) for each expression of the
+    README's python block, run in order with its assignments; the result
+    is the comment closing the expression's last line or the next line."""
+    source = re.search(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)[1]
+    lines, namespace, results = source.splitlines(), {}, []
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        if not isinstance(node, ast.Expr):
+            exec(compile(code, "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(code, "README.md", "eval"), namespace)
+        after = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+        comment = after if after.startswith("#") else lines[node.end_lineno].strip()
+        assert comment.startswith("# "), code
+        results.append((repr(value), comment[2:]))
+    return results
+
+
+def test_readme_examples_give_their_documented_results(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    results = readme_tour_results(text)
+    assert len(results) == 5
+    for got, documented in results:
+        assert got == documented
+    # an edited result fails
+    edited = readme_tour_results(text.replace("# 'Z/3'", "# 'Z/4'"))
+    assert [got == documented for got, documented in edited].count(False) == 1
+    streams = re.search(
+        r"`steinv expand 2 3/8 \+` prints `(\S+)` and the minus-side stream of the same "
+        r"point is `(\S+)`", " ".join(text.split()),
+    )
+    for side, documented in zip("+-", streams.groups()):
+        assert run(capsys, "expand", "2", "3/8", side) == (0, documented + "\n", "")
+
+
 def test_high_degree_field_exits_2_at_once(tmp_path):
     # a dense degree-90 polynomial, 449 bytes of document, once took 38 s
     rng = random.Random(90)

@@ -91,7 +91,7 @@ def documented_pair(case):
 
 @pytest.mark.parametrize("case", WITNESSED, ids=lambda c: " ".join(c["argv"]))
 def test_isomorphic_witness_is_a_certificate(case):
-    check_witness(*documented_pair(case), json.loads(case["stdout"])["witness"]["s"])
+    check_witness(*documented_pair(case), json.loads(case["stdout"])["witness"])
 
 
 def test_every_witness_is_checked():
