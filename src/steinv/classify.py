@@ -45,6 +45,7 @@ from .modules import (
     SlopeGroup,
     SteinTriple,
     _carries,
+    _valuations,
     scale_equivalence,
     thompson_base,
 )
@@ -297,18 +298,11 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
         return EmbeddingAnswer("Yes")
     # rank two or more: both groups are rational, their atoms are primes
     primes = sorted(set(l1.atoms) | set(l2.atoms))
-    index = {p: i for i, p in enumerate(primes)}
-
-    def lift(group, row):
-        v = [0] * len(primes)
-        for p, e in zip(group.atoms, row):
-            v[index[p]] = e
-        return v
-
     # `_bareiss` on [l2^T | l1^T] leaves pivot * x in column n + k for row k
-    # of l1 = sum_j x_j * (row j of l2); the Hermite rows of l2 have rank n
+    # of l1 = sum_j x_j * (row j of l2); the Hermite rows of l2 have rank n,
+    # and each generator value's exponents are its row over all the primes
     n = len(l2.lattice)
-    columns = [lift(l2, row) for row in l2.lattice] + [lift(l1, row) for row in l1.lattice]
+    columns = [_valuations(v, primes) for v in l2.generator_values() + l1.generator_values()]
     rows = [list(row) for row in zip(*columns)]
     pivot = abs(_bareiss(rows, n)[1])
     c = 1

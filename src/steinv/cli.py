@@ -34,7 +34,7 @@ from .document import (
     value_to_json,
     verdict_to_json,
 )
-from .elements import CutPoint, PLMap, random_word, to_prefix_pairs
+from .elements import CutPoint, PLMap, _intervals, random_word, to_prefix_pairs
 from .errors import ParseError, SteinError, UsageError
 from .modules import DEFAULT_SEARCH_BOUND, golden_field
 from .numbers import rational_field
@@ -52,12 +52,10 @@ def _emit(args, human: str, obj) -> None:
 
 
 def _describe_plmap(f: PLMap) -> str:
-    starts = [p.start for p in f.pieces] + [f.triple.endpoint]
-    lines = [
+    return "\n".join(
         f"on [{lo}, {hi}): slope {p.slope}, offset {p.offset}"
-        for p, lo, hi in zip(f.pieces, starts, starts[1:])
-    ]
-    return "\n".join(lines)
+        for p, lo, hi in _intervals(f.pieces, f.triple.endpoint)
+    )
 
 
 def _get_element(doc, name: str) -> PLMap:

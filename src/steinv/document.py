@@ -209,13 +209,13 @@ def parse_spec(source) -> SpecDocument:
     if "ell" in data and data["ell"] is not None:
         ell = parse_value(data["ell"], field, "ell")
     triple = SteinTriple(module, slopes, ell)
-    elements = {}
-    raw_elements = data.get("elements", {})
-    raw_elements = _require_dict(raw_elements, "elements")
-    for name in sorted(raw_elements):
-        if not isinstance(name, str) or not name:
-            raise ParseError("element names must be nonempty strings")
-        elements[name] = _parse_element(name, raw_elements[name], triple)
+    raw_elements = _require_dict(data.get("elements", {}), "elements")
+    # names are checked before sorting: a dict source may mix key types
+    if not all(isinstance(name, str) and name for name in raw_elements):
+        raise ParseError("element names must be nonempty strings")
+    elements = {
+        name: _parse_element(name, raw_elements[name], triple) for name in sorted(raw_elements)
+    }
     return SpecDocument(triple, elements)
 
 

@@ -266,13 +266,10 @@ class PLMap:
 
     def fixed_point_report(self) -> FixedPointReport:
         triple = self.triple
-        field = triple.field
-        endpoint = triple.endpoint
-        one = field.one()
+        one = triple.field.one()
         seen = {}
         non_cut = []
-        starts = [p.start for p in self.pieces] + [endpoint]
-        for piece, t_lo, t_hi in zip(self.pieces, starts, starts[1:]):
+        for piece, t_lo, t_hi in _intervals(self.pieces, triple.endpoint):
             lam, s = piece.slope, piece.offset
             if lam == 1:
                 if s.is_zero():
@@ -308,12 +305,11 @@ def _merge(pieces) -> Tuple[Piece, ...]:
     return tuple(out)
 
 
-def _image_intervals(f: PLMap):
-    starts = [p.start for p in f.pieces] + [f.triple.endpoint]
-    return [
-        (p.image_of(lo), p.image_of(hi))
-        for p, lo, hi in zip(f.pieces, starts, starts[1:])
-    ]
+def _intervals(pieces, endpoint):
+    """(piece, lo, hi) for each piece on its interval [lo, hi): from its
+    start to the next piece's start, or to the endpoint."""
+    starts = [p.start for p in pieces] + [endpoint]
+    return zip(pieces, starts, starts[1:])
 
 
 def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
@@ -346,11 +342,9 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
             raise BreakpointNotInGamma(f"offset {piece.offset} is outside the module")
         if piece.slope.sign() <= 0 or not triple.slopes.contains(piece.slope):
             raise SlopeNotInLambda(f"slope {piece.slope} is outside the slope group")
-    images = sorted(
-        _image_intervals(PLMap(triple, tuple(built))), key=lambda iv: iv[0]
-    )
+    images = [(p.image_of(lo), p.image_of(hi)) for p, lo, hi in _intervals(built, endpoint)]
     cursor = field.zero()
-    for lo, hi in images:
+    for lo, hi in sorted(images, key=lambda iv: iv[0]):
         if lo._cmp(cursor) != 0:
             raise NotBijective("image intervals do not tile the interval")
         cursor = hi

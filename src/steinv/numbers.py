@@ -8,19 +8,24 @@ the denominator have gcd 1, and zero is 0/1) so that equality and
 hashing compare integers (Cohen, GTM 138, 4.2).  Every decision is exact.
 Since the denominator is positive, a sign is the sign of the numerator
 polynomial at a.  In degree two the root is (-c1 + e*sqrt(D)) / (2*c2)
-for a branch e = +-1: a handle finds e, and bisects its interval, by the
-signs of q*a - p read from integer squares, and its squarefree test is
-D != 0, so no Sturm chain is built.  Degree-two signs come from the same
-closed form.  Higher degrees bound the value over the isolating interval,
-test for a symbolic zero by a gcd only when that bound straddles zero,
-and bisect the interval with Sturm-sequence root counts until the bound
-excludes zero.  Every sign decides, within a number of bisections fixed
-by the inputs: a nonzero value is bounded away from zero (root
-separation; Mahler 1964) and the bound narrows with the interval.  All
-three run on integers: Horner's scheme over one denominator of the
-interval ends, and primitive pseudo-remainder sequences (Collins and
-Loos, "Real zeros of polynomials", 1982) for the gcd, the squarefree
-test and the Sturm chain.  No floating point is used anywhere.
+for a branch e = +-1: a handle finds e by the signs of q*a - p read from
+integer squares, and its squarefree test is D != 0, so no Sturm chain is
+built.  Degree-two signs come from the same closed form.  Higher degrees
+bound the value over the isolating interval, test for a symbolic zero by
+a gcd only when that bound straddles zero, and bisect the interval until
+the bound excludes zero.  Every bisection, in any degree, evaluates the
+defining polynomial f once at the midpoint and compares the sign with
+the one f has between the root and the interval's end hi, which the
+handle reads at construction from f(hi), or from -f'(hi) when hi is a
+root.  Sturm chains run only when a handle of degree three and up is
+built and in the zero test under a reducible f.  Every sign decides,
+within a number of bisections fixed by the inputs: a nonzero value is
+bounded away from zero (root separation; Mahler 1964) and the bound
+narrows with the interval.  All of it runs on integers: Horner's scheme
+over one denominator of the interval ends, and primitive
+pseudo-remainder sequences (Collins and Loos, "Real zeros of
+polynomials", 1982) for the gcd, the squarefree test and the Sturm
+chain.  No floating point is used anywhere.
 
 `RealAlgebraicField.coerce` is the one rule for which numbers enter a
 field handle: every rational lies in every field, and compatible handles
@@ -357,7 +362,7 @@ class RealAlgebraicField:
         "_hi",
         "_lo0",
         "_hi0",
-        "_sturm",
+        "_right",
         "_exact_root",
         "_quadratic",
         "_root",
@@ -372,7 +377,6 @@ class RealAlgebraicField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self._exact_root = None
-        self._sturm = None
         self._quadratic = None
         if self.degree == 1:
             a0, a1 = minpoly.coefficients
@@ -389,16 +393,18 @@ class RealAlgebraicField:
                 n, self._quadratic = len(roots), roots[0] if roots else None
                 self._root = self._quadratic
             else:
-                chain = self._sturm = _sturm_chain(minpoly.coefficients)
-                (at_lo, _), (at_hi, hit) = _variations_at(chain, lo), _variations_at(chain, hi)
-                n = at_lo - at_hi - hit
+                chain = _sturm_chain(minpoly.coefficients)
+                n = _count_roots_open(chain, lo, hi)
                 # the root's index: the roots <= lo, the variations at -inf less those at lo
                 at_minus_inf = _variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
-                self._root = (minpoly.coefficients, at_minus_inf - at_lo)
+                self._root = (minpoly.coefficients, at_minus_inf - _variations_at(chain, lo)[0])
             if n == 0:
                 raise NoRootInInterval("no root inside the interval")
             if n > 1:
                 raise MultipleRootsInInterval(f"{n} roots inside the interval")
+            # the sign of f between the root and hi: of f(hi), or of -f'(hi) at a root hi
+            f, p, q = minpoly.coefficients, hi.numerator, hi.denominator
+            self._right = _sign(_peval(f, p, q) or -_peval(_pderiv(f), p, q))
         self._lo = self._lo0 = lo
         self._hi = self._hi0 = hi
 
@@ -411,16 +417,13 @@ class RealAlgebraicField:
         return self._lo0, self._hi0
 
     def _bisect(self, lo: Fraction, hi: Fraction):
-        """One bisection step keeping the root; degenerate when it is hit."""
+        """One bisection step keeping the root, by the rule in the module
+        docstring; degenerate when it is hit."""
         mid = (lo + hi) / 2
-        if self._quadratic is not None:
-            s = _quadratic_sign(self._quadratic, -mid.numerator, mid.denominator)
-            return (lo, mid) if s < 0 else (mid, hi) if s > 0 else (mid, mid)
-        if _peval(self.minpoly.coefficients, mid.numerator, mid.denominator) == 0:
+        v = _peval(self.minpoly.coefficients, mid.numerator, mid.denominator)
+        if v == 0:
             return mid, mid
-        if _count_roots_open(self._sturm, lo, mid) == 1:
-            return lo, mid
-        return mid, hi
+        return (lo, mid) if _sign(v) == self._right else (mid, hi)
 
     def refine_root(self) -> None:
         if self._exact_root is not None:
@@ -456,9 +459,9 @@ class RealAlgebraicField:
             if self.compatible(x.field):
                 return FieldElement(self, x.num, x.den)
             raise FieldMismatch(f"{x} lies in {x.field!r}, not in {self!r}")
-        if isinstance(x, (int, Fraction)):
-            return self.from_rational(x)
-        raise TypeError(f"{type(x).__name__} is not a number")
+        if not isinstance(x, (int, Fraction, float)):
+            raise TypeError(f"{type(x).__name__} is not a number")
+        return self.from_rational(x)  # `_exact` refuses a float
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)

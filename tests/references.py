@@ -655,6 +655,9 @@ def check_obstruction(a, b, obstruction):
     prime = re.fullmatch(
         r"no order-preserving embedding of slope groups \(prime (\d+)\)", obstruction
     )
+    orbits = re.fullmatch(
+        r"endpoint classes lie in different stabilizer orbits \(orbit size (\d+)\)", obstruction
+    )
     if obstruction == "slope groups differ":
         assert not reference_same_slopes(a.slopes, b.slopes)
     elif differ:
@@ -671,6 +674,23 @@ def check_obstruction(a, b, obstruction):
     elif prime:
         p = int(prime[1])
         assert (p in _prime_support(a)) != (p in _prime_support(b))
+    elif orbits:
+        # without inverted primes the positive stabilizer of a real quadratic
+        # module is generated by its fundamental unit u, so the classes of
+        # u^k*s*ell_b make one cycle, which must miss the class of ell_a
+        n = int(orbits[1])
+        assert a.field.degree == 2
+        assert not a.module.inverted_primes and not b.module.inverted_primes
+        s = reference_scale_box(a.module, b.module, 16)
+        u = _fundamental_unit(b.module)
+        assert reference_carries(u, b.module, b.module)
+        inv = coinvariants(a)
+        x, cycle = s * b.endpoint, []
+        for _ in range(n + 1):
+            cycle.append(reference_class(x, inv, a.module))
+            x = u * x
+        assert cycle[n] == cycle[0] and len(set(cycle[:n])) == n
+        assert reference_class(a.endpoint, inv, a.module) not in cycle
     else:
         raise AssertionError(f"no oracle checks the obstruction {obstruction!r}")
 

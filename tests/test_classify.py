@@ -32,6 +32,7 @@ from steinv import classify, modules
 from steinv.classify import _fundamental_unit
 from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
+import mix_count
 from references import (
     check_obstruction, check_witness, presentations, printed_value, reference_carries,
     reference_endpoint_box, reference_scale_box, reference_unit_box,
@@ -584,6 +585,9 @@ def test_sqrt5_and_golden_presentations_agree(e1, e2):
     vg = classify_pair(over_golden(*e1), over_golden(*e2))
     assert not vg.is_unknown
     assert v5.outcome == vg.outcome, (v5, vg)
+    for triple, v in [(over_sqrt5, v5), (over_golden, vg)]:
+        if v.is_not_isomorphic:
+            check_obstruction(triple(*e1), triple(*e2), v.obstruction)
 
 
 def test_sqrt5_phi_endpoint():
@@ -760,9 +764,21 @@ def test_verdicts_do_not_depend_on_the_presentation(triples):
             assert classify_pair(x, y, 8).describe() == v.describe()
         if v.is_isomorphic:
             check_witness(x, y, v.witness)
-        # no orbit oracle independent of classify exists
-        elif v.is_not_isomorphic and "stabilizer orbits" not in v.obstruction:
+        elif v.is_not_isomorphic:
             check_obstruction(x, y, v.obstruction)
+
+
+def test_the_mix_counter_counts_and_prints_every_key(capsys):
+    # tests/mix_count.py is run by hand; this keeps its API from rotting
+    total = mix_count.count(20, 2)[0]
+    assert (total["examples"], total["conflicts"]) == (20, 0)
+    assert sum(total[k] for k in ("Isomorphic", "NotIsomorphic", "Unknown")) == 60
+    mix_count.main(["--examples", "5", "--bound", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "bound 1"
+    (line,) = [line for line in lines if line.lstrip().startswith("all: ")]
+    assert [part.split()[0] for part in line.split(": ", 1)[1].split(", ")] == mix_count.KEYS
+    assert "examples 5," in line
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,9 +80,6 @@ VERDICTS = [
 ]
 WITNESSED = [case for case, out in VERDICTS if "s" in (out["witness"] or {})]
 REFUTED = [case for case, out in VERDICTS if out["outcome"] == "NotIsomorphic"]
-# no orbit oracle independent of classify exists, so the two "stabilizer
-# orbits" obstructions stay unchecked
-OBSTRUCTED = [case for case in REFUTED if "stabilizer orbits" not in case["stdout"]]
 
 
 def documented_pair(case):
@@ -98,13 +95,13 @@ def test_every_witness_is_checked():
     assert len(WITNESSED) == 9
 
 
-@pytest.mark.parametrize("case", OBSTRUCTED, ids=lambda c: " ".join(c["argv"]))
+@pytest.mark.parametrize("case", REFUTED, ids=lambda c: " ".join(c["argv"]))
 def test_not_isomorphic_obstruction_is_a_certificate(case):
     check_obstruction(*documented_pair(case), json.loads(case["stdout"])["obstruction"])
 
 
 def test_every_obstruction_with_an_oracle_is_checked():
-    assert (len(OBSTRUCTED), len(REFUTED)) == (5, 7)
+    assert len(REFUTED) == 7  # two of them "stabilizer orbits"
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,14 @@ def test_element_needs_exactly_one_form():
         parse_spec(bad)
 
 
+def test_element_names_are_checked_before_they_are_sorted():
+    good = {"pieces": [["0", "1", "0"]]}
+    for names in ([1, "e"], ["e", None], ["", "e"], [2]):
+        bad = dict(DYADIC_DOC, elements={name: good for name in names})
+        with pytest.raises(ParseError, match="element names must be nonempty strings"):
+            parse_spec(bad)
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(ParseError) as e:
         parse_spec('{"gamma": }')

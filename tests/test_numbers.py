@@ -32,9 +32,13 @@ from steinv import (
     ValidationError,
     ZeroLeadingCoefficient,
     approx,
+    beta_expand,
     class_of,
     coinvariants,
+    cut_point,
+    make_plmap,
     rational_field,
+    stein_triple,
     thompson_triple,
 )
 from references import (
@@ -418,11 +422,17 @@ def test_floats_are_refused_where_numbers_enter():
         (lambda: GOLDEN.from_rational(0.5), "0.5"),
         (lambda: MinimalPolynomial([-2.0, 0, 1.0]), "-2.0"),
         (lambda: RealAlgebraicField([-2, 0, 1], (1.4, 1.5)), "1.4"),
+        (lambda: GOLDEN.coerce(0.5), "0.5"),
+        (lambda: make_plmap(thompson_triple(2), [(0, 1.0, 0)]), "1.0"),
+        (lambda: cut_point(thompson_triple(2), 0.5, "+"), "0.5"),
+        (lambda: stein_triple([1], [2], [2], endpoint=0.5), "0.5"),
+        (lambda: SlopeGroup([1.5]), "1.5"),
+        (lambda: BreakpointModule(rational_field(), [0.5], [2]), "0.5"),
+        (lambda: thompson_triple(2.0), "2.0"),
+        (lambda: beta_expand(0.5, "+"), "0.5"),
     ]:
         with pytest.raises(ValidationError, match=f"{what} is a float"):
             make()
-    with pytest.raises(TypeError):
-        GOLDEN.coerce(0.5)
     # the exact forms of the same numbers still enter
     assert GOLDEN.element([Fraction(1, 2), 1]) == GOLDEN.generator() + Fraction(1, 2)
     assert RealAlgebraicField([-2, 0, 1], ("7/5", "3/2")).generator() ** 2 == 2
@@ -1192,7 +1202,6 @@ def test_quadratic_root_location_matches_sturm(case):
         field = RealAlgebraicField(minpoly, (lo, hi))
         e = sturm_branch(minpoly, lo, hi)
         assert field._quadratic == (c1, c2, e, c1 * c1 - 4 * c0 * c2)
-        assert field._sturm is None
         handles.append(field)
     if len(handles) == 2:
         # the Sturm-overlap rule: one root in the common part of the intervals
@@ -1301,6 +1310,57 @@ def test_signs_build_fractions_only_for_bisection_midpoints(field, monkeypatch):
         sign, built = count_fractions(y.sign)
         assert sign == x.sign()
         assert built <= 4 * len(refines)  # the midpoint of each bisection
+
+
+@pytest.mark.parametrize("field", [CUBE_ROOT2, NON_MONIC_CUBIC, FOURTH_ROOT2])
+def test_a_bisection_evaluates_the_defining_polynomial_once(field, monkeypatch):
+    # built first: a degree-3+ handle counts its roots at construction
+    fresh = RealAlgebraicField(field.minpoly, field.initial_interval())
+    a = fresh.generator()
+    near = [a - 1, a * a - 2, a - Fraction(126, 100)]
+
+    def refuse(*args):
+        raise AssertionError("a bisection ran a Sturm chain")
+
+    monkeypatch.setattr(numbers, "_sturm_chain", refuse)
+    monkeypatch.setattr(numbers, "_count_roots_open", refuse)
+    evaluated, per_bisection = [], []
+    real_peval, real_bisect = numbers._peval, RealAlgebraicField._bisect
+
+    def peval(poly, p, q):
+        evaluated.append(poly)
+        return real_peval(poly, p, q)
+
+    def bisect(f, lo, hi):
+        evaluated.clear()
+        out = real_bisect(f, lo, hi)
+        per_bisection.append(list(evaluated))
+        return out
+
+    monkeypatch.setattr(numbers, "_peval", peval)
+    monkeypatch.setattr(RealAlgebraicField, "_bisect", bisect)
+    for _ in range(8):
+        fresh.refine_root()
+    approx(a, Fraction(1, 10 ** 9))
+    for x in near:
+        x.sign()
+    assert len(per_bisection) > 8
+    assert all(polys == [field.minpoly.coefficients] for polys in per_bisection)
+
+
+@pytest.mark.parametrize("coefficients, interval", [
+    ([3, -4, 1], (Fraction(1, 2), Fraction(3))),  # t^2 - 4t + 3: the root 1, and hi = 3
+    ([6, -3, -2, 1], (Fraction(1), Fraction(2))),  # (t - 2)(t^2 - 3): sqrt 3, and hi = 2
+])
+def test_bisection_is_the_reference_when_hi_is_a_root(coefficients, interval):
+    minpoly = MinimalPolynomial(coefficients)
+    field = RealAlgebraicField(minpoly, interval)
+    lo, hi = interval
+    for _ in range(12):
+        field.refine_root()
+        lo, hi = reference_bisect(minpoly, lo, hi)
+        assert field.root_interval() == (lo, hi)
+    assert lo < field.generator() < hi
 
 
 def test_the_cubic_pair_decides_as_the_fraction_references(monkeypatch):
