@@ -156,26 +156,28 @@ def _check_beta_word(w: str) -> None:
         raise ForbiddenFactor(f"{w!r} contains the forbidden factor 11")
 
 
-def _horner_beta(w: str, binv: FieldElement) -> FieldElement:
-    acc = golden_field().zero()
+def _horner_beta(w: str) -> FieldElement:
+    """sum w_i beta^-i on the integer pair x + y*beta, one step per letter
+    from the last: (x + c + y*beta)/beta = (y - x - c) + (x + c)*beta, since
+    1/beta = beta - 1.  The word 0^(k-1)1 gives beta^-k."""
+    x = y = 0
     for c in reversed(w):
-        acc = (acc + int(c)) * binv
-    return acc
+        if c == "1":
+            x += 1
+        x, y = y - x, x
+    return FieldElement(golden_field(), (x, y), 1)
 
 
 def beta_word_value(word) -> FieldElement:
     """Exact value sum w_i beta^-i of a finite word or periodic stream."""
-    field = golden_field()
-    binv = _golden_inverse()
     if isinstance(word, EventuallyPeriodicWord):
-        _check_beta_word(word.preperiod + word.period + word.period)
-        k = len(word.preperiod)
-        m = len(word.period)
-        head = _horner_beta(word.preperiod, binv)
-        cycle = _horner_beta(word.period, binv)
-        return head + binv**k * cycle / (field.one() - binv**m)
+        pre, per = word.preperiod, word.period
+        _check_beta_word(pre + per + per)
+        # beta^-k * cycle is the value of 0^k cycle, for k = len(pre)
+        tail = _horner_beta("0" * len(pre) + per)
+        return _horner_beta(pre) + tail / (1 - _horner_beta("0" * (len(per) - 1) + "1"))
     _check_beta_word(word)
-    return _horner_beta(word, binv)
+    return _horner_beta(word)
 
 
 def _beta_depth(w: str) -> int:
@@ -192,7 +194,7 @@ def beta_cylinder_interval(w: str):
         raise EmptyWord("the cylinder word must be nonempty")
     _check_beta_word(w)
     b = beta_word_value(w)
-    upper = b + _golden_inverse() ** _beta_depth(w)
+    upper = b + _horner_beta("0" * (_beta_depth(w) - 1) + "1")
     return CutPoint(b, PLUS), CutPoint(upper, MINUS)
 
 
@@ -300,12 +302,6 @@ def beta_cut_point(word) -> CutPoint:
 @cache
 def _golden_context() -> SteinTriple:
     return golden_triple(1)
-
-
-@cache
-def _golden_inverse() -> FieldElement:
-    """1/beta in the shared golden field."""
-    return golden_field().generator().inverse()
 
 
 def embed_v2_cut(x: CutPoint) -> CutPoint:

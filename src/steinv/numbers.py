@@ -36,9 +36,9 @@ and any element of a compatible handle enter; an irrational element of
 another field raises FieldMismatch.  Arithmetic and order coerce their
 second operand by it, and equality calls a rejected value unequal, so
 equal numbers compare and hash equal across handles.  A float enters
-nowhere: coordinates, rationals, polynomial coefficients and interval
-ends given as floats raise ValidationError, since a float's binary value
-is rarely the number meant.
+nowhere: coordinates, rationals, polynomial coefficients, interval ends
+and operands of arithmetic, order and equality given as floats raise
+ValidationError, since a float's binary value is rarely the number meant.
 
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den, sums, products, quotients and comparisons are
@@ -597,8 +597,9 @@ class FieldElement:
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):
-        """other in this element's handle, or None when it is not a number."""
-        if isinstance(other, (FieldElement, int, Fraction)):
+        """other in this element's handle, or None when it is not a number;
+        `coerce` refuses a float with ValidationError."""
+        if isinstance(other, (FieldElement, int, Fraction, float)):
             return self.field.coerce(other)
         return None
 

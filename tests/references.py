@@ -183,6 +183,14 @@ def reference_pow(x, n):
     return acc
 
 
+def reference_beta_value(word):
+    """sum w_i * beta^-(i+1) over the letters of a finite golden-base word,
+    each power of 1/beta built by reference_pow."""
+    field = golden_field()
+    binv = field.generator().inverse()
+    return sum((reference_pow(binv, i + 1) for i, c in enumerate(word) if c == "1"), field.zero())
+
+
 def assert_canonical(x):
     """The stored form: int numerators, one per power of the generator,
     over a positive int denominator with which they share no factor."""
@@ -716,9 +724,12 @@ def presentations(draw):
     such module invariant, and positive module endpoints: of rank one in
     Q, where S is not empty, rank two in the quadratic fields, and rank
     two or three in Q(2^(1/3)), where S is {2} or {2, 3}.  b is unrelated to a or a
-    rescaled copy (s*Gamma_a, s*ell_a).  b2 is b on a GL_r(Z) change of
-    basis, over either handle of the field, with Lambda = <2, 3> written
-    <6, 3> or not."""
+    rescaled copy (s*Gamma_a, s*ell_a).  In degree two with S empty, a
+    branch takes the slopes <u> for the fundamental unit u of Gamma_a's
+    ring instead, and b = (s*Gamma_a, s*ell) for a second endpoint ell of
+    Gamma_a, so that the stabilizer orbit walk decides.  b2 is b on a
+    GL_r(Z) change of basis, over either handle of the field, with
+    Lambda = <2, 3> written <6, 3> or not."""
     field, twin = draw(st.sampled_from(PRESENTATION_FIELDS))
     d = field.degree
     rank = draw(st.integers(2, 3)) if d == 3 else d
@@ -727,23 +738,34 @@ def presentations(draw):
     primes = draw(st.sampled_from(choices[d]))
     small = st.integers(-3, 3)
 
-    def triple(basis, ell, handle=field, slopes=primes):
+    def triple(basis, ell, slopes, handle=field):
         return stein_triple(basis, primes, slopes, endpoint=handle.coerce(ell), field=handle)
 
-    def random_triple():
+    def random_basis():
         basis = [field.element(draw(st.tuples(*[small] * d))) for _ in range(rank)]
         assume(gauss_jordan_reference([x.coords for x in basis])[0] == rank)
+        return basis
+
+    def random_endpoint(basis):
         ell = sum((draw(small) * x for x in basis), field.zero())
         assume(not ell.is_zero())
-        return triple(basis, ell if ell.sign() > 0 else -ell)
+        return ell if ell.sign() > 0 else -ell
 
-    a = random_triple()
-    if draw(st.booleans()):
-        b = random_triple()
+    basis = random_basis()
+    unit = None
+    if d == 2 and not primes and draw(st.booleans()):
+        unit = _fundamental_unit(BreakpointModule(field, basis))
+        assume(unit is not None)
+    slopes = primes if unit is None else (unit,)
+    a = triple(basis, random_endpoint(basis), slopes)
+    if unit is None and draw(st.booleans()):
+        other = random_basis()
+        b = triple(other, random_endpoint(other), slopes)
     else:
         s = field.element([draw(st.integers(1, 4)), *draw(st.tuples(*[small] * (d - 1)))])
         assume(s.sign() > 0)
-        b = triple([s * x for x in a.module.basis], s * a.endpoint)
+        ell = a.endpoint if unit is None else random_endpoint(basis)
+        b = triple([s * x for x in basis], s * ell, slopes)
     # elementary moves, a reversal and a sign: a matrix of det +-1, which
     # at rank two is b1 + k*b2 and m*(b1 + k*b2) + b2, in either order
     changed = list(b.module.basis)
@@ -753,5 +775,6 @@ def presentations(draw):
         changed.reverse()
     changed[0] = -changed[0]
     handle = draw(st.sampled_from([field, twin]))
-    slopes = (6, 3) if primes == (2, 3) and draw(st.booleans()) else primes
-    return a, b, triple(changed, b.endpoint, handle, slopes)
+    if primes == (2, 3) and draw(st.booleans()):
+        slopes = (6, 3)
+    return a, b, triple(changed, b.endpoint, slopes, handle)

@@ -29,6 +29,7 @@ from steinv import (
     cut_point,
     embed_v2_cut,
     embed_v2_element,
+    from_prefix_pairs,
     golden_field,
     golden_triple,
     n_adic_expand,
@@ -37,7 +38,7 @@ from steinv import (
     rational_field,
     thompson_triple,
 )
-from references import assert_canonical
+from references import assert_canonical, count_fractions, reference_beta_value, reference_pow
 
 DYADIC = thompson_triple(2)
 GOLDEN = golden_triple()
@@ -306,6 +307,50 @@ def test_beta_word_rejections():
         beta_word_value("102")
 
 
+def _admissible(bits) -> str:
+    """The word of the bits with every 1 that follows a 1 read as 0."""
+    word = ""
+    for bit in bits:
+        word += "1" if bit and not word.endswith("1") else "0"
+    return word
+
+
+def admissible_words(max_size):
+    return st.lists(st.booleans(), max_size=max_size).map(_admissible)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_words(200))
+def test_beta_word_value_matches_the_power_sum(word):
+    value = beta_word_value(word)
+    assert_canonical(value)
+    assert value == reference_beta_value(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_words(12), admissible_words(8))
+def test_beta_stream_value_matches_the_geometric_series(pre, per):
+    # pre(per) is head + beta^-k * cycle / (1 - beta^-m), k and m the lengths
+    per = per or "0"
+    stream = EventuallyPeriodicWord(pre, per)
+    if "11" in pre + per + per:
+        with pytest.raises(ForbiddenFactor):
+            beta_word_value(stream)
+        return
+    binv = BETA.inverse()
+    k, m = len(pre), len(per)
+    cycle = reference_beta_value(per) / (1 - reference_pow(binv, m))
+    assert beta_word_value(stream) == reference_beta_value(pre) + reference_pow(binv, k) * cycle
+
+
+def test_beta_word_value_builds_no_fraction():
+    # one integer step per letter: a per-letter field operation would
+    # build a Fraction in coerce
+    word = "10" * 100
+    value, built = count_fractions(lambda: beta_word_value(word))
+    assert (value, built) == (reference_beta_value(word), 0)
+
+
 def test_beta_cylinders():
     lo, hi = beta_cylinder_interval("10")
     assert lo == CutPoint(BETA - 1, "+")
@@ -502,9 +547,6 @@ def test_embed_cut_order_preserving():
 
 
 def test_embed_half_swap():
-    swap = PLMap.identity(DYADIC)
-    from steinv import from_prefix_pairs
-
     swap = from_prefix_pairs(DYADIC, [("0", "1"), ("1", "0")])
     image = embed_v2_element(swap)
     got = [(str(p.start), str(p.slope), str(p.offset)) for p in image.pieces]
@@ -520,6 +562,30 @@ def test_embed_is_homomorphism():
         f = random_word(DYADIC, 5, seed=seed)
         g = random_word(DYADIC, 5, seed=seed + 500)
         assert embed_v2_element(f * g) == embed_v2_element(f) * embed_v2_element(g)
+
+
+@st.composite
+def prefix_codes(draw, n):
+    """A complete binary prefix code of n words, split leaf by leaf."""
+    code = [""]
+    while len(code) < n:
+        word = code.pop(draw(st.integers(0, len(code) - 1)))
+        code += [word + "0", word + "1"]
+    return code
+
+
+@st.composite
+def dyadic_tables(draw):
+    """A dyadic element from a random prefix exchange table of 2 to 16 pairs."""
+    n = draw(st.integers(2, 16))
+    domain, codomain = draw(prefix_codes(n)), draw(prefix_codes(n))
+    return from_prefix_pairs(DYADIC, list(zip(domain, draw(st.permutations(codomain)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyadic_tables(), dyadic_tables())
+def test_embed_is_homomorphism_on_random_tables(f, g):
+    assert embed_v2_element(f * g) == embed_v2_element(f) * embed_v2_element(g)
 
 
 def test_embed_injective_on_sample():

@@ -4,7 +4,8 @@ Every rational lies in every field and compatible handles present one
 field, so ints, Fractions, rational elements of any handle and elements
 of a compatible handle enter a field; an irrational element of another
 field raises FieldMismatch.  Equality follows the same rule, and hashes
-agree with it.
+agree with it.  A float enters no field: as an operand of arithmetic,
+order or equality it raises ValidationError.
 """
 
 import gc
@@ -20,6 +21,7 @@ from steinv import (
     RealAlgebraicField,
     SlopeGroup,
     SteinTriple,
+    ValidationError,
     beta_expand,
     cut_point,
     golden_field,
@@ -174,3 +176,29 @@ def test_slope_group_membership_of_a_foreign_irrational_raises():
     for entry in (group.coordinates, group.contains):
         with pytest.raises(FieldMismatch, match="not in"):
             entry(SQRT2.generator() + 1)
+
+
+# -- a float is refused by every operator ------------------------------------
+
+FLOAT_OPERATIONS = {
+    "x + 0.5": lambda x: x + 0.5,
+    "0.5 + x": lambda x: 0.5 + x,
+    "x - 0.5": lambda x: x - 0.5,
+    "0.5 - x": lambda x: 0.5 - x,
+    "x * 0.5": lambda x: x * 0.5,
+    "0.5 * x": lambda x: 0.5 * x,
+    "x / 0.5": lambda x: x / 0.5,
+    "0.5 / x": lambda x: 0.5 / x,
+    "x == 0.5": lambda x: x == 0.5,
+    "0.5 == x": lambda x: 0.5 == x,
+    "x < 0.5": lambda x: x < 0.5,
+    "0.5 < x": lambda x: 0.5 < x,
+}
+
+
+@pytest.mark.parametrize("operation", sorted(FLOAT_OPERATIONS))
+@pytest.mark.parametrize("x", [Q.one(), PHI], ids=["rational", "golden"])
+def test_a_float_operand_raises_validation_error(operation, x):
+    # it used to raise a bare TypeError, and == answered False
+    with pytest.raises(ValidationError, match="0.5 is a float"):
+        FLOAT_OPERATIONS[operation](x)
