@@ -35,6 +35,7 @@ from .errors import (
 from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
+    _integer,
     cokernel_invariants,
     factor,
     localize_factors,
@@ -358,7 +359,7 @@ def classify_pair(
 ) -> Verdict:
     """Full isomorphism verdict for two triples of module rank >= 2;
     rank-one inputs are delegated to rank_one_report."""
-    if search_bound < 0:
+    if _integer(search_bound) < 0:
         raise ValidationError(f"the search bound {search_bound} is negative")
     if (a.endpoint is None) != (b.endpoint is None):
         raise UnsupportedInput(

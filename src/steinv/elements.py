@@ -40,6 +40,7 @@ from .errors import (
     ValidationError,
     WrongContext,
 )
+from .intlinalg import _integer
 from .modules import SteinTriple, _shell, thompson_base
 from .numbers import FieldElement, _affine, _power, _ratio
 
@@ -257,10 +258,7 @@ class PLMap:
         return self.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        return _power(base, abs(n), PLMap.identity(self.triple))
+        return _power(self, n, PLMap.identity(self.triple))
 
     # -- analysis -----------------------------------------------------------
 
@@ -422,7 +420,7 @@ def generator_library(triple: SteinTriple):
 def random_word(triple: SteinTriple, length: int, seed: int) -> PLMap:
     """Seeded random product of library generators and their inverses;
     BoundExceeded past _MAX_LETTERS letters."""
-    if length < 0:
+    if _integer(length) < 0:
         raise ValidationError(f"the word length {length} is negative")
     if length > _MAX_LETTERS:
         raise BoundExceeded(f"a random word is capped at {_MAX_LETTERS} letters")

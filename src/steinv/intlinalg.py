@@ -304,37 +304,38 @@ def _strip_primes(d: int, primes) -> int:
 
 
 class AbelianInvariants:
-    """A finitely generated abelian group in invariant factor form.
+    """A finitely generated abelian group in invariant factor form, as a
+    quotient of an ambient Z^width.
 
-    The group is a quotient of an ambient Z^n; `reduce` sends an ambient
-    coordinate vector, integer numerators over one positive denominator
-    (see class_of in classify), to its residue vector.  Torsion factors
-    are all >= 2 and form a divisibility chain; `free_rank` counts
-    infinite cyclic summands.
+    Only the rows of the Smith transform U that `reduce` reads are kept:
+    `torsion` pairs a row with its invariant factor, the factors >= 2 in
+    a divisibility chain, and `free` holds the rows whose diagonal entry
+    is 0.  A row whose factor is 1 names a trivial summand and is dropped.
     """
 
-    __slots__ = ("invariant_factors", "free_rank", "transform", "torsion_rows", "free_rows")
+    __slots__ = ("width", "torsion", "free")
 
-    def __init__(self, invariant_factors, free_rank, transform, torsion_rows, free_rows):
-        self.invariant_factors = tuple(int(d) for d in invariant_factors)
-        self.free_rank = int(free_rank)
-        self.transform = transform
-        self.torsion_rows = tuple(torsion_rows)
-        self.free_rows = tuple(free_rows)
-        if any(d < 2 for d in self.invariant_factors):
-            raise ValidationError("invariant factors must be at least 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            if b % a:
-                raise ValidationError("invariant factors must form a chain")
+    def __init__(self, width: int, torsion, free):
+        self.width = width
+        self.torsion = tuple((tuple(row), d) for row, d in torsion)
+        self.free = tuple(tuple(row) for row in free)
+        factors = self.invariant_factors
+        if any(d < 2 for d in factors) or any(b % a for a, b in zip(factors, factors[1:])):
+            raise ValidationError("invariant factors must be at least 2 and form a chain")
+
+    @property
+    def invariant_factors(self) -> tuple:
+        return tuple(d for _, d in self.torsion)
+
+    @property
+    def free_rank(self) -> int:
+        return len(self.free)
 
     def same_group(self, other: "AbelianInvariants") -> bool:
-        return (
-            self.invariant_factors == other.invariant_factors
-            and self.free_rank == other.free_rank
-        )
+        return self.invariant_factors == other.invariant_factors and self.free_rank == other.free_rank
 
     def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
+        return not self.torsion and not self.free
 
     def describe(self) -> str:
         parts = [f"Z/{d}" for d in self.invariant_factors]
@@ -353,18 +354,20 @@ class AbelianInvariants:
         coordinate's reduced denominator must be invertible modulo its
         factor.
         """
-        if len(nums) != self.transform.cols:
+        nums = tuple(map(_integer, nums))
+        if len(nums) != self.width:
             raise ValidationError("coordinate vector has the wrong length")
-        image = [sum(a * x for a, x in zip(row, nums)) for row in self.transform.entries]
+        if _integer(den) < 1:
+            raise ValidationError(f"denominator {den} is not positive")
         torsion = []
-        for row, d in zip(self.torsion_rows, self.invariant_factors):
-            g = gcd(image[row], den)
-            y, y_den = image[row] // g, den // g
+        for row, d in self.torsion:
+            y = sum(a * x for a, x in zip(row, nums))
+            g = gcd(y, den)
+            y, y_den = y // g, den // g
             if gcd(y_den, d) != 1:
                 raise ValidationError(f"denominator {y_den} is not invertible modulo {d}")
             torsion.append(y * pow(y_den, -1, d) % d)
-        free = tuple(image[row] for row in self.free_rows)
-        return tuple(torsion), free
+        return tuple(torsion), tuple(sum(a * x for a, x in zip(row, nums)) for row in self.free)
 
     def __repr__(self):
         return f"AbelianInvariants({self.describe()!r})"
@@ -374,32 +377,18 @@ def cokernel_invariants(A: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of A)."""
     # the column operations are never read, so V^T has width zero
     dm, u, _ = _smith(A, [()] * A.cols)
-    diag = [dm[k][k] for k in range(min(A.rows, A.cols))] + [0] * (A.rows - min(A.rows, A.cols))
-    torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
-    free_rows = [i for i, d in enumerate(diag) if d == 0]
-    return AbelianInvariants(
-        [diag[i] for i in torsion_rows],
-        len(free_rows),
-        IntMatrix(u),
-        torsion_rows,
-        free_rows,
-    )
+    diag = [dm[k][k] if k < A.cols else 0 for k in range(A.rows)]
+    torsion = [(row, d) for row, d in zip(u, diag) if d >= 2]
+    return AbelianInvariants(A.rows, torsion, [row for row, d in zip(u, diag) if d == 0])
 
 
 def localize_factors(inv: AbelianInvariants, primes: Iterable[int]) -> AbelianInvariants:
     """Kill the p-parts of the torsion for each inverted prime p.
 
-    This is the invariant-factor effect of tensoring with Z[1/m]; it is
-    idempotent and leaves the free rank alone.
+    This is the invariant-factor effect of tensoring with Z[1/m]: each
+    factor loses its inverted primes, and a pair whose factor reaches 1
+    is dropped.  It is idempotent and leaves the free rows alone.
     """
     primes = sorted(set(int(p) for p in primes))
-    kept_rows = []
-    kept_factors = []
-    for row, d in zip(inv.torsion_rows, inv.invariant_factors):
-        d2 = _strip_primes(d, primes)
-        if d2 >= 2:
-            kept_rows.append(row)
-            kept_factors.append(d2)
-    return AbelianInvariants(
-        kept_factors, inv.free_rank, inv.transform, kept_rows, inv.free_rows
-    )
+    stripped = ((row, _strip_primes(d, primes)) for row, d in inv.torsion)
+    return AbelianInvariants(inv.width, [(row, d) for row, d in stripped if d >= 2], inv.free)

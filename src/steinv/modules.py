@@ -169,6 +169,8 @@ class SlopeGroup:
             e = _search_exponent(atoms[0], mu)
             vector = None if e is None else [e]
         else:
+            if not isinstance(mu, FieldElement):
+                mu = rational_field().coerce(mu)
             vector = _valuations(mu, atoms)
         if vector is None:
             return None
@@ -397,7 +399,7 @@ def scale_equivalence(
     degree's candidate budget is spent.  Complete up to the bound and
     the budget: "unknown" only means no candidate tried worked.
     """
-    if search_bound < 0:
+    if _integer(search_bound) < 0:
         raise ValidationError(f"the search bound {search_bound} is negative")
     if not g1.field.compatible(g2.field):
         return ScaleResult("unknown", obstruction="different fields")

@@ -560,10 +560,15 @@ def _affine(s: "FieldElement", t, o) -> "FieldElement":
     return s * t + o
 
 
-def _power(base, n: int, one):
-    """base**n for n >= 0, squaring and multiplying from the identity one;
-    the last square is never formed."""
-    acc = one
+def _power(x, n: int, one):
+    """x**n, squaring and multiplying from the identity one, after
+    inverting x when n < 0; the last square is never formed.  A float n
+    raises ValidationError, and any other non-int gives NotImplemented."""
+    if not isinstance(n, int):
+        if isinstance(n, float):
+            raise ValidationError(f"the exponent {n!r} is a float, not an int")
+        return NotImplemented
+    base, n, acc = x if n >= 0 else x.inverse(), abs(n), one
     while n:
         if n & 1:
             acc = acc * base
@@ -737,10 +742,7 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        return _power(base, abs(n), self.field.one())
+        return _power(self, n, self.field.one())
 
     # -- decisions ----------------------------------------------------------
 

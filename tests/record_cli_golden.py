@@ -58,7 +58,7 @@ COMMANDS = [
     ["element", "compose", "@golden_pieces", "g", "g", "--json"],
     ["coinvariants", "@cubic", "--json"],
     ["classify", "@cubic", "@cubic_3a2", "--search-bound", "1", "--json"],
-    # a two-factor quotient, and endpoint classes read through its transform
+    # a two-factor quotient, and endpoint classes read through its torsion rows
     ["coinvariants", "@sqrt2_unit2", "--json"],
     ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_1a", "--json"],
     ["classify", "@sqrt2_unit2", "@sqrt2_unit2_ell_a", "--json"],

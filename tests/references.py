@@ -475,12 +475,11 @@ def reference_coinvariant_rows(module, slopes):
 def reference_class(t, inv, module):
     """class_of as it was, reducing Fraction coordinates."""
     x = reference_coordinates(module, t)
-    image = [sum(e * y for e, y in zip(row, x)) for row in inv.transform.entries]
-    torsion = tuple(
-        image[r].numerator * pow(image[r].denominator, -1, d) % d
-        for r, d in zip(inv.torsion_rows, inv.invariant_factors)
-    )
-    return torsion + tuple(image[r] for r in inv.free_rows)
+    torsion = []
+    for row, d in inv.torsion:
+        y = sum(e * c for e, c in zip(row, x))
+        torsion.append(y.numerator * pow(y.denominator, -1, d) % d)
+    return tuple(torsion) + tuple(sum(e * c for e, c in zip(row, x)) for row in inv.free)
 
 
 def reference_unit_box(field, radius=30):

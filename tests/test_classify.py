@@ -15,6 +15,7 @@ from steinv import (
     SteinTriple,
     UnsupportedGamma,
     UnsupportedInput,
+    ValidationError,
     algebraic_triple,
     class_of,
     classify_pair,
@@ -379,6 +380,14 @@ def test_search_bound_is_respected():
     t = golden_triple()
     v = classify_pair(t, t, search_bound=1)
     assert v.is_isomorphic  # s = 1 found immediately
+
+
+@pytest.mark.parametrize("bound", [1.5, "2"])
+def test_search_bound_that_is_not_an_int_raises_validation_error(bound):
+    # it used to raise TypeError, from range() once the box ran
+    t = golden_triple()
+    with pytest.raises(ValidationError, match="is not an integer"):
+        classify_pair(t, t, bound)
 
 
 def test_verdict_shapes():

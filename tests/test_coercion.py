@@ -202,3 +202,23 @@ def test_a_float_operand_raises_validation_error(operation, x):
     # it used to raise a bare TypeError, and == answered False
     with pytest.raises(ValidationError, match="0.5 is a float"):
         FLOAT_OPERATIONS[operation](x)
+
+
+@pytest.mark.parametrize("x", [PHI, PLMap.identity(DYADIC)], ids=["element", "plmap"])
+def test_a_float_exponent_raises_validation_error(x):
+    # it used to raise a bare TypeError; a non-number still gives TypeError
+    with pytest.raises(ValidationError, match="exponent 0.5 is a float"):
+        x ** 0.5
+    with pytest.raises(TypeError):
+        x ** "2"
+
+
+@pytest.mark.parametrize(
+    "group", [SlopeGroup([2]), SlopeGroup([]), SlopeGroup([PHI])],
+    ids=["rational", "trivial", "irrational"],
+)
+def test_float_slope_group_membership_raises_validation_error(group):
+    # a rational group used to raise AttributeError from the float
+    for entry in (group.coordinates, group.contains):
+        with pytest.raises(ValidationError, match="0.5 is a float"):
+            entry(0.5)

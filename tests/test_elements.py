@@ -23,6 +23,7 @@ from steinv import (
     SlopeNotInLambda,
     UnorderedBreakpoints,
     UnparsableWord,
+    ValidationError,
     WrongContext,
     cut_point,
     embed_v2_element,
@@ -316,6 +317,12 @@ def test_random_word_deterministic():
     c = random_word(DYADIC, 12, seed=43)
     assert a == b
     assert a != c or a.is_identity()  # different seed, almost surely different
+
+
+def test_random_word_length_that_is_not_an_int_raises_validation_error():
+    # it used to raise TypeError from range()
+    with pytest.raises(ValidationError, match="2.0 is not an integer"):
+        random_word(DYADIC, 2.0, 1)
 
 
 def test_random_word_length_is_capped(monkeypatch):

@@ -239,16 +239,17 @@ def test_same_group_ignores_presentation():
 @given(st.integers(1, 5).flatmap(lambda m: st.lists(
     st.lists(st.integers(-9, 9), min_size=m, max_size=m), min_size=1, max_size=5)))
 def test_cokernel_reads_the_smith_form(rows):
-    # the cokernel drops V but must keep the Smith form's U and diagonal
+    # the cokernel drops V and keeps the rows of the Smith form's U that
+    # its diagonal reads: each torsion row with its factor, and the free rows
     a = IntMatrix(rows)
     inv = cokernel_invariants(a)
     d, u, _ = smith_normal_form(a)
     diag = list(d.diagonal()) + [0] * (a.rows - min(a.rows, a.cols))
-    assert inv.transform == u
+    assert inv.width == a.rows
+    assert inv.torsion == tuple((row, x) for row, x in zip(u.entries, diag) if x >= 2)
+    assert inv.free == tuple(row for row, x in zip(u.entries, diag) if x == 0)
     assert inv.invariant_factors == tuple(x for x in diag if x >= 2)
     assert inv.free_rank == diag.count(0)
-    assert inv.torsion_rows == tuple(i for i, x in enumerate(diag) if x >= 2)
-    assert inv.free_rows == tuple(i for i, x in enumerate(diag) if x == 0)
 
 
 def test_reduce_sends_column_span_to_zero():
@@ -285,6 +286,40 @@ def test_reduce_additivity():
         mods = inv.invariant_factors
         assert ts == tuple((a + b) % d for a, b, d in zip(tx, ty, mods))
         assert fs == tuple(a + b for a, b in zip(fx, fy))
+
+
+def test_reduce_refuses_what_is_not_an_integer_vector_over_a_positive_den():
+    inv = cokernel_invariants(IntMatrix([[2]]))
+    assert inv.reduce([3], 5) == ((1,), ())
+    with pytest.raises(ValidationError, match="not an integer"):
+        inv.reduce([0.5])
+    with pytest.raises(ValidationError, match="not an integer"):
+        inv.reduce([1], Fraction(1, 3))
+    with pytest.raises(ValidationError, match="wrong length"):
+        inv.reduce([1, 0])
+    for den in (0, -3):
+        with pytest.raises(ValidationError, match="not positive"):
+            inv.reduce([1], den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sets(st.sampled_from([2, 3, 5, 7])))
+def test_localization_keeps_residues(rng, primes):
+    inv = cokernel_invariants(IntMatrix(random_matrix(rng, max_dim=4)))
+    loc = localize_factors(inv, primes)
+    assert loc.width == inv.width and loc.free == inv.free
+    stripped = dict(loc.torsion)  # the rows of a unimodular U are distinct
+    for row, d in inv.torsion:
+        # no prime divides d more than d.bit_length() times
+        assert stripped.get(row, 1) == d // math.gcd(d, math.prod(primes) ** d.bit_length())
+    for _ in range(10):
+        x = [rng.randint(-30, 30) for _ in range(inv.width)]
+        torsion, free = inv.reduce(x)
+        residues = {row: t for (row, _), t in zip(inv.torsion, torsion)}
+        assert loc.reduce(x) == (
+            tuple(residues[row] % d for row, d in loc.torsion),
+            free,
+        )
 
 
 def test_localize_strips_inverted_primes():

@@ -262,6 +262,13 @@ def test_scale_identical_modules():
     assert res.scalar == 1
 
 
+@pytest.mark.parametrize("bound", [1.5, "2"])
+def test_scale_search_bound_that_is_not_an_int_raises_validation_error(bound):
+    m = BreakpointModule(rational_field(), [1], [2])
+    with pytest.raises(ValidationError, match="is not an integer"):
+        scale_equivalence(m, m, bound)
+
+
 def test_scale_related_rational_modules():
     m1 = BreakpointModule(rational_field(), [1], [2])
     m2 = BreakpointModule(rational_field(), [Fraction(1, 3)], [2])
