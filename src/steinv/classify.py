@@ -24,14 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import (
-    BoundExceeded,
-    NotInGamma,
-    UnsupportedComparison,
-    UnsupportedGamma,
-    UnsupportedInput,
-    ValidationError,
-)
+from .errors import BoundExceeded, UnsupportedComparison, UnsupportedGamma, ValidationError
 from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -134,7 +127,7 @@ def class_of(t, inv: AbelianInvariants, module: BreakpointModule) -> tuple:
     torsion residues followed by free coordinates."""
     coords = module.coordinates(t)
     if not module._in_module(coords):
-        raise NotInGamma(f"{t} is not a module point")
+        raise ValidationError(f"{t} is not a module point")
     torsion, free = inv.reduce(*coords)
     return torsion + tuple(Fraction(x, coords[1]) for x in free)
 
@@ -362,7 +355,7 @@ def classify_pair(
     if _integer(search_bound) < 0:
         raise ValidationError(f"the search bound {search_bound} is negative")
     if (a.endpoint is None) != (b.endpoint is None):
-        raise UnsupportedInput(
+        raise ValidationError(
             "cannot compare endpoint-level with endpoint-free data"
         )
     if a.module.rank() < 2 or b.module.rank() < 2:

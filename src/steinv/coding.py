@@ -18,16 +18,7 @@ from functools import cache
 from .elements import (
     MINUS, PLUS, CutPoint, PLMap, _check_cut, _n_depth, _word_of, make_plmap, to_prefix_pairs
 )
-from .errors import (
-    BoundExceeded,
-    EmptyWord,
-    ForbiddenFactor,
-    NotInGamma,
-    OutOfDomain,
-    UnparsableWord,
-    UnsupportedInput,
-    WrongContext,
-)
+from .errors import BoundExceeded, ValidationError
 from .modules import SteinTriple, golden_field, golden_triple
 from .numbers import FieldElement, _ratio, rational_field
 
@@ -37,7 +28,7 @@ _MAX_GREEDY_STEPS = 100_000
 
 def _check_digits(w: str) -> None:
     if w and not (w.isascii() and w.isdigit()):
-        raise UnparsableWord(f"{w!r} is not a digit string")
+        raise ValidationError(f"{w!r} is not a digit string")
 
 
 class EventuallyPeriodicWord:
@@ -55,7 +46,7 @@ class EventuallyPeriodicWord:
         _check_digits(preperiod)
         _check_digits(period)
         if not period:
-            raise EmptyWord("the period must be nonempty")
+            raise ValidationError("the period must be nonempty")
         m = len(period)
         for d in range(1, m):
             if m % d == 0 and period == period[:d] * (m // d):
@@ -99,7 +90,7 @@ class EventuallyPeriodicWord:
 
 def _require_base(n: int) -> None:
     if not isinstance(n, int) or n < 2 or n > 10:
-        raise WrongContext(f"base {n} is outside the supported range 2..10")
+        raise ValidationError(f"base {n} is outside the supported range 2..10")
 
 
 def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
@@ -108,19 +99,19 @@ def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     _require_base(n)
     t = x.value
     if not t.is_rational:
-        raise WrongContext("n-adic coding needs a rational cut point")
+        raise ValidationError("n-adic coding needs a rational cut point")
     num, den = t.num[0], t.den
     k = _n_depth(den, n)
     if k is None:
-        raise WrongContext(f"{t} is not an n-adic rational for base {n}")
+        raise ValidationError(f"{t} is not an n-adic rational for base {n}")
     a = num * (n**k // den)
     # _check_cut with endpoint 1, on the integers: no element is built per cut
     if x.side == PLUS:
         if num < 0 or num >= den:
-            raise OutOfDomain(f"plus cut {t} is outside [0, 1)")
+            raise ValidationError(f"plus cut {t} is outside [0, 1)")
         return EventuallyPeriodicWord(_word_of(a, k, n), "0")
     if num <= 0 or num > den:
-        raise OutOfDomain(f"minus cut {t} is outside (0, 1]")
+        raise ValidationError(f"minus cut {t} is outside (0, 1]")
     return EventuallyPeriodicWord(_word_of(a - 1, k, n), str(n - 1))
 
 
@@ -133,13 +124,13 @@ def n_adic_value(word, n: int) -> CutPoint:
     digits, top = word.preperiod + word.period, str(n - 1)
     if max(digits) > top:
         c = next(c for c in digits if c > top)
-        raise UnparsableWord(f"digit {c} is outside base {n}")
+        raise ValidationError(f"digit {c} is outside base {n}")
     if word.period == "0":
         side = PLUS
     elif word.period == str(n - 1):
         side = MINUS
     else:
-        raise NotInGamma(f"{word} is not the stream of a base-{n} cut")
+        raise ValidationError(f"{word} is not the stream of a base-{n} cut")
     a = (int(word.preperiod, n) if word.preperiod else 0) + (side == MINUS)
     value = _ratio(rational_field(), a, n ** len(word.preperiod))
     return CutPoint(value, side)
@@ -151,9 +142,9 @@ def n_adic_value(word, n: int) -> CutPoint:
 
 def _check_beta_word(w: str) -> None:
     if any(c not in "01" for c in w):
-        raise UnparsableWord(f"{w!r} is not a binary word")
+        raise ValidationError(f"{w!r} is not a binary word")
     if "11" in w:
-        raise ForbiddenFactor(f"{w!r} contains the forbidden factor 11")
+        raise ValidationError(f"{w!r} contains the forbidden factor 11")
 
 
 def _horner_beta(w: str) -> FieldElement:
@@ -191,7 +182,7 @@ def beta_cylinder_interval(w: str):
     """Cut-point endpoints [b(w)+, (b(w) + beta^-depth)-] of the cylinder
     of a finite admissible word."""
     if not w:
-        raise EmptyWord("the cylinder word must be nonempty")
+        raise ValidationError("the cylinder word must be nonempty")
     _check_beta_word(w)
     b = beta_word_value(w)
     upper = b + _horner_beta("0" * (_beta_depth(w) - 1) + "1")
@@ -204,7 +195,7 @@ def beta_cylinder_interval(w: str):
 
 def _tau_forward_str(w: str) -> str:
     if any(c not in "01" for c in w):
-        raise UnparsableWord(f"{w!r} is not a binary word")
+        raise ValidationError(f"{w!r} is not a binary word")
     return w.replace("1", "10")
 
 
@@ -212,7 +203,7 @@ def _tau_inverse_str(w: str) -> str:
     # a word over {0, 10} decodes block by block; "10" occurrences never overlap
     _check_beta_word(w)
     if w.endswith("1"):
-        raise UnparsableWord(f"{w!r} ends in the middle of a 10 block")
+        raise ValidationError(f"{w!r} ends in the middle of a 10 block")
     return w.replace("10", "1")
 
 
@@ -238,7 +229,7 @@ def substitute_tau(word, direction: str = "forward"):
         if isinstance(word, EventuallyPeriodicWord):
             return _tau_inverse_stream(word)
         return _tau_inverse_str(word)
-    raise UnsupportedInput(f"unknown direction {direction!r}")
+    raise ValidationError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +266,7 @@ def beta_expand(value, side: str) -> EventuallyPeriodicWord:
         return EventuallyPeriodicWord("", "10")
     word = EventuallyPeriodicWord(*_greedy_beta(value))
     if word.period != "0":
-        raise NotInGamma(f"{value} has no expansion with a repeating 10 tail")
+        raise ValidationError(f"{value} has no expansion with a repeating 10 tail")
     head = word.preperiod
     # canonical form folds trailing zeros away, so a nonzero value ends in 1
     return EventuallyPeriodicWord(head[:-1] + "0", "10")
@@ -291,7 +282,7 @@ def beta_cut_point(word) -> CutPoint:
     elif word.period in ("01", "10"):
         side = MINUS
     else:
-        raise NotInGamma(f"{word} is not the stream of a golden-base cut")
+        raise ValidationError(f"{word} is not the stream of a golden-base cut")
     return CutPoint(value, side)
 
 

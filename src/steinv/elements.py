@@ -24,22 +24,7 @@ from bisect import bisect_left, bisect_right
 from math import gcd
 from typing import Iterable, NamedTuple, Tuple
 
-from .errors import (
-    BoundExceeded,
-    BreakpointNotInGamma,
-    ContextMismatch,
-    EmptyLibrary,
-    NotAntichain,
-    NotBijective,
-    NotComplete,
-    NotInGamma,
-    OutOfDomain,
-    SlopeNotInLambda,
-    UnorderedBreakpoints,
-    UnparsableWord,
-    ValidationError,
-    WrongContext,
-)
+from .errors import BoundExceeded, ValidationError
 from .intlinalg import _integer
 from .modules import SteinTriple, _shell, thompson_base
 from .numbers import FieldElement, _affine, _power, _ratio
@@ -72,7 +57,7 @@ class CutPoint(NamedTuple("CutPoint", [("value", FieldElement), ("side", str)]))
 
     def __new__(cls, value: FieldElement, side: str):
         if side not in (PLUS, MINUS):
-            raise OutOfDomain(f"side must be '+' or '-', not {side!r}")
+            raise ValidationError(f"side must be '+' or '-', not {side!r}")
         return super().__new__(cls, value, side)
 
     def _key_cmp(self, other: "CutPoint") -> int:
@@ -107,19 +92,19 @@ def cut_point(triple: SteinTriple, value, side: str) -> CutPoint:
     endpoint = triple.require_endpoint()
     value = triple.field.coerce(value)
     if not triple.module.contains(value):
-        raise NotInGamma(f"{value} is not a point of the breakpoint module")
+        raise ValidationError(f"{value} is not a point of the breakpoint module")
     _check_cut(value, side, endpoint)
     return CutPoint(value, side)
 
 
 def _check_cut(t: FieldElement, side: str, endpoint) -> None:
-    """OutOfDomain unless (t, side) is a cut of [0, endpoint): a plus cut
+    """ValidationError unless (t, side) is a cut of [0, endpoint): a plus cut
     needs 0 <= t < endpoint, any other side 0 < t <= endpoint."""
     if side == PLUS:
         if t.sign() < 0 or t >= endpoint:
-            raise OutOfDomain(f"plus cut {t} is outside [0, {endpoint})")
+            raise ValidationError(f"plus cut {t} is outside [0, {endpoint})")
     elif t.sign() <= 0 or t > endpoint:
-        raise OutOfDomain(f"minus cut {t} is outside (0, {endpoint}]")
+        raise ValidationError(f"minus cut {t} is outside (0, {endpoint}]")
 
 
 class Piece(NamedTuple):
@@ -190,13 +175,13 @@ class PLMap:
     def _piece_at(self, t: FieldElement) -> Piece:
         k = bisect_right(self.pieces, t, key=lambda p: p.start) - 1
         if k < 0:
-            raise OutOfDomain(f"{t} is below 0")
+            raise ValidationError(f"{t} is below 0")
         return self.pieces[k]
 
     def _piece_left_of(self, t: FieldElement) -> Piece:
         k = bisect_left(self.pieces, t, key=lambda p: p.start) - 1
         if k < 0:
-            raise OutOfDomain(f"{t} has nothing to its left")
+            raise ValidationError(f"{t} has nothing to its left")
         return self.pieces[k]
 
     def __call__(self, t) -> FieldElement:
@@ -222,7 +207,7 @@ class PLMap:
         A piece of other is inverted once, at its first pull-back.
         """
         if self.triple is not other.triple and self.triple != other.triple:
-            raise ContextMismatch("elements come from different triples")
+            raise ValidationError("elements come from different triples")
         starts = [p.start for p in self.pieces]
         ends = [p.start for p in other.pieces[1:]] + [self.triple.endpoint]
         new_pieces = []
@@ -320,34 +305,35 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
     """
     endpoint = triple.require_endpoint()
     field = triple.field
+    pieces = list(pieces)
+    if not pieces:
+        raise ValidationError("an element needs at least one piece")
+    if not all(isinstance(p, (tuple, list)) and len(p) == 3 for p in pieces):
+        raise ValidationError("each piece is (start, slope, offset)")
     data = [tuple(map(field.coerce, piece)) for piece in pieces]
-    if not data:
-        raise UnorderedBreakpoints("an element needs at least one piece")
-    if any(len(p) != 3 for p in data):
-        raise UnorderedBreakpoints("each piece is (start, slope, offset)")
     built = [Piece(*p) for p in data]
     if built[0].start.sign() != 0:
-        raise UnorderedBreakpoints("the first breakpoint must be 0")
+        raise ValidationError("the first breakpoint must be 0")
     for a, b in zip(built, built[1:]):
         if b.start <= a.start:
-            raise UnorderedBreakpoints("breakpoints must strictly increase")
+            raise ValidationError("breakpoints must strictly increase")
     if built[-1].start >= endpoint:
-        raise UnorderedBreakpoints("breakpoints must stay below the endpoint")
+        raise ValidationError("breakpoints must stay below the endpoint")
     for piece in built:
         if not triple.module.contains(piece.start):
-            raise BreakpointNotInGamma(f"breakpoint {piece.start} is outside the module")
+            raise ValidationError(f"breakpoint {piece.start} is outside the module")
         if not triple.module.contains(piece.offset):
-            raise BreakpointNotInGamma(f"offset {piece.offset} is outside the module")
+            raise ValidationError(f"offset {piece.offset} is outside the module")
         if piece.slope.sign() <= 0 or not triple.slopes.contains(piece.slope):
-            raise SlopeNotInLambda(f"slope {piece.slope} is outside the slope group")
+            raise ValidationError(f"slope {piece.slope} is outside the slope group")
     images = [(p.image_of(lo), p.image_of(hi)) for p, lo, hi in _intervals(built, endpoint)]
     cursor = field.zero()
     for lo, hi in sorted(images, key=lambda iv: iv[0]):
         if lo._cmp(cursor) != 0:
-            raise NotBijective("image intervals do not tile the interval")
+            raise ValidationError("image intervals do not tile the interval")
         cursor = hi
     if cursor._cmp(endpoint) != 0:
-        raise NotBijective("images do not end at the endpoint")
+        raise ValidationError("images do not end at the endpoint")
     return PLMap(triple, _merge(built))
 
 
@@ -413,7 +399,7 @@ def generator_library(triple: SteinTriple):
             if endpoint >= d + lam * d:
                 rescale(zero, d, lam)
     if not library:
-        raise EmptyLibrary("no generator shape fits inside the interval")
+        raise ValidationError("no generator shape fits inside the interval")
     return library
 
 
@@ -440,14 +426,14 @@ def random_word(triple: SteinTriple, length: int, seed: int) -> PLMap:
 
 
 def v2_base(triple: SteinTriple) -> int:
-    """The base n of a (Z[1/n], <n>, 1) triple; WrongContext otherwise."""
+    """The base n of a (Z[1/n], <n>, 1) triple; ValidationError otherwise."""
     n = thompson_base(triple)
     if n is None:
-        raise WrongContext("words need the triple (Z[1/n], <n>, 1)")
+        raise ValidationError("words need the triple (Z[1/n], <n>, 1)")
     if n > 10:
-        raise WrongContext("digit words support bases up to 10 only")
+        raise ValidationError("digit words support bases up to 10 only")
     if triple.require_endpoint() != 1:
-        raise WrongContext("prefix words need endpoint 1")
+        raise ValidationError("prefix words need endpoint 1")
     return n
 
 
@@ -522,18 +508,18 @@ def _check_complete_antichain(words, n: int) -> None:
     top_digit = str(n - 1)
     for w in words:
         if w and not (w.isascii() and w.isdigit() and max(w) <= top_digit):
-            raise UnparsableWord(f"word {w!r} has digits outside base {n}")
+            raise ValidationError(f"word {w!r} has digits outside base {n}")
     ordered = sorted(words)
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
-            raise NotAntichain(f"duplicate word {a!r}")
+            raise ValidationError(f"duplicate word {a!r}")
         if b.startswith(a):
-            raise NotAntichain(f"{a!r} is a prefix of {b!r}")
+            raise ValidationError(f"{a!r} is a prefix of {b!r}")
     top = max(map(len, words))
     covered, scale = sum(n ** (top - len(w)) for w in words), n**top
     if covered != scale:
         g = gcd(covered, scale)
-        raise NotComplete(f"cylinders cover {covered // g}/{scale // g} of the interval")
+        raise ValidationError(f"cylinders cover {covered // g}/{scale // g} of the interval")
 
 
 def from_prefix_pairs(triple: SteinTriple, pairs) -> PLMap:
@@ -545,9 +531,12 @@ def from_prefix_pairs(triple: SteinTriple, pairs) -> PLMap:
     breakpoints and offsets in Z[1/n] and slopes in <n>.
     """
     n = v2_base(triple)
+    pairs = list(pairs)
+    if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs):
+        raise ValidationError("each pair is (domain word, range word)")
     pairs = [(str(u), str(v)) for u, v in pairs]
     if not pairs:
-        raise NotComplete("at least one pair is required")
+        raise ValidationError("at least one pair is required")
     _check_complete_antichain([u for u, _ in pairs], n)
     _check_complete_antichain([v for _, v in pairs], n)
     field = triple.field

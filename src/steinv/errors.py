@@ -1,9 +1,27 @@
 """Exception types shared across the package.
 
-Every error raised on a documented failure path derives from SteinError.
-Errors that signal a rejected input (a violated construction invariant,
-a malformed document, an element used outside its context) derive from
-ValidationError; the command line maps those to exit code 2.
+Every error raised on a documented failure path derives from SteinError,
+and the command line maps every SteinError to exit code 2 (UsageError to
+64).  A rejected input raises ValidationError, with a message that names
+the check it failed.  A subclass exists only where some caller reacts to
+it differently from its parent:
+
+- SteinError: the command line catches it and exits 2;
+- ValidationError: the base of every rejected input;
+- UsageError: the command line exits 64 on it;
+- ParseError: the command line turns a malformed rational argument into
+  a UsageError;
+- BoundExceeded: classification gives up a unit search when factoring
+  runs out of budget;
+- UnsupportedComparison: classification falls back to coinvariants,
+  and SlopeGroup.__eq__ answers False;
+- UnsupportedGamma: classification skips the coinvariant comparison;
+- FieldMismatch: FieldElement.__eq__ answers False;
+- NotSquarefree, NoRootInInterval, MultipleRootsInInterval: a caller
+  searching for an isolating interval tells a bad polynomial from an
+  interval to split or drop;
+- DependentBasis: a caller drawing random bases discards dependent ones;
+- DivisionByZero: also a ZeroDivisionError, so builtin handlers catch it.
 """
 
 from __future__ import annotations
@@ -15,12 +33,6 @@ class SteinError(Exception):
 
 class ValidationError(SteinError):
     """An input violates a documented invariant."""
-
-
-# -- field construction and arithmetic --------------------------------------
-
-class ZeroLeadingCoefficient(ValidationError):
-    """Leading coefficient of a defining polynomial is zero (or degree < 1)."""
 
 
 class NotSquarefree(ValidationError):
@@ -43,23 +55,8 @@ class FieldMismatch(ValidationError):
     """Operands belong to different (incompatible) fields."""
 
 
-# -- breakpoint modules and slope groups ------------------------------------
-
-class NonDense(ValidationError):
-    """The proposed breakpoint module is not dense in the reals."""
-
-
 class DependentBasis(ValidationError):
     """Module basis elements are linearly dependent over Q."""
-
-
-class NotInvariant(ValidationError):
-    """The module is not carried into itself by a required slope."""
-
-
-class UnsupportedSlopeGroup(ValidationError):
-    """Slope generators outside the supported shapes (e.g. two independent
-    irrational generators)."""
 
 
 class UnsupportedComparison(SteinError):
@@ -71,81 +68,9 @@ class BoundExceeded(SteinError):
     range where primality is certified; the command line exits 2."""
 
 
-class InvalidEndpoint(ValidationError):
-    """Interval endpoint is missing from the module or not positive."""
-
-
-# -- piecewise linear elements ----------------------------------------------
-
-class BreakpointNotInGamma(ValidationError):
-    """A breakpoint or offset lies outside the breakpoint module."""
-
-
-class SlopeNotInLambda(ValidationError):
-    """A slope lies outside the slope group."""
-
-
-class NotBijective(ValidationError):
-    """The proposed pieces do not tile the target interval bijectively."""
-
-
-class UnorderedBreakpoints(ValidationError):
-    """Breakpoints are not strictly increasing from zero."""
-
-
-class ContextMismatch(ValidationError):
-    """Two elements from different group contexts were combined."""
-
-
-class OutOfDomain(ValidationError):
-    """A point lies outside the half-open interval of the group."""
-
-
-class EmptyLibrary(SteinError):
-    """No generator of the built-in shapes fits inside the interval."""
-
-
-class WrongContext(ValidationError):
-    """An operation specific to one group family was applied elsewhere."""
-
-
-class NotAntichain(ValidationError):
-    """A word list contains a prefix of one of its own words."""
-
-
-class NotComplete(ValidationError):
-    """A prefix-free word list does not exhaust the full interval."""
-
-
-# -- codings ----------------------------------------------------------------
-
-class ForbiddenFactor(ValidationError):
-    """A word contains the factor excluded by the coding alphabet."""
-
-
-class EmptyWord(ValidationError):
-    """An operation that needs a nonempty word received an empty one."""
-
-
-class UnparsableWord(ValidationError):
-    """A word cannot be decomposed into the substitution's block alphabet."""
-
-
-# -- classification ---------------------------------------------------------
-
 class UnsupportedGamma(SteinError):
     """Coinvariants requested for a module the calculator cannot handle."""
 
-
-class NotInGamma(ValidationError):
-    """A class representative lies outside the breakpoint module."""
-
-
-class UnsupportedInput(SteinError):
-    """Input shape outside the supported classification families."""
-
-
-# -- documents and command line ---------------------------------------------
 
 class ParseError(ValidationError):
     """A document is not valid JSON or not of the documented shape."""

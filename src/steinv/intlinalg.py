@@ -25,8 +25,9 @@ from .numbers import _bareiss
 
 def _integer(x) -> int:
     """x itself when it is an int; ValidationError for any other value,
-    so that a Fraction or a float is never truncated."""
-    if not isinstance(x, int):
+    so that a Fraction or a float is never truncated and a bool is never
+    read as 0 or 1."""
+    if not isinstance(x, int) or isinstance(x, bool):
         raise ValidationError(f"{x!r} is not an integer")
     return x
 
@@ -86,6 +87,13 @@ class IntMatrix:
         return _bareiss([list(row) for row in self.entries], self.cols)[2]
 
 
+def _matrix(A) -> IntMatrix:
+    """A itself when it is an IntMatrix; ValidationError otherwise."""
+    if not isinstance(A, IntMatrix):
+        raise ValidationError(f"{A!r} is not an IntMatrix")
+    return A
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 
@@ -136,7 +144,7 @@ def hermite_normal_form(A: IntMatrix):
     with positive pivots and the entries above each pivot reduced into
     [0, pivot).
     """
-    rows = _augmented(A.entries)
+    rows = _augmented(_matrix(A).entries)
     _hermite(rows, A.cols)
     return IntMatrix([r[: A.cols] for r in rows]), IntMatrix([r[A.cols :] for r in rows])
 
@@ -181,7 +189,7 @@ def smith_normal_form(A: IntMatrix):
     Returns (D, U, V) with D = U @ A @ V, U and V unimodular, D diagonal
     with nonnegative entries forming a divisibility chain d1 | d2 | ...
     """
-    d, u, vt = _smith(A, IntMatrix.identity(A.cols).entries)
+    d, u, vt = _smith(A, IntMatrix.identity(_matrix(A).cols).entries)
     return IntMatrix(d), IntMatrix(u), IntMatrix(list(zip(*vt)))
 
 
@@ -206,7 +214,7 @@ def is_prime(n: int) -> bool:
     below 3.3e24, where the bases are deterministic, and raises
     BoundExceeded above.
     """
-    if n < 2:
+    if _integer(n) < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -271,7 +279,7 @@ def factor(n: int) -> dict:
     step budget; BoundExceeded when a cofactor can be neither split nor
     certified prime.
     """
-    if n < 1:
+    if _integer(n) < 1:
         raise ValidationError("only positive integers have a factorization")
     out = {}
     for p in _SMALL_PRIMES:
@@ -376,7 +384,7 @@ class AbelianInvariants:
 def cokernel_invariants(A: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of A)."""
     # the column operations are never read, so V^T has width zero
-    dm, u, _ = _smith(A, [()] * A.cols)
+    dm, u, _ = _smith(A, [()] * _matrix(A).cols)
     diag = [dm[k][k] if k < A.cols else 0 for k in range(A.rows)]
     torsion = [(row, d) for row, d in zip(u, diag) if d >= 2]
     return AbelianInvariants(A.rows, torsion, [row for row, d in zip(u, diag) if d == 0])
@@ -389,6 +397,8 @@ def localize_factors(inv: AbelianInvariants, primes: Iterable[int]) -> AbelianIn
     factor loses its inverted primes, and a pair whose factor reaches 1
     is dropped.  It is idempotent and leaves the free rows alone.
     """
-    primes = sorted(set(int(p) for p in primes))
+    primes = sorted(set(map(_integer, primes)))
+    if primes and primes[0] < 2:
+        raise ValidationError(f"{primes[0]} is not prime")
     stripped = ((row, _strip_primes(d, primes)) for row, d in inv.torsion)
     return AbelianInvariants(inv.width, [(row, d) for row, d in stripped if d >= 2], inv.free)

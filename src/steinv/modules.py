@@ -23,16 +23,7 @@ from functools import cache
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import (
-    BoundExceeded,
-    DependentBasis,
-    InvalidEndpoint,
-    NonDense,
-    NotInvariant,
-    UnsupportedComparison,
-    UnsupportedSlopeGroup,
-    ValidationError,
-)
+from .errors import BoundExceeded, DependentBasis, UnsupportedComparison, ValidationError
 from .intlinalg import _hermite, _integer, _strip_primes, factor, is_prime
 from .numbers import FieldElement, RealAlgebraicField, Rational, _bareiss, rational_field
 
@@ -113,21 +104,21 @@ class SlopeGroup:
         irrationals = [g for g in values if not g.is_rational]
         for q in rationals:
             if q <= 0:
-                raise UnsupportedSlopeGroup("slope generators must be positive")
+                raise ValidationError("slope generators must be positive")
             if q == 1:
-                raise UnsupportedSlopeGroup("1 is not allowed as a generator")
+                raise ValidationError("1 is not allowed as a generator")
         if irrationals and rationals:
-            raise UnsupportedSlopeGroup(
+            raise ValidationError(
                 "cannot mix rational and irrational slope generators"
             )
         if len(irrationals) > 1:
-            raise UnsupportedSlopeGroup(
+            raise ValidationError(
                 "at most one irrational slope generator is supported"
             )
         if irrationals:
             g = irrationals[0]
             if g.sign() <= 0:
-                raise UnsupportedSlopeGroup("slope generators must be positive")
+                raise ValidationError("slope generators must be positive")
             if g < 1:
                 g = g.inverse()
             self.atoms, self.lattice, self._values = (g,), ((1,),), (g,)
@@ -256,7 +247,7 @@ class BreakpointModule:
         if rank != n:
             raise DependentBasis("basis is linearly dependent over Q")
         if len(elems) == 1 and not primes:
-            raise NonDense(
+            raise ValidationError(
                 "a rank-one module with no inverted primes is discrete"
             )
         self.field = field
@@ -303,12 +294,12 @@ class BreakpointModule:
         """Multiplication by mu on the basis, as its columns: column j is
         the coordinates (nums, den) of mu * basis[j].
 
-        Raises NotInvariant when some product leaves the module.
+        Raises ValidationError when some product leaves the module.
         """
         mu = self.field.coerce(mu)
         columns = tuple(self.coordinates(mu * b) for b in self.basis)
         if not all(map(self._in_module, columns)):
-            raise NotInvariant(f"module is not closed under multiplication by {mu}")
+            raise ValidationError(f"module is not closed under multiplication by {mu}")
         return columns
 
     def scaled(self, s) -> "BreakpointModule":
@@ -463,14 +454,14 @@ class SteinTriple:
             columns = module.multiplication_matrix(mu)
             if not module._spanned_by(columns):  # the group holds 1/mu as well
                 inverse = module.field.coerce(1 / mu)
-                raise NotInvariant(f"module is not closed under multiplication by {inverse}")
+                raise ValidationError(f"module is not closed under multiplication by {inverse}")
             action.append(columns)
         if endpoint is not None:
             endpoint = module.field.coerce(endpoint)
             if not module.contains(endpoint):
-                raise InvalidEndpoint("endpoint is not a module point")
+                raise ValidationError("endpoint is not a module point")
             if endpoint.sign() <= 0:
-                raise InvalidEndpoint("endpoint must be positive")
+                raise ValidationError("endpoint must be positive")
         self.module = module
         self.slopes = slopes
         self.endpoint = endpoint
@@ -478,7 +469,7 @@ class SteinTriple:
 
     def require_endpoint(self) -> FieldElement:
         if self.endpoint is None:
-            raise InvalidEndpoint("this operation needs an endpoint")
+            raise ValidationError("this operation needs an endpoint")
         return self.endpoint
 
     @property
@@ -522,7 +513,8 @@ def thompson_triple(n: int, endpoint: Rational = 1) -> SteinTriple:
     """(Z[1/n], <n>, endpoint): the Higman-Thompson family for n >= 2."""
     if n < 2:
         raise ValidationError("the base must be at least 2")
-    return stein_triple([1], list(factor(n)), [n], endpoint)
+    slopes = SlopeGroup([n])  # refuses a float base as a float, before factor() sees it
+    return SteinTriple(BreakpointModule(rational_field(), [1], list(factor(n))), slopes, endpoint)
 
 
 def thompson_base(triple: SteinTriple) -> Optional[int]:

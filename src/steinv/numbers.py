@@ -79,14 +79,8 @@ from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import (
-    BoundExceeded,
-    DivisionByZero,
-    FieldMismatch,
-    MultipleRootsInInterval,
-    NoRootInInterval,
-    NotSquarefree,
-    ValidationError,
-    ZeroLeadingCoefficient,
+    BoundExceeded, DivisionByZero, FieldMismatch, MultipleRootsInInterval, NoRootInInterval,
+    NotSquarefree, ValidationError,
 )
 
 Rational = Union[int, Fraction]
@@ -310,9 +304,9 @@ class MinimalPolynomial:
                 raise ValidationError("minimal polynomial coefficients must be integers")
             cs.append(f.numerator)
         if not cs or cs[-1] == 0:
-            raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
+            raise ValidationError("leading coefficient must be nonzero")
         if len(cs) < 2:
-            raise ZeroLeadingCoefficient("degree must be at least 1")
+            raise ValidationError("degree must be at least 1")
         if len(cs) - 1 > _MAX_DEGREE:
             raise BoundExceeded(f"a defining polynomial is capped at degree {_MAX_DEGREE}")
         g = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)

@@ -11,17 +11,11 @@ from steinv import coding, numbers
 from steinv import (
     BoundExceeded,
     CutPoint,
-    EmptyWord,
     EventuallyPeriodicWord,
     FieldMismatch,
-    ForbiddenFactor,
-    NotInGamma,
-    OutOfDomain,
     PLMap,
     RealAlgebraicField,
-    UnparsableWord,
-    UnsupportedInput,
-    WrongContext,
+    ValidationError,
     beta_cut_point,
     beta_cylinder_interval,
     beta_expand,
@@ -66,9 +60,9 @@ def test_word_parsing_and_access():
     assert [w.letter(i) for i in range(6)] == ["1", "0", "1", "1", "1", "1"]
     assert w.prefix(5) == "10111"
     assert EventuallyPeriodicWord.from_string("101") == EventuallyPeriodicWord("101", "0")
-    with pytest.raises(UnparsableWord):
+    with pytest.raises(ValidationError, match="is not a digit string"):
         EventuallyPeriodicWord.from_string("1(a)")
-    with pytest.raises(EmptyWord):
+    with pytest.raises(ValidationError, match="the period must be nonempty"):
         EventuallyPeriodicWord("1", "")
 
 
@@ -101,7 +95,7 @@ def test_base_ten_expansion():
 
 def test_expand_wrong_context():
     x = cut_point(thompson_triple(3), Fraction(1, 3), "+")
-    with pytest.raises(WrongContext):
+    with pytest.raises(ValidationError, match="is not an n-adic rational for base 2"):
         n_adic_expand(x, 2)  # 1/3 is not dyadic
     with pytest.raises(Exception):
         n_adic_expand(cut_point(DYADIC, Fraction(1, 2), "+"), 1)
@@ -110,9 +104,9 @@ def test_expand_wrong_context():
 def test_n_adic_value_inverse():
     assert n_adic_value("1(0)", 2) == cut_point(DYADIC, Fraction(1, 2), "+")
     assert n_adic_value("0(1)", 2) == cut_point(DYADIC, Fraction(1, 2), "-")
-    with pytest.raises(NotInGamma):
+    with pytest.raises(ValidationError, match="is not the stream of a base-2 cut"):
         n_adic_value(EventuallyPeriodicWord("0", "01"), 2)  # 1/3, not a cut stream
-    with pytest.raises(UnparsableWord):
+    with pytest.raises(ValidationError, match="digit 2 is outside base 2"):
         n_adic_value("2(0)", 2)
 
 
@@ -139,10 +133,10 @@ def oracle_expand(t: Fraction, side: str, n: int):
         while n % p == 0 and den % p == 0:
             den //= p
     if den != 1:
-        return WrongContext, f"{t} is not an n-adic rational for base {n}"
+        return ValidationError, f"{t} is not an n-adic rational for base {n}"
     if side == "+":
         if t < 0 or t >= 1:
-            return OutOfDomain, f"plus cut {t} is outside [0, 1)"
+            return ValidationError, f"plus cut {t} is outside [0, 1)"
         digits, r = [], t
         while r:
             r *= n
@@ -150,7 +144,7 @@ def oracle_expand(t: Fraction, side: str, n: int):
             r -= int(r)
         return str(EventuallyPeriodicWord("".join(digits), "0"))
     if t <= 0 or t > 1:
-        return OutOfDomain, f"minus cut {t} is outside (0, 1]"
+        return ValidationError, f"minus cut {t} is outside (0, 1]"
     digits, r = [], t
     while r:  # the plus digits of t - n^-k, then (n-1)s
         r *= n
@@ -166,21 +160,21 @@ def oracle_value(word: EventuallyPeriodicWord, n: int):
     """n_adic_value by summing the geometric series of the period."""
     for c in word.preperiod + word.period:
         if int(c) >= n:
-            return UnparsableWord, f"digit {c} is outside base {n}"
+            return ValidationError, f"digit {c} is outside base {n}"
     k, m = len(word.preperiod), len(word.period)
     value = Fraction(int(word.preperiod or "0", n), n**k) + Fraction(
         int(word.period, n), n**k * (n**m - 1)
     )
     sides = {"0": "+", str(n - 1): "-"}
     if word.period not in sides:
-        return NotInGamma, f"{word} is not the stream of a base-{n} cut"
+        return ValidationError, f"{word} is not the stream of a base-{n} cut"
     return value, sides[word.period]
 
 
 def outcome(call, *args):
     try:
         return call(*args)
-    except (OutOfDomain, UnparsableWord, NotInGamma, WrongContext) as e:
+    except ValidationError as e:
         return type(e), str(e)
 
 
@@ -249,17 +243,17 @@ def test_n_adic_edge_cuts_and_error_messages():
         (cut(0, "-"), 3),
         (cut(Fraction(3, 2), "-"), 2),
     ]] == [
-        (WrongContext, "1/3 is not an n-adic rational for base 2"),
-        (OutOfDomain, "plus cut 1 is outside [0, 1)"),
-        (OutOfDomain, "plus cut -1/2 is outside [0, 1)"),
-        (OutOfDomain, "minus cut 0 is outside (0, 1]"),
-        (OutOfDomain, "minus cut 3/2 is outside (0, 1]"),
+        (ValidationError, "1/3 is not an n-adic rational for base 2"),
+        (ValidationError, "plus cut 1 is outside [0, 1)"),
+        (ValidationError, "plus cut -1/2 is outside [0, 1)"),
+        (ValidationError, "minus cut 0 is outside (0, 1]"),
+        (ValidationError, "minus cut 3/2 is outside (0, 1]"),
     ]
     words = [("12(0)", 2), ("0(01)", 2), ("3(5)", 7)]
     assert [outcome(n_adic_value, w, n) for w, n in words] == [
-        (UnparsableWord, "digit 2 is outside base 2"),
-        (NotInGamma, "0(01) is not the stream of a base-2 cut"),
-        (NotInGamma, "3(5) is not the stream of a base-7 cut"),
+        (ValidationError, "digit 2 is outside base 2"),
+        (ValidationError, "0(01) is not the stream of a base-2 cut"),
+        (ValidationError, "3(5) is not the stream of a base-7 cut"),
     ]
 
 
@@ -298,12 +292,12 @@ def test_beta_word_values():
 
 
 def test_beta_word_rejections():
-    with pytest.raises(ForbiddenFactor):
+    with pytest.raises(ValidationError, match="contains the forbidden factor 11"):
         beta_word_value("110")
-    with pytest.raises(ForbiddenFactor):
+    with pytest.raises(ValidationError, match="contains the forbidden factor 11"):
         # the forbidden factor appears when the period wraps around
         beta_word_value(EventuallyPeriodicWord("", "01011"))
-    with pytest.raises(UnparsableWord):
+    with pytest.raises(ValidationError, match="is not a binary word"):
         beta_word_value("102")
 
 
@@ -334,7 +328,7 @@ def test_beta_stream_value_matches_the_geometric_series(pre, per):
     per = per or "0"
     stream = EventuallyPeriodicWord(pre, per)
     if "11" in pre + per + per:
-        with pytest.raises(ForbiddenFactor):
+        with pytest.raises(ValidationError, match="contains the forbidden factor 11"):
             beta_word_value(stream)
         return
     binv = BETA.inverse()
@@ -362,7 +356,7 @@ def test_beta_cylinders():
     lo0, hi0 = beta_cylinder_interval("0")
     assert lo0.value == 0
     assert hi0.value == BETA - 1
-    with pytest.raises(EmptyWord):
+    with pytest.raises(ValidationError, match="the cylinder word must be nonempty"):
         beta_cylinder_interval("")
 
 
@@ -405,11 +399,11 @@ def test_beta_expand_round_trip():
 
 
 def test_beta_expand_domain_errors():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"plus cut 1 is outside \[0, 1\)"):
         beta_expand(GOLDEN.field.one(), "+")
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"minus cut 0 is outside \(0, 1\]"):
         beta_expand(GOLDEN.field.zero(), "-")
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"plus cut 3 - a is outside \[0, 1\)"):
         beta_expand(2 - BETA + 1, "+")  # 3 - b > 1
 
 
@@ -440,7 +434,7 @@ def test_beta_cut_point_sides():
 
     assert beta_cut_point("1(0)").side == "+"
     assert beta_cut_point(EventuallyPeriodicWord("", "10")).side == "-"
-    with pytest.raises(NotInGamma):
+    with pytest.raises(ValidationError, match="is not the stream of a golden-base cut"):
         beta_cut_point(EventuallyPeriodicWord("", "010010"))
     # exercises the parser path too
     assert beta_cut_point("0(01)") == CutPoint((BETA - 1) ** 2, "-")
@@ -467,11 +461,11 @@ def test_tau_inverse():
     assert substitute_tau("10", "inverse") == "1"
     assert substitute_tau("100", "inverse") == "10"
     assert substitute_tau("01010", "inverse") == "011"
-    with pytest.raises(UnparsableWord):
+    with pytest.raises(ValidationError, match="ends in the middle of a 10 block"):
         substitute_tau("1", "inverse")  # dangling 1 is not a full block
-    with pytest.raises(ForbiddenFactor):
+    with pytest.raises(ValidationError, match="contains the forbidden factor 11"):
         substitute_tau("110", "inverse")
-    with pytest.raises(UnsupportedInput):
+    with pytest.raises(ValidationError, match="unknown direction 'sideways'"):
         substitute_tau("10", "sideways")
 
 
@@ -498,7 +492,8 @@ def test_tau_round_trip_random():
     for w in words:
         assert substitute_tau(substitute_tau(w), "inverse") == w
         if "11" in w or w.endswith("1"):
-            with pytest.raises((ForbiddenFactor, UnparsableWord)):
+            why = "contains the forbidden factor 11" if "11" in w else "ends in the middle of a 10 block"
+            with pytest.raises(ValidationError, match=f"^{w!r} {why}$"):
                 substitute_tau(w, "inverse")
         else:
             assert substitute_tau(substitute_tau(w, "inverse")) == w
@@ -507,7 +502,7 @@ def test_tau_round_trip_random():
         u = EventuallyPeriodicWord(pre, per)
         assert substitute_tau(substitute_tau(u), "inverse") == u
         if "11" in pre + per + per:
-            with pytest.raises(ForbiddenFactor):
+            with pytest.raises(ValidationError, match="contains the forbidden factor 11"):
                 substitute_tau(u, "inverse")
         else:
             assert substitute_tau(substitute_tau(u, "inverse")) == u

@@ -10,21 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from steinv import elements
 from steinv import (
     BoundExceeded,
-    BreakpointNotInGamma,
-    ContextMismatch,
-    EmptyLibrary,
     FieldElement,
-    NotAntichain,
-    NotBijective,
-    NotComplete,
-    NotInGamma,
-    OutOfDomain,
     PLMap,
-    SlopeNotInLambda,
-    UnorderedBreakpoints,
-    UnparsableWord,
     ValidationError,
-    WrongContext,
     cut_point,
     embed_v2_element,
     from_prefix_pairs,
@@ -70,17 +58,17 @@ def test_cut_point_order():
 
 
 def test_cut_point_validation():
-    with pytest.raises(NotInGamma):
+    with pytest.raises(ValidationError, match="is not a point of the breakpoint module"):
         cut_point(DYADIC, Fraction(1, 3), "+")
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"minus cut 0 is outside \(0, 1\]"):
         cut_point(DYADIC, 0, "-")  # nothing to the left of 0
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"plus cut 1 is outside \[0, 1\)"):
         cut_point(DYADIC, 1, "+")  # nothing to the right of the endpoint
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"minus cut 2 is outside \(0, 1\]"):
         cut_point(DYADIC, 2, "-")
     cut_point(DYADIC, 1, "-")
     cut_point(DYADIC, 0, "+")
-    with pytest.raises(OutOfDomain, match="side"):
+    with pytest.raises(ValidationError, match=r"^side must be '\+' or '-', not '\*'$"):
         cut_point(DYADIC, Fraction(1, 2), "*")
 
 
@@ -99,29 +87,41 @@ def test_x0_shape():
 
 
 def test_make_plmap_rejects_unordered():
-    with pytest.raises(UnorderedBreakpoints):
+    with pytest.raises(ValidationError, match="the first breakpoint must be 0"):
         make_plmap(DYADIC, [(Fraction(1, 2), 1, 0)])  # no piece at 0
-    with pytest.raises(UnorderedBreakpoints):
+    with pytest.raises(ValidationError, match="breakpoints must strictly increase"):
         make_plmap(DYADIC, [(0, 2, 0), (0, 1, 0)])
-    with pytest.raises(UnorderedBreakpoints):
+    with pytest.raises(ValidationError, match="breakpoints must stay below the endpoint"):
         make_plmap(DYADIC, [(0, 1, 0), (2, 1, 0)])  # start beyond endpoint
-    with pytest.raises(UnorderedBreakpoints):
+    with pytest.raises(ValidationError, match="an element needs at least one piece"):
         make_plmap(DYADIC, [])
 
 
 def test_make_plmap_rejects_bad_data():
-    with pytest.raises(BreakpointNotInGamma):
+    with pytest.raises(ValidationError, match="breakpoint 1/3 is outside the module"):
         make_plmap(DYADIC, [(0, 2, 0), (Fraction(1, 3), 1, 0)])
-    with pytest.raises(BreakpointNotInGamma):
+    with pytest.raises(ValidationError, match="offset 1/5 is outside the module"):
         make_plmap(DYADIC, [(0, 1, Fraction(1, 5))])
-    with pytest.raises(SlopeNotInLambda):
+    with pytest.raises(ValidationError, match="slope 3 is outside the slope group"):
         make_plmap(DYADIC, [(0, 3, 0)])
-    with pytest.raises(NotBijective):
+    with pytest.raises(ValidationError, match="image intervals do not tile the interval"):
         # both halves map onto [0, 1), overlapping
         make_plmap(DYADIC, [(0, 2, 0), (Fraction(1, 2), 2, -1)])
-    with pytest.raises(NotBijective):
+    with pytest.raises(ValidationError, match="image intervals do not tile the interval"):
         # leaves a gap: [0,1/2) shrinks, rest translates up
         make_plmap(DYADIC, [(0, Fraction(1, 2), 0), (Fraction(1, 2), 1, Fraction(1, 4))])
+
+
+def test_make_plmap_refuses_a_piece_that_is_not_a_triple():
+    for pieces in ([5], [(0, 1)], [(0, 1, 0, 0)], ["010"]):
+        with pytest.raises(ValidationError, match=r"^each piece is \(start, slope, offset\)$"):
+            make_plmap(DYADIC, pieces)
+
+
+def test_from_prefix_pairs_refuses_a_pair_that_is_not_a_pair():
+    for pairs in ([("0", "1", "2")], ["01"], [("0",)], [5]):
+        with pytest.raises(ValidationError, match=r"^each pair is \(domain word, range word\)$"):
+            from_prefix_pairs(DYADIC, pairs)
 
 
 def test_identity_and_merge():
@@ -135,11 +135,11 @@ def test_identity_and_merge():
 
 
 def test_call_domain_checks():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"plus cut 3/2 is outside \[0, 1\)"):
         X0(Fraction(3, 2))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"plus cut -1 is outside \[0, 1\)"):
         X0(-1)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ValidationError, match=r"plus cut 1 is outside \[0, 1\)"):
         X0(1)  # domain is right open
 
 
@@ -183,9 +183,9 @@ def test_context_mismatch():
         other,
         [(0, 1, Fraction(1, 3)), (Fraction(1, 3), 1, Fraction(-1, 3)), (Fraction(2, 3), 1, 0)],
     )
-    with pytest.raises(NotBijective):
+    with pytest.raises(ValidationError, match="images do not end at the endpoint"):
         make_plmap(other, [(0, 3, 0)])
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(ValidationError, match="elements come from different triples"):
         X0 * g
 
 
@@ -307,7 +307,7 @@ def test_no_generator_fits_a_tiny_interval():
     # (Z[1/2], <2>, 1/1024): the candidate lengths 1/4, 1/2, 1 and 2 are all
     # too long for a swap or a rescale
     tiny = stein_triple([1], [2], [2], endpoint=Fraction(1, 1024))
-    with pytest.raises(EmptyLibrary, match="^no generator shape fits inside the interval$"):
+    with pytest.raises(ValidationError, match="^no generator shape fits inside the interval$"):
         generator_library(tiny)
 
 
@@ -384,20 +384,20 @@ def test_prefix_pairs_in_base_three():
 
 
 def test_from_prefix_pairs_validation():
-    with pytest.raises(NotAntichain, match=r"^'0' is a prefix of '01'$"):
+    with pytest.raises(ValidationError, match=r"^'0' is a prefix of '01'$"):
         from_prefix_pairs(DYADIC, [("0", "0"), ("01", "1")])
-    with pytest.raises(NotAntichain, match=r"^duplicate word '0'$"):
+    with pytest.raises(ValidationError, match=r"^duplicate word '0'$"):
         from_prefix_pairs(DYADIC, [("0", "0"), ("0", "1")])
-    with pytest.raises(NotAntichain, match=r"^duplicate word '1'$"):
+    with pytest.raises(ValidationError, match=r"^duplicate word '1'$"):
         from_prefix_pairs(DYADIC, [("0", "1"), ("1", "1")])
-    with pytest.raises(NotComplete):
+    with pytest.raises(ValidationError, match="cylinders cover 1/2 of the interval"):
         from_prefix_pairs(DYADIC, [("00", "0"), ("01", "1")])
-    with pytest.raises(NotComplete):
+    with pytest.raises(ValidationError, match="cylinders cover 1/2 of the interval"):
         # right sides must also exhaust the interval
         from_prefix_pairs(DYADIC, [("0", "00"), ("1", "01")])
-    with pytest.raises(UnparsableWord):
+    with pytest.raises(ValidationError, match="word '2' has digits outside base 2"):
         from_prefix_pairs(DYADIC, [("0", "2"), ("1", "0")])
-    with pytest.raises(NotAntichain):
+    with pytest.raises(ValidationError, match="duplicate word '1'"):
         from_prefix_pairs(DYADIC, [("0", "0"), ("1", "1"), ("1", "0")])
 
 
@@ -461,10 +461,10 @@ def test_trusted_prefix_construction_passes_make_plmap(table):
 
 
 def test_prefix_pairs_wrong_context():
-    with pytest.raises(WrongContext):
+    with pytest.raises(ValidationError, match=r"words need the triple \(Z\[1/n\], <n>, 1\)"):
         to_prefix_pairs(PLMap.identity(GOLDEN))
     t = stein_triple([1], [2, 3], [2, 3], endpoint=1)
-    with pytest.raises(WrongContext):
+    with pytest.raises(ValidationError, match=r"words need the triple \(Z\[1/n\], <n>, 1\)"):
         # slope group <2,3> is not cyclic, so no tree pair normal form
         to_prefix_pairs(PLMap.identity(t))
 

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import steinv
@@ -127,6 +128,50 @@ def test_every_raise_names_a_stein_error():
     assert list(raised_names(ast.parse(code))) == [
         (3, "A.f", "ValueError"), (4, "<module>", "SystemExit"), (5, "<module>", "ParseError")
     ]
+
+
+def messageless_raises(tree):
+    """(line, raised name) for every raise of a name that passes no
+    positional argument, called or not; a bare re-raise names nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, (ast.Name, ast.Call)):
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            exc = call.func if call else node.exc
+            if isinstance(exc, ast.Name) and not (call and call.args):
+                yield node.lineno, exc.id
+
+
+def test_every_stein_error_raise_passes_a_message():
+    # the command line prints only the message of a SteinError, so the
+    # message is what tells one refused input from another
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for line, name in messageless_raises(ast.parse(path.read_text(), str(path)))
+        if isinstance(getattr(errors, name, None), type)
+        and issubclass(getattr(errors, name), errors.SteinError)
+    ]
+    assert found == []
+    code = (
+        "raise ParseError\nraise ParseError()\nraise ParseError('x')\n"
+        "raise e\nraise UsageError(f'{x}') from None\nraise\nraise E(key=1)\n"
+    )
+    assert list(messageless_raises(ast.parse(code))) == [
+        (1, "ParseError"), (2, "ParseError"), (4, "e"), (7, "E")
+    ]
+
+
+def test_all_names_every_public_name_and_every_error_class():
+    public = {
+        name for name, value in vars(steinv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(steinv.__all__) == sorted(public)
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    assert defined <= public
 
 
 def test_elements_and_coding_import_nothing_from_fractions():

@@ -9,6 +9,7 @@ point.
 import contextlib
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -45,8 +46,8 @@ def test_constructor_rejects_bad_shapes():
 
 def test_constructor_refuses_entries_that_are_not_integers():
     # only ints enter: int() would truncate 5/2 to 2 (and the cokernel
-    # to Z/2) and 2.9 to 2
-    for entry in (Fraction(5, 2), 2.9, 2.0, Fraction(4, 1), "3", None):
+    # to Z/2) and 2.9 to 2, and True would read as 1
+    for entry in (Fraction(5, 2), 2.9, 2.0, Fraction(4, 1), "3", None, True):
         with pytest.raises(ValidationError, match="is not an integer"):
             IntMatrix([[1, 0], [0, entry]])
 
@@ -334,6 +335,28 @@ def test_localize_strips_inverted_primes():
     assert loc.free_rank == 1
 
 
+def test_localize_refuses_a_prime_below_two():
+    # stripping 1 would loop forever, and stripping 0 divide by zero
+    inv = cokernel_invariants(IntMatrix([[6]]))
+    for p in (1, 0, -3):
+        with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
+            localize_factors(inv, [p])
+
+
+def test_localize_refuses_a_prime_that_is_not_an_int():
+    # int() would truncate 2.7 to 2 and turn Z/6 into Z/3
+    inv = cokernel_invariants(IntMatrix([[6]]))
+    for p in (2.7, 2.0, Fraction(2), True):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(p))} is not an integer$"):
+            localize_factors(inv, [p])
+
+
+@pytest.mark.parametrize("call", [hermite_normal_form, smith_normal_form, cokernel_invariants])
+def test_normal_forms_refuse_a_matrix_that_is_not_an_intmatrix(call):
+    with pytest.raises(ValidationError, match=r"^\[\[2\]\] is not an IntMatrix$"):
+        call([[2]])
+
+
 # -- primes -----------------------------------------------------------------
 
 
@@ -373,6 +396,18 @@ def test_factor_matches_sympy(sympy, n):
     assert math.prod(p**e for p, e in factors.items()) == n
     assert all(is_prime(p) and sympy.isprime(p) for p in factors)
     assert factors == sympy.factorint(n)
+
+
+def test_is_prime_refuses_what_is_not_an_int():
+    for n in (7.0, Fraction(7), True):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(n))} is not an integer$"):
+            is_prime(n)
+
+
+def test_factor_refuses_what_is_not_an_int():
+    for n in (2.0, Fraction(6), True):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(n))} is not an integer$"):
+            factor(n)
 
 
 def test_factor_rejects_what_it_cannot_split():
