@@ -127,6 +127,53 @@ def test_element_names_are_checked_before_they_are_sorted():
             parse_spec(bad)
 
 
+E = {"pieces": [["0", "1", "0"]]}
+# one malformed document per ParseError site of the document parser, with
+# the full message it gives
+REFUSALS = {
+    "field must be an object": dict(DYADIC_DOC, field=[]),
+    "gamma must be an object": dict(DYADIC_DOC, gamma=["1"]),
+    "lambda must be an object": dict(DYADIC_DOC, **{"lambda": ["2"]}),
+    "elements must be an object": dict(DYADIC_DOC, elements=[E]),
+    "elements.e must be an object": dict(DYADIC_DOC, elements={"e": [["0", "1", "0"]]}),
+    "unknown key 'tasks' in document": dict(DYADIC_DOC, tasks=[]),
+    "unknown key 'degree' in field": dict(GOLDEN_DOC, field=dict(GOLDEN_DOC["field"], degree=2)),
+    "unknown key 'primes' in gamma": dict(DYADIC_DOC, gamma={"basis": ["1"], "primes": [2]}),
+    "unknown key 'gens' in lambda": dict(DYADIC_DOC, **{"lambda": {"generators": [], "gens": []}}),
+    "unknown key 'map' in elements.e": dict(DYADIC_DOC, elements={"e": dict(E, map=1)}),
+    "gamma.basis[0]: 2 coordinates exceed field degree 1":
+        dict(DYADIC_DOC, gamma={"basis": [["1", "0"]], "inverted_primes": [2]}),
+    "field needs both minpoly and root_interval":
+        dict(GOLDEN_DOC, field={"minpoly": [-1, -1, 1]}),
+    "field.minpoly must be an array of integers":
+        dict(GOLDEN_DOC, field={"minpoly": "t^2 - t - 1", "root_interval": ["3/2", "5/3"]}),
+    "field.root_interval must be [lo, hi]":
+        dict(GOLDEN_DOC, field={"minpoly": [-1, -1, 1], "root_interval": ["3/2"]}),
+    "gamma.basis must be a nonempty array": dict(DYADIC_DOC, gamma={"basis": []}),
+    "gamma.inverted_primes must be an array":
+        dict(DYADIC_DOC, gamma={"basis": ["1"], "inverted_primes": 2}),
+    "gamma.inverted_primes[0] must be an integer":
+        dict(DYADIC_DOC, gamma={"basis": ["1"], "inverted_primes": ["2"]}),
+    "lambda.generators must be an array": dict(DYADIC_DOC, **{"lambda": {"generators": "2"}}),
+    "elements.e needs exactly one of pieces or pairs": dict(DYADIC_DOC, elements={"e": {}}),
+    "elements.e.pieces must be an array": dict(DYADIC_DOC, elements={"e": {"pieces": {}}}),
+    "elements.e.pieces[0] must be [start, slope, offset]":
+        dict(DYADIC_DOC, elements={"e": {"pieces": [["0", "1"]]}}),
+    "elements.e.pairs must be an array": dict(DYADIC_DOC, elements={"e": {"pairs": "01"}}),
+    'elements.e.pairs[0] must be ["u", "v"]':
+        dict(DYADIC_DOC, elements={"e": {"pairs": [["0", 1], ["1", "0"]]}}),
+    "a document needs gamma and lambda": {"gamma": DYADIC_DOC["gamma"]},
+    "element names must be nonempty strings": dict(DYADIC_DOC, elements={"": E}),
+}
+
+
+@pytest.mark.parametrize("message", sorted(REFUSALS))
+def test_every_refusal_gives_its_message(message):
+    with pytest.raises(ParseError) as e:
+        parse_spec(REFUSALS[message])
+    assert str(e.value) == message
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(ParseError) as e:
         parse_spec('{"gamma": }')
