@@ -14,7 +14,8 @@ Output is deterministic; --json switches to a machine-readable form that
 round-trips through the document parser where applicable.
 
 Each command is declared once in `build_parser`, which runs once, at
-import, to make `PARSER`; `main` only parses its argv and dispatches.
+import, to make `PARSER`; `main` only parses its argv, dispatches, and
+prints what the handler returns: (exit code, human text, JSON object).
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ from .numbers import rational_field
 # output helpers
 
 
-def _emit(args, human: str, obj) -> None:
-    if args.json:
-        sys.stdout.write(dump_json(obj))
-    else:
-        print(human)
-
-
 def _describe_plmap(f: PLMap) -> str:
     return "\n".join(
         f"on [{lo}, {hi}): slope {p.slope}, offset {p.offset}"
@@ -69,7 +63,7 @@ def _get_element(doc, name: str) -> PLMap:
 # command handlers
 
 
-def _cmd_verdict(args) -> int:
+def _cmd_verdict(args) -> tuple:
     """classify, classify-groupoid and obstruct: exit 1 on Unknown."""
     a, b = (parse_spec(spec).triple for spec in (args.spec_a, args.spec_b))
     if args.command == "obstruct":
@@ -79,31 +73,26 @@ def _cmd_verdict(args) -> int:
             # the triples are this call's own; rebuilding them would check them again
             a.endpoint = b.endpoint = None
         verdict = classify_pair(a, b, args.search_bound)
-    _emit(args, verdict.describe(), verdict_to_json(verdict))
-    return 1 if verdict.is_unknown else 0
+    return 1 if verdict.is_unknown else 0, verdict.describe(), verdict_to_json(verdict)
 
 
-def _cmd_coinvariants(args) -> int:
-    doc = parse_spec(args.spec)
-    inv = coinvariants(doc.triple)
+def _cmd_coinvariants(args) -> tuple:
+    inv = coinvariants(parse_spec(args.spec).triple)
     obj = {
         "coinvariants": inv.describe(),
         "invariant_factors": list(inv.invariant_factors),
         "free_rank": inv.free_rank,
     }
-    _emit(args, inv.describe(), obj)
-    return 0
+    return 0, inv.describe(), obj
 
 
-def _cmd_element(args) -> int:
+def _cmd_element(args) -> tuple:
     """compose, invert, random and embed-v2: print the element `args.make` builds."""
-    doc = parse_spec(args.spec)
-    f = args.make(doc, args)
-    _emit(args, _describe_plmap(f), triple_to_json(f.triple, {"result": f}))
-    return 0
+    f = args.make(parse_spec(args.spec), args)
+    return 0, _describe_plmap(f), triple_to_json(f.triple, {"result": f})
 
 
-def _cmd_fixed_points(args) -> int:
+def _cmd_fixed_points(args) -> tuple:
     report = _get_element(parse_spec(args.spec), args.name).fixed_point_report()
     lines = []
     for fp in report.points:
@@ -116,16 +105,13 @@ def _cmd_fixed_points(args) -> int:
         lines.append(f"{fp.point} slope {fp.slope} {kind}")
     for v in report.non_cut_values:
         lines.append(f"{v} fixed but not a module cut")
-    human = "\n".join(lines) if lines else "no fixed points"
-    _emit(args, human, fixed_points_to_json(report))
-    return 0
+    return 0, "\n".join(lines) or "no fixed points", fixed_points_to_json(report)
 
 
-def _cmd_to_pairs(args) -> int:
+def _cmd_to_pairs(args) -> tuple:
     pairs = to_prefix_pairs(_get_element(parse_spec(args.spec), args.name))
     human = "\n".join(f"{u or '(empty)'} -> {v or '(empty)'}" for u, v in pairs)
-    _emit(args, human, {"pairs": [[u, v] for u, v in pairs]})
-    return 0
+    return 0, human, {"pairs": [[u, v] for u, v in pairs]}
 
 
 def _rational_argument(text: str) -> Fraction:
@@ -136,7 +122,7 @@ def _rational_argument(text: str) -> Fraction:
         raise UsageError(f"{text!r} is not a rational") from None
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple:
     side = {"plus": "+", "minus": "-"}.get(args.side, args.side)
     if args.base == "beta":
         coords = [_rational_argument(part) for part in args.value.split(",")]
@@ -151,9 +137,7 @@ def _cmd_expand(args) -> int:
         value = _rational_argument(args.value)
         word = n_adic_expand(CutPoint(rational_field().from_rational(value), side), n)
         shown = str(value)
-    obj = {"base": args.base, "value": shown, "side": side, "word": str(word)}
-    _emit(args, str(word), obj)
-    return 0
+    return 0, str(word), {"base": args.base, "value": shown, "side": side, "word": str(word)}
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +214,18 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        code, human, obj = args.handler(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     except SteinError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.json:
+        sys.stdout.write(dump_json(obj))
+    else:
+        print(human)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,11 +22,6 @@ from .errors import ParseError
 from .modules import BreakpointModule, SlopeGroup, SteinTriple
 from .numbers import FieldElement, RealAlgebraicField, rational_field
 
-_TOP_KEYS = {"field", "gamma", "lambda", "ell", "elements"}
-_FIELD_KEYS = {"minpoly", "root_interval"}
-_GAMMA_KEYS = {"basis", "inverted_primes"}
-_LAMBDA_KEYS = {"generators"}
-_ELEMENT_KEYS = {"pieces", "pairs"}
 # the only rational strings: no decimal, exponent, underscore or space
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -40,16 +35,26 @@ class SpecDocument(NamedTuple):
         return self.triple.field
 
 
-def _require_dict(value, where: str) -> dict:
+def _object(value, where: str, keys=None) -> dict:
+    """value, which must be an object whose keys all lie in `keys` (any
+    keys when keys is None)."""
     if not isinstance(value, dict):
         raise ParseError(f"{where} must be an object")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r} in {where}")
     return value
 
 
-def _check_keys(data: dict, allowed, where: str) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r} in {where}")
+def _array(value, message: str, length: Optional[int] = None) -> list:
+    """value, which must be an array, of the given length if one is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ParseError(message)
+    return value
+
+
+def _values(values: list, field: RealAlgebraicField, where: str) -> list:
+    return [parse_value(x, field, f"{where}[{i}]") for i, x in enumerate(values)]
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -86,32 +91,22 @@ def parse_value(value, field: RealAlgebraicField, where: str) -> FieldElement:
 def _parse_field(data) -> RealAlgebraicField:
     if data is None:
         return rational_field()
-    data = _require_dict(data, "field")
-    _check_keys(data, _FIELD_KEYS, "field")
+    data = _object(data, "field", {"minpoly", "root_interval"})
     if "minpoly" not in data or "root_interval" not in data:
         raise ParseError("field needs both minpoly and root_interval")
-    if not isinstance(data["minpoly"], list):
-        raise ParseError("field.minpoly must be an array of integers")
-    coeffs = [parse_rational(c, f"field.minpoly[{i}]") for i, c in enumerate(data["minpoly"])]
-    interval = data["root_interval"]
-    if not isinstance(interval, list) or len(interval) != 2:
-        raise ParseError("field.root_interval must be [lo, hi]")
-    lo = parse_rational(interval[0], "field.root_interval[0]")
-    hi = parse_rational(interval[1], "field.root_interval[1]")
+    minpoly = _array(data["minpoly"], "field.minpoly must be an array of integers")
+    coeffs = [parse_rational(c, f"field.minpoly[{i}]") for i, c in enumerate(minpoly)]
+    interval = _array(data["root_interval"], "field.root_interval must be [lo, hi]", 2)
+    lo, hi = (parse_rational(x, f"field.root_interval[{i}]") for i, x in enumerate(interval))
     return RealAlgebraicField(coeffs, (lo, hi))
 
 
 def _parse_gamma(data, field: RealAlgebraicField) -> BreakpointModule:
-    data = _require_dict(data, "gamma")
-    _check_keys(data, _GAMMA_KEYS, "gamma")
-    if "basis" not in data or not isinstance(data["basis"], list) or not data["basis"]:
-        raise ParseError("gamma.basis must be a nonempty array")
-    basis = [
-        parse_value(b, field, f"gamma.basis[{i}]") for i, b in enumerate(data["basis"])
-    ]
-    primes = data.get("inverted_primes", [])
-    if not isinstance(primes, list):
-        raise ParseError("gamma.inverted_primes must be an array")
+    data = _object(data, "gamma", {"basis", "inverted_primes"})
+    # an empty basis is refused as a missing one
+    basis = _array(data.get("basis") or None, "gamma.basis must be a nonempty array")
+    basis = _values(basis, field, "gamma.basis")
+    primes = _array(data.get("inverted_primes", []), "gamma.inverted_primes must be an array")
     for i, p in enumerate(primes):
         if isinstance(p, bool) or not isinstance(p, int):
             raise ParseError(f"gamma.inverted_primes[{i}] must be an integer")
@@ -119,56 +114,30 @@ def _parse_gamma(data, field: RealAlgebraicField) -> BreakpointModule:
 
 
 def _parse_lambda(data, field: RealAlgebraicField) -> SlopeGroup:
-    data = _require_dict(data, "lambda")
-    _check_keys(data, _LAMBDA_KEYS, "lambda")
-    if "generators" not in data or not isinstance(data["generators"], list):
-        raise ParseError("lambda.generators must be an array")
-    gens = [
-        parse_value(g, field, f"lambda.generators[{i}]")
-        for i, g in enumerate(data["generators"])
-    ]
-    return SlopeGroup(gens, field=field)
+    data = _object(data, "lambda", {"generators"})
+    gens = _array(data.get("generators"), "lambda.generators must be an array")
+    return SlopeGroup(_values(gens, field, "lambda.generators"), field=field)
 
 
 def _parse_element(name: str, data, triple: SteinTriple) -> PLMap:
     where = f"elements.{name}"
-    data = _require_dict(data, where)
-    _check_keys(data, _ELEMENT_KEYS, where)
-    has_pieces = "pieces" in data
-    has_pairs = "pairs" in data
-    if has_pieces == has_pairs:
+    data = _object(data, where, {"pieces", "pairs"})
+    if ("pieces" in data) == ("pairs" in data):
         raise ParseError(f"{where} needs exactly one of pieces or pairs")
-    field = triple.field
-    if has_pieces:
-        pieces = data["pieces"]
-        if not isinstance(pieces, list):
-            raise ParseError(f"{where}.pieces must be an array")
-        parsed = []
-        for i, piece in enumerate(pieces):
-            if not isinstance(piece, list) or len(piece) != 3:
-                raise ParseError(
-                    f"{where}.pieces[{i}] must be [start, slope, offset]"
-                )
-            parsed.append(
-                tuple(
-                    parse_value(x, field, f"{where}.pieces[{i}][{j}]")
-                    for j, x in enumerate(piece)
-                )
-            )
-        return make_plmap(triple, parsed)
-    pairs = data["pairs"]
-    if not isinstance(pairs, list):
-        raise ParseError(f"{where}.pairs must be an array")
-    cleaned = []
-    for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(w, str) for w in pair)
-        ):
-            raise ParseError(f"{where}.pairs[{i}] must be [\"u\", \"v\"]")
-        cleaned.append((pair[0], pair[1]))
-    return from_prefix_pairs(triple, cleaned)
+    if "pieces" in data:
+        pieces = _array(data["pieces"], f"{where}.pieces must be an array")
+        return make_plmap(triple, [
+            _values(_array(piece, f"{where}.pieces[{i}] must be [start, slope, offset]", 3),
+                    triple.field, f"{where}.pieces[{i}]")
+            for i, piece in enumerate(pieces)
+        ])
+    pairs = []
+    for i, pair in enumerate(_array(data["pairs"], f"{where}.pairs must be an array")):
+        message = f'{where}.pairs[{i}] must be ["u", "v"]'
+        if not all(isinstance(w, str) for w in _array(pair, message, 2)):
+            raise ParseError(message)
+        pairs.append(pair)
+    return from_prefix_pairs(triple, pairs)
 
 
 def parse_spec(source) -> SpecDocument:
@@ -198,8 +167,7 @@ def parse_spec(source) -> SpecDocument:
             raise ParseError(f"not valid JSON: {e}") from None
         except RecursionError:
             raise ParseError("the document nests too deeply") from None
-    data = _require_dict(data, "document")
-    _check_keys(data, _TOP_KEYS, "document")
+    data = _object(data, "document", {"field", "gamma", "lambda", "ell", "elements"})
     if "gamma" not in data or "lambda" not in data:
         raise ParseError("a document needs gamma and lambda")
     field = _parse_field(data.get("field"))
@@ -209,7 +177,7 @@ def parse_spec(source) -> SpecDocument:
     if "ell" in data and data["ell"] is not None:
         ell = parse_value(data["ell"], field, "ell")
     triple = SteinTriple(module, slopes, ell)
-    raw_elements = _require_dict(data.get("elements", {}), "elements")
+    raw_elements = _object(data.get("elements", {}), "elements")
     # names are checked before sorting: a dict source may mix key types
     if not all(isinstance(name, str) and name for name in raw_elements):
         raise ParseError("element names must be nonempty strings")
@@ -231,16 +199,8 @@ def value_to_json(v: FieldElement):
 
 
 def plmap_to_json(f: PLMap) -> dict:
-    return {
-        "pieces": [
-            [
-                value_to_json(p.start),
-                value_to_json(p.slope),
-                value_to_json(p.offset),
-            ]
-            for p in f.pieces
-        ]
-    }
+    """Inverse of the "pieces" form: each piece as [start, slope, offset]."""
+    return {"pieces": [[value_to_json(v) for v in piece] for piece in f.pieces]}
 
 
 def triple_to_json(triple: SteinTriple, elements: Optional[dict] = None) -> dict:
@@ -257,13 +217,12 @@ def triple_to_json(triple: SteinTriple, elements: Optional[dict] = None) -> dict
         "basis": [value_to_json(b) for b in triple.module.basis],
         "inverted_primes": list(triple.module.inverted_primes),
     }
-    generators = []
-    for mu in triple.slopes.generator_values():
-        if isinstance(mu, FieldElement):
-            generators.append(value_to_json(mu))
-        else:
-            generators.append(str(mu))
-    out["lambda"] = {"generators": generators}
+    out["lambda"] = {
+        "generators": [
+            value_to_json(mu) if isinstance(mu, FieldElement) else str(mu)
+            for mu in triple.slopes.generator_values()
+        ]
+    }
     if triple.endpoint is not None:
         out["ell"] = value_to_json(triple.endpoint)
     if elements:
