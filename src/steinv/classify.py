@@ -238,8 +238,7 @@ def _endpoint_orbit(
     for x in itertools.chain([s0 * b.endpoint], neighbors):
         key = class_of(x, inv, a.module)
         if key == target:
-            witness = {"s": str(x / b.endpoint), "coinvariants": inv.describe()}
-            return Verdict("Isomorphic", witness=witness)
+            return _isomorphic(x / b.endpoint, inv)
         if key not in seen:
             if len(seen) == _ORBIT_STATES:
                 reason = f"stabilizer orbit walk stopped at {_ORBIT_STATES} states"
@@ -320,21 +319,35 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
 # verdict pipelines
 
 
+def _isomorphic(s, inv: Optional[AbelianInvariants] = None) -> Verdict:
+    """Isomorphic by the scalar s, with the coinvariants when there are some."""
+    witness = {"s": str(s)}
+    if inv is not None:
+        witness["coinvariants"] = inv.describe()
+    return Verdict("Isomorphic", witness=witness)
+
+
 def _compare_coinvariants(a: SteinTriple, b: SteinTriple) -> tuple:
     """(obstruction, inv_a): a NotIsomorphic verdict when the coinvariant
-    groups disagree, else None, and Gamma_a's invariants.  Raises
-    UnsupportedGamma when either side has no computable coinvariants."""
-    inv_a = coinvariants(a)
-    inv_b = coinvariants(b)
+    groups disagree, else None, and Gamma_a's invariants.  (None, None)
+    when either side has no computable coinvariants (a localized module
+    without slopes); both pipelines then skip the comparison."""
+    try:
+        inv_a, inv_b = coinvariants(a), coinvariants(b)
+    except UnsupportedGamma:
+        return None, None
     if inv_a.same_group(inv_b):
         return None, inv_a
     differ = f"coinvariants differ ({inv_a.describe()} vs {inv_b.describe()})"
     return Verdict("NotIsomorphic", obstruction=differ), inv_a
 
 
-def _forced_scalar(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
+def _forced_scalar(
+    a: SteinTriple, b: SteinTriple, inv: Optional[AbelianInvariants] = None
+) -> Optional[Verdict]:
     """Test the one rescaling both endpoints allow, s = ell_a / ell_b:
-    Isomorphic when s*Gamma_b = Gamma_a, else NotIsomorphic.  None without
+    Isomorphic when s*Gamma_b = Gamma_a (with the coinvariants inv in
+    the witness when given), else NotIsomorphic.  None without
     both endpoints in one field.  A rescaling with equal slope groups is
     a conjugacy, so Isomorphic is sound at any rank; NotIsomorphic only
     rules out rescalings."""
@@ -342,7 +355,7 @@ def _forced_scalar(a: SteinTriple, b: SteinTriple) -> Optional[Verdict]:
         return None
     s = a.endpoint / b.endpoint
     if _carries(s, b.module, a.module):
-        return Verdict("Isomorphic", witness={"s": str(s)})
+        return _isomorphic(s, inv)
     forced = f"the endpoints force s = {s}, which does not carry Gamma_b to Gamma_a"
     return Verdict("NotIsomorphic", obstruction=forced)
 
@@ -375,10 +388,8 @@ def classify_pair(
     if blocked is not None:
         return blocked
     # trivial slopes: I*Gamma = 0, the classes are the endpoints, and s is forced
-    forced = _forced_scalar(a, b) if a.slopes.is_trivial() else None
+    forced = _forced_scalar(a, b, inv) if a.slopes.is_trivial() else None
     if forced is not None:
-        if forced.is_isomorphic:
-            forced.witness["coinvariants"] = inv.describe()
         return forced
     sr = scale_equivalence(a.module, b.module, search_bound)
     if sr.outcome == "distinct":
@@ -389,10 +400,7 @@ def classify_pair(
     if sr.outcome == "unknown":
         return Verdict("Unknown", reason=f"module scale search failed: {sr.obstruction}")
     if a.endpoint is None:
-        return Verdict(
-            "Isomorphic",
-            witness={"s": str(sr.scalar), "coinvariants": inv.describe()},
-        )
+        return _isomorphic(sr.scalar, inv)
     return _endpoint_orbit(a, b, sr.scalar, inv)
 
 
@@ -419,7 +427,7 @@ def rank_one_report(a: SteinTriple, b: SteinTriple) -> Verdict:
     if same_slopes and a.endpoint is None and b.endpoint is None:
         sr = scale_equivalence(a.module, b.module)
         if sr.found:
-            return Verdict("Isomorphic", witness={"s": str(sr.scalar)})
+            return _isomorphic(sr.scalar)
     elif same_slopes:
         forced = _forced_scalar(a, b)
         if forced is not None and forced.is_isomorphic:
@@ -430,10 +438,7 @@ def rank_one_report(a: SteinTriple, b: SteinTriple) -> Verdict:
             "NotIsomorphic",
             obstruction=f"slope-group ranks differ ({r1} vs {r2})",
         )
-    try:
-        blocked = _compare_coinvariants(a, b)[0]
-    except UnsupportedGamma:
-        blocked = None
+    blocked = _compare_coinvariants(a, b)[0]
     if blocked is not None:
         return blocked
     # with equal ranks, an embedding one way gives one the other way too

@@ -77,6 +77,22 @@ def test_coinvariants_need_generators_when_localized():
     assert inv.free_rank == 2
 
 
+def test_localized_pair_without_slopes_gets_a_verdict():
+    # it used to raise UnsupportedGamma from classify_pair, where the
+    # rank-one battery already skipped the coinvariant comparison
+    field = RealAlgebraicField([-2, 0, 1], (1, 2))
+    module = BreakpointModule(field, [1, field.generator()], [2])
+    a, b = (SteinTriple(module, SlopeGroup([], field=field), ell) for ell in (1, 2))
+    verdict = classify_pair(a, b)
+    assert verdict.witness == {"s": "1/2"}
+    check_witness(a, b, verdict.witness)
+    assert rank_one_report(a, b) == verdict
+    a.endpoint = b.endpoint = None
+    assert classify_pair(a, b).witness == {"s": "1"}
+    other = SteinTriple(BreakpointModule(field, [1, field.generator()], [3]), a.slopes)
+    assert classify_pair(a, other).is_not_isomorphic
+
+
 def test_coinvariants_rejects_noninvariant_slopes():
     m = BreakpointModule(rational_field(), [1], [2])
     # 1/3 does not carry Z[1/2] into itself
