@@ -47,8 +47,8 @@ COMMANDS = [
     ["embed-v2", "@dyadic", "swap", "--json"],
     ["element", "invert", "@dyadic", "nope", "--json"],
     ["coinvariants", "@not_closed", "--json"],
-    # coinvariants that cannot be computed: exit 2 when slopes are equal,
-    # no obstruction in the rank-one battery
+    # localized modules without slopes have no coinvariants: the endpoints
+    # force s at rank two, and the rank-one battery finds no obstruction
     ["classify", "@golden_localized_trivial", "@golden_localized_trivial", "--json"],
     ["classify", "@dyadic_trivial", "@triadic_trivial", "--json"],
     # products and inverses of irrational elements, in degrees 2 and 3

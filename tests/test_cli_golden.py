@@ -92,7 +92,7 @@ def test_isomorphic_witness_is_a_certificate(case):
 
 
 def test_every_witness_is_checked():
-    assert len(WITNESSED) == 9
+    assert len(WITNESSED) == 10
 
 
 @pytest.mark.parametrize("case", REFUTED, ids=lambda c: " ".join(c["argv"]))
