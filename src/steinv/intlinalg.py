@@ -64,7 +64,7 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
+        if self.cols != _matrix(other).rows:
             raise ValidationError("dimension mismatch in product")
         cols = list(zip(*other.entries))
         return IntMatrix(
@@ -398,7 +398,8 @@ def localize_factors(inv: AbelianInvariants, primes: Iterable[int]) -> AbelianIn
     is dropped.  It is idempotent and leaves the free rows alone.
     """
     primes = sorted(set(map(_integer, primes)))
-    if primes and primes[0] < 2:
-        raise ValidationError(f"{primes[0]} is not prime")
+    for p in primes:
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
     stripped = ((row, _strip_primes(d, primes)) for row, d in inv.torsion)
     return AbelianInvariants(inv.width, [(row, d) for row, d in stripped if d >= 2], inv.free)

@@ -341,6 +341,9 @@ def test_localize_refuses_a_prime_below_two():
     for p in (1, 0, -3):
         with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
             localize_factors(inv, [p])
+    # a composite: stripping 6 left Z/4 whole, where inverting 6 kills it
+    with pytest.raises(ValidationError, match="^6 is not prime$"):
+        localize_factors(cokernel_invariants(IntMatrix([[4]])), [6])
 
 
 def test_localize_refuses_a_prime_that_is_not_an_int():
@@ -355,6 +358,12 @@ def test_localize_refuses_a_prime_that_is_not_an_int():
 def test_normal_forms_refuse_a_matrix_that_is_not_an_intmatrix(call):
     with pytest.raises(ValidationError, match=r"^\[\[2\]\] is not an IntMatrix$"):
         call([[2]])
+
+
+def test_product_refuses_a_matrix_that_is_not_an_intmatrix():
+    # it used to raise AttributeError from other.rows
+    with pytest.raises(ValidationError, match=r"^\[\[2\]\] is not an IntMatrix$"):
+        IntMatrix([[1]]) @ [[2]]
 
 
 # -- primes -----------------------------------------------------------------
