@@ -39,6 +39,9 @@ equal numbers compare and hash equal across handles.  A float enters
 nowhere: coordinates, rationals, polynomial coefficients, interval ends
 and operands of arithmetic, order and equality given as floats raise
 ValidationError, since a float's binary value is rarely the number meant.
+A value that is no number at all raises ValidationError where it enters
+a field and as an operand of order; arithmetic keeps Python's protocol
+(TypeError), and equality calls it unequal.
 
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den, sums, products, quotients and comparisons are
@@ -444,7 +447,7 @@ class RealAlgebraicField:
 
     def coerce(self, x) -> "FieldElement":
         """x as an element of this handle, by the rule in the module
-        docstring; TypeError for a value that is not a number."""
+        docstring; ValidationError for a value that is not a number."""
         if isinstance(x, FieldElement):
             if x.field is self:
                 return x
@@ -454,7 +457,7 @@ class RealAlgebraicField:
                 return FieldElement(self, x.num, x.den)
             raise FieldMismatch(f"{x} lies in {x.field!r}, not in {self!r}")
         if not isinstance(x, (int, Fraction, float)):
-            raise TypeError(f"{type(x).__name__} is not a number")
+            raise ValidationError(f"{type(x).__name__} is not a number")
         return self.from_rational(x)  # `_exact` refuses a float
 
     def zero(self) -> "FieldElement":

@@ -5,7 +5,9 @@ field, so ints, Fractions, rational elements of any handle and elements
 of a compatible handle enter a field; an irrational element of another
 field raises FieldMismatch.  Equality follows the same rule, and hashes
 agree with it.  A float enters no field: as an operand of arithmetic,
-order or equality it raises ValidationError.
+order or equality it raises ValidationError.  Nor does a value that is
+no number: it raises ValidationError where it enters a field and in
+order, TypeError in arithmetic, and equality calls it unequal.
 """
 
 import gc
@@ -176,6 +178,29 @@ def test_slope_group_membership_of_a_foreign_irrational_raises():
     for entry in (group.coordinates, group.contains):
         with pytest.raises(FieldMismatch, match="not in"):
             entry(SQRT2.generator() + 1)
+
+
+NON_NUMBER_ENTRIES = {
+    "make_plmap": lambda: make_plmap(DYADIC, [("0", 1, 0)]),
+    "BreakpointModule": lambda: BreakpointModule(Q, ["a"]),
+    "SlopeGroup": lambda: SlopeGroup(["2"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_NUMBER_ENTRIES))
+def test_a_non_number_entering_a_field_raises_validation_error(entry):
+    # it used to raise a bare TypeError from RealAlgebraicField.coerce
+    with pytest.raises(ValidationError, match="^str is not a number$"):
+        NON_NUMBER_ENTRIES[entry]()
+
+
+def test_a_non_number_operand_keeps_pythons_protocol():
+    # order refuses it as it refuses a float; arithmetic and == do not coerce it
+    with pytest.raises(ValidationError, match="^str is not a number$"):
+        PHI < "a"
+    with pytest.raises(TypeError):
+        PHI + "a"
+    assert PHI != "a" and not PHI == "a"
 
 
 # -- a float is refused by every operator ------------------------------------

@@ -88,8 +88,6 @@ def test_only_numbers_reads_the_sign_of_a_difference():
 
 # raises that name no SteinError, with the reason each stays
 FOREIGN_RAISES = {
-    # the value is not a number: Python's protocol for an operand of the wrong type
-    ("numbers.py", "RealAlgebraicField.coerce", "TypeError"),
     # the process exit status of the command line
     ("cli.py", "<module>", "SystemExit"),
     ("__main__.py", "<module>", "SystemExit"),
