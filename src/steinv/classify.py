@@ -342,15 +342,13 @@ def _compare_coinvariants(a: SteinTriple, b: SteinTriple) -> tuple:
     return Verdict("NotIsomorphic", obstruction=differ), inv_a
 
 
-def _forced_scalar(
-    a: SteinTriple, b: SteinTriple, inv: Optional[AbelianInvariants] = None
-) -> Optional[Verdict]:
+def _forced_scalar(a: SteinTriple, b: SteinTriple, inv=None) -> Optional[Verdict]:
     """Test the one rescaling both endpoints allow, s = ell_a / ell_b:
-    Isomorphic when s*Gamma_b = Gamma_a (with the coinvariants inv in
-    the witness when given), else NotIsomorphic.  None without
-    both endpoints in one field.  A rescaling with equal slope groups is
-    a conjugacy, so Isomorphic is sound at any rank; NotIsomorphic only
-    rules out rescalings."""
+    Isomorphic when s*Gamma_b = Gamma_a (with the coinvariants inv in the
+    witness), else NotIsomorphic.  None without both endpoints in one
+    field.  A rescaling with equal slope groups is a conjugacy, so
+    Isomorphic is sound at any rank; NotIsomorphic only rules out
+    rescalings."""
     if a.endpoint is None or b.endpoint is None or not a.field.compatible(b.field):
         return None
     s = a.endpoint / b.endpoint
