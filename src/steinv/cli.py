@@ -73,7 +73,7 @@ def _cmd_verdict(args) -> tuple:
             # the triples are this call's own; rebuilding them would check them again
             a.endpoint = b.endpoint = None
         verdict = classify_pair(a, b, args.search_bound)
-    return 1 if verdict.is_unknown else 0, verdict.describe(), verdict_to_json(verdict)
+    return (1 if verdict.is_unknown else 0), verdict.describe(), verdict_to_json(verdict)
 
 
 def _cmd_coinvariants(args) -> tuple:

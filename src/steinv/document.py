@@ -40,9 +40,10 @@ def _object(value, where: str, keys=None) -> dict:
     keys when keys is None)."""
     if not isinstance(value, dict):
         raise ParseError(f"{where} must be an object")
-    for key in value if keys is not None else ():
-        if key not in keys:
-            raise ParseError(f"unknown key {key!r} in {where}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise ParseError(f"unknown key {key!r} in {where}")
     return value
 
 
@@ -125,12 +126,12 @@ def _parse_element(name: str, data, triple: SteinTriple) -> PLMap:
     if ("pieces" in data) == ("pairs" in data):
         raise ParseError(f"{where} needs exactly one of pieces or pairs")
     if "pieces" in data:
-        pieces = _array(data["pieces"], f"{where}.pieces must be an array")
-        return make_plmap(triple, [
-            _values(_array(piece, f"{where}.pieces[{i}] must be [start, slope, offset]", 3),
-                    triple.field, f"{where}.pieces[{i}]")
-            for i, piece in enumerate(pieces)
-        ])
+        pieces = []
+        for i, piece in enumerate(_array(data["pieces"], f"{where}.pieces must be an array")):
+            at = f"{where}.pieces[{i}]"
+            piece = _array(piece, f"{at} must be [start, slope, offset]", 3)
+            pieces.append(_values(piece, triple.field, at))
+        return make_plmap(triple, pieces)
     pairs = []
     for i, pair in enumerate(_array(data["pairs"], f"{where}.pairs must be an array")):
         message = f'{where}.pairs[{i}] must be ["u", "v"]'

@@ -189,7 +189,7 @@ NON_NUMBER_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(NON_NUMBER_ENTRIES))
 def test_a_non_number_entering_a_field_raises_validation_error(entry):
-    # it used to raise a bare TypeError from RealAlgebraicField.coerce
+    # a SteinError, so the command line exits 2 instead of printing a traceback
     with pytest.raises(ValidationError, match="^str is not a number$"):
         NON_NUMBER_ENTRIES[entry]()
 

@@ -341,7 +341,7 @@ def test_localize_refuses_a_prime_below_two():
     for p in (1, 0, -3):
         with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
             localize_factors(inv, [p])
-    # a composite: stripping 6 left Z/4 whole, where inverting 6 kills it
+    # stripping a composite 6 would leave Z/4 whole, where inverting 6 kills it
     with pytest.raises(ValidationError, match="^6 is not prime$"):
         localize_factors(cokernel_invariants(IntMatrix([[4]])), [6])
 
@@ -361,7 +361,7 @@ def test_normal_forms_refuse_a_matrix_that_is_not_an_intmatrix(call):
 
 
 def test_product_refuses_a_matrix_that_is_not_an_intmatrix():
-    # it used to raise AttributeError from other.rows
+    # as the normal forms do, not AttributeError from other.rows
     with pytest.raises(ValidationError, match=r"^\[\[2\]\] is not an IntMatrix$"):
         IntMatrix([[1]]) @ [[2]]
 
