@@ -150,6 +150,8 @@ def test_order_embedding_rank_rules():
     down = order_embedding_exists(big, two)
     assert down.answer == "No"
     assert "rank" in down.obstruction
+    trivial = order_embedding_exists(two, SlopeGroup([]))
+    assert (trivial.answer, trivial.obstruction) == ("No", "target group is trivial")
 
 
 def test_order_embedding_fractional_lattice():
@@ -366,6 +368,25 @@ def test_incomparable_slopes_with_equal_coinvariants_are_unknown():
     v = classify_pair(golden_triple(), s)
     assert v.is_unknown
     assert v.reason == "slope groups are not comparable: slope groups live in different fields"
+
+
+def test_incomparable_slopes_through_both_pipelines():
+    # Z + Z*b under <b> against Z + Z*a under <1/a>, a = sqrt 2 - 1:
+    # 1 - 1/a = -sqrt 2 has norm -2, so only the second quotient is Z/2;
+    # then against the triple of the test above, whose quotient is trivial
+    k = RealAlgebraicField([-2, 0, 1], (1, 2))
+    a = k.generator() - 1
+    differ = stein_triple([1, a], [], [1 / a], endpoint=1, field=k)
+    agree = stein_triple([1, a + 1], [2], [a + 2], endpoint=1, field=k)
+    cases = [
+        (differ, "NotIsomorphic: coinvariants differ (trivial vs Z/2)",
+         "NotIsomorphic: coinvariants differ (trivial vs Z/2)"),
+        (agree, "Unknown: slope groups are not comparable: slope groups live in different fields",
+         "Unknown: no implemented invariant separates these rank-one triples"),
+    ]
+    for other, by_classify, by_rank_one in cases:
+        assert classify_pair(golden_triple(), other).describe() == by_classify
+        assert rank_one_report(golden_triple(), other).describe() == by_rank_one
 
 
 def test_scale_obstruction_rank_two():

@@ -5,10 +5,32 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import steinv
-from steinv import errors
+from steinv import (
+    AbelianInvariants,
+    BreakpointModule,
+    CutPoint,
+    IntMatrix,
+    RealAlgebraicField,
+    SlopeGroup,
+    beta_expand,
+    errors,
+    from_prefix_pairs,
+    golden_field,
+    golden_triple,
+    make_plmap,
+    n_adic_expand,
+    rational_field,
+    scale_equivalence,
+    substitute_tau,
+    thompson_triple,
+    to_prefix_pairs,
+)
 
 SOURCES = sorted(Path(steinv.__file__).parent.glob("*.py"))
 
@@ -157,6 +179,39 @@ def test_every_stein_error_raise_passes_a_message():
     assert list(messageless_raises(ast.parse(code))) == [
         (1, "ParseError"), (2, "ParseError"), (4, "e"), (7, "E")
     ]
+
+
+PHI = golden_field().generator()
+GOLDEN = golden_triple().module
+
+# one input for each refusal that no other in-process test reaches
+REFUSALS = [
+    (lambda: scale_equivalence(GOLDEN, GOLDEN, -1), "the search bound -1 is negative"),
+    (lambda: BreakpointModule(rational_field(), []), "basis must be nonempty"),
+    (lambda: SlopeGroup([-PHI]), "slope generators must be positive"),
+    (lambda: RealAlgebraicField([-2, 0, 1], (2, 1)), "isolating interval is empty"),
+    (lambda: RealAlgebraicField([-3, 1], (4, 5)), "the rational root is outside the interval"),
+    (lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), "dimension mismatch in product"),
+    (lambda: AbelianInvariants(1, [((1,), 1)], []),
+     "invariant factors must be at least 2 and form a chain"),
+    (lambda: AbelianInvariants(1, [((1,), 4)], []).reduce((1,), 2),
+     "denominator 2 is not invertible modulo 4"),
+    (lambda: to_prefix_pairs(make_plmap(thompson_triple(11), [(0, 1, 0)])),
+     "digit words support bases up to 10 only"),
+    (lambda: to_prefix_pairs(make_plmap(thompson_triple(2, 2), [(0, 1, 0)])),
+     "prefix words need endpoint 1"),
+    (lambda: from_prefix_pairs(thompson_triple(2), []), "at least one pair is required"),
+    (lambda: n_adic_expand(CutPoint(PHI - 1, "+"), 2), "n-adic coding needs a rational cut point"),
+    (lambda: substitute_tau("2"), "'2' is not a binary word"),
+    (lambda: beta_expand(Fraction(1, 2), "-"), "1/2 has no expansion with a repeating 10 tail"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_each_refusal_gives_its_message(call, message):
+    with pytest.raises(errors.SteinError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_all_names_every_public_name_and_every_error_class():
