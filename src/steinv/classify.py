@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import BoundExceeded, UnsupportedComparison, UnsupportedGamma, ValidationError
+from .errors import BoundExceeded, UnsupportedGamma, ValidationError
 from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -371,20 +371,17 @@ def classify_pair(
         )
     if a.module.rank() < 2 or b.module.rank() < 2:
         return rank_one_report(a, b)
-    try:
-        same_slopes = a.slopes.equals(b.slopes)
-    except UnsupportedComparison as e:
-        # incomparable slope groups: both have an irrational generator, so
-        # the coinvariants exist and may still separate
-        blocked = _compare_coinvariants(a, b)[0]
-        if blocked is not None:
-            return blocked
-        return Verdict("Unknown", reason=f"slope groups are not comparable: {e}")
-    if not same_slopes:
+    same_slopes = a.slopes.equals(b.slopes)
+    if same_slopes is False:
         return Verdict("NotIsomorphic", obstruction="slope groups differ")
     blocked, inv = _compare_coinvariants(a, b)
     if blocked is not None:
         return blocked
+    if same_slopes is None:
+        # both have an irrational generator, so the coinvariants existed
+        # and agree, and nothing else compares groups in different fields
+        reason = "slope groups are not comparable: slope groups live in different fields"
+        return Verdict("Unknown", reason=reason)
     # trivial slopes: I*Gamma = 0, the classes are the endpoints, and s is forced
     forced = _forced_scalar(a, b, inv) if a.slopes.is_trivial() else None
     if forced is not None:
@@ -418,10 +415,7 @@ def rank_one_report(a: SteinTriple, b: SteinTriple) -> Verdict:
     rescaling (the scalar the endpoints force, or without endpoints the
     closed-form scale |b1/b2|) or the base-n closed form.
     """
-    try:
-        same_slopes = a.slopes.equals(b.slopes)
-    except UnsupportedComparison:
-        same_slopes = False
+    same_slopes = a.slopes == b.slopes
     if same_slopes and a.endpoint is None and b.endpoint is None:
         sr = scale_equivalence(a.module, b.module)
         if sr.found:

@@ -93,6 +93,15 @@ def _require_base(n: int) -> None:
         raise ValidationError(f"base {n} is outside the supported range 2..10")
 
 
+def _tail_side(word: EventuallyPeriodicWord, minus_tails, kind: str) -> str:
+    """PLUS for a tail of 0s, MINUS for a period in minus_tails."""
+    if word.period == "0":
+        return PLUS
+    if word.period in minus_tails:
+        return MINUS
+    raise ValidationError(f"{word} is not the stream of a {kind} cut")
+
+
 def n_adic_expand(x: CutPoint, n: int) -> EventuallyPeriodicWord:
     """Digit stream of a cut of (Z[1/n], <n>, 1): plus cuts get the
     expansion ending in 0s, minus cuts the one ending in (n-1)s."""
@@ -125,12 +134,7 @@ def n_adic_value(word, n: int) -> CutPoint:
     if max(digits) > top:
         c = next(c for c in digits if c > top)
         raise ValidationError(f"digit {c} is outside base {n}")
-    if word.period == "0":
-        side = PLUS
-    elif word.period == str(n - 1):
-        side = MINUS
-    else:
-        raise ValidationError(f"{word} is not the stream of a base-{n} cut")
+    side = _tail_side(word, (str(n - 1),), f"base-{n}")
     a = (int(word.preperiod, n) if word.preperiod else 0) + (side == MINUS)
     value = _ratio(rational_field(), a, n ** len(word.preperiod))
     return CutPoint(value, side)
@@ -276,14 +280,8 @@ def beta_cut_point(word) -> CutPoint:
     """Cut point named by a golden-base stream; the tail determines the side."""
     if isinstance(word, str):
         word = EventuallyPeriodicWord.from_string(word)
-    value = beta_word_value(word)
-    if word.period == "0":
-        side = PLUS
-    elif word.period in ("01", "10"):
-        side = MINUS
-    else:
-        raise ValidationError(f"{word} is not the stream of a golden-base cut")
-    return CutPoint(value, side)
+    # the value first: it refuses a word that is not admissible
+    return CutPoint(beta_word_value(word), _tail_side(word, ("01", "10"), "golden-base"))
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
             raise ValidationError(f"breakpoint {piece.start} is outside the module")
         if not triple.module.contains(piece.offset):
             raise ValidationError(f"offset {piece.offset} is outside the module")
-        if piece.slope.sign() <= 0 or not triple.slopes.contains(piece.slope):
+        if not triple.slopes.contains(piece.slope):
             raise ValidationError(f"slope {piece.slope} is outside the slope group")
     images = [(p.image_of(lo), p.image_of(hi)) for p, lo, hi in _intervals(built, endpoint)]
     cursor = field.zero()

@@ -13,8 +13,6 @@ it differently from its parent:
   a UsageError;
 - BoundExceeded: classification gives up a unit search when factoring
   runs out of budget;
-- UnsupportedComparison: classification falls back to coinvariants,
-  and SlopeGroup.__eq__ answers False;
 - UnsupportedGamma: classification skips the coinvariant comparison;
 - FieldMismatch: FieldElement.__eq__ answers False;
 - NotSquarefree, NoRootInInterval, MultipleRootsInInterval: a caller
@@ -57,10 +55,6 @@ class FieldMismatch(ValidationError):
 
 class DependentBasis(ValidationError):
     """Module basis elements are linearly dependent over Q."""
-
-
-class UnsupportedComparison(SteinError):
-    """Slope groups that live in different fields cannot be compared."""
 
 
 class BoundExceeded(SteinError):

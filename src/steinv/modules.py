@@ -23,7 +23,7 @@ from functools import cache
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import BoundExceeded, DependentBasis, UnsupportedComparison, ValidationError
+from .errors import BoundExceeded, DependentBasis, ValidationError
 from .intlinalg import _hermite, _integer, _strip_primes, factor, is_prime
 from .numbers import FieldElement, RealAlgebraicField, Rational, _bareiss, rational_field
 
@@ -175,13 +175,14 @@ class SlopeGroup:
         return None if any(vector) else tuple(coords)
 
     def contains(self, mu) -> bool:
-        """Exact membership of a positive number in the group."""
+        """Exact membership in the group, which holds no number below 0 or 0."""
         return self.coordinates(mu) is not None
 
-    def equals(self, other: "SlopeGroup") -> bool:
+    def equals(self, other: "SlopeGroup") -> Optional[bool]:
+        """True or False, or None for groups in different fields."""
         fields = [a.field for a in self.atoms + other.atoms if isinstance(a, FieldElement)]
         if len(fields) == 2 and not fields[0].compatible(fields[1]):
-            raise UnsupportedComparison("slope groups live in different fields")
+            return None
         # an irrational atom never equals a prime, so a rational group is
         # never equal to an irrational one
         return self.atoms == other.atoms and self.lattice == other.lattice
@@ -189,10 +190,7 @@ class SlopeGroup:
     def __eq__(self, other):
         if not isinstance(other, SlopeGroup):
             return NotImplemented
-        try:
-            return self.equals(other)
-        except UnsupportedComparison:
-            return False
+        return self.equals(other) is True
 
     def __hash__(self):
         return hash((self.atoms, self.lattice))

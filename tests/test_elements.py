@@ -104,6 +104,11 @@ def test_make_plmap_rejects_bad_data():
         make_plmap(DYADIC, [(0, 1, Fraction(1, 5))])
     with pytest.raises(ValidationError, match="slope 3 is outside the slope group"):
         make_plmap(DYADIC, [(0, 3, 0)])
+    # membership alone refuses a slope that is not positive, in either kind of group
+    for triple, slope in [(DYADIC, -2), (DYADIC, 0), (GOLDEN, -GOLDEN.field.generator())]:
+        with pytest.raises(ValidationError) as info:
+            make_plmap(triple, [(0, slope, 0)])
+        assert str(info.value) == f"slope {triple.field.coerce(slope)} is outside the slope group"
     with pytest.raises(ValidationError, match="image intervals do not tile the interval"):
         # both halves map onto [0, 1), overlapping
         make_plmap(DYADIC, [(0, 2, 0), (Fraction(1, 2), 2, -1)])
