@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .classify import Verdict
 from .elements import FixedPointReport, PLMap, from_prefix_pairs, make_plmap
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .modules import BreakpointModule, SlopeGroup, SteinTriple
-from .numbers import FieldElement, RealAlgebraicField, rational_field
-
-# the only rational strings: no decimal, exponent, underscore or space
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+from .numbers import FieldElement, RealAlgebraicField, _exact, rational_field
 
 
 class SpecDocument(NamedTuple):
@@ -66,13 +62,10 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError(f'{where}: floats are inexact, write "p/q" instead')
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if match:
-            try:
-                return Fraction(int(match[1]), int(match[2] or 1))
-            except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
-                pass
-        raise ParseError(f"{where}: {value!r} is not a rational p/q")
+        try:
+            return _exact(value)
+        except ValidationError:
+            raise ParseError(f"{where}: {value!r} is not a rational p/q") from None
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 

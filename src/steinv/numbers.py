@@ -41,7 +41,9 @@ and operands of arithmetic, order and equality given as floats raise
 ValidationError, since a float's binary value is rarely the number meant.
 A value that is no number at all raises ValidationError where it enters
 a field and as an operand of order; arithmetic keeps Python's protocol
-(TypeError), and equality calls it unequal.
+(TypeError), and equality calls it unequal.  Coordinates, rationals,
+coefficients and interval ends may also be strings of the documents'
+grammar `_RATIONAL`, and any other string raises ValidationError.
 
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den, sums, products, quotients and comparisons are
@@ -76,6 +78,7 @@ This is a documented limitation, not an error in the caller's data.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
@@ -87,6 +90,9 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
+
+# the only rational strings: Fraction("1e10000000") would take seconds
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # Degree of a defining polynomial.  The squarefree gcd and the Sturm chain
 # run on integers: with coefficients in [-9, 9] a field takes 2 ms to
@@ -194,11 +200,19 @@ def _count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
 
 
 def _exact(value) -> Fraction:
-    """value as a Fraction; a float is refused, since Fraction would take
-    its binary value (0.1 is 3602879701896397/36028797018963968)."""
+    """value, an int, a Fraction or a `_RATIONAL` string, as a Fraction; a
+    float's binary value is refused (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, float):
         raise ValidationError(f"{value!r} is a float; give an int, a Fraction or a 'p/q' string")
-    return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+            pass
+    raise ValidationError(f"{value!r} is not an int, a Fraction or a 'p/q' string")
 
 
 def _sign(x: Rational) -> int:

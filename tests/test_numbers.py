@@ -437,6 +437,25 @@ def test_floats_are_refused_where_numbers_enter():
     assert RealAlgebraicField([-2, 0, 1], ("7/5", "3/2")).generator() ** 2 == 2
 
 
+RATIONAL_ENTRIES = {
+    "element": lambda v: GOLDEN.element([v]),
+    "from_rational": lambda v: GOLDEN.from_rational(v),
+    "approx": lambda v: approx(GOLDEN.generator(), v),
+    "MinimalPolynomial": lambda v: MinimalPolynomial([v, 0, 1]),
+    "root_interval": lambda v: RealAlgebraicField([-2, 0, 1], (v, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRIES))
+def test_only_the_document_grammar_enters_as_a_string(entry):
+    # Fraction alone raised ValueError, TypeError or ZeroDivisionError
+    # here, and took seconds over the exponent
+    for value in ["x", "0.5", "1e10000000", "1_000", " 1", "1/0", "1" * 5000, None, [1]]:
+        with pytest.raises(ValidationError) as info:
+            RATIONAL_ENTRIES[entry](value)
+        assert str(info.value) == f"{value!r} is not an int, a Fraction or a 'p/q' string"
+
+
 @pytest.mark.parametrize("field", [GOLDEN, SQRT2M1])
 def test_sign_matches_float_estimate(field):
     rng = random.Random(103)
