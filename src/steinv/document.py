@@ -140,7 +140,7 @@ def parse_spec(source) -> SpecDocument:
         data = source
     else:
         text = str(source)
-        if not text.lstrip().startswith("{"):
+        if not text.lstrip().startswith(("{", "[")):
             # anything that is not inline JSON is taken as a path
             if not os.path.exists(text):
                 raise ParseError(f"no such file: {text}")

@@ -164,6 +164,7 @@ REFUSALS = {
         dict(DYADIC_DOC, elements={"e": {"pairs": [["0", 1], ["1", "0"]]}}),
     "a document needs gamma and lambda": {"gamma": DYADIC_DOC["gamma"]},
     "element names must be nonempty strings": dict(DYADIC_DOC, elements={"": E}),
+    "document must be an object": "[1, 2]",
 }
 
 
