@@ -509,10 +509,10 @@ def stein_triple(
 
 def thompson_triple(n: int, endpoint: Rational = 1) -> SteinTriple:
     """(Z[1/n], <n>, endpoint): the Higman-Thompson family for n >= 2."""
-    if n < 2:
+    if rational_field().coerce(n) < 2:
         raise ValidationError("the base must be at least 2")
-    slopes = SlopeGroup([n])  # refuses a float base as a float, before factor() sees it
-    return SteinTriple(BreakpointModule(rational_field(), [1], list(factor(n))), slopes, endpoint)
+    module = BreakpointModule(rational_field(), [1], list(factor(n)))
+    return SteinTriple(module, SlopeGroup([n]), endpoint)
 
 
 def thompson_base(triple: SteinTriple) -> Optional[int]:

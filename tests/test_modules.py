@@ -464,6 +464,19 @@ def test_thompson_builder():
         thompson_triple(1)
 
 
+def test_thompson_builder_refuses_a_base_that_is_not_an_integer_from_2():
+    for n, message in [
+        ("2", "str is not a number"),
+        (None, "NoneType is not a number"),
+        (1.5, "1.5 is a float; give an int, a Fraction or a 'p/q' string"),
+        (True, "the base must be at least 2"),
+        (Fraction(5, 2), "Fraction(5, 2) is not an integer"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            thompson_triple(n)
+        assert str(info.value) == message
+
+
 def test_golden_builder():
     t = golden_triple()
     b = t.field.generator()
