@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import line_trace
 import steinv
 from steinv import (
     AbelianInvariants,
@@ -310,3 +311,16 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_line_trace_lists_the_statements_that_never_ran(tmp_path):
+    # line_trace.py traces the whole suite; here its parts run on one tiny file
+    target = tmp_path / "target.py"
+    target.write_text(
+        'import functools\n@functools.cache\ndef f(x):\n    """Doc."""\n'
+        "    if x:\n        return 1\n    return 2\n"
+    )
+    namespace = {}
+    code = compile(target.read_text(), str(target), "exec")
+    executed = line_trace.trace(lambda: exec(code, namespace) or namespace["f"](1), tmp_path)
+    assert line_trace.never_run(target, executed[str(target)]) == [(7, "return 2")]
