@@ -378,8 +378,7 @@ def classify_pair(
     if blocked is not None:
         return blocked
     if same_slopes is None:
-        # both have an irrational generator, so the coinvariants existed
-        # and agree, and nothing else compares groups in different fields
+        # groups in different fields: only the coinvariants could separate them
         reason = "slope groups are not comparable: slope groups live in different fields"
         return Verdict("Unknown", reason=reason)
     # trivial slopes: I*Gamma = 0, the classes are the endpoints, and s is forced

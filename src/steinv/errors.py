@@ -3,8 +3,9 @@
 Every error raised on a documented failure path derives from SteinError,
 and the command line maps every SteinError to exit code 2 (UsageError to
 64).  A rejected input raises ValidationError, with a message that names
-the check it failed.  A subclass exists only where some caller reacts to
-it differently from its parent:
+the check it failed; a question left open is a value, not an error (the
+None of SlopeGroup.equals for groups in different fields).  A subclass
+exists only where some caller reacts to it differently from its parent:
 
 - SteinError: the command line catches it and exits 2;
 - ValidationError: the base of every rejected input;

@@ -175,7 +175,7 @@ class SlopeGroup:
         return None if any(vector) else tuple(coords)
 
     def contains(self, mu) -> bool:
-        """Exact membership in the group, which holds no number below 0 or 0."""
+        """Exact membership in the group, which holds no number <= 0."""
         return self.coordinates(mu) is not None
 
     def equals(self, other: "SlopeGroup") -> Optional[bool]:
@@ -511,8 +511,8 @@ def thompson_triple(n: int, endpoint: Rational = 1) -> SteinTriple:
     """(Z[1/n], <n>, endpoint): the Higman-Thompson family for n >= 2."""
     if rational_field().coerce(n) < 2:
         raise ValidationError("the base must be at least 2")
-    module = BreakpointModule(rational_field(), [1], list(factor(n)))
-    return SteinTriple(module, SlopeGroup([n]), endpoint)
+    slopes = SlopeGroup([n])
+    return SteinTriple(BreakpointModule(rational_field(), [1], list(factor(n))), slopes, endpoint)
 
 
 def thompson_base(triple: SteinTriple) -> Optional[int]:
