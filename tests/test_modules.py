@@ -464,7 +464,7 @@ def test_thompson_builder():
         thompson_triple(1)
 
 
-def test_thompson_builder_refuses_a_base_that_is_not_an_integer_from_2():
+def test_thompson_builder_refuses_what_is_not_an_integer_from_2_with_validation_error():
     for n, message in [
         ("2", "str is not a number"),
         (None, "NoneType is not a number"),

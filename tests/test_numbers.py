@@ -448,8 +448,8 @@ RATIONAL_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRIES))
 def test_only_the_document_grammar_enters_as_a_string(entry):
-    # Fraction alone raised ValueError, TypeError or ZeroDivisionError
-    # here, and took seconds over the exponent
+    # Fraction alone would raise ValueError, TypeError or ZeroDivisionError
+    # here, and spend seconds on the exponent
     for value in ["x", "0.5", "1e10000000", "1_000", " 1", "1/0", "1" * 5000, None, [1]]:
         with pytest.raises(ValidationError) as info:
             RATIONAL_ENTRIES[entry](value)
