@@ -46,12 +46,15 @@ coefficients and interval ends may also be strings of the documents'
 grammar `_RATIONAL`, and any other string raises ValidationError.
 
 Each degree d has its own closed forms.  In degree one an element is
-the rational num[0]/den, sums, products, quotients and comparisons are
+the rational num[0]/den: sums, products, quotients and comparisons are
 integer operations on num[0] and den alone, and one gcd reduces the
-result; `_affine(s, t, o)` forms s*t + o over one denominator with one
-gcd, where the operators would reduce twice.  In degree two, for the
-root a of c2*t^2 + c1*t + c0, a product folds c2*a^2 = -c1*a - c0 into
-the two numerator pairs in integers,
+result.  From degree two one kernel, `_product`, forms the unreduced
+numerators and denominator of a product, and `__mul__` reduces them.
+`_affine(s, t, o)` forms s*t + o with one reduction in every degree: over
+one denominator in degree one, and by adding o over the kernel's
+denominator from degree two, where the operators would reduce twice.
+In degree two, for the root a of c2*t^2 + c1*t + c0, a product folds
+c2*a^2 = -c1*a - c0 into the two numerator pairs in integers,
 (x1 + y1*a)(x2 + y2*a) =
 (c2*x1*x2 - c0*y1*y2 + (c2*(x1*y2 + x2*y1) - c1*y1*y2)*a) / c2,
 and the inverse and the norm come from the norm form in integers:
@@ -550,7 +553,7 @@ def _normalized(field: RealAlgebraicField, num: tuple, den: int) -> "FieldElemen
     """The element num/den for a positive den, in canonical form."""
     g = gcd(den, *num)
     if g != 1:
-        num = tuple(x // g for x in num)
+        num = tuple([x // g for x in num])
         den //= g
     return FieldElement(field, num, den)
 
@@ -561,13 +564,49 @@ def _ratio(field: RealAlgebraicField, x: int, den: int) -> "FieldElement":
     return FieldElement(field, (x // g,), den // g)
 
 
+def _product(f: RealAlgebraicField, x: "FieldElement", y: "FieldElement"):
+    """The unreduced (num, den) of x*y for elements x, y of a handle f of
+    degree two or more, by the folds in the module docstring."""
+    d = f.degree
+    if d == 2:
+        # fold c2*a^2 = -c1*a - c0 into (x1 + y1*a)(x2 + y2*a) in integers
+        (x1, y1), (x2, y2) = x.num, y.num
+        c0, c1, c2 = f.minpoly.coefficients
+        yy = y1 * y2
+        if c2 == 1:
+            return (x1 * x2 - c0 * yy, x1 * y2 + x2 * y1 - c1 * yy), x.den * y.den
+        return (c2 * x1 * x2 - c0 * yy, c2 * (x1 * y2 + x2 * y1) - c1 * yy), c2 * x.den * y.den
+    conv = [0] * (2 * d - 1)
+    for i, a in enumerate(x.num):
+        if a:
+            for j, b in enumerate(y.num, i):
+                conv[j] += a * b
+    den = x.den * y.den
+    # fold the top term c*a^k back in by lead*a^d = -(c0 + ... + c_(d-1)*a^(d-1))
+    *low, lead = f.minpoly.coefficients
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv.pop()
+        if c:
+            if lead != 1:
+                conv = [lead * a for a in conv]
+                den *= lead
+            for i, t in enumerate(low, k - d):
+                conv[i] -= c * t
+    return tuple(conv), den
+
+
 def _affine(s: "FieldElement", t, o) -> "FieldElement":
-    """s*t + o, reduced once in degree one when t and o are elements of s's
-    handle; otherwise s * t + o through the operators."""
+    """s*t + o, reduced once when t and o are elements of s's handle: over
+    one denominator in degree one, and from degree two by adding o over the
+    denominator of `_product`; otherwise s * t + o through the operators."""
     f = s.field
-    if f.degree == 1 and t.__class__ is o.__class__ is FieldElement and t.field is o.field is f:
-        st, do = s.den * t.den, o.den
-        return _ratio(f, s.num[0] * t.num[0] * do + o.num[0] * st, st * do)
+    if t.__class__ is o.__class__ is FieldElement and t.field is o.field is f:
+        if f.degree == 1:
+            st, do = s.den * t.den, o.den
+            return _ratio(f, s.num[0] * t.num[0] * do + o.num[0] * st, st * do)
+        num, st = _product(f, s, t)
+        do = o.den
+        return _normalized(f, tuple([x * do + y * st for x, y in zip(num, o.num)]), st * do)
     return s * t + o
 
 
@@ -662,36 +701,10 @@ class FieldElement:
             o = self._coerce(o)
             if o is None:
                 return NotImplemented
-        d = f.degree
-        if d == 1:
+        if f.degree == 1:
             return _ratio(f, self.num[0] * o.num[0], self.den * o.den)
-        if d == 2:
-            # fold c2*a^2 = -c1*a - c0 into (x1 + y1*a)(x2 + y2*a) in integers
-            (x1, y1), (x2, y2) = self.num, o.num
-            c0, c1, c2 = f.minpoly.coefficients
-            yy = y1 * y2
-            if c2 == 1:
-                num = (x1 * x2 - c0 * yy, x1 * y2 + x2 * y1 - c1 * yy)
-                return _normalized(f, num, self.den * o.den)
-            num = (c2 * x1 * x2 - c0 * yy, c2 * (x1 * y2 + x2 * y1) - c1 * yy)
-            return _normalized(f, num, c2 * self.den * o.den)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(o.num, i):
-                    conv[j] += x * y
-        den = self.den * o.den
-        # fold the top term c*a^k back in by lead*a^d = -(c0 + ... + c_(d-1)*a^(d-1))
-        *low, lead = f.minpoly.coefficients
-        for k in range(2 * d - 2, d - 1, -1):
-            c = conv.pop()
-            if c:
-                if lead != 1:
-                    conv = [lead * x for x in conv]
-                    den *= lead
-                for i, t in enumerate(low, k - d):
-                    conv[i] -= c * t
-        return _normalized(f, tuple(conv), den)
+        num, den = _product(f, self, o)
+        return _normalized(f, num, den)
 
     __rmul__ = __mul__
 

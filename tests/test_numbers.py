@@ -100,6 +100,9 @@ def test_rational_field_basics():
     assert x.is_rational
     assert x.as_fraction() == Fraction(3, 4)
     assert str(x) == "3/4"
+    # the generator of a degree-one handle is its rational root
+    assert q.generator() == 0
+    assert ROOT3.generator() == 3 and ROOT3.generator().field is ROOT3
 
 
 def test_golden_ratio_identities():
@@ -886,12 +889,18 @@ def test_degree_one_closed_forms_match_fractions(field, other_field, p, q, kind)
 
 # -- s*t + o reduced once ---------------------------------------------------
 
-# each handle beside a compatible one: Q remembering the root 3, and phi and
-# the cube root of 2 isolated in other intervals
+# each handle beside a compatible one: Q remembering the root 3, and phi, the
+# cube root of 2 and two roots of non-monic polynomials isolated in other
+# intervals: (1 + sqrt 3)/2, a root of 2t^2 - 2t - 1, folds by c2 = 2, and
+# (3/2)^(1/3), the root of 2t^3 - 3, by lead = 2
 _AFFINE_HANDLES = [
     (thompson_triple(2).field, ROOT3),
     (GOLDEN, RealAlgebraicField([-1, -1, 1], (Fraction(8, 5), Fraction(17, 10)))),
     (CUBE_ROOT2, RealAlgebraicField([-2, 0, 0, 1], (1, 2))),
+    (RealAlgebraicField([-1, -2, 2], (1, Fraction(3, 2))),
+     RealAlgebraicField([-1, -2, 2], (Fraction(13, 10), Fraction(7, 5)))),
+    (RealAlgebraicField([-3, 0, 0, 2], (1, Fraction(6, 5))),
+     RealAlgebraicField([-3, 0, 0, 2], (Fraction(11, 10), Fraction(7, 6)))),
 ]
 SQRT5 = RealAlgebraicField([-5, 0, 1], (2, 3))
 _coordinates = st.lists(_rationals, min_size=3, max_size=3)
@@ -920,6 +929,7 @@ def test_affine_matches_the_operators(handles, s, t, o, zero_slope, t_kind, o_ki
     t, o = operand(t, t_kind), operand(o, o_kind)
     z, expected = numbers._affine(s, t, o), s * t + o
     assert z.field is field and (z.num, z.den) == (expected.num, expected.den)
+    assert_canonical(z)
 
 
 def test_affine_refuses_an_irrational_of_another_field():
