@@ -172,17 +172,13 @@ class PLMap:
 
     # -- evaluation ---------------------------------------------------------
 
+    # The first piece starts at 0, so a plus cut t >= 0 has a piece at it
+    # and a minus cut t > 0 one to its left; callers check the cut first.
     def _piece_at(self, t: FieldElement) -> Piece:
-        k = bisect_right(self.pieces, t, key=lambda p: p.start) - 1
-        if k < 0:
-            raise ValidationError(f"{t} is below 0")
-        return self.pieces[k]
+        return self.pieces[bisect_right(self.pieces, t, key=lambda p: p.start) - 1]
 
     def _piece_left_of(self, t: FieldElement) -> Piece:
-        k = bisect_left(self.pieces, t, key=lambda p: p.start) - 1
-        if k < 0:
-            raise ValidationError(f"{t} has nothing to its left")
-        return self.pieces[k]
+        return self.pieces[bisect_left(self.pieces, t, key=lambda p: p.start) - 1]
 
     def __call__(self, t) -> FieldElement:
         t = self.triple.field.coerce(t)

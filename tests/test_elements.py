@@ -57,6 +57,26 @@ def test_cut_point_order():
     assert q  # silence the linter
 
 
+_PHI_MINUS_1 = GOLDEN.field.generator() - 1
+
+
+@pytest.mark.parametrize("triple, values", [
+    (DYADIC, [Fraction(1, 4), Fraction(1, 2)]),
+    (GOLDEN, [_PHI_MINUS_1 ** 2, _PHI_MINUS_1]),
+], ids=["dyadic", "golden"])
+def test_every_cut_point_comparison_follows_value_then_side(triple, values):
+    # each value on both sides, so equal values meet with equal and with
+    # different sides; the NamedTuple's own order would put "+" below "-"
+    points = [cut_point(triple, v, side) for v in values for side in "-+"]
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            c = x._key_cmp(y)
+            assert c == (i > j) - (i < j)
+            assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+    plus, minus = points[1], points[0]
+    assert tuple.__lt__(plus, minus) and minus < plus
+
+
 def test_cut_point_validation():
     with pytest.raises(ValidationError, match="is not a point of the breakpoint module"):
         cut_point(DYADIC, Fraction(1, 3), "+")

@@ -22,12 +22,14 @@ from steinv import (
     beta_expand,
     errors,
     from_prefix_pairs,
+    generator_library,
     golden_field,
     golden_triple,
     make_plmap,
     n_adic_expand,
     rational_field,
     scale_equivalence,
+    stein_triple,
     substitute_tau,
     thompson_triple,
     to_prefix_pairs,
@@ -184,6 +186,7 @@ def test_every_stein_error_raise_passes_a_message():
 
 PHI = golden_field().generator()
 GOLDEN = golden_triple().module
+SIXTH_ROOT2 = RealAlgebraicField([-2, 0, 0, 0, 0, 0, 1], (1, 2))
 
 # one input for each refusal that no other in-process test reaches
 REFUSALS = [
@@ -205,6 +208,14 @@ REFUSALS = [
     (lambda: n_adic_expand(CutPoint(PHI - 1, "+"), 2), "n-adic coding needs a rational cut point"),
     (lambda: substitute_tau("2"), "'2' is not a binary word"),
     (lambda: beta_expand(Fraction(1, 2), "-"), "1/2 has no expansion with a repeating 10 tail"),
+    # 2^(1/6) on its power basis over Z[1/2], a module of rank 6
+    (lambda: generator_library(stein_triple(
+        [SIXTH_ROOT2.generator() ** i for i in range(6)], [2], [2], 1, SIXTH_ROOT2,
+    )), "a generator library is capped at module rank 5"),
+    # the rotation by 2^-12, about 98,000 letters of prefix pairs
+    (lambda: to_prefix_pairs(make_plmap(thompson_triple(2), [
+        (0, 1, Fraction(1, 2**12)), (1 - Fraction(1, 2**12), 1, Fraction(1, 2**12) - 1),
+    ])), "a prefix exchange form is capped at 50,000 letters"),
 ]
 
 

@@ -501,6 +501,10 @@ def test_triple_equality_and_field_mismatch():
     assert t1 == t2
     assert hash(t1) == hash(t2)
     assert t1 != thompson_triple(3)
+    unbounded = stein_triple([1], [2], [2])
+    assert unbounded == stein_triple([1], [2], [2])
+    assert t1 != unbounded and unbounded != t1  # an endpoint on one side only
+    assert t1 != thompson_triple(2, 2)  # different endpoints
     f = golden_field()
     with pytest.raises(FieldMismatch):
         SteinTriple(
