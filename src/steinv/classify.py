@@ -400,8 +400,6 @@ def classify_pair(
 
 def _endpoint_residue_gcd(n: int, r: Fraction) -> int:
     # the class of r in Z[1/n]/(n-1) only sees gcd(n-1, r mod n-1)
-    if n == 2:
-        return 1
     m = n - 1
     inv = pow(r.denominator % m, -1, m)
     return math.gcd(m, (r.numerator * inv) % m)

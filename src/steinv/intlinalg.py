@@ -219,8 +219,6 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 43 * 43:
-        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1

@@ -126,11 +126,9 @@ class SlopeGroup:
         self.atoms = tuple(sorted(
             {p for q in rationals for n in (q.numerator, q.denominator) for p in factor(n)}
         ))
-        self.lattice = ()
-        if self.atoms:
-            rows = [_valuations(q, self.atoms) for q in rationals]
-            _hermite(rows, len(self.atoms))
-            self.lattice = tuple(tuple(row) for row in rows if any(row))
+        rows = [_valuations(q, self.atoms) for q in rationals]
+        _hermite(rows, len(self.atoms))
+        self.lattice = tuple(tuple(row) for row in rows if any(row))
         self._values = tuple(
             prod(Fraction(p) ** e for p, e in zip(self.atoms, row)) for row in self.lattice
         )
@@ -552,12 +550,7 @@ def algebraic_triple(
 ) -> SteinTriple:
     """(Z[a], <a>, endpoint) for the root a of minpoly in the interval."""
     field = RealAlgebraicField(minpoly, root_interval)
-    gen = field.generator()
-    basis = []
-    power = field.one()
-    for _ in range(field.degree):
-        basis.append(power)
-        power = power * gen
+    basis = [field.element([0] * j + [1]) for j in range(field.degree)]
     module = BreakpointModule(field, basis)
-    slopes = SlopeGroup([gen])
+    slopes = SlopeGroup([field.generator()])
     return SteinTriple(module, slopes, endpoint)

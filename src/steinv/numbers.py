@@ -519,8 +519,6 @@ def _numerator_sign(f: RealAlgebraicField, num: tuple) -> int:
     poly = _trim(num)
     if not poly:
         return 0
-    if len(poly) == 1:
-        return _sign(poly[0])
     zero_checked = False
     while True:
         root = f._exact_root
@@ -740,8 +738,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         """The field norm: the determinant of multiplication by the element."""
         f = self.field
-        if f.degree == 1:
-            return Fraction(self.num[0], self.den)
         if f.degree == 2:
             return Fraction(_norm_form(f, *self.num), f.minpoly.coefficients[2] * self.den**2)
         d, lead = f.degree, f.minpoly.coefficients[-1]
@@ -865,13 +861,10 @@ def approx(a: FieldElement, eps: Rational):
     eps = _exact(eps)
     if eps <= 0:
         raise ValidationError(f"eps must be positive, not {eps}")
-    if a.is_rational:
-        v = a.as_fraction()
-        return v, v
     f = a.field
     if f._quadratic is not None:
         return _quadratic_approx(f._quadratic, *a.num, a.den, eps)
-    poly = _trim(a.num)  # the value is poly(a) / den
+    poly = _trim(a.num) or (0,)  # the value is poly(a) / den
     lo, hi = f.initial_interval()
     while True:
         v_lo, v_hi, scale = _interval_eval(poly, lo, hi)
@@ -882,7 +875,7 @@ def approx(a: FieldElement, eps: Rational):
 
 
 def _quadratic_approx(quadratic, x: int, y: int, den: int, eps: Fraction):
-    """approx for (x + y*a) / den, y != 0, and the root
+    """approx for (x + y*a) / den and the root
     a = (-c1 + e*sqrt(D)) / (2*c2): the value is (u + v*sqrt(D)) / w."""
     c1, c2, e, disc = quadratic
     u, v, w = 2 * c2 * x - c1 * y, e * y, 2 * c2 * den
