@@ -31,7 +31,8 @@ chain.  No floating point is used anywhere.
 field handle: every rational lies in every field, and compatible handles
 present one field.  Two handles are compatible when their root keys are
 equal; a handle fixes its key at construction from the data that locates
-its root, so no handle remembers another.  An int, a Fraction, a rational element of any handle
+its root, so no handle remembers another.  An int, a Fraction, a string
+of the documents' grammar `_RATIONAL`, a rational element of any handle
 and any element of a compatible handle enter; an irrational element of
 another field raises FieldMismatch.  Arithmetic and order coerce their
 second operand by it, and equality calls a rejected value unequal, so
@@ -39,11 +40,10 @@ equal numbers compare and hash equal across handles.  A float enters
 nowhere: coordinates, rationals, polynomial coefficients, interval ends
 and operands of arithmetic, order and equality given as floats raise
 ValidationError, since a float's binary value is rarely the number meant.
-A value that is no number at all raises ValidationError where it enters
-a field and as an operand of order; arithmetic keeps Python's protocol
-(TypeError), and equality calls it unequal.  Coordinates, rationals,
-coefficients and interval ends may also be strings of the documents'
-grammar `_RATIONAL`, and any other string raises ValidationError.
+Any other string, and a value that is no number at all, raises
+ValidationError where it enters a field.  As an operand, a string or any
+other non-number raises ValidationError in order; arithmetic keeps
+Python's protocol (TypeError), and equality calls it unequal.
 
 Each degree d has its own closed forms.  In degree one an element is
 the rational num[0]/den: sums, products, quotients and comparisons are
@@ -64,8 +64,8 @@ folds the terms of degree 2d-2 down to d back in, the top one first, by
 lead*a^d = -(c0 + c1*a + ... + c_(d-1)*a^(d-1)), multiplying the rest
 and the denominator by lead when lead is not 1.  The inverse and the
 norm come from the d x d matrix of multiplication by x, whose columns
-are x*a^j (j < d): the norm is its determinant and the inverse solves
-it against 1 (Cohen, GTM 138, 4.2).
+are x*a^j (j < d): the norm is its determinant, in degree one too, and
+the inverse solves it against 1 (Cohen, GTM 138, 4.2).
 The matrix is built in integers from num and den, with column j
 scaled by den*lead^j, and `_bareiss`, a fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22 (1968)), solves it in integers.
@@ -473,9 +473,9 @@ class RealAlgebraicField:
             if self.compatible(x.field):
                 return FieldElement(self, x.num, x.den)
             raise FieldMismatch(f"{x} lies in {x.field!r}, not in {self!r}")
-        if not isinstance(x, (int, Fraction, float)):
+        if not isinstance(x, (int, Fraction, float, str)):
             raise ValidationError(f"{type(x).__name__} is not a number")
-        return self.from_rational(x)  # `_exact` refuses a float
+        return self.from_rational(x)  # `_exact` refuses floats and non-'p/q' strings
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -802,7 +802,9 @@ class FieldElement:
     def _cmp(self, other) -> int:
         f, o = self.field, other
         if o.__class__ is not FieldElement or o.field is not f:
-            o = f.coerce(other)
+            o = self._coerce(other)
+            if o is None:
+                raise ValidationError(f"{type(other).__name__} is not a number")
         dx, dy = self.den, o.den  # the sign of the difference's numerator
         if f.degree == 1:
             return _sign(self.num[0] * dy - o.num[0] * dx)
@@ -853,8 +855,8 @@ def approx(a: FieldElement, eps: Rational):
     """A rational interval of width < eps containing the element's value.
 
     In degree two the interval comes from the closed form of the root and
-    an integer square root; in higher degrees from bisecting the field's
-    construction-time isolating interval.  Either way the result depends
+    an integer square root; in every other degree from bisecting the
+    field's construction-time isolating interval.  Either way the result depends
     only on the inputs, never on how much refinement earlier comparisons
     happened to trigger.
     """

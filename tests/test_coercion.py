@@ -3,14 +3,18 @@
 Every rational lies in every field and compatible handles present one
 field, so ints, Fractions, rational elements of any handle and elements
 of a compatible handle enter a field; an irrational element of another
-field raises FieldMismatch.  Equality follows the same rule, and hashes
-agree with it.  A float enters no field: as an operand of arithmetic,
-order or equality it raises ValidationError.  Nor does a value that is
-no number: it raises ValidationError where it enters a field and in
-order, TypeError in arithmetic, and equality calls it unequal.
+field raises FieldMismatch.  A `p/q` string enters where `coerce` is the
+door, and any other string raises ValidationError there.  Equality
+follows the same rule, and hashes agree with it.  A float enters no
+field: as an operand of arithmetic, order or equality it raises
+ValidationError.  Nor does a value that is no number: it raises
+ValidationError where it enters a field, and as an operand a string or
+any non-number raises ValidationError in order, TypeError in
+arithmetic, and equality calls it unequal.
 """
 
 import gc
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -180,27 +184,54 @@ def test_slope_group_membership_of_a_foreign_irrational_raises():
             entry(SQRT2.generator() + 1)
 
 
+# the doors that `coerce` guards, with beta_expand's own; arithmetic, order,
+# the slope 2*x + 1 and beta_expand's x/2 take x as an operand instead
+STRING_DOORS = {
+    **ENTRIES,
+    "beta_expand": (lambda x: beta_expand(x, "-"), ON_GOLDEN),
+}
+for operand in ("FieldElement.__add__", "FieldElement.__lt__", "SteinTriple.slopes"):
+    del STRING_DOORS[operand]
+
+
+@pytest.mark.parametrize("entry", sorted(STRING_DOORS))
+def test_a_grammar_string_enters_at_every_door(entry):
+    apply, (native, _, _) = STRING_DOORS[entry]
+    assert apply(str(native)) == apply(native)  # "1/2" or "1"
+
+
 NON_NUMBER_ENTRIES = {
-    "make_plmap": lambda: make_plmap(DYADIC, [("0", 1, 0)]),
-    "BreakpointModule": lambda: BreakpointModule(Q, ["a"]),
-    "SlopeGroup": lambda: SlopeGroup(["2"]),
+    "make_plmap": lambda x: make_plmap(DYADIC, [(x, 1, 0)]),
+    "BreakpointModule": lambda x: BreakpointModule(Q, [x]),
+    "SlopeGroup": lambda x: SlopeGroup([x]),
+}
+
+
+NON_NUMBERS = {
+    "a": "'a' is not an int, a Fraction or a 'p/q' string",
+    "0.5": "'0.5' is not an int, a Fraction or a 'p/q' string",
+    None: "NoneType is not a number",
 }
 
 
 @pytest.mark.parametrize("entry", sorted(NON_NUMBER_ENTRIES))
 def test_a_non_number_entering_a_field_raises_validation_error(entry):
     # a SteinError, so the command line exits 2 instead of printing a traceback
-    with pytest.raises(ValidationError, match="^str is not a number$"):
-        NON_NUMBER_ENTRIES[entry]()
+    for value, message in NON_NUMBERS.items():
+        with pytest.raises(ValidationError) as info:
+            NON_NUMBER_ENTRIES[entry](value)
+        assert str(info.value) == message
 
 
 def test_a_non_number_operand_keeps_pythons_protocol():
-    # order refuses it as it refuses a float; arithmetic and == do not coerce it
-    with pytest.raises(ValidationError, match="^str is not a number$"):
-        PHI < "a"
-    with pytest.raises(TypeError):
-        PHI + "a"
-    assert PHI != "a" and not PHI == "a"
+    # order refuses a string, even one in the grammar, as it refuses a
+    # float; arithmetic and == do not coerce it
+    for x, text in itertools.product([PHI, Q.one()], ["a", "1/2"]):
+        with pytest.raises(ValidationError, match="^str is not a number$"):
+            x < text
+        with pytest.raises(TypeError):
+            x + text
+        assert x != text and not x == text
 
 
 # -- a float is refused by every operator ------------------------------------

@@ -466,7 +466,7 @@ def test_thompson_builder():
 
 def test_thompson_builder_refuses_what_is_not_an_integer_from_2_with_validation_error():
     for n, message in [
-        ("2", "str is not a number"),
+        ("2", "'2' is not an integer"),
         (None, "NoneType is not a number"),
         (1.5, "1.5 is a float; give an int, a Fraction or a 'p/q' string"),
         (True, "the base must be at least 2"),
