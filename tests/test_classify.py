@@ -26,7 +26,7 @@ from steinv import (
     stein_triple,
     thompson_triple,
 )
-from steinv import classify, modules
+from steinv import classify, intlinalg, modules
 from steinv.classify import _fundamental_unit
 from steinv.modules import thompson_base
 from steinv.numbers import RealAlgebraicField
@@ -544,6 +544,34 @@ def test_fundamental_unit_gives_up_on_a_long_period():
     start = time.perf_counter()
     assert _fundamental_unit(power_module(f)) is None
     assert time.perf_counter() - start < 1
+
+
+def test_fundamental_unit_of_a_square_discriminant_is_none():
+    # x^2 - 1 is reducible: t = a has D = 4, a square
+    f = RealAlgebraicField([-1, 0, 1], (0, 2))
+    assert _fundamental_unit(BreakpointModule(f, [1, f.generator()])) is None
+
+
+def test_fundamental_unit_gives_up_when_the_factoring_budget_runs_out(monkeypatch):
+    # D = 4*101*103: no period step is left, and rho cannot split 10403
+    f = RealAlgebraicField([-10403, 0, 1], (101, 102))
+    module = BreakpointModule(f, [1, f.generator()])
+    assert _fundamental_unit(module) == 102 + f.generator()
+    monkeypatch.setattr(classify, "_UNIT_STEPS", 0)
+    monkeypatch.setattr(intlinalg, "_RHO_STEPS", 0)
+    assert _fundamental_unit(module) is None
+
+
+def test_fundamental_unit_gives_up_past_the_power_budget(monkeypatch):
+    # Z + 3Z*sqrt 2 has D = 72 = 8*3^2: the unit is the least power of
+    # 1 + sqrt 2 in that order, found by walking powers modulo 3
+    f = RealAlgebraicField([-2, 0, 1], (1, 2))
+    a = f.generator()
+    module = BreakpointModule(f, [1, 3 * a])
+    assert _fundamental_unit(module) == 17 + 12 * a
+    monkeypatch.setattr(classify, "_UNIT_STEPS", 1)
+    monkeypatch.setattr(classify, "_UNIT_POWERS", 0)
+    assert _fundamental_unit(module) is None
 
 
 def test_unit_beyond_the_old_box_matches_the_endpoint():

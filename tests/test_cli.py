@@ -220,6 +220,20 @@ def test_element_fixed_points(docs, capsys):
     assert out == "no fixed points\n"
 
 
+def test_element_fixed_points_neutral_and_off_the_module(capsys):
+    elements = {
+        "n": {"pieces": [["0", "1", "0"], ["1/2", "1", "1/4"], ["3/4", "1", "-1/4"]]},
+        "q": {"pairs": [["000", "100"], ["001", "0"], ["01", "101"], ["1", "11"]]},
+    }
+    doc = json.dumps(dict(DYADIC_DOC, elements=elements))
+    code, out, _ = run(capsys, "element", "fixed-points", doc, "n")
+    # the fixed interval [0, 1/2] shows as its two end cuts
+    assert (code, out) == (0, "0+ slope 1 neutral\n1/2- slope 1 neutral\n")
+    code, out, _ = run(capsys, "element", "fixed-points", doc, "q")
+    # 1/6 is no dyadic rational, so no cut of the module
+    assert (code, out) == (0, "1- slope 1/2 attracting\n1/6 fixed but not a module cut\n")
+
+
 def test_element_to_pairs(docs, capsys):
     code, out, _ = run(capsys, "element", "to-pairs", docs["dyadic"], "x0")
     assert code == 0

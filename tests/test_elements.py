@@ -350,6 +350,11 @@ def test_random_word_length_that_is_not_an_int_raises_validation_error():
         random_word(DYADIC, 2.0, 1)
 
 
+def test_random_word_of_negative_length_raises_validation_error():
+    with pytest.raises(ValidationError, match="^the word length -1 is negative$"):
+        random_word(DYADIC, -1, 0)
+
+
 def test_random_word_length_is_capped(monkeypatch):
     monkeypatch.setattr(elements, "_MAX_LETTERS", 12)
     assert random_word(DYADIC, 12, seed=42) == random_word(DYADIC, 12, seed=42)

@@ -57,6 +57,8 @@ def test_slope_group_contains():
     k = SlopeGroup([4])
     assert not k.contains(2)
     assert k.contains(16)
+    # an irrational is no product of prime powers
+    assert not g.contains(golden_field().generator())
 
 
 def test_slope_group_equality():
