@@ -7,13 +7,20 @@ gcds in place of the normal forms, the scan-and-sort walks that the
 element code replaced, the scale search as a box walk with no prefilter
 or budget, and certificate checks that re-derive a verdict's data
 without `classify`.  It also holds `presentations()`, the strategy that
-the presentation property tests and `mix_count.py` draw from.  The
-module holds no tests; test modules import their shared helpers from
+the presentation property tests and `mix_count.py` draw from, and
+`cli_calls()`, the generated documents and commands that the CLI
+property test and `doc_sweep.py` run through `run_cli`.  The module
+holds no tests; test modules import their shared helpers from
 here and from no other test module.
 """
 
 import bisect
+import contextlib
+import copy
+import functools
+import io
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -25,6 +32,7 @@ from steinv import (
     rational_field, stein_triple,
 )
 from steinv.classify import _fundamental_unit
+from steinv.cli import main
 from steinv.elements import Piece
 from steinv.numbers import RealAlgebraicField
 
@@ -782,3 +790,120 @@ def presentations(draw):
     if primes == (2, 3) and draw(st.booleans()):
         slopes = (6, 3)
     return a, b, triple(changed, b.endpoint, slopes, handle)
+
+
+# -- generated documents ----------------------------------------------------
+
+# (field, unit): monic fields of degree 1-4 as documents write them, each
+# with a positive unit of Z[a] (None in degree one)
+DOC_FIELDS = [
+    (None, None),
+    ({"minpoly": [-3, 1], "root_interval": ["2", "4"]}, None),
+    ({"minpoly": [-1, -1, 1], "root_interval": ["3/2", "5/3"]}, (0, 1)),  # phi
+    ({"minpoly": [-2, 0, 1], "root_interval": ["1", "2"]}, (1, 1)),  # 1 + sqrt 2
+    ({"minpoly": [-3, 0, 1], "root_interval": ["1", "2"]}, (2, 1)),  # 2 + sqrt 3
+    ({"minpoly": [-2, 0, 0, 1], "root_interval": ["5/4", "4/3"]}, (-1, 1, 0)),  # 2^(1/3) - 1
+    ({"minpoly": [-1, -1, 0, 1], "root_interval": ["1", "2"]}, (0, 1, 0)),  # plastic number
+    ({"minpoly": [-2, 0, 0, 0, 1], "root_interval": ["1", "2"]}, (-1, 1, 0, 0)),  # 2^(1/4) - 1
+    ({"minpoly": [-1, -1, 0, 0, 1], "root_interval": ["1", "2"]}, (0, 1, 0, 0)),
+]
+
+# stands in the document for a value nested 3000 arrays deep
+_NEST = "nested value"
+
+
+@functools.cache
+def _order_unit_coordinates(index: int, conductor: int) -> list:
+    """The least power of DOC_FIELDS[index]'s unit in the order
+    Z + conductor*Z[a], as document coordinates."""
+    spec, unit = DOC_FIELDS[index]
+    field = RealAlgebraicField(spec["minpoly"], [Fraction(x) for x in spec["root_interval"]])
+    u = power = field.element(unit)
+    while any(x % conductor for x in power.num[1:]):
+        power = power * u
+    return [str(x) for x in power.num]
+
+
+def _paths(node, path=()):
+    """The paths to every value below the root of a parsed JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def documents(draw, index=None):
+    """JSON text of a triple (Z[1/S]*O, Lambda, ell) over DOC_FIELDS[index]
+    (drawn when None): O = Z + c*Z[a] of conductor c in 1-3, up to two
+    inverted primes S (at least one in degree one), slopes the primes of
+    S, a unit of O or none, and ell a multiple of a basis element.  At most
+    one mutation follows: a dropped key, or a value replaced by a float, a
+    string, a huge int or a deep nesting."""
+    if index is None:
+        index = draw(st.integers(0, len(DOC_FIELDS) - 1))
+    spec, unit = DOC_FIELDS[index]
+    d = 1 if spec is None else len(spec["minpoly"]) - 1
+    c = draw(st.integers(1, 3))
+    primes = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=d == 1, max_size=2, unique=True))
+    basis = [["0"] * j + [str(c if j else 1)] for j in range(d)]
+    kind = draw(st.sampled_from(["primes", "unit", "none"]))
+    if kind == "primes" and primes:
+        generators = [str(p) for p in draw(st.lists(st.sampled_from(primes), min_size=1, unique=True))]
+    elif kind == "unit" and unit is not None:
+        generators = [_order_unit_coordinates(index, c)]
+    else:
+        generators = []
+    k = draw(st.integers(1, 3))
+    ell = [str(k * int(x)) for x in draw(st.sampled_from(basis))]
+    doc = {"gamma": {"basis": basis, "inverted_primes": primes},
+           "lambda": {"generators": generators}, "ell": ell}
+    if spec is not None:
+        doc["field"] = copy.deepcopy(spec)
+    mutation = draw(st.sampled_from([None] * 8 + ["drop", "float", "string", "huge", "nest"]))
+    if mutation is not None:
+        paths = [p for p in _paths(doc) if mutation != "drop" or isinstance(p[-1], str)]
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if mutation == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = {
+                "float": 0.5,
+                "string": draw(st.sampled_from(["", "x", "1.5", "1e3", "1/0"])),
+                "huge": draw(st.sampled_from([2**127 - 1, 10**400])),
+                "nest": _NEST,
+            }[mutation]
+    return json.dumps(doc).replace(json.dumps(_NEST), "[" * 3000 + "]" * 3000)
+
+
+@st.composite
+def cli_calls(draw, bound=1):
+    """The argv lists of one example: classify, classify-groupoid (both at
+    --search-bound bound), coinvariants, obstruct and a three-letter
+    element random on two generated documents, most often over one field,
+    each with or without --json."""
+    index = draw(st.integers(0, len(DOC_FIELDS) - 1))
+    a = draw(documents(index))
+    b = draw(documents(index if draw(st.integers(0, 3)) else None))
+    seed = str(draw(st.integers(0, 99)))
+    calls = [
+        ["classify", a, b, "--search-bound", str(bound)],
+        ["classify-groupoid", a, b, "--search-bound", str(bound)],
+        ["coinvariants", a],
+        ["obstruct", a, b],
+        ["element", "random", a, "3", "--seed", seed],
+    ]
+    return [argv + ["--json"] * draw(st.booleans()) for argv in calls]
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of `steinv.cli.main(argv)` in process;
+    a usage error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()

@@ -13,7 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import doc_sweep
 from record_cli_golden import (
     DYADIC_DOC, BASE5_DOC, BASE5_ELL2_DOC, TWO_THREE_DOC, TWO_NINE_DOC, TWO_FIVE_DOC,
     GOLDEN_DOC, GOLDEN_ELL_B_DOC, SQRT2_FREE_DOC,
@@ -23,6 +25,7 @@ from steinv import (
 )
 from steinv.cli import main
 from steinv.numbers import MinimalPolynomial
+from references import cli_calls, run_cli
 
 SQRT2_FREE_ELL_2_DOC = dict(SQRT2_FREE_DOC, ell="2")
 
@@ -654,3 +657,34 @@ def test_high_degree_search_budget_is_charged_by_degree(tmp_path, degree, radius
     assert (code, out) == (
         1, f"Unknown: module scale search failed: search budget spent at radius {radius}\n"
     )
+
+
+# -- generated documents through every command -------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_calls())
+def test_generated_documents_exit_cleanly_through_every_command(calls):
+    for argv in calls:
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2, 64), (argv, err)
+        if code >= 2:
+            assert out == "" and err
+            continue
+        shown = json.loads(out) if "--json" in argv else out
+        if argv[0] in ("classify", "classify-groupoid", "obstruct"):
+            unknown = shown["outcome"] == "Unknown" if "--json" in argv else out.startswith("Unknown")
+            assert (code == 1) == unknown, argv
+        else:
+            assert code == 0, argv
+
+
+def test_the_document_sweep_prints_its_mix_and_slowest_calls(capsys):
+    # tests/doc_sweep.py is run by hand; this keeps its API from rotting
+    doc_sweep.main(["--examples", "3", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "15 calls, seed 1, bound 1"
+    commands = [line.split(":")[0].strip() for line in lines[1:6]]
+    assert commands == ["classify", "classify-groupoid", "coinvariants", "element", "obstruct"]
+    assert lines[6] == "slowest calls:" and len(lines) == 17
+    assert all(re.fullmatch(r" *[0-9.]+ ms  \[.*\]", line) for line in lines[7:])
