@@ -2,7 +2,7 @@
 
 Draws `--examples` examples of `references.cli_calls()` under a
 hypothesis seed: two documents, most often over one field, each run
-through classify and classify-groupoid (at `--bound`), coinvariants,
+through classify and classify-groupoid (at --search-bound 1), coinvariants,
 obstruct and a three-letter element random, in process through
 `steinv.cli.main`.  Prints the exit-code mix per command and the ten
 slowest calls with their argv.  pytest does not collect this file.
@@ -19,14 +19,14 @@ from hypothesis import HealthCheck, Phase, given, seed, settings
 from references import cli_calls, run_cli
 
 
-def sweep(examples, seed_value, bound):
+def sweep(examples, seed_value):
     """(Counter of (command, exit code), [(seconds, argv)] of every call)."""
     codes, times = Counter(), []
 
     @seed(seed_value)
     @settings(max_examples=examples, database=None, deadline=None,
               phases=[Phase.generate], suppress_health_check=list(HealthCheck))
-    @given(cli_calls(bound))
+    @given(cli_calls())
     def run(calls):
         for argv in calls:
             start = time.perf_counter()
@@ -42,10 +42,9 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--examples", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=1, help="--search-bound of the verdict calls")
     args = p.parse_args(argv)
-    codes, times = sweep(args.examples, args.seed, args.bound)
-    print(f"{len(times)} calls, seed {args.seed}, bound {args.bound}")
+    codes, times = sweep(args.examples, args.seed)
+    print(f"{len(times)} calls, seed {args.seed}")
     for command in sorted({command for command, _ in codes}):
         mix = ", ".join(f"exit {code} {n}" for (c, code), n in sorted(codes.items()) if c == command)
         print(f"{command:>17}: {mix}")

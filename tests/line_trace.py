@@ -3,9 +3,8 @@
 Runs pytest in this process under `sys.settrace`, records every line
 executed in the package's modules, and prints, per module, each
 statement (read from the AST; docstrings and other bare constants left
-out) none of whose lines ran.  Only this process is traced: tests that
-run the command line through `subprocess` reach code this script lists
-as never run, such as `random_word`'s refusal of a negative length.
+out) none of whose lines ran.  Only this process is traced: code that only tests running the
+command line through `subprocess` reach is listed as never run.
 pytest does not collect this file, and it needs nothing beyond the
 standard library and pytest.
 

@@ -683,7 +683,7 @@ def test_the_document_sweep_prints_its_mix_and_slowest_calls(capsys):
     # tests/doc_sweep.py is run by hand; this keeps its API from rotting
     doc_sweep.main(["--examples", "3", "--seed", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "15 calls, seed 1, bound 1"
+    assert lines[0] == "15 calls, seed 1"
     commands = [line.split(":")[0].strip() for line in lines[1:6]]
     assert commands == ["classify", "classify-groupoid", "coinvariants", "element", "obstruct"]
     assert lines[6] == "slowest calls:" and len(lines) == 17
