@@ -5,7 +5,7 @@ hypothesis seed: two documents, most often over one field, each run
 through classify and classify-groupoid (at --search-bound 1), coinvariants,
 obstruct and a three-letter element random, in process through
 `steinv.cli.main`.  Prints the exit-code mix per command and the ten
-slowest calls with their argv.  pytest does not collect this file.
+slowest calls with their argv, a deep nesting shown by its depth.  pytest does not collect this file.
 
 Usage: PYTHONPATH=src:tests python tests/doc_sweep.py --examples 300 --seed 0
 """
@@ -16,7 +16,7 @@ from collections import Counter
 
 from hypothesis import HealthCheck, Phase, given, seed, settings
 
-from references import cli_calls, run_cli
+from references import NEST_DEPTH, NESTED, cli_calls, run_cli
 
 
 def sweep(examples, seed_value):
@@ -46,11 +46,12 @@ def main(argv=None):
     codes, times = sweep(args.examples, args.seed)
     print(f"{len(times)} calls, seed {args.seed}")
     for command in sorted({command for command, _ in codes}):
-        mix = ", ".join(f"exit {code} {n}" for (c, code), n in sorted(codes.items()) if c == command)
-        print(f"{command:>17}: {mix}")
+        mix = [f"exit {code} {n}" for (c, code), n in sorted(codes.items()) if c == command]
+        print(f"{command:>17}: " + ", ".join(mix))
     print("slowest calls:")
     for seconds, call in sorted(times, key=lambda t: t[0], reverse=True)[:10]:
-        print(f"{seconds * 1000:9.1f} ms  {call}")
+        shown = [arg.replace(NESTED, f"<{NEST_DEPTH} nested arrays>") for arg in call]
+        print(f"{seconds * 1000:9.1f} ms  {shown}")
 
 
 if __name__ == "__main__":

@@ -808,8 +808,10 @@ DOC_FIELDS = [
     ({"minpoly": [-1, -1, 0, 0, 1], "root_interval": ["1", "2"]}, (0, 1, 0, 0)),
 ]
 
-# stands in the document for a value nested 3000 arrays deep
-_NEST = "nested value"
+# a mutation nests a value NEST_DEPTH arrays deep, past what json parses
+NEST_DEPTH = 3000
+NESTED = "[" * NEST_DEPTH + "]" * NEST_DEPTH
+_NEST = "nested value"  # stands in the document for NESTED
 
 
 @functools.cache
@@ -826,7 +828,10 @@ def _order_unit_coordinates(index: int, conductor: int) -> list:
 
 def _paths(node, path=()):
     """The paths to every value below the root of a parsed JSON value."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
     for key, value in items:
         yield path + (key,)
         yield from _paths(value, path + (key,))
@@ -849,7 +854,8 @@ def documents(draw, index=None):
     basis = [["0"] * j + [str(c if j else 1)] for j in range(d)]
     kind = draw(st.sampled_from(["primes", "unit", "none"]))
     if kind == "primes" and primes:
-        generators = [str(p) for p in draw(st.lists(st.sampled_from(primes), min_size=1, unique=True))]
+        chosen = draw(st.lists(st.sampled_from(primes), min_size=1, unique=True))
+        generators = [str(p) for p in chosen]
     elif kind == "unit" and unit is not None:
         generators = [_order_unit_coordinates(index, c)]
     else:
@@ -874,7 +880,7 @@ def documents(draw, index=None):
                 "huge": draw(st.sampled_from([2**127 - 1, 10**400])),
                 "nest": _NEST,
             }[mutation]
-    return json.dumps(doc).replace(json.dumps(_NEST), "[" * 3000 + "]" * 3000)
+    return json.dumps(doc).replace(json.dumps(_NEST), NESTED)
 
 
 @st.composite
