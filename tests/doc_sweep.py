@@ -5,7 +5,8 @@ hypothesis seed: two documents, most often over one field, each run
 through classify and classify-groupoid (at --search-bound 1), coinvariants,
 obstruct and a three-letter element random, in process through
 `steinv.cli.main`.  Prints the exit-code mix per command and the ten
-slowest calls with their argv, a deep nesting shown by its depth.  pytest does not collect this file.
+slowest calls with their argv, a deep nesting shown by its depth.
+pytest does not collect this file.
 
 Usage: PYTHONPATH=src:tests python tests/doc_sweep.py --examples 300 --seed 0
 """

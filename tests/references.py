@@ -815,15 +815,16 @@ _NEST = "nested value"  # stands in the document for NESTED
 
 
 @functools.cache
-def _order_unit_coordinates(index: int, conductor: int) -> list:
+def _order_unit_coordinates(index: int, conductor: int) -> tuple:
     """The least power of DOC_FIELDS[index]'s unit in the order
-    Z + conductor*Z[a], as document coordinates."""
+    Z + conductor*Z[a], as document coordinates (a tuple, since a
+    mutation must not reach the cached value)."""
     spec, unit = DOC_FIELDS[index]
     field = RealAlgebraicField(spec["minpoly"], [Fraction(x) for x in spec["root_interval"]])
     u = power = field.element(unit)
     while any(x % conductor for x in power.num[1:]):
         power = power * u
-    return [str(x) for x in power.num]
+    return tuple(str(x) for x in power.num)
 
 
 def _paths(node, path=()):
@@ -850,14 +851,15 @@ def documents(draw, index=None):
     spec, unit = DOC_FIELDS[index]
     d = 1 if spec is None else len(spec["minpoly"]) - 1
     c = draw(st.integers(1, 3))
-    primes = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=d == 1, max_size=2, unique=True))
+    some = 1 if d == 1 else 0  # a rank-one module is dense only with a prime
+    primes = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=some, max_size=2, unique=True))
     basis = [["0"] * j + [str(c if j else 1)] for j in range(d)]
     kind = draw(st.sampled_from(["primes", "unit", "none"]))
     if kind == "primes" and primes:
         chosen = draw(st.lists(st.sampled_from(primes), min_size=1, unique=True))
         generators = [str(p) for p in chosen]
     elif kind == "unit" and unit is not None:
-        generators = [_order_unit_coordinates(index, c)]
+        generators = [list(_order_unit_coordinates(index, c))]
     else:
         generators = []
     k = draw(st.integers(1, 3))
