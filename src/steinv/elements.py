@@ -14,6 +14,9 @@ of the interval: (t, "-") sits immediately below (t, "+"); the cuts
 0 <= t < endpoint and a minus cut 0 < t <= endpoint: `_check_cut` is the
 one place that decides it.  Order between values is decided by the
 comparison operators of `numbers`, never by the sign of a difference.
+The order of a map's images takes no comparison: `_image_order` finds
+it by exact equality of canonical forms, since each image's left end is
+the right end of the image before it.
 """
 
 from __future__ import annotations
@@ -197,31 +200,36 @@ class PLMap:
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other: (self.compose(other))(t) = self(other(t)).
 
-        Walks other's pieces in domain order: a binary search finds the
-        piece of self at each image's left end, and self's starts below
-        its right end are pulled back, so breakpoints come out sorted.
-        A piece of other is inverted once, at its first pull-back.
+        Walks other's pieces in the order of their images, so self's piece
+        index only moves forward: each comparison of self's next start with
+        an image's right end advances that index or ends the piece of other,
+        so at most len(self.pieces) + len(other.pieces) run.  The pieces come
+        out in one chunk per piece of other, joined in domain order.  A
+        piece of other is inverted once, at its first pull-back.
         """
         if self.triple is not other.triple and self.triple != other.triple:
             raise ValidationError("elements come from different triples")
         starts = [p.start for p in self.pieces]
-        ends = [p.start for p in other.pieces[1:]] + [self.triple.endpoint]
-        new_pieces = []
-        for gp, end in zip(other.pieces, ends):
-            k = bisect_right(starts, gp.image_of(gp.start)) - 1
-            right = gp.image_of(end)
-            u, inv = gp.start, None
+        rights = [gp.image_of(hi) for gp, _, hi in _intervals(other.pieces, self.triple.endpoint)]
+        chunks = [None] * len(rights)
+        k, last = 0, len(starts) - 1
+        for i in _image_order(other.pieces, rights):
+            gp, right = other.pieces[i], rights[i]
+            u, inv, chunk = gp.start, None, []
             while True:
                 fp = self.pieces[k]
-                new_pieces.append(Piece(u, fp.slope * gp.slope, fp.image_of(gp.offset)))
+                chunk.append(Piece(u, fp.slope * gp.slope, fp.image_of(gp.offset)))
+                if k == last or (c := starts[k + 1]._cmp(right)) > 0:
+                    break
                 k += 1
-                if k == len(starts) or not starts[k] < right:
+                if c == 0:
                     break
                 if inv is None:
                     inv = gp.slope.inverse()
                     back = -(gp.offset * inv)
                 u = _affine(inv, starts[k], back)
-        return PLMap(self.triple, _merge(new_pieces))
+            chunks[i] = chunk
+        return PLMap(self.triple, _merge(itertools.chain.from_iterable(chunks)))
 
     def inverse(self) -> "PLMap":
         new_pieces = []
@@ -284,6 +292,26 @@ def _merge(pieces) -> Tuple[Piece, ...]:
     return tuple(out)
 
 
+def _image_order(pieces, rights):
+    """Indices of the pieces in the order of their images, piece i mapping
+    onto [image of its start, rights[i]).  From 0, each next piece is the
+    one whose left end has the canonical (num, den) of the last right end,
+    so no comparison runs, and a piece leaves the table once met.
+    ValidationError unless the images tile [0, the last right end)."""
+    at = {}
+    for i, p in enumerate(pieces):
+        left = p.image_of(p.start)
+        at[left.num, left.den] = i
+    key, order = ((0,) * len(rights[0].num), 1), []
+    while key in at:
+        i = at.pop(key)
+        order.append(i)
+        key = rights[i].num, rights[i].den
+    if len(order) < len(pieces):
+        raise ValidationError("image intervals do not tile the interval")
+    return order
+
+
 def _intervals(pieces, endpoint):
     """(piece, lo, hi) for each piece on its interval [lo, hi): from its
     start to the next piece's start, or to the endpoint."""
@@ -322,13 +350,9 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
             raise ValidationError(f"offset {piece.offset} is outside the module")
         if not triple.slopes.contains(piece.slope):
             raise ValidationError(f"slope {piece.slope} is outside the slope group")
-    images = [(p.image_of(lo), p.image_of(hi)) for p, lo, hi in _intervals(built, endpoint)]
-    cursor = field.zero()
-    for lo, hi in sorted(images, key=lambda iv: iv[0]):
-        if lo._cmp(cursor) != 0:
-            raise ValidationError("image intervals do not tile the interval")
-        cursor = hi
-    if cursor._cmp(endpoint) != 0:
+    rights = [p.image_of(hi) for p, _, hi in _intervals(built, endpoint)]
+    order = _image_order(built, rights)
+    if rights[order[-1]]._cmp(endpoint) != 0:
         raise ValidationError("images do not end at the endpoint")
     return PLMap(triple, _merge(built))
 

@@ -463,6 +463,26 @@ def reference_inverse(f):
     return [repr(p) for p in out]
 
 
+def reference_tiling(pieces, endpoint):
+    """The tiling check that `make_plmap` once ran: sort the image
+    intervals by their left ends and walk a cursor from 0 through them.
+    Returns the message `make_plmap` raises, or None when the images tile
+    [0, endpoint)."""
+    starts = [p.start for p in pieces] + [endpoint]
+    images = [
+        (p.slope * lo + p.offset, p.slope * hi + p.offset)
+        for p, lo, hi in zip(pieces, starts, starts[1:])
+    ]
+    cursor = 0
+    for lo, hi in sorted(images, key=lambda iv: iv[0]):
+        if lo != cursor:
+            return "image intervals do not tile the interval"
+        cursor = hi
+    if cursor != endpoint:
+        return "images do not end at the endpoint"
+    return None
+
+
 # -- coinvariants and classification ----------------------------------------
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from steinv import elements
 from steinv import (
@@ -24,7 +24,10 @@ from steinv import (
     thompson_triple,
     to_prefix_pairs,
 )
-from references import reference_compose, reference_inverse, reference_prefix_pairs
+from references import (
+    reference_compose, reference_inverse, reference_prefix_pairs,
+    reference_tiling,
+)
 
 DYADIC = thompson_triple(2)
 GOLDEN = golden_triple()
@@ -566,14 +569,85 @@ def test_compose_matches_reference(triple):
     assert min(sizes) <= 4 and max(sizes) >= 24
 
 
+def count_comparisons(monkeypatch):
+    """A list that grows by one at every order comparison of field elements."""
+    calls = []
+    real_cmp = FieldElement._cmp
+    monkeypatch.setattr(FieldElement, "_cmp", lambda x, y: calls.append(1) or real_cmp(x, y))
+    return calls
+
+
 @pytest.mark.parametrize("k_f, k_g", [(4, 4), (16, 16), (32, 32), (32, 4), (4, 32)])
 def test_compose_sign_calls_are_near_linear(monkeypatch, k_f, k_g):
+    # every order decision is a sign of a difference in `_cmp`; the walk
+    # along other's images makes one per step of either index
     rng = random.Random(223 + k_f + k_g)
     f = random_element(GOLDEN, rng, k_f)
     g = random_element(GOLDEN, rng, k_g)
-    calls = []
-    real_sign = FieldElement.sign
-    monkeypatch.setattr(FieldElement, "sign", lambda x: calls.append(1) or real_sign(x))
+    calls = count_comparisons(monkeypatch)
     f * g
-    p_f, p_g = len(f.pieces), len(g.pieces)
-    assert len(calls) <= (p_f + p_g) * (math.ceil(math.log2(p_f)) + 2)
+    assert 0 < len(calls) <= len(f.pieces) + len(g.pieces)
+
+
+@pytest.mark.parametrize("triple", [DYADIC, TWO_THREE], ids=["dyadic", "two-three"])
+@pytest.mark.parametrize("k", [1, 4, 16, 32])
+def test_make_plmap_tiling_costs_one_comparison(monkeypatch, triple, k):
+    # in degree one membership compares nothing, so the count is the n - 1
+    # start-order checks, the last start against the endpoint, and one
+    # comparison of the last image's right end with the endpoint
+    f = random_element(triple, random.Random(k), k)
+    raw = [tuple(p) for p in f.pieces]
+    calls = count_comparisons(monkeypatch)
+    assert make_plmap(triple, raw) == f
+    assert len(calls) == len(raw) + 1
+
+
+# each mutation moves one piece so that its image leaves the tiling, and
+# the message make_plmap raises for it; "short" lowers the slope of the
+# last piece in image order, keeping its image's left end
+TILING_MUTATIONS = {
+    "none": None,
+    "duplicate": "image intervals do not tile the interval",
+    "gap": "image intervals do not tile the interval",
+    "overlap": "image intervals do not tile the interval",
+    "short": "images do not end at the endpoint",
+}
+
+
+@pytest.mark.parametrize("triple", [DYADIC, GOLDEN], ids=["dyadic", "golden"])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    size=st.integers(1, 12),
+    mutation=st.sampled_from(sorted(TILING_MUTATIONS)),
+    which=st.integers(0, 10 ** 6),
+    depth=st.integers(1, 6),
+)
+def test_make_plmap_tiling_matches_the_sorted_check(triple, seed, size, mutation, which, depth):
+    f = random_element(triple, random.Random(seed), size)
+    pieces = list(f.pieces)
+    n = len(pieces)
+    lefts = [p.slope * p.start + p.offset for p in pieces]
+    gen = triple.field.coerce(triple.slopes.generator_values()[0])
+    gen = gen if gen > 1 else gen.inverse()
+    i = which % n
+    start, slope, offset = pieces[i]
+    if mutation == "duplicate":
+        assume(n > 1)
+        j = (i + 1 + which // n % (n - 1)) % n
+        offset = lefts[j] - slope * start
+    elif mutation in ("gap", "overlap"):
+        offset += gen ** -depth if mutation == "gap" else -(gen ** -depth)
+    elif mutation == "short":
+        i = max(range(n), key=lambda m: lefts[m])
+        start, slope = pieces[i].start, pieces[i].slope / gen
+        offset = lefts[i] - slope * start
+    pieces[i] = elements.Piece(start, slope, offset)
+    expected = reference_tiling(pieces, triple.endpoint)
+    assert expected == TILING_MUTATIONS[mutation]
+    if expected is None:
+        assert make_plmap(triple, pieces) == f
+    else:
+        with pytest.raises(ValidationError) as info:
+            make_plmap(triple, pieces)
+        assert str(info.value) == expected
