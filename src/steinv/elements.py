@@ -21,16 +21,18 @@ the right end of the image before it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, NamedTuple, Tuple
 
 from .errors import BoundExceeded, ValidationError
 from .intlinalg import _integer
-from .modules import SteinTriple, _shell, thompson_base
-from .numbers import FieldElement, _affine, _power, _ratio
+from .modules import SteinTriple, thompson_base
+from .numbers import FieldElement, _affine, _normalized, _numerator_sign, _power, _ratio
 
 PLUS = "+"
 MINUS = "-"
@@ -42,14 +44,15 @@ MINUS = "-"
 _MAX_PAIR_LETTERS = 50_000
 
 # Letters in one random word: composing costs about quadratic time in the
-# length, and 500 letters at seed 1 take 0.09-0.13 s on the dyadic triple
-# (61 pieces) and 1.1-1.3 s on (Z[1/30], <2, 3, 5>, 1) (630 pieces) in
+# length, and 500 letters at seed 1 take 0.06-0.07 s on the dyadic triple
+# (61 pieces) and 0.68-0.78 s on (Z[1/30], <2, 3, 5>, 1) (630 pieces) in
 # CPython 3.11 on a 2-vCPU x86-64 host.
 _MAX_LETTERS = 500
 
 # Module rank r of a generator library, which walks 5^r - 1 vectors: a run of
-# `element random` on x^d - 2, power basis over Z[1/2], takes 0.4-0.7 s at
-# r = 5, 1.1-3.0 s at 6 and 7-8 s at 7 (d = r..32; CPython 3.11, 2 vCPUs).
+# `element random` (5 letters, in process) on x^d - 2, power basis over
+# Z[1/2], takes 0.03-0.15 s at r = 5, 0.15-0.29 s at 6 and 0.8-1.4 s at 7
+# (d = r..32; CPython 3.11, 2 vCPUs).
 _MAX_LIBRARY_RANK = 5
 
 
@@ -362,29 +365,26 @@ def make_plmap(triple: SteinTriple, pieces: Iterable) -> PLMap:
 
 
 def _candidate_lengths(triple: SteinTriple):
+    """The six smallest positive values among the combinations of the
+    module basis with coefficients in [-2, 2] and the basis magnitudes over
+    each inverted prime p and over p^2."""
     module = triple.module
     field = triple.field
-    values = []
-    seen = set()
-
-    def push(v):
-        if v.sign() > 0 and v not in seen:
-            seen.add(v)
-            values.append(v)
-
-    n = module.rank()
-    if n > _MAX_LIBRARY_RANK:
+    if module.rank() > _MAX_LIBRARY_RANK:
         raise BoundExceeded(f"a generator library is capped at module rank {_MAX_LIBRARY_RANK}")
-    # the nonzero coefficient vectors of [-2, 2]^n, as scale_equivalence builds them
-    for coeffs in itertools.chain(_shell(n, 1), _shell(n, 2)):
-        push(sum((c * b for c, b in zip(coeffs, module.basis) if c), field.zero()))
+    # the 5^n coefficient vectors as integer numerators over one denominator;
+    # the basis is independent, so distinct vectors give distinct values
+    den = lcm(*(b.den for b in module.basis))
+    sums = [(0,) * field.degree]
+    for b in module.basis:
+        steps = [tuple(c * (den // b.den) * x for x in b.num) for c in range(-2, 3)]
+        sums = [tuple(map(add, v, step)) for v in sums for step in steps]
+    values = {_normalized(field, num, den) for num in sums if _numerator_sign(field, num) > 0}
     for b in module.basis:
         mag = b if b.sign() > 0 else -b
         for p in module.inverted_primes:
-            push(mag / p)
-            push(mag / (p * p))
-    values.sort()
-    return values[:6]
+            values.update((mag / p, mag / (p * p)))
+    return heapq.nsmallest(6, values)
 
 
 def generator_library(triple: SteinTriple):

@@ -483,6 +483,24 @@ def reference_tiling(pieces, endpoint):
     return None
 
 
+def reference_candidate_lengths(triple):
+    """The generator library's six smallest lengths the way they were first
+    found: every nonzero combination of the basis with coefficients in
+    [-2, 2] summed by the field operators, the basis magnitudes over each
+    inverted prime p and p^2, and a full sort."""
+    module = triple.module
+    values = set()
+    for coeffs in itertools.product(range(-2, 3), repeat=module.rank()):
+        v = sum((c * b for c, b in zip(coeffs, module.basis) if c), triple.field.zero())
+        if v.sign() > 0:
+            values.add(v)
+    for b in module.basis:
+        mag = b if b.sign() > 0 else -b
+        for p in module.inverted_primes:
+            values.update((mag / p, mag / (p * p)))
+    return sorted(values)[:6]
+
+
 # -- coinvariants and classification ----------------------------------------
 
 

@@ -12,6 +12,7 @@ from steinv import (
     BoundExceeded,
     FieldElement,
     PLMap,
+    RealAlgebraicField,
     ValidationError,
     cut_point,
     embed_v2_element,
@@ -25,7 +26,7 @@ from steinv import (
     to_prefix_pairs,
 )
 from references import (
-    reference_compose, reference_inverse, reference_prefix_pairs,
+    reference_candidate_lengths, reference_compose, reference_inverse, reference_prefix_pairs,
     reference_tiling,
 )
 
@@ -315,6 +316,41 @@ def test_fixed_point_off_module():
 
 
 # -- libraries and random words --------------------------------------------
+
+
+def power_basis_triple(d, primes=(2,), scale=1):
+    """Q(2^(1/d)) with the module scale * <1, a, ..., a^(d-1)> over the
+    primes and slopes <2>."""
+    field = RealAlgebraicField([-2] + [0] * (d - 1) + [1], (1, 2))
+    basis = [field.element([0] * j + [scale]) for j in range(d)]
+    return stein_triple(basis, primes, [2], endpoint=1, field=field)
+
+
+def golden_mixed_triple():
+    """(-1/3, a/2, ...) over Z[1/6] in the golden field: a negative and a
+    fractional basis element with two denominators."""
+    field = GOLDEN.field
+    a = field.generator()
+    return stein_triple([field.coerce(Fraction(-1, 3)), a / 2], [2, 3], [2, 3], field=field)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        DYADIC,
+        GOLDEN,
+        thompson_triple(6),
+        stein_triple([Fraction(-3, 4)], [5], [5]),
+        golden_mixed_triple(),
+        power_basis_triple(3),
+        power_basis_triple(3, primes=(2, 3), scale=Fraction(-2, 3)),
+        power_basis_triple(4),
+    ],
+    ids=["dyadic", "golden", "base-six", "negative-rational", "golden-mixed", "cubic",
+         "cubic-scaled", "quartic"],
+)
+def test_candidate_lengths_match_the_sorted_field_sums(triple):
+    assert elements._candidate_lengths(triple) == reference_candidate_lengths(triple)
 
 
 @pytest.mark.parametrize(
