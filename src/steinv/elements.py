@@ -372,8 +372,7 @@ def _candidate_lengths(triple: SteinTriple):
     field = triple.field
     if module.rank() > _MAX_LIBRARY_RANK:
         raise BoundExceeded(f"a generator library is capped at module rank {_MAX_LIBRARY_RANK}")
-    # the 5^n coefficient vectors as integer numerators over one denominator;
-    # the basis is independent, so distinct vectors give distinct values
+    # the 5^n coefficient vectors as integer numerators over one denominator
     den = lcm(*(b.den for b in module.basis))
     sums = [(0,) * field.degree]
     for b in module.basis:
