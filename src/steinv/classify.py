@@ -39,7 +39,6 @@ from .modules import (
     SlopeGroup,
     SteinTriple,
     _carries,
-    _valuations,
     scale_equivalence,
     thompson_base,
 )
@@ -293,9 +292,10 @@ def order_embedding_exists(l1: SlopeGroup, l2: SlopeGroup) -> EmbeddingAnswer:
     primes = sorted(set(l1.atoms) | set(l2.atoms))
     # `_bareiss` on [l2^T | l1^T] leaves pivot * x in column n + k for row k
     # of l1 = sum_j x_j * (row j of l2); the Hermite rows of l2 have rank n,
-    # and each generator value's exponents are its row over all the primes
+    # and the exponent rows are read from the lattices, padded to all the primes
     n = len(l2.lattice)
-    columns = [_valuations(v, primes) for v in l2.generator_values() + l1.generator_values()]
+    columns = [[dict(zip(g.atoms, row)).get(p, 0) for p in primes]
+               for g in (l2, l1) for row in g.lattice]
     rows = [list(row) for row in zip(*columns)]
     pivot = abs(_bareiss(rows, n)[1])
     c = 1

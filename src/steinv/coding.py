@@ -47,11 +47,7 @@ class EventuallyPeriodicWord:
         _check_digits(period)
         if not period:
             raise ValidationError("the period must be nonempty")
-        m = len(period)
-        for d in range(1, m):
-            if m % d == 0 and period == period[:d] * (m // d):
-                period = period[:d]
-                break
+        period = period[: (period + period).find(period, 1)]
         while preperiod and preperiod[-1] == period[-1]:
             period = period[-1] + period[:-1]
             preperiod = preperiod[:-1]
@@ -187,7 +183,6 @@ def beta_cylinder_interval(w: str):
     of a finite admissible word."""
     if not w:
         raise ValidationError("the cylinder word must be nonempty")
-    _check_beta_word(w)
     b = beta_word_value(w)
     upper = b + _horner_beta("0" * (_beta_depth(w) - 1) + "1")
     return CutPoint(b, PLUS), CutPoint(upper, MINUS)

@@ -153,11 +153,6 @@ class PLMap:
         field = triple.field
         return cls(triple, (Piece(field.zero(), field.one(), field.zero()),))
 
-    @classmethod
-    def _trusted(cls, triple, raw_pieces) -> "PLMap":
-        pieces = sorted(raw_pieces, key=lambda p: p.start)
-        return cls(triple, _merge(pieces))
-
     def __eq__(self, other):
         if not isinstance(other, PLMap):
             return NotImplemented
@@ -187,9 +182,7 @@ class PLMap:
         return self.pieces[bisect_left(self.pieces, t, key=lambda p: p.start) - 1]
 
     def __call__(self, t) -> FieldElement:
-        t = self.triple.field.coerce(t)
-        _check_cut(t, PLUS, self.triple.endpoint)
-        return self._piece_at(t).image_of(t)
+        return self.act_on_cut(CutPoint(self.triple.field.coerce(t), PLUS)).value
 
     def act_on_cut(self, x: CutPoint) -> CutPoint:
         t = x.value
@@ -239,7 +232,7 @@ class PLMap:
         for piece in self.pieces:
             inv = piece.slope.inverse()
             new_pieces.append(Piece(piece.image_of(piece.start), inv, -(piece.offset * inv)))
-        return PLMap._trusted(self.triple, new_pieces)
+        return PLMap(self.triple, _merge(sorted(new_pieces, key=lambda p: p.start)))
 
     def __mul__(self, other):
         if not isinstance(other, PLMap):

@@ -509,8 +509,7 @@ def thompson_triple(n: int, endpoint: Rational = 1) -> SteinTriple:
     """(Z[1/n], <n>, endpoint): the Higman-Thompson family for n >= 2."""
     if rational_field().coerce(n) < 2:
         raise ValidationError("the base must be at least 2")
-    slopes = SlopeGroup([n])
-    return SteinTriple(BreakpointModule(rational_field(), [1], list(factor(n))), slopes, endpoint)
+    return stein_triple([1], factor(n), [n], endpoint)
 
 
 def thompson_base(triple: SteinTriple) -> Optional[int]:
@@ -521,14 +520,12 @@ def thompson_base(triple: SteinTriple) -> Optional[int]:
     module, slopes = triple.module, triple.slopes
     if module.field.degree != 1 or module.rank() != 1 or slopes.rank() != 1:
         return None
-    # every atom is in the support, so the one Hermite row has no zero;
-    # n is an integer exactly when the row is positive
-    (row,) = slopes.lattice
-    if module.inverted_primes != slopes.atoms or min(row) < 0:
+    (n,) = slopes.generator_values()
+    if module.inverted_primes != slopes.atoms or n.denominator != 1:
         return None
     if _valuations(abs(module.basis[0].as_fraction()), slopes.atoms) is None:
         return None
-    return prod(p**e for p, e in zip(slopes.atoms, row))
+    return n.numerator
 
 
 @cache

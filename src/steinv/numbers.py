@@ -440,8 +440,6 @@ class RealAlgebraicField:
         return (lo, mid) if _sign(v) == self._right else (mid, hi)
 
     def refine_root(self) -> None:
-        if self._exact_root is not None:
-            return
         lo, hi = self._bisect(self._lo, self._hi)
         if lo == hi:
             self._exact_root = lo
@@ -750,9 +748,6 @@ class FieldElement:
             o = self._coerce(o)
             if o is None:
                 return NotImplemented
-        if f.degree == 1 and o.num[0]:
-            x, y = self.num[0] * o.den, self.den * o.num[0]
-            return _ratio(f, x, y) if y > 0 else _ratio(f, -x, -y)
         return self * o.inverse()
 
     def __rtruediv__(self, other):

@@ -445,7 +445,7 @@ def reference_compose(f, g):
         new_pieces.append(
             Piece(u, fp.slope * gp.slope, fp.slope * gp.offset + fp.offset)
         )
-    return PLMap._trusted(f.triple, new_pieces)
+    return PLMap(f.triple, elements._merge(sorted(new_pieces, key=lambda p: p.start)))
 
 
 def reference_inverse(f):
