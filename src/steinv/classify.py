@@ -247,7 +247,10 @@ def _endpoint_orbit(
     if b.field.degree > 2:
         gap = "units in degree 3 and up"
     elif unit is None:
-        gap = "the fundamental unit (period past the step budget)"
+        c0, c1, c2 = b.field.minpoly.coefficients
+        rational = math.isqrt(disc := c1 * c1 - 4 * c0 * c2) ** 2 == disc
+        gap = ("a unit: the defining polynomial has a rational root" if rational
+               else "the fundamental unit (period past the step budget)")
     elif b.module.inverted_primes:
         gap = "S-units that are not rational"
     else:  # the steps span the stabilizer

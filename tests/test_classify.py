@@ -746,6 +746,21 @@ def test_unit_past_the_step_budget_leaves_unknown(monkeypatch):
     )
 
 
+def test_rational_root_names_the_missing_unit():
+    # x^2 - 1 has square discriminant, so no period step ever runs
+    f = RealAlgebraicField([-1, 0, 1], (0, 2))
+    a, b = (
+        stein_triple([f.element([1, 0]), f.element([0, 1])], [3], ["3"], endpoint=e, field=f)
+        for e in (1, 2)
+    )
+    assert _fundamental_unit(b.module) is None
+    v = classify_pair(a, b)
+    assert v.reason == (
+        "no match in a stabilizer orbit of size 1; "
+        "the walk lacks a unit: the defining polynomial has a rational root"
+    )
+
+
 def test_spent_scale_budget_names_its_radius(monkeypatch):
     # the cubic pair: 26 candidates at radius 1, then radius 2
     f = RealAlgebraicField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(4, 3)))
