@@ -4,7 +4,8 @@ Each reference is slow and plain on purpose: Fraction Gauss-Jordan in
 place of the integer elimination, Fraction polynomial arithmetic in place
 of the integer Sturm and Horner helpers, cofactor expansions and minor
 gcds in place of the normal forms, the scan-and-sort walks that the
-element code replaced, the scale search as a box walk with no prefilter
+element code replaced, the divisor loop that once found a word's
+primitive period, the scale search as a box walk with no prefilter
 or budget, and certificate checks that re-derive a verdict's data
 without `classify`.  It also holds `presentations()`, the strategy that
 the presentation property tests and `mix_count.py` draw from, and
@@ -197,6 +198,22 @@ def reference_beta_value(word):
     field = golden_field()
     binv = field.generator().inverse()
     return sum((reference_pow(binv, i + 1) for i, c in enumerate(word) if c == "1"), field.zero())
+
+
+def reference_canonical_word(preperiod, period):
+    """The canonical (preperiod, period) that `EventuallyPeriodicWord`
+    once computed: the first divisor d of the period's length whose prefix
+    repeats to the period, then every trailing preperiod letter equal to
+    the period's last letter folded into a rotation."""
+    m = len(period)
+    for d in range(1, m):
+        if m % d == 0 and period == period[:d] * (m // d):
+            period = period[:d]
+            break
+    while preperiod and preperiod[-1] == period[-1]:
+        period = period[-1] + period[:-1]
+        preperiod = preperiod[:-1]
+    return preperiod, period
 
 
 def assert_canonical(x):

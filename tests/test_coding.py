@@ -32,7 +32,9 @@ from steinv import (
     rational_field,
     thompson_triple,
 )
-from references import assert_canonical, count_fractions, reference_beta_value, reference_pow
+from references import (
+    assert_canonical, count_fractions, reference_beta_value, reference_canonical_word, reference_pow,
+)
 
 DYADIC = thompson_triple(2)
 GOLDEN = golden_triple()
@@ -51,6 +53,20 @@ def test_word_canonical_forms():
     assert str(EventuallyPeriodicWord("1000", "0")) == "1(0)"
     assert str(EventuallyPeriodicWord("", "0")) == "(0)"
     assert EventuallyPeriodicWord("011", "01") == EventuallyPeriodicWord("01", "10")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text("0123", max_size=6), st.text("01", min_size=1, max_size=4) | st.text("0123", min_size=1),
+    st.integers(1, 6), st.text("01", max_size=5),
+)
+def test_canonical_word_matches_the_divisor_loop(head, root, k, tail):
+    # the period is a power of a drawn root, and the preperiod ends in
+    # letters that often fold into rotations of it
+    period = root * k
+    preperiod = head + tail
+    w = EventuallyPeriodicWord(preperiod, period)
+    assert (w.preperiod, w.period) == reference_canonical_word(preperiod, period)
 
 
 def test_word_parsing_and_access():

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from steinv import elements
 from steinv import (
     BoundExceeded,
+    CutPoint,
     FieldElement,
     PLMap,
     RealAlgebraicField,
@@ -228,6 +229,20 @@ def test_act_on_cut():
     # minus side uses the piece on the left
     half_minus = cut_point(DYADIC, Fraction(1, 2), "-")
     assert X0.act_on_cut(half_minus) == cut_point(DYADIC, Fraction(3, 4), "-")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([DYADIC, GOLDEN]), st.integers(0, 10**6),
+    st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 64),
+)
+def test_call_is_the_action_on_the_plus_cut(triple, seed, x, y, den):
+    field = triple.field
+    # a value of [0, 1), a module point or not
+    t = field.coerce(Fraction(x, den)) + (0 if field.degree == 1 else y * field.generator() / den)
+    assume(t.sign() >= 0 and t < 1)
+    f = random_element(triple, random.Random(seed), 8)
+    assert f(t) == f.act_on_cut(CutPoint(t, "+")).value
 
 
 def test_act_on_cut_respects_composition():

@@ -19,6 +19,7 @@ from steinv import (
     IntMatrix,
     RealAlgebraicField,
     SlopeGroup,
+    beta_cylinder_interval,
     beta_expand,
     errors,
     from_prefix_pairs,
@@ -207,6 +208,9 @@ REFUSALS = [
     (lambda: from_prefix_pairs(thompson_triple(2), []), "at least one pair is required"),
     (lambda: n_adic_expand(CutPoint(PHI - 1, "+"), 2), "n-adic coding needs a rational cut point"),
     (lambda: substitute_tau("2"), "'2' is not a binary word"),
+    # beta_word_value checks a cylinder's word; "20" keeps this row's id apart from the row above
+    (lambda: beta_cylinder_interval("20"), "'20' is not a binary word"),
+    (lambda: beta_cylinder_interval("11"), "'11' contains the forbidden factor 11"),
     (lambda: beta_expand(Fraction(1, 2), "-"), "1/2 has no expansion with a repeating 10 tail"),
     # 2^(1/6) on its power basis over Z[1/2], a module of rank 6
     (lambda: generator_library(stein_triple(

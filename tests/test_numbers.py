@@ -206,6 +206,8 @@ def test_approx_does_not_depend_on_a_root_hit():
     fresh, hit = (RealAlgebraicField(*ROOT_HIT) for _ in range(2))
     hit.refine_root()
     assert hit.root_interval() == (1, 1)
+    hit.refine_root()  # a bisection of (1, 1) evaluates f(1) = 0 and keeps it
+    assert hit.root_interval() == (1, 1)
     for eps in (10, 1, Fraction(1, 1000)):
         assert approx(hit.element([1, 1]), eps) == approx(fresh.element([1, 1]), eps)
     assert approx(hit.element([1, 1]), 10) == (Fraction(3, 2), Fraction(5, 2))
@@ -937,6 +939,26 @@ def test_affine_refuses_an_irrational_of_another_field():
     for s, t, o in [(phi, sqrt5, phi), (phi, phi, sqrt5), (one, sqrt5, one), (one, one, sqrt5)]:
         with pytest.raises(FieldMismatch):
             numbers._affine(s, t, o)
+
+
+# a zero divisor about one draw in six, and negative divisors in every degree
+_divisors = _coordinates | st.just([Fraction(0)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([thompson_triple(2).field, ROOT3, GOLDEN, NON_MONIC, CUBE_ROOT2]),
+       _coordinates, _divisors, st.booleans())
+def test_quotient_is_the_product_with_the_inverse(field, x, y, negate):
+    d = field.degree
+    x, y = field.element(x[:d]), field.element(y[:d])
+    y = -y if negate else y
+    if y.is_zero():
+        with pytest.raises(DivisionByZero, match="^division by zero$"):
+            x / y
+        return
+    z, expected = x / y, x * y.inverse()
+    assert z.field is field and (z.num, z.den) == (expected.num, expected.den)
+    assert_canonical(z)
 
 
 # -- fraction-free elimination against the Fraction Gauss-Jordan ------------
