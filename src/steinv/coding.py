@@ -36,8 +36,9 @@ class EventuallyPeriodicWord:
 
     Stored canonically: the period is primitive and the preperiod is as
     short as possible (a trailing letter equal to the last period letter
-    folds into a rotation of the period).  Equal streams therefore
-    compare equal structurally.
+    folds into a rotation of the period).  The primitive period ends at
+    the least rotation that fixes the period (Lyndon and Schutzenberger,
+    Michigan Math. J. 9, 1962).  Equal streams therefore compare equal.
     """
 
     __slots__ = ("preperiod", "period")

@@ -46,9 +46,10 @@ other non-number raises ValidationError in order; arithmetic keeps
 Python's protocol (TypeError), and equality calls it unequal.
 
 Each degree d has its own closed forms.  In degree one an element is
-the rational num[0]/den: sums, products, quotients and comparisons are
-integer operations on num[0] and den alone, and one gcd reduces the
-result.  From degree two one kernel, `_product`, forms the unreduced
+the rational num[0]/den: sums, products and comparisons are integer
+operations on num[0] and den alone, and one gcd reduces the result; a
+quotient is an inverse, (+-den)/|num[0]|, then one product, still in
+integers.  From degree two one kernel, `_product`, forms the unreduced
 numerators and denominator of a product, and `__mul__` reduces them.
 `_affine(s, t, o)` forms s*t + o with one reduction in every degree: over
 one denominator in degree one, and by adding o over the kernel's
